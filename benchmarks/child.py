@@ -5,7 +5,8 @@
 
 Set-up (``import kpert.cli`` plus ``build_parser()``) is timed first.
 Then the timed ops run one at a time, in order, in this process; the
-loop's wall time is taken around the whole loop.  Robustness probes run
+loop's wall time is taken around the whole loop, less the time of the
+speed probes run inside it (see SpeedProbe).  Robustness probes run
 after the loop and are not timed.  With --trace the tracer's wrappers are
 installed around the timed loop only and removed before anything else.
 """
@@ -32,6 +33,54 @@ def _setup():
     cli.build_parser()
     return time.perf_counter() - _T0
 
+
+# The host's speed changes by up to a factor of two, for seconds or
+# minutes at a time.  A speed probe is a fixed piece of work that uses no
+# kpert code, in the mix kpert's ops spend their time in: Gauss-Legendre
+# rules (small eigenproblems and interpreted polynomial recurrences on
+# short arrays) and interpreted element access.  The timed loop runs one
+# probe before the first op, one after the last and one between ops at
+# most every PROBE_EVERY_S, and records which probe precedes each op;
+# run.py scales each op by the probes around it.
+PROBE_EVERY_S = 0.5
+
+
+def _probe_once(np, leggauss, arr):
+    t = time.perf_counter()
+    for n in range(8, 40, 2):
+        leggauss(n)
+        k = np.arange(1.0, n)
+        off = k / np.sqrt(4.0 * k * k - 1.0)
+        x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    acc = 0.0
+    for i in range(3000):
+        acc += arr[i % 2000] * 0.5
+    return time.perf_counter() - t
+
+
+class SpeedProbe:
+    """Times probes; each probe is the faster of two repetitions."""
+
+    def __init__(self):
+        import numpy as np
+        from numpy.polynomial.legendre import leggauss
+        self._args = (np, leggauss, np.arange(2000.0))
+        self.seconds = []       # one per probe
+        self.spent = 0.0        # wall time spent probing
+        self.last = -1.0e9
+
+    def __call__(self):
+        t = time.perf_counter()
+        self.seconds.append(min(_probe_once(*self._args) for _ in range(2)))
+        self.last = time.perf_counter()
+        self.spent += self.last - t
+        return len(self.seconds) - 1
+
+    def due(self):
+        return time.perf_counter() - self.last >= PROBE_EVERY_S
 
 
 class SeriesCapture:
@@ -177,17 +226,23 @@ def main(argv=None):
         tracer = Tracer()
         tracer.install()
     records = []
+    probe = SpeedProbe()
     with SeriesCapture(pt) as capture:
         loop_start = time.perf_counter()
+        before = probe()
         for i, op in enumerate(timed):
             if tracer is not None:
                 tracer.op = i
+            if probe.due():
+                before = probe()
             t = time.perf_counter()
             rec = _run_op(cli, op, args.out, capture)
             rec["seconds"] = time.perf_counter() - t
             rec["id"] = op["id"]
+            rec["speed_probe"] = before
             records.append(rec)
-        loop_wall = time.perf_counter() - loop_start
+        probe()
+        loop_wall = time.perf_counter() - loop_start - probe.spent
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     trace = None
     if tracer is not None:
@@ -207,6 +262,7 @@ def main(argv=None):
             rec["slice_s"] = _slice_points(cli, op)
 
     result = {"setup_s": setup_s, "loop_wall_s": loop_wall,
+              "speed_probe_s": probe.seconds,
               "peak_rss_mb": peak_rss_mb, "ops": records, "probes": probes,
               "trace": trace, "kpert_file": kpert.__file__,
               "versions": {"python": sys.version.split()[0],

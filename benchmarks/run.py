@@ -12,11 +12,14 @@ JSON object:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 --trace 0 runs the op list in SUBRUNS untraced children and reports the
-end-to-end metrics of BENCHMARK.json.  The host's speed drifts by up to
-a third for seconds at a time, so the timings are the fastest child's
-loop (wall_s) and the median over ops of each op's fastest time
-(op_p50_s).  --trace 1 runs it once traced and once untraced and reports
-the per-layer metrics and the tracing overhead.  See benchmarks/README.md.
+end-to-end metrics of BENCHMARK.json.  The host's speed changes by up to
+a factor of two for seconds or minutes at a time, so each child times a
+fixed speed probe between its ops and the loop and op times are scaled
+to the probe's reference time (see scaled_times); wall_s is the median
+child's scaled loop and op_p50_s the median over ops of each op's median
+scaled time.  --trace 1 runs it once traced and once untraced and
+reports the per-layer metrics and the tracing overhead.  See
+benchmarks/README.md.
 """
 from __future__ import annotations
 
@@ -106,15 +109,43 @@ def _fmt(v):
     return str(v)
 
 
+# Scaled times read as seconds on a host where one speed probe (see
+# child.py) takes PROBE_REF_S, its median on the reference host.
+PROBE_REF_S = 0.012
+
+
+def scaled_times(child):
+    """(per-op times, loop wall) of one child, scaled to the reference
+    speed.  Each op is scaled by the mean of the probes just before and
+    just after it; the loop's time outside the op timers (probes already
+    excluded) by the child's median probe."""
+    probes = child["speed_probe_s"]
+    ops = [r["seconds"] * 2.0 * PROBE_REF_S
+           / (probes[r["speed_probe"]] + probes[r["speed_probe"] + 1])
+           for r in child["ops"]]
+    between = child["loop_wall_s"] - sum(r["seconds"] for r in child["ops"])
+    return ops, sum(ops) + between * PROBE_REF_S / statistics.median(probes)
+
+
+def scaled_setup(child):
+    """Set-up time scaled by the median of the first three probes, the
+    nearest ones: set-up imports numpy, which a probe needs, so none can
+    run before it."""
+    return child["setup_s"] * PROBE_REF_S / statistics.median(
+        child["speed_probe_s"][:3])
+
+
 def end_to_end(children) -> dict:
-    """Set-up is the median over children, the loop the fastest child's,
-    and op_p50_s the median over ops of each op's fastest time."""
-    fastest = [min(recs) for recs in zip(
-        *([r["seconds"] for r in c["ops"]] for c in children))]
+    """Medians over children of the scaled set-up and loop wall times;
+    op_p50_s is the median over ops of each op's median scaled time."""
+    scaled = [scaled_times(c) for c in children]
+    per_op = [statistics.median(times)
+              for times in zip(*(ops for ops, _ in scaled))]
     return {
-        "setup_s": (statistics.median(c["setup_s"] for c in children), "s"),
-        "wall_s": (min(c["loop_wall_s"] for c in children), "s"),
-        "op_p50_s": (statistics.median(fastest), "s"),
+        "setup_s": (statistics.median(scaled_setup(c) for c in children),
+                    "s"),
+        "wall_s": (statistics.median(wall for _, wall in scaled), "s"),
+        "op_p50_s": (statistics.median(per_op), "s"),
         "peak_rss_mb": (statistics.median(c["peak_rss_mb"] for c in children),
                         "MB"),
     }
@@ -144,10 +175,11 @@ def per_layer(traced, untraced, tally, out_bytes) -> dict:
     m["cli.out_bytes"] = (out_bytes, "B")
     for status, n in tally.certs.items():
         m[f"bounds.certs.{status}"] = (n, "count")
-    m["trace.wall_s"] = (traced["loop_wall_s"], "s")
-    m["trace.untraced_wall_s"] = (untraced["loop_wall_s"], "s")
-    m["trace.overhead_frac"] = (
-        traced["loop_wall_s"] / untraced["loop_wall_s"] - 1.0, "fraction")
+    traced_wall = scaled_times(traced)[1]
+    untraced_wall = scaled_times(untraced)[1]
+    m["trace.wall_s"] = (traced_wall, "s")
+    m["trace.untraced_wall_s"] = (untraced_wall, "s")
+    m["trace.overhead_frac"] = (traced_wall / untraced_wall - 1.0, "fraction")
     m.update(result_metrics(tally))
     return m
 
@@ -203,6 +235,9 @@ def main(argv=None) -> int:
     print(f"  why: {workloads.WHY[args.workload]}")
     for name, (value, unit) in table.items():
         print(f"  {name:<40} {_fmt(value):>14} {unit}")
+    probe_s = statistics.median(p for c in children for p in c["speed_probe_s"])
+    print(f"  speed probe median {probe_s * 1e3:.3f} ms over {len(children)} "
+          f"children (times above scaled to {PROBE_REF_S * 1e3:g} ms)")
     print(f"  op count {timed}; failed {tally.failed}/{tally.attempted} timed, "
           f"{tally.probes_failed}/{tally.probes} probes; oracle checks "
           f"{tally.rel_err_count}; errbar misses {tally.errbar_miss}/"
@@ -225,6 +260,7 @@ def main(argv=None) -> int:
                                         encoding="utf-8")
     report = {"metrics": {k: {"value": v, "unit": u}
                           for k, (v, u) in table.items()},
+              "speed_probe_median_s": probe_s,
               "failures": tally.failures, "wrong": tally.wrong,
               "output_diff": diff}
     (work / "report.json").write_text(json.dumps(report, indent=1) + "\n",

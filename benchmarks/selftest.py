@@ -20,6 +20,7 @@ ROOT = BENCH.parent
 sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 
 import oracles  # noqa: E402
+import run  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -120,3 +121,17 @@ def test_wrappers_leave_kpert_unpatched(tmp_path):
     assert summary["perturbation.engines"] == 2
     assert summary["perturbation.spline_evals"] > 0
     assert summary["perturbation.self_s"] > 0
+
+
+def test_scaled_times_follow_the_speed_probes():
+    ref = run.PROBE_REF_S
+    child = {"speed_probe_s": [ref, ref, 2 * ref, 2 * ref],
+             "ops": [{"seconds": 1.0, "speed_probe": 0},
+                     {"seconds": 3.0, "speed_probe": 1},
+                     {"seconds": 4.0, "speed_probe": 2}],
+             "loop_wall_s": 8.5}
+    ops, wall = run.scaled_times(child)
+    assert ops == pytest.approx([1.0, 2.0, 2.0])
+    assert wall == pytest.approx(5.0 + 0.5 / 1.5)
+    child["setup_s"] = 1.2
+    assert run.scaled_setup(child) == pytest.approx(1.2)
