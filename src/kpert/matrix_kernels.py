@@ -15,6 +15,7 @@ convention 0 * inf = 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,12 +101,13 @@ def apply(K: MatrixKernel, f) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     _check_dim(K, f.shape[0], "vector")
-    if np.any(f < 0) or np.any(np.isnan(f)):
+    if not (f >= 0).all():          # also catches NaN
         raise ValueError("vector must be nonnegative")
     inf_mask = np.isinf(f)
+    if not inf_mask.any():
+        return K.entries @ f
     out = K.entries @ np.where(inf_mask, 0.0, f)
-    if inf_mask.any():
-        out[(K.entries[:, inf_mask] > 0).any(axis=1)] = np.inf
+    out[(K.entries[:, inf_mask] > 0).any(axis=1)] = np.inf
     return out
 
 
@@ -253,9 +255,11 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     for m in range(1, max_terms + 1):
         term = apply(K, term)
         total = total + term
-        tn = float(np.max(term)) if term.size else 0.0
+        tn = float(term.max()) if term.size else 0.0
         norms.append(tn)
-        scale = float(np.max(total[np.isfinite(total)], initial=1.0))
+        scale = float(total.max(initial=1.0))
+        if not math.isfinite(scale):     # the max over finite entries
+            scale = float(np.max(total[np.isfinite(total)], initial=1.0))
         if tn <= tail_tol * max(scale, 1e-300):
             return MatrixSeriesResult(total, m, "converged", tn)
         if len(norms) >= 11 and all(
@@ -294,9 +298,10 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
             f"> c*f={c * f[viol][0]:.6g}")
     slack = 1 + 1e-12
     rho = 1.0 - 1.0 / c
+    f_a = f[A.mask]
     term = f.copy()
     for n in range(n_max + 1):
-        if not np.all(term[A.mask] <= c * rho ** n * f[A.mask] * slack + 1e-300):
+        if not (term[A.mask] <= c * rho ** n * f_a * slack + 1e-300).all():
             return False
         term = apply(K, term)
     return bool(np.all(g[A.mask] <= c * c * f[A.mask] * slack + 1e-300))

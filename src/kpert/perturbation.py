@@ -15,10 +15,14 @@ per-panel grid (panels split at atom times and support endpoints, where
 ratios jump); each level is one pass of nested fixed rules, with the
 spatial rule recentered and rescaled on the narrower kernel factor (tan
 substitution, exact for a Cauchy peak) so end-of-interval bridges stay
-resolved.  Pure-atom measures bypass the grid entirely: terms are exact
-sums over strictly increasing atom chains (which is why a single atom
-kills every term past the first).  Error estimates come from rerunning
-at a refined resolution.
+resolved.  A level is evaluated one grid row (one source time) per
+numpy broadcast: the time rule is shared along the row, and each node
+still reduces on its own, so the values match node-by-node evaluation
+bit for bit.  Pure-atom measures bypass the grid entirely: terms are
+exact sums over strictly increasing atom chains (which is why a single
+atom kills every term past the first).  Error estimates come from
+rerunning at a refined resolution.  The slice problems build that
+engine pair once and reuse it for every batch of sample points.
 """
 from __future__ import annotations
 
@@ -66,10 +70,10 @@ class SeriesEngine:
     """Grid-backed evaluator of the term ratios r_n = p_n / p for a fixed
     target (t, y).
 
-    Build once per target and measure; ``ratios`` evaluates the whole
-    term sequence at arbitrary source points with s >= s_min.  The
-    engine runs at two resolutions and reports the difference as its
-    quadrature error estimate.
+    Built once per slice problem; levels are built lazily, so call order
+    does not change values.  ``ratios`` evaluates the whole term sequence
+    at arbitrary source points with s >= s_min.  Engines run in pairs at
+    two resolutions, whose difference is the quadrature error estimate.
     """
 
     def __init__(self, kernel, mu: PerturbingMeasure, t, y, s_min,
@@ -126,37 +130,37 @@ class SeriesEngine:
         if not z_hi > z_lo:
             z_hi = z_lo + 1.0
         self.z_nodes = np.linspace(z_lo, z_hi, self.grid_z)
+        self._panel_rows = None    # per panel: time nodes, p at the nodes
         self._splines = None       # per level: list over panels
         self._grid_sups = None
 
     # -- rules ------------------------------------------------------------
 
     def _bridge(self, u0, z0, v):
-        """Spatial nodes/weights for the z' integral at intermediate times v
-        (array): rule centered on the narrower of the two kernel factors."""
-        v = np.asarray(v, dtype=float)
+        """Spatial nodes/weights for the z' integral at intermediate times v,
+        one block per source node z0: nodes have shape (len(z0), len(v), n)
+        and weights broadcast to it.  The rule is centered on the narrower
+        of the two kernel factors; cone rules need z0 < y, which holds
+        wherever p(u0, z0, t, y) > 0."""
         if self.kind == "cone":
-            if not self.y > z0:
-                n = len(self._gl_half[0]) * 2
-                return np.zeros((len(v), n)), np.zeros((len(v), n))
             xi, w = self._gl_half
             zm = 0.5 * (z0 + self.y)
-            half = zm - z0
-            left = z0 + half * xi ** 2
+            half = (zm - z0)[:, None]
+            left = z0[:, None] + half * xi ** 2
             wl = w * 2.0 * half * xi
             right = self.y - half * xi[::-1] ** 2
-            wr = (w * 2.0 * half * xi)[::-1]
-            zp = np.concatenate([left, right])
-            wp = np.concatenate([wl, wr])
-            return (np.broadcast_to(zp, (len(v), len(zp))).copy(),
-                    np.broadcast_to(wp, (len(v), len(wp))).copy())
+            wr = (w * 2.0 * half * xi)[:, ::-1]
+            zp = np.concatenate([left, right], axis=1)
+            wp = np.concatenate([wl, wr], axis=1)
+            shape = (len(z0), len(v), zp.shape[1])
+            return np.broadcast_to(zp[:, None, :], shape), wp[:, None, :]
         s1 = np.asarray(self.kernel.peak_scale(v - u0), dtype=float)
         s2 = np.asarray(self.kernel.peak_scale(self.t - v), dtype=float)
         use1 = s1 <= s2
-        center = np.where(use1, z0, self.y)
+        center = np.where(use1, z0[:, None], self.y)
         scale = np.maximum(np.where(use1, s1, s2), 1e-300)
-        zp = center[:, None] + scale[:, None] * np.tan(self._theta)[None, :]
-        wp = scale[:, None] * (self._theta_w / np.cos(self._theta) ** 2)[None, :]
+        zp = center[:, :, None] + scale[:, None] * np.tan(self._theta)
+        wp = scale[:, None] * (self._theta_w / np.cos(self._theta) ** 2)
         return zp, wp
 
     def _time_nodes(self, lo, hi, u0):
@@ -174,6 +178,14 @@ class SeriesEngine:
 
     # -- level evaluation ---------------------------------------------------
 
+    def _controls(self, s, x):
+        """p(s_i, x_i, t, y), one point per kernel call.  Rows are divided
+        by these values: a batched call rounds a few points differently
+        (the scalar path of a power differs in the last bit), which would
+        move the outputs."""
+        return np.array([float(self.kernel(si, xi, self.t, self.y))
+                         for si, xi in zip(s, x)])
+
     def _lookup(self, splines, v, zp):
         """Evaluate the previous level's ratio at (v, z'), clamping z' to the
         grid (ratios flatten off-window) and routing v to its panel."""
@@ -190,44 +202,59 @@ class SeriesEngine:
                 out[m] = spl(v[m], zq[m], grid=False)
         return out
 
-    def _point_value(self, u0, z0, splines):
-        """One application of the measure-weighted kernel to r_{n-1} p,
-        normalized by p(u0, z0, t, y)."""
-        f0 = float(self.kernel(u0, z0, self.t, self.y))
-        if not f0 > 0 or u0 >= self.t:
-            return 0.0
-        total = 0.0
+    def _row_values(self, u0, z0, f0, splines):
+        """One application of the measure-weighted kernel to r_{n-1} p at
+        the nodes (u0, z0[k]), divided by f0[k] = p(u0, z0[k], t, y).
+
+        u0 is one time, so the time rules are shared by the row and every
+        node's integrand is one slice of a broadcast.  Each node reduces
+        as a lone node would (sum over z', then dv @ row), so a row gives
+        the same bits as its nodes one at a time."""
+        out = np.zeros(len(z0))
+        live = f0 > 0
+        if u0 >= self.t or not np.any(live):
+            return out
+        z0, f0 = z0[live], f0[live]
+        zc = z0[:, None, None]
+        total = np.zeros(len(z0))
         for lo, hi in self.segments:
             if hi <= u0:
                 continue
             v, dv = self._time_nodes(max(lo, u0), hi, u0)
             zp, wp = self._bridge(u0, z0, v)
             vv = np.broadcast_to(v[:, None], zp.shape)
-            p1 = self.kernel(u0, z0, vv, zp)
+            p1 = self.kernel(u0, zc, vv, zp)
             p2 = self.kernel(vv, zp, self.t, self.y)
             qv = self.mu.q(vv, zp)
             rv = self._lookup(splines, vv, zp)
-            total += float(dv @ np.sum(p1 * p2 * qv * rv * wp, axis=1))
+            inner = np.sum(p1 * p2 * qv * rv * wp, axis=-1)
+            total += [float(dv @ row) for row in inner]
         for atom in self.mu.active_atoms():
             if u0 < atom.time < self.t:
                 v = np.array([atom.time])
                 zp, wp = self._bridge(u0, z0, v)
                 vv = np.broadcast_to(v[:, None], zp.shape)
-                p1 = self.kernel(u0, z0, vv, zp)
+                p1 = self.kernel(u0, zc, vv, zp)
                 p2 = self.kernel(vv, zp, self.t, self.y)
                 rv = self._lookup(splines, vv, zp)
-                total += atom.weight * float(np.sum(p1 * p2 * rv * wp))
-        return total / f0
+                total += atom.weight * np.sum(p1 * p2 * rv * wp, axis=-1)[:, 0]
+        out[live] = total / f0
+        return out
 
     def _grid_level(self, splines):
         new_splines = []
         sup = 0.0
-        for lo, hi in self.panels:
-            u_nodes = np.linspace(lo, hi, self.grid_t)
+        if self._panel_rows is None:     # p at the nodes: the same each level
+            self._panel_rows = []
+            for lo, hi in self.panels:
+                u_nodes = np.linspace(lo, hi, self.grid_t)
+                self._panel_rows.append((u_nodes, [
+                    self._controls(np.full(self.grid_z, ui), self.z_nodes)
+                    for ui in u_nodes]))
+        for u_nodes, f0 in self._panel_rows:
             vals = np.empty((self.grid_t, self.grid_z))
             for i, ui in enumerate(u_nodes):
-                for j, zj in enumerate(self.z_nodes):
-                    vals[i, j] = self._point_value(ui, zj, splines)
+                vals[i] = self._row_values(ui, self.z_nodes, f0[i], splines)
             sup = max(sup, float(np.max(vals)))
             kx = min(3, self.grid_t - 1)
             ky = min(3, self.grid_z - 1)
@@ -248,6 +275,8 @@ class SeriesEngine:
         if self._splines is None:
             self._splines = [None]
             self._grid_sups = [1.0]
+        live = np.flatnonzero(alive)
+        f0_live = self._controls(s_pts[live], x_pts[live])
         level = 0
         while level < self.max_terms:
             level += 1
@@ -256,8 +285,10 @@ class SeriesEngine:
                 self._splines.append(spl)
                 self._grid_sups.append(sup)
             prev = self._splines[level - 1]
-            row = np.array([self._point_value(si, xi, prev) if a else 0.0
-                            for si, xi, a in zip(s_pts, x_pts, alive)])
+            row = np.zeros(len(s_pts))
+            for k, i in enumerate(live):
+                row[i] = self._row_values(s_pts[i], x_pts[i:i + 1],
+                                          f0_live[k:k + 1], prev)[0]
             rows.append(row)
             partial = np.sum(rows, axis=0)
             tail_small = np.all(row <= self.quad_tol * np.maximum(partial, 1e-300))
@@ -402,15 +433,26 @@ def series_batch(kernel, mu: PerturbingMeasure, s_pts, x_pts, t, y,
         s_min = float(np.min(s_pts))
     if x_range is None:
         x_range = (float(np.min(x_pts)), float(np.max(x_pts)))
+    engines = _engine_pair(kernel, mu, t, y, s_min, x_range, quad_tol,
+                           max_terms)
+    return _sum_rows(engines, s_pts, x_pts, f0, quad_tol, max_terms)
 
-    def run(resolution):
-        eng = SeriesEngine(kernel, mu, t, y, s_min=min(s_min, t - 1e-9),
-                           x_range=x_range, quad_tol=quad_tol,
-                           max_terms=max_terms, resolution=resolution)
-        return eng.ratios(s_pts, x_pts)
 
-    rows_lo = run(1.0)
-    rows_hi = run(1.6)
+def _engine_pair(kernel, mu, t, y, s_min, x_range, quad_tol, max_terms):
+    """Engines at resolutions 1.0 and 1.6; the refined one supplies the
+    terms and the difference the quadrature error estimate."""
+    return tuple(SeriesEngine(kernel, mu, t, y, s_min=min(s_min, t - 1e-9),
+                              x_range=x_range, quad_tol=quad_tol,
+                              max_terms=max_terms, resolution=r)
+                 for r in (1.0, 1.6))
+
+
+def _sum_rows(engines, s_pts, x_pts, f0, quad_tol, max_terms):
+    """Series results at the points (base density f0 there) from an engine
+    pair, fresh or reused: grid levels do not depend on the points."""
+    lo, hi = engines
+    rows_lo = lo.ratios(s_pts, x_pts)
+    rows_hi = hi.ratios(s_pts, x_pts)
     n_lo, n_hi = rows_lo.shape[0], rows_hi.shape[0]
     n = min(n_lo, n_hi)
     sum_lo = np.sum(rows_lo[:n], axis=0)
@@ -436,7 +478,8 @@ def p1_ratio(kernel, mu: PerturbingMeasure, t, y, s, x,
     eng = SeriesEngine(kernel, mu, t, y, s_min=min(s, t - 1e-9),
                        x_range=(min(x, y), max(x, y)), quad_tol=quad_tol,
                        resolution=1.6)
-    return eng._point_value(float(s), float(x), None)
+    return float(eng._row_values(float(s), np.array([float(x)]),
+                                 np.array([f0]), None)[0])
 
 
 def restrict_to_window(mu: PerturbingMeasure, s, t) -> PerturbingMeasure:
@@ -666,13 +709,63 @@ class AltAtomPerturbedKernel:
 # Interval-sliced certification for space-time kernels
 # ---------------------------------------------------------------------------
 
-class TimeSliceProblem:
+class _SliceProblem:
+    """What the space-time slice problems share: the control
+    p(., ., t, y) and the series adapter.  Subclasses set kernel, mu, t,
+    y, quad_tol, max_terms, quad_error and engine_window = (s_min,
+    x_range)."""
+
+    exact = False
+    series_fn = None
+    _engines = None
+
+    def control(self, pts):
+        return np.asarray(self.kernel(pts[:, 0], pts[:, 1], self.t, self.y),
+                          dtype=float)
+
+    def series(self, pts):
+        if self.series_fn is not None:
+            vals, rep = self.series_fn(pts)
+        else:
+            vals, rep = self._engine_series(pts)
+        self.quad_error = max(self.quad_error, rep.quad_error)
+        return vals, rep
+
+    def _engine_series(self, pts):
+        """Series at the points from the problem's one engine pair, built
+        on first use for measures with a density part; zero and pure-atom
+        measures go through series_batch."""
+        s_min, x_range = self.engine_window
+        if self.mu.density is None:
+            res = series_batch(self.kernel, self.mu, pts[:, 0], pts[:, 1],
+                               self.t, self.y, quad_tol=self.quad_tol,
+                               max_terms=self.max_terms, s_min=s_min,
+                               x_range=x_range)
+        else:
+            if self._engines is None:
+                self._engines = _engine_pair(self.kernel, self.mu, self.t,
+                                             self.y, s_min, x_range,
+                                             self.quad_tol, self.max_terms)
+            res = _sum_rows(self._engines, pts[:, 0], pts[:, 1],
+                            self.control(pts), self.quad_tol, self.max_terms)
+        vals = np.array([r.value for r in res])
+        status = "converged"
+        if any(r.status == "diverging" for r in res):
+            status = "diverging"
+        elif any(r.status == "truncated" for r in res):
+            status = "truncated"
+        rep = bnd.TruncationReport(max(r.truncation_index for r in res),
+                                   status,
+                                   max(r.tail_estimate for r in res),
+                                   max(r.quad_error_estimate for r in res))
+        return vals, rep
+
+
+class TimeSliceProblem(_SliceProblem):
     """Slice problem over intervals I_1 (nearest the target time) through
     I_k partitioning [r, t): slice j is I_j x space, the sliced operator
     applies the measure restricted to I_j, and the series comes from the
     quadrature engine (or a caller-supplied engine)."""
-
-    exact = False
 
     def __init__(self, kernel, mu, r, t, y, intervals, x_box=None,
                  quad_tol: float = 1e-4, seed: int = 0, series_fn=None,
@@ -692,6 +785,7 @@ class TimeSliceProblem:
             scale = float(kernel.peak_scale(self.t - self.r))
             x_box = (self.y - 2.0 * scale - 1.0, self.y + 2.0 * scale + 1.0)
         self.x_box = x_box
+        self.engine_window = (self.r, x_box)
         self.quad_error = 0.0
         self._restricted = [restrict_measure(self.mu, I) for I in self.intervals]
 
@@ -718,10 +812,6 @@ class TimeSliceProblem:
                     self.x_box[0], self.x_box[1])
         return np.stack([s, x], axis=1)
 
-    def control(self, pts):
-        return np.asarray(self.kernel(pts[:, 0], pts[:, 1], self.t, self.y),
-                          dtype=float)
-
     def slice_apply(self, j, pts):
         mu_j = self._restricted[j - 1]
         out = np.empty(len(pts))
@@ -730,30 +820,8 @@ class TimeSliceProblem:
                               self.quad_tol)
         return out * self.control(pts)
 
-    def series(self, pts):
-        if self.series_fn is not None:
-            vals, rep = self.series_fn(pts)
-            self.quad_error = max(self.quad_error, rep.quad_error)
-            return vals, rep
-        res = series_batch(self.kernel, self.mu, pts[:, 0], pts[:, 1],
-                           self.t, self.y, quad_tol=self.quad_tol,
-                           max_terms=self.max_terms,
-                           s_min=self.r, x_range=self.x_box)
-        vals = np.array([r.value for r in res])
-        err = max(r.quad_error_estimate for r in res)
-        self.quad_error = max(self.quad_error, err)
-        status = "converged"
-        if any(r.status == "diverging" for r in res):
-            status = "diverging"
-        elif any(r.status == "truncated" for r in res):
-            status = "truncated"
-        rep = bnd.TruncationReport(max(r.truncation_index for r in res),
-                                   status,
-                                   max(r.tail_estimate for r in res), err)
-        return vals, rep
 
-
-class KappaSliceProblem:
+class KappaSliceProblem(_SliceProblem):
     """Diagonal-slice problem for the cone kernel under the corner density
     c (u + z)**(-p): slices are level strips a_j <= u + z < a_{j-1} of
     width h below the target level t + y.
@@ -762,8 +830,6 @@ class KappaSliceProblem:
     integral; the series uses the quadrature engine with the cone rules.
     Sample points live in [0, t) x [0, y) intersected with each strip.
     """
-
-    exact = False
 
     def __init__(self, c, p_exp, t, y, h=None, eta_target: float = 0.5,
                  quad_tol: float = 5e-3, seed: int = 0, max_terms: int = 12):
@@ -778,6 +844,7 @@ class KappaSliceProblem:
         self.quad_tol = quad_tol
         self.seed = seed
         self.max_terms = max_terms
+        self.engine_window = (0.0, (0.0, self.y))
         self.quad_error = 0.0
         self.analytic_eta = st.eta_for_kappa(self.c, self.p_exp, self.h)
 
@@ -816,34 +883,12 @@ class KappaSliceProblem:
         keep = (s + x >= a_lo) & (s + x < a_hi)
         return np.stack([s[keep], x[keep]], axis=1)
 
-    def control(self, pts):
-        return np.asarray(self.kernel(pts[:, 0], pts[:, 1], self.t, self.y),
-                          dtype=float)
-
     def slice_apply(self, j, pts):
         a_lo, a_hi = self._strip(j)
         ratios = np.array([st.kappa_slice_ratio(s, x, self.t, self.y,
                                                 a_lo, a_hi, self.c, self.p_exp)
                            for s, x in pts])
         return ratios * self.control(pts)
-
-    def series(self, pts):
-        res = series_batch(self.kernel, self.mu, pts[:, 0], pts[:, 1],
-                           self.t, self.y, quad_tol=self.quad_tol,
-                           max_terms=self.max_terms, s_min=0.0,
-                           x_range=(0.0, self.y))
-        vals = np.array([r.value for r in res])
-        err = max(r.quad_error_estimate for r in res)
-        self.quad_error = max(self.quad_error, err)
-        status = "converged"
-        if any(r.status == "diverging" for r in res):
-            status = "diverging"
-        elif any(r.status == "truncated" for r in res):
-            status = "truncated"
-        rep = bnd.TruncationReport(max(r.truncation_index for r in res),
-                                   status, max(r.tail_estimate for r in res),
-                                   err)
-        return vals, rep
 
 
 def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,

@@ -52,10 +52,6 @@ class QuadResult(NamedTuple):
     subdivisions: int
 
 
-class NotConvergedError(RuntimeError):
-    """Raised by callers that refuse a NOT_CONVERGED quadrature result."""
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerance and singularity declaration for adaptive integration.

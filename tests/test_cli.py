@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kpert import cli
+from kpert import acceptance, cli
 
 FIXTURES = Path(cli.fixture_path(""))
 
@@ -35,6 +37,32 @@ def test_series_atomless_ratio(tmp_path):
     import math
     for row in rows[1:]:
         assert abs(float(row.split(",")[4]) - math.exp(0.25)) < 1e-3
+
+
+# SHA-256 of outputs recorded before the series engine shared its grid
+# levels across calls and evaluated them a row at a time; speedups must
+# not move a byte.  Recorded with Python 3.11.7, numpy 2.4.6 and scipy
+# 1.17.1 on x86-64: outputs are written at full float precision, so other
+# versions (or another CPU's vectorized math) can move last bits.
+GOLDEN = {
+    "series_atomless": ("series", 0, "series.csv",
+                        "9aadbb7ee32b8f7da12ba4dd5feb434f"
+                        "9074545b853fbc9bc36cefda880db924"),
+    "certify_kappa": ("certify", 0, "certificates.json",
+                      "5c2e9129a598698e248bff48b561f98d"
+                      "ed874472fb2adc899e71fb36583ef97a"),
+    "certify_atom_violation": ("certify", 4, "certificates.json",
+                               "6faeca469aa9e31425fedb70ddc72cba"
+                               "9c16e3b893895a9f37bc9f23112c935b"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN))
+def test_fixture_outputs_golden(fixture, tmp_path):
+    command, code, name, digest = GOLDEN[fixture]
+    assert run_cli(command, "--config", str(FIXTURES / f"{fixture}.json"),
+                   "--out", str(tmp_path)) == code
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_malformed_config_exit_2(tmp_path):
@@ -147,6 +175,18 @@ def test_reproduce_outputs_deterministic(tmp_path):
         (b / "artifacts.txt").read_bytes()
     assert (a / "reproduce_summary.csv").read_text().splitlines()[1].split(",")[:3] == \
         (b / "reproduce_summary.csv").read_text().splitlines()[1].split(",")[:3]
+
+
+def test_reproduce_prints_wall_time(monkeypatch, capsys):
+    def fake(number):
+        return lambda seed: acceptance.CriterionResult(
+            number, f"fake{number}", True, "instant", 100.0)
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        [("fake1", fake(1)), ("fake2", fake(2))])
+    assert run_cli("reproduce") == 0
+    total = re.search(r"2/2 passed in ([0-9.]+)s", capsys.readouterr().out)
+    assert float(total.group(1)) < 1.0
 
 
 def test_console_entry_point_subprocess(tmp_path):

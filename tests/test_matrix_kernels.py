@@ -50,6 +50,21 @@ def test_apply_saturating_infinity():
     np.testing.assert_array_equal(apply(K, [3, np.inf]), [np.inf, 0])
 
 
+@pytest.mark.parametrize("bad", [[-1.0, 2.0], [np.nan, 2.0], [-np.inf, 2.0]])
+def test_apply_rejects_negative_and_nan(bad):
+    with pytest.raises(ValueError, match="nonnegative"):
+        apply(MatrixKernel(np.eye(2)), bad)
+
+
+def test_neumann_series_scale_ignores_infinite_entries():
+    # the convergence test compares against the largest finite partial sum
+    K = MatrixKernel([[0.5, 0.0], [0.0, 0.0]])
+    res = neumann_series(K, [1.0, np.inf])
+    assert res.status == "converged"
+    assert res.value[0] == pytest.approx(2.0, rel=1e-13)
+    assert res.value[1] == np.inf
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         apply(MatrixKernel(np.eye(2)), [1, 2, 3])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from kpert import perturbation as pt
 from kpert import spacetime as st
 from kpert.bounds import Interval, TruncationReport, time_uniform_slices
 from kpert.errors import DomainError, PreconditionError
-from kpert.measures import (Atom, ConstDensity, PerturbingMeasure,
-                            measure_from_config, restrict_measure)
+from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
+                            PerturbingMeasure, measure_from_config,
+                            restrict_measure)
 
 G = st.gaussian_kernel(1)
 
@@ -148,6 +150,128 @@ def test_series_term_positivity_and_causality_grid():
     for r in res:
         assert all(term >= 0.0 for term in r.terms)
     assert res[2].value == 0.0
+
+
+# -- grid rows ----------------------------------------------------------------
+
+def _scalar_bridge(eng, u0, z0, v):
+    """Bridge rule for one source node, as the engine once built it."""
+    if eng.kind == "cone":
+        if not eng.y > z0:
+            n = len(eng._gl_half[0]) * 2
+            return np.zeros((len(v), n)), np.zeros((len(v), n))
+        xi, w = eng._gl_half
+        zm = 0.5 * (z0 + eng.y)
+        half = zm - z0
+        left = z0 + half * xi ** 2
+        wl = w * 2.0 * half * xi
+        right = eng.y - half * xi[::-1] ** 2
+        wr = (w * 2.0 * half * xi)[::-1]
+        zp = np.concatenate([left, right])
+        wp = np.concatenate([wl, wr])
+        return (np.broadcast_to(zp, (len(v), len(zp))).copy(),
+                np.broadcast_to(wp, (len(v), len(wp))).copy())
+    s1 = np.asarray(eng.kernel.peak_scale(v - u0), dtype=float)
+    s2 = np.asarray(eng.kernel.peak_scale(eng.t - v), dtype=float)
+    use1 = s1 <= s2
+    center = np.where(use1, z0, eng.y)
+    scale = np.maximum(np.where(use1, s1, s2), 1e-300)
+    zp = center[:, None] + scale[:, None] * np.tan(eng._theta)[None, :]
+    wp = scale[:, None] * (eng._theta_w / np.cos(eng._theta) ** 2)[None, :]
+    return zp, wp
+
+
+def _scalar_point_value(eng, u0, z0, splines):
+    """Reference: one grid node per call, the engine's former scalar path."""
+    f0 = float(eng.kernel(u0, z0, eng.t, eng.y))
+    if not f0 > 0 or u0 >= eng.t:
+        return 0.0
+    total = 0.0
+    for lo, hi in eng.segments:
+        if hi <= u0:
+            continue
+        v, dv = eng._time_nodes(max(lo, u0), hi, u0)
+        zp, wp = _scalar_bridge(eng, u0, z0, v)
+        vv = np.broadcast_to(v[:, None], zp.shape)
+        p1 = eng.kernel(u0, z0, vv, zp)
+        p2 = eng.kernel(vv, zp, eng.t, eng.y)
+        qv = eng.mu.q(vv, zp)
+        rv = eng._lookup(splines, vv, zp)
+        total += float(dv @ np.sum(p1 * p2 * qv * rv * wp, axis=1))
+    for atom in eng.mu.active_atoms():
+        if u0 < atom.time < eng.t:
+            v = np.array([atom.time])
+            zp, wp = _scalar_bridge(eng, u0, z0, v)
+            vv = np.broadcast_to(v[:, None], zp.shape)
+            p1 = eng.kernel(u0, z0, vv, zp)
+            p2 = eng.kernel(vv, zp, eng.t, eng.y)
+            rv = eng._lookup(splines, vv, zp)
+            total += atom.weight * float(np.sum(p1 * p2 * rv * wp))
+    return total / f0
+
+
+ROW_CASES = {       # kernel, measure, target point y, x_range
+    "gaussian-atom": (G, PerturbingMeasure(ConstDensity(0.5),
+                                           (Atom(0.45, 0.4),)),
+                      0.0, (-1.0, 1.0)),
+    "cauchy-support-edge": (st.cauchy_kernel(1),
+                            PerturbingMeasure(ConstDensity(1.0),
+                                              time_support=Interval(0.3, 2.0)),
+                            0.0, (-0.5, 0.5)),
+    "kappa-cone": (st.KAPPA, PerturbingMeasure(CornerPowerDensity(0.05, 0.1)),
+                   1.0, (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_row_values_match_scalar_nodes(case):
+    kernel, mu, y, x_range = ROW_CASES[case]
+    eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0, x_range=x_range)
+    # nodes past the target point are dead for the cone kernel
+    z0 = np.concatenate([eng.z_nodes, [y + 0.25, y + 1.0]])
+    level1, _ = eng._grid_level(None)
+    rows = [u for u_nodes, _ in eng._panel_rows for u in u_nodes[[0, 3, -2]]]
+    for splines in (None, level1):
+        for u0 in rows:
+            f0 = eng._controls(np.full(len(z0), u0), z0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                row = eng._row_values(u0, z0, f0, splines)
+            ref = np.array([_scalar_point_value(eng, u0, z, splines)
+                            for z in z0])
+            assert np.array_equal(row, ref)
+            assert np.all(np.isfinite(row))
+            if kernel is st.KAPPA:
+                assert np.all(row[z0 >= eng.y] == 0.0)
+
+
+def test_slice_problem_reuses_engine_pair_bit_for_bit():
+    mu = PerturbingMeasure(ConstDensity(0.5))
+    intervals = time_uniform_slices(0.0, 1.0, 0.5)
+    probe = pt.TimeSliceProblem(G, mu, 0.0, 1.0, 0.0, intervals,
+                                quad_tol=1e-3)
+    pts = {"a": probe.slice_points(1, n=3), "b": probe.slice_points(2, n=4)}
+    fresh = {}
+    for key, p in pts.items():
+        res = pt.series_batch(G, probe.mu, p[:, 0], p[:, 1], 1.0, 0.0,
+                              quad_tol=1e-3, s_min=probe.r,
+                              x_range=probe.x_box)
+        fresh[key] = (np.array([r.value for r in res]),
+                      (max(r.truncation_index for r in res),
+                       max(r.tail_estimate for r in res),
+                       max(r.quad_error_estimate for r in res)))
+    for order in ("ab", "ba"):
+        prob = pt.TimeSliceProblem(G, mu, 0.0, 1.0, 0.0, intervals,
+                                   quad_tol=1e-3)
+        engines = []
+        for key in order:
+            vals, rep = prob.series(pts[key])
+            engines.append(prob._engines)
+            want_vals, want_rep = fresh[key]
+            assert np.array_equal(vals, want_vals)
+            assert (rep.max_index, rep.tail_estimate, rep.quad_error) == \
+                want_rep
+        assert engines[0] is engines[1]
 
 
 # -- alternative atom operator ----------------------------------------------------
