@@ -129,6 +129,24 @@ def load_config(path, seed=None) -> RunConfig:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
+def _command_kernel(cfg, command: str, peak_dims=(1,)):
+    """The configured kernel, if ``command`` can evaluate it.
+
+    The series engine (``series``, ``certify`` on time slices) has
+    one-dimensional rules; ``kato`` also has a polar rule for d = 2.  The
+    cone kernel is one-dimensional, and ``stable-potential`` is not a
+    space-time kernel, so no such command takes it.
+    """
+    dims = {"peak": peak_dims, "cone": (1,)}.get(
+        getattr(cfg.kernel, "kind", None), ())
+    if cfg.dim not in dims:
+        raise ConfigError(
+            f"{command} cannot take kernel {cfg.kernel_name!r} in "
+            f"d = {cfg.dim}; it takes gaussian and cauchy in d = "
+            f"{' or '.join(map(str, peak_dims))} and kappa in d = 1")
+    return cfg.kernel
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -177,8 +195,9 @@ def _certificate_exit(certs) -> int:
 
 def cmd_series(args) -> int:
     cfg = load_config(args.config, args.seed)
-    res = pt.series_batch(cfg.kernel, cfg.measure, cfg.sample_s, cfg.sample_x,
-                          cfg.target_t, cfg.target_y, quad_tol=cfg.quad_tol,
+    res = pt.series_batch(_command_kernel(cfg, "series"), cfg.measure,
+                          cfg.sample_s, cfg.sample_x, cfg.target_t,
+                          cfg.target_y, quad_tol=cfg.quad_tol,
                           max_terms=cfg.max_terms)
     _write(args.out, "series.csv", series_csv(cfg.sample_s, cfg.sample_x, res))
     return 0
@@ -230,8 +249,9 @@ def cmd_certify(args) -> int:
                             beta_override=prob.analytic_eta,
                             eta_override=prob.analytic_eta)
     else:
+        kernel = _command_kernel(cfg, "certify")
         intervals = _intervals_from_config(cfg)
-        certs = pt.theorem46_certify(cfg.kernel, cfg.measure, 0.0,
+        certs = pt.theorem46_certify(kernel, cfg.measure, 0.0,
                                      cfg.target_t, cfg.target_y, intervals,
                                      eta=cfg.slicing.get("eta"),
                                      n_samples=int(cfg.slicing.get("n_samples", 16)),
@@ -272,7 +292,8 @@ def cmd_kato(args) -> int:
     mu = cfg.measure if not cfg.measure.is_zero else \
         PerturbingMeasure(ConstDensity(1.0, cfg.dim))
     hs = [float(h) for h in (args.windows or "1,0.5,0.25,0.125").split(",")]
-    prof = st.kato_profile(cfg.kernel, mu, hs, n_samples=16, seed=cfg.seed)
+    kernel = _command_kernel(cfg, "kato", peak_dims=(1, 2))
+    prof = st.kato_profile(kernel, mu, hs, n_samples=16, seed=cfg.seed)
     rows = ["h,k_h"] + [f"{_fmt(h)},{_fmt(prof[h])}" for h in sorted(prof, reverse=True)]
     _write(args.out, "kato.csv", "\n".join(rows) + "\n")
     return 0

@@ -8,6 +8,7 @@ density outside the interval and drops atoms whose times fall outside
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,6 +95,11 @@ class ConstDensity:
     lam: float
     dim: int = 1
 
+    def __post_init__(self):
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"density lambda must be finite and >= 0, "
+                             f"got {self.lam!r}")
+
     def __call__(self, u, z):
         z = np.asarray(z, dtype=float)
         zs = z[..., 0] if self.dim > 1 else z
@@ -107,6 +113,10 @@ class PowerLawSpaceDensity:
 
     eps: float
     dim: int = 1
+
+    def __post_init__(self):
+        if not math.isfinite(self.eps):
+            raise ValueError(f"density eps must be finite, got {self.eps!r}")
 
     def __call__(self, u, z):
         z = np.asarray(z, dtype=float)
@@ -130,8 +140,8 @@ class CornerPowerDensity:
     def __post_init__(self):
         if not 0.0 < self.p < 0.5:
             raise ValueError("exponent must lie in (0, 1/2)")
-        if self.c <= 0:
-            raise ValueError("coefficient must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("coefficient must be positive and finite")
 
     def __call__(self, u, z):
         u = np.asarray(u, dtype=float)

@@ -338,8 +338,22 @@ def mc_integrate(f, sampler, spec: MCSpec) -> tuple[float, float]:
     return value, std_error
 
 
+# n -> read-only (nodes, weights) of the n-point rule on [-1, 1]
+_GL_BASE: dict = {}
+
+
 def gauss_legendre_rule(a, b, n):
-    """Plain n-point Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Plain n-point Gauss-Legendre nodes and weights on [a, b].
+
+    The [-1, 1] rule is computed once per n (``leggauss`` solves an
+    eigenproblem); the map to [a, b] returns fresh arrays on every call.
+    """
+    base = _GL_BASE.get(n)
+    if base is None:
+        base = np.polynomial.legendre.leggauss(n)
+        for arr in base:
+            arr.flags.writeable = False
+        _GL_BASE[n] = base
+    x, w = base
     h = 0.5 * (b - a)
     return 0.5 * (a + b) + h * x, h * w

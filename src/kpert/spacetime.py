@@ -436,9 +436,6 @@ class Bump1D:
         return np.where(inside, -8.0 * r * (1.0 - r * r) ** 3 / self.halfwidth, 0.0)
 
 
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
 def weyl_of_bump(bump: Bump1D, v):
     """Exact (Gauss-Legendre) Weyl 1/2-derivative of a polynomial bump.
 
@@ -448,7 +445,7 @@ def weyl_of_bump(bump: Bump1D, v):
     v = np.atleast_1d(np.asarray(v, dtype=float))
     lo = np.sqrt(np.maximum(bump.lo - v, 0.0))
     hi = np.sqrt(np.maximum(bump.hi - v, 0.0))
-    xi, w = _GL64
+    xi, w = gauss_legendre_rule(-1.0, 1.0, 64)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     q = mid[None, :] + half[None, :] * xi[:, None]
@@ -491,7 +488,7 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
             g = g + q(u, z) * phi_u(u) * phi_z(z)
         return g
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(segment_nodes)
+    gl_x, gl_w = gauss_legendre_rule(-1.0, 1.0, segment_nodes)
 
     def segment(xi):
         """Cross-section integral of gfun along u + z = s + x + xi."""
@@ -589,52 +586,52 @@ def _peak_rule_1d(center, scale, n: int = 64):
     """Nodes/weights for int F(z) dz with F peaked at ``center`` on scale
     ``scale``: z = center + scale * tan(theta), theta Gauss-Legendre per
     half-axis.  For a Cauchy peak of that scale the substituted density is
-    constant, so the rule is exact for it at any scale."""
+    constant, so the rule is exact for it at any scale.
+
+    ``scale`` is an array with one rule per entry: nodes and weights have
+    shape scale.shape + (n,)."""
     th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n // 2)
+    scale = np.asarray(scale, dtype=float)[..., None]
     zp = scale * np.tan(th)
     wp = w * scale / np.cos(th) ** 2
-    z = center + np.concatenate([-zp[::-1], zp])
-    return z, np.concatenate([wp[::-1], wp])
+    z = center + np.concatenate([-zp[..., ::-1], zp], axis=-1)
+    return z, np.concatenate([wp[..., ::-1], wp], axis=-1)
 
 
 def _peak_rule_2d(center, scale, n_theta: int = 48, n_phi: int = 16):
     """Polar rule around ``center``: r = scale * tan(theta); the Jacobian
-    r dr dphi keeps the substituted Cauchy integrand smooth."""
+    r dr dphi keeps the substituted Cauchy integrand smooth.
+
+    ``scale`` is an array with one rule per entry: nodes have shape
+    scale.shape + (n_theta * n_phi, 2), weights the same without the last
+    axis."""
     th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, n_theta)
     ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, n_phi)
-    r = scale * np.tan(th)
-    dr = wt * scale / np.cos(th) ** 2
-    R, PH = np.meshgrid(r, ph, indexing="ij")
-    DR, WP = np.meshgrid(dr, wp, indexing="ij")
-    pts = np.stack([np.asarray(center)[0] + (R * np.cos(PH)).ravel(),
-                    np.asarray(center)[1] + (R * np.sin(PH)).ravel()], axis=1)
-    wts = (R * DR * WP).ravel()
+    scale = np.asarray(scale, dtype=float)[..., None, None]
+    R = scale * np.tan(th)[:, None]
+    DR = wt[:, None] * scale / np.cos(th)[:, None] ** 2
+    flat = scale.shape[:-2] + (n_theta * n_phi,)
+    center = np.asarray(center, dtype=float)
+    pts = np.stack([center[0] + (R * np.cos(ph)).reshape(flat),
+                    center[1] + (R * np.sin(ph)).reshape(flat)], axis=-1)
+    wts = (R * DR * wp).reshape(flat)
     return pts, wts
 
 
-def _spatial_integral_at(kernel, mu, s, x, u, t, y, first: bool):
-    """int p-factor(z) q(u, z) dz at a single intermediate time u, with the
-    rule centered and scaled on the p-factor's peak."""
-    d = getattr(kernel, "dim", 1)
-    center = x if first else y
-    scale = float(kernel.peak_scale((u - s) if first else (t - u)))
-    scale = max(scale, 1e-300)
-    if d == 1:
-        z, w = _peak_rule_1d(float(center), scale)
-    else:
-        z, w = _peak_rule_2d(center, scale)
-    uu = np.full(len(w), u)
-    if first:
-        vals = kernel(s, _expand(x, len(w), d), uu, z)
-    else:
-        vals = kernel(uu, z, t, _expand(y, len(w), d))
-    return float(np.sum(vals * mu.q(uu, z) * w))
+def _peak_factor(kernel, s, x, t, y, u, first: bool):
+    """The p-factor of the kato integrand at each intermediate time in
+    ``u`` (1-d), on a peak rule per time: p(s, x, u_i, z) around x (first)
+    or p(u_i, z, t, y) around y, scaled on that factor's peak.
 
-
-def _expand(val, n, d):
-    if d == 1:
-        return np.full(n, float(val))
-    return np.tile(np.asarray(val, dtype=float), (n, 1))
+    Returns (uu, z, vals, w); row i of each holds time u_i (uu is ``u``
+    broadcast to the rule's shape)."""
+    scale = np.maximum(kernel.peak_scale((u - s) if first else (t - u)),
+                       1e-300)
+    rule = _peak_rule_1d if getattr(kernel, "dim", 1) == 1 else _peak_rule_2d
+    z, w = rule(x if first else y, scale)
+    uu = np.broadcast_to(u[:, None], w.shape)
+    vals = kernel(s, x, uu, z) if first else kernel(uu, z, t, y)
+    return uu, z, vals, w
 
 
 def kato_inner_integral(kernel, mu, s, x, t, y, time_nodes: int = 32):
@@ -643,7 +640,8 @@ def kato_inner_integral(kernel, mu, s, x, t, y, time_nodes: int = 32):
     Per-time-node peak rules in space; time nodes cluster (quadratically)
     at the endpoint where the respective p-factor concentrates, which
     also absorbs the u**(-1/2)-type endpoint growth that singular
-    densities produce there.
+    densities produce there.  Each piece evaluates all its time nodes in
+    one broadcast and reduces each node's rule on its own.
     """
     xi, wt = gauss_legendre_rule(0.0, 1.0, time_nodes)
 
@@ -653,29 +651,17 @@ def kato_inner_integral(kernel, mu, s, x, t, y, time_nodes: int = 32):
         else:
             u = t - (t - s) * xi ** 2
         du = wt * 2.0 * xi * (t - s)
-        vals = np.array([_spatial_integral_at(kernel, mu, s, x, ui, t, y, first)
-                         for ui in u])
-        return float(vals @ du)
+        uu, z, vals, w = _peak_factor(kernel, s, x, t, y, u, first)
+        return float(np.sum(vals * mu.q(uu, z) * w, axis=-1) @ du)
 
     total = 0.0
     if mu.density is not None:
         total = piece(True) + piece(False)
     for atom in mu.active_atoms():
         if s < atom.time < t:
-            d = getattr(kernel, "dim", 1)
             for first in (True, False):
-                center = x if first else y
-                scale = float(kernel.peak_scale(
-                    (atom.time - s) if first else (t - atom.time)))
-                if d == 1:
-                    z, w = _peak_rule_1d(float(center), max(scale, 1e-300))
-                else:
-                    z, w = _peak_rule_2d(center, max(scale, 1e-300))
-                uu = np.full(len(w), atom.time)
-                if first:
-                    v = kernel(s, _expand(x, len(w), d), uu, z)
-                else:
-                    v = kernel(uu, z, t, _expand(y, len(w), d))
+                _, _, v, w = _peak_factor(kernel, s, x, t, y,
+                                          np.array([atom.time]), first)
                 total += atom.weight * float(np.sum(v * w))
     return total
 

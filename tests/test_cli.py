@@ -54,6 +54,14 @@ GOLDEN = {
     "certify_atom_violation": ("certify", 4, "certificates.json",
                                "6faeca469aa9e31425fedb70ddc72cba"
                                "9c16e3b893895a9f37bc9f23112c935b"),
+    # recorded before kato_inner_integral evaluated its time nodes in one
+    # broadcast and Gauss-Legendre base rules were cached
+    "kato_gauss_atom": ("kato", 0, "kato.csv",
+                        "d2cce6e4f4fd6b974bdaf78493561d7a"
+                        "2b9650b0b0a1cae4ec9f4832e6c31178"),
+    "kato_cauchy_d2": ("kato", 0, "kato.csv",
+                       "ed8271dfbb8d784727822e09d0727dc9"
+                       "30fe569118eec065e115a66cbfe9eae8"),
 }
 
 
@@ -75,6 +83,67 @@ def test_unknown_kernel_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kernel": {"name": "heat"}}))
     assert run_cli("series", "--config", str(cfg)) == 2
+
+
+# Inputs that ended in a traceback or a silently wrong number: a negative
+# density gave ratio 0.5 marked converged (the truth is e**-0.5), NaN gave
+# nan, a peak kernel in d = 2 died in a broadcast inside the series engine
+# and stable-potential in a TypeError.
+_SERIES_CASE = {"target": {"t": 1.0, "y": 0.0},
+                "samples": {"s": [0.0], "x": [0.3]},
+                "slicing": {"mode": "time-uniform", "h": 0.5}}
+BAD_INPUTS = {
+    "negative-density": ({"kernel": {"name": "gaussian", "d": 1},
+                          "measure": {"density": {"kind": "const",
+                                                  "lambda": -0.5}}},
+                         "lambda"),
+    "nan-density": ({"kernel": {"name": "gaussian", "d": 1},
+                     "measure": {"density": {"kind": "const",
+                                             "lambda": float("nan")}}},
+                    "lambda"),
+    "nan-power-density": ({"kernel": {"name": "gaussian", "d": 1},
+                           "measure": {"density": {"kind": "power",
+                                                   "eps": float("nan")}}},
+                          "eps"),
+    "nan-corner-density": ({"kernel": {"name": "gaussian", "d": 1},
+                            "measure": {"density": {"kind": "q0",
+                                                    "c": float("nan"),
+                                                    "p": 0.25}}},
+                           "coefficient"),
+    "cauchy-d2": ({"kernel": {"name": "cauchy", "d": 2},
+                   "measure": {"density": {"kind": "const", "lambda": 0.5,
+                                           "dim": 2}},
+                   "samples": {"s": [0.0, 0.0], "x": [0.0, 0.5]}},
+                  "'cauchy' in d = 2"),
+    "gaussian-d2": ({"kernel": {"name": "gaussian", "d": 2},
+                     "measure": {"density": {"kind": "const", "lambda": 0.5,
+                                             "dim": 2}},
+                     "samples": {"s": [0.0, 0.0], "x": [0.0, 0.5]}},
+                    "'gaussian' in d = 2"),
+    "stable-potential": ({"kernel": {"name": "stable-potential:1.0"},
+                          "measure": {"density": {"kind": "const",
+                                                  "lambda": 0.5}}},
+                         "'stable-potential:1.0' in d = 1"),
+}
+
+
+@pytest.mark.parametrize("command", ["series", "certify"])
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_2_with_message(case, command, tmp_path, capsys):
+    doc, message = BAD_INPUTS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SERIES_CASE, **doc}))
+    assert run_cli(command, "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_kato_rejects_stable_potential(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BAD_INPUTS["stable-potential"][0]))
+    assert run_cli("kato", "--config", str(cfg), "--windows", "0.5") == 2
+    assert "'stable-potential:1.0'" in capsys.readouterr().err
 
 
 def test_certify_discrete_fixture_exit_0(tmp_path):

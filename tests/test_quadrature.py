@@ -156,3 +156,34 @@ def test_mc_rejects_unsupported_sampler():
 def test_gauss_legendre_rule_polynomial_exactness():
     x, w = gauss_legendre_rule(0.0, 2.0, 8)
     assert abs(np.sum(w * x ** 5) - 2.0 ** 6 / 6) < 1e-12
+
+
+def test_gauss_legendre_rule_matches_mapped_leggauss_bitwise():
+    for a, b, n in ((0.0, 1.0, 32), (-1.0, 1.0, 64), (-1.0, 1.0, 7),
+                    (0.0, 0.5 * math.pi, 24), (-3.5, 2.25, 9)):
+        base_x, base_w = np.polynomial.legendre.leggauss(n)
+        h = 0.5 * (b - a)
+        for _ in range(2):          # the second call reads the cached rule
+            x, w = gauss_legendre_rule(a, b, n)
+            assert x.tobytes() == (0.5 * (a + b) + h * base_x).tobytes()
+            assert w.tobytes() == (h * base_w).tobytes()
+
+
+def test_gauss_legendre_rule_computes_each_size_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    for a, b in ((0.0, 1.0), (-2.0, 3.0), (0.0, 1.0)):
+        gauss_legendre_rule(a, b, 41)
+    assert calls.count(41) <= 1
+
+
+def test_gauss_legendre_rule_returns_fresh_arrays():
+    x, w = gauss_legendre_rule(-1.0, 1.0, 12)
+    x_ref, w_ref = x.copy(), w.copy()
+    x[:] = 0.0
+    w *= 2.0
+    x2, w2 = gauss_legendre_rule(-1.0, 1.0, 12)
+    assert x2.tobytes() == x_ref.tobytes()
+    assert w2.tobytes() == w_ref.tobytes()

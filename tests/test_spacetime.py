@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as hst
 
 from kpert import spacetime as st
 from kpert.errors import PreconditionError
-from kpert.measures import (ConstDensity, CornerPowerDensity,
+from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
                             PerturbingMeasure, PowerLawSpaceDensity,
                             ZERO_MEASURE)
-from kpert.quadrature import QuadratureSpec, integrate_1d
+from kpert.quadrature import QuadratureSpec, gauss_legendre_rule, integrate_1d
 
 INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
 
@@ -272,6 +272,88 @@ def test_kato_lebesgue_exact():
         r = st.kato_modulus(st.cauchy_kernel(1), mu, h, n_samples=8, seed=0)
         assert abs(r.value - 2.0 * h) < 1e-4
         assert r.samples == 8
+
+
+# The per-time-node loop kato_inner_integral ran before it evaluated each
+# piece in one broadcast: one peak rule, one kernel call and one reduction
+# per node.  The broadcast must reproduce it bit for bit.
+
+def _peak_rule_1d_scalar(center, scale, n=64):
+    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n // 2)
+    zp = scale * np.tan(th)
+    wp = w * scale / np.cos(th) ** 2
+    z = center + np.concatenate([-zp[::-1], zp])
+    return z, np.concatenate([wp[::-1], wp])
+
+
+def _peak_rule_2d_scalar(center, scale, n_theta=48, n_phi=16):
+    th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, n_theta)
+    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, n_phi)
+    r = scale * np.tan(th)
+    dr = wt * scale / np.cos(th) ** 2
+    R, PH = np.meshgrid(r, ph, indexing="ij")
+    DR, WP = np.meshgrid(dr, wp, indexing="ij")
+    pts = np.stack([np.asarray(center)[0] + (R * np.cos(PH)).ravel(),
+                    np.asarray(center)[1] + (R * np.sin(PH)).ravel()], axis=1)
+    return pts, (R * DR * WP).ravel()
+
+
+def _factor_at(kernel, s, x, u, t, y, first):
+    end = x if first else y
+    scale = max(float(kernel.peak_scale((u - s) if first else (t - u))),
+                1e-300)
+    if kernel.dim == 1:
+        z, w = _peak_rule_1d_scalar(float(end), scale)
+        ends = np.full(len(w), float(end))
+    else:
+        z, w = _peak_rule_2d_scalar(end, scale)
+        ends = np.tile(np.asarray(end, dtype=float), (len(w), 1))
+    uu = np.full(len(w), u)
+    vals = kernel(s, ends, uu, z) if first else kernel(uu, z, t, ends)
+    return uu, z, vals, w
+
+
+def _kato_inner_per_node(kernel, mu, s, x, t, y, time_nodes=32):
+    xi, wt = gauss_legendre_rule(0.0, 1.0, time_nodes)
+
+    def piece(first):
+        u = s + (t - s) * xi ** 2 if first else t - (t - s) * xi ** 2
+        du = wt * 2.0 * xi * (t - s)
+        vals = []
+        for ui in u:
+            uu, z, v, w = _factor_at(kernel, s, x, ui, t, y, first)
+            vals.append(float(np.sum(v * mu.q(uu, z) * w)))
+        return float(np.array(vals) @ du)
+
+    total = 0.0
+    if mu.density is not None:
+        total = piece(True) + piece(False)
+    for atom in mu.active_atoms():
+        if s < atom.time < t:
+            for first in (True, False):
+                _, _, v, w = _factor_at(kernel, s, x, atom.time, t, y, first)
+                total += atom.weight * float(np.sum(v * w))
+    return total
+
+
+@pytest.mark.parametrize("name", ["gaussian", "cauchy"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("density", ["const", "power"])
+def test_kato_inner_broadcast_matches_per_node_loop(name, d, density):
+    kernel = st.resolve_kernel(name, d)
+    q = ConstDensity(0.7, d) if density == "const" else \
+        PowerLawSpaceDensity(0.4, d)
+    rng = np.random.default_rng([d, len(name), len(density)])
+    for _ in range(3):
+        s = rng.uniform(-0.5, 0.5)
+        t = s + rng.uniform(0.05, 1.2)
+        x, y = rng.uniform(-2.0, 2.0, size=(2, d)) if d > 1 else \
+            rng.uniform(-2.0, 2.0, size=2)
+        atom = Atom(rng.uniform(s, t), 0.3)
+        for mu in (PerturbingMeasure(q), PerturbingMeasure(q, (atom,))):
+            got = st.kato_inner_integral(kernel, mu, s, x, t, y)
+            want = _kato_inner_per_node(kernel, mu, s, x, t, y)
+            assert got.hex() == want.hex()
 
 
 def test_kato_profile_monotone():
