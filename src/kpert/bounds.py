@@ -218,14 +218,20 @@ class MatrixSliceProblem:
         return res.value[pts], rep
 
 
-def _sup_ratio(num, den):
-    """sup num/den with the 0/0 = 0 and x/0 = inf conventions."""
+def _ratios(num, den):
+    """num/den with the 0/0 = 0 and x/0 = inf conventions."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     out = np.zeros_like(num)
     pos = den > 0
     out[pos] = num[pos] / den[pos]
     out[~pos & (num > 0)] = np.inf
+    return out
+
+
+def _sup_ratio(num, den):
+    """sup num/den with the conventions of _ratios; 0 for no points."""
+    out = _ratios(num, den)
     return float(np.max(out)) if out.size else 0.0
 
 
@@ -266,16 +272,6 @@ def estimate_constants(problem, rng=None, n_samples: int = 64,
         counts.append(count)
     return SliceConstants(tuple(etas), tuple(betas), tuple(counts),
                           exact=problem.exact)
-
-
-def _ratios(num, den):
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    out = np.zeros_like(num)
-    pos = den > 0
-    out[pos] = num[pos] / den[pos]
-    out[~pos & (num > 0)] = np.inf
-    return out
 
 
 def certify(problem, constants: SliceConstants, rng=None,

@@ -10,19 +10,16 @@ Subcommands
     reproduce     the full acceptance table
 
 Exit codes: 0 success, 2 config error, 3 any INVALID certificate,
-4 any INCONCLUSIVE / HYPOTHESIS_FAIL.  All outputs are deterministic
-under a fixed --seed: CSV uses repr floats, JSON uses sorted keys.
-KP_THREADS caps the worker pool used for independent acceptance
-criteria (default 1; results are collected in submission order, so the
-output does not depend on the pool size).
+4 any INCONCLUSIVE / HYPOTHESIS_FAIL, or a slice constant eta >= 1
+(``certify`` then writes only the error and eta).  All outputs are
+deterministic under a fixed --seed: CSV uses repr floats, JSON uses
+sorted keys.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -42,23 +39,6 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 def fixture_path(name: str) -> str:
     return str(FIXTURE_DIR / name)
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("KP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def pmap(fn, items):
-    """Order-preserving parallel map over independent items."""
-    n = worker_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 class ConfigError(ValueError):
@@ -134,11 +114,9 @@ def _command_kernel(cfg, command: str, peak_dims=(1,)):
 
     The series engine (``series``, ``certify`` on time slices) has
     one-dimensional rules; ``kato`` also has a polar rule for d = 2.  The
-    cone kernel is one-dimensional, and ``stable-potential`` is not a
-    space-time kernel, so no such command takes it.
+    cone kernel is one-dimensional.
     """
-    dims = {"peak": peak_dims, "cone": (1,)}.get(
-        getattr(cfg.kernel, "kind", None), ())
+    dims = {"peak": peak_dims, "cone": (1,)}[cfg.kernel.kind]
     if cfg.dim not in dims:
         raise ConfigError(
             f"{command} cannot take kernel {cfg.kernel_name!r} in "
@@ -215,6 +193,16 @@ def _intervals_from_config(cfg) -> list:
     raise ConfigError(f"slicing mode {mode!r} needs the diagonal or discrete path")
 
 
+def _smallness_fails(out_dir, eta) -> int:
+    """Exit 4 for a slice constant eta >= 1, where no certificate exists:
+    the error and eta go to certificates.json and eta to stderr."""
+    _write(out_dir, "certificates.json", json.dumps(
+        {"error": "local smallness fails", "eta": eta},
+        indent=2, sort_keys=True) + "\n")
+    print(f"local smallness fails: eta = {eta!r} >= 1", file=sys.stderr)
+    return 4
+
+
 def cmd_certify(args) -> int:
     cfg = load_config(args.config, args.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -229,10 +217,7 @@ def cmd_certify(args) -> int:
         prob = bnd.MatrixSliceProblem(K, f, chain)
         const = bnd.estimate_constants(prob)
         if const.eta >= 1.0:
-            _write(args.out, "certificates.json", json.dumps(
-                {"error": "local smallness fails", "eta": const.eta},
-                indent=2, sort_keys=True) + "\n")
-            return 4
+            return _smallness_fails(args.out, const.eta)
         certs = bnd.certify(prob, const)
     elif cfg.slicing.get("mode") == "diagonal-level":
         dd = cfg.slicing
@@ -244,7 +229,7 @@ def cmd_certify(args) -> int:
                                     max_terms=cfg.max_terms)
         const = bnd.estimate_constants(prob, rng, n_samples=12, refine_rounds=1)
         if const.eta >= 1.0:
-            return 4
+            return _smallness_fails(args.out, const.eta)
         certs = bnd.certify(prob, const, rng, n_samples=6,
                             beta_override=prob.analytic_eta,
                             eta_override=prob.analytic_eta)
@@ -331,14 +316,12 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    results = []
-    jobs = [(name, fn) for name, fn in acceptance.ALL_CRITERIA
-            if not args.only or args.only in name]
-    if not jobs:
+    if args.only and not any(args.only in name
+                             for name, _ in acceptance.ALL_CRITERIA):
         print(f"no criterion matches --only {args.only!r}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    results = pmap(lambda job: job[1](args.seed), jobs)
+    results = acceptance.run_all(args.seed, args.only)
     total = time.perf_counter() - start     # wall time, not a sum of timers
     lines = [r.line() for r in results]
     table = "\n".join(lines) + "\n"

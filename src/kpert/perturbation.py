@@ -27,7 +27,7 @@ engine pair once and reuse it for every batch of sample points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -38,7 +38,7 @@ from kpert import spacetime as st
 from kpert.errors import DomainError, PreconditionError
 from kpert.measures import (Atom, CornerPowerDensity, Interval,
                             PerturbingMeasure, restrict_measure)
-from kpert.quadrature import gauss_legendre_rule
+from kpert.quadrature import gauss_legendre_rule, peak_rule
 
 DIVERGENCE_WINDOW = 10
 
@@ -57,13 +57,6 @@ class SeriesResult:
     def ratio(self) -> float:
         return self.value / self.control if self.control > 0 else \
             (0.0 if self.value == 0.0 else math.inf)
-
-
-def _tan_rule(n):
-    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, max(n // 2, 4))
-    th_full = np.concatenate([-th[::-1], th])
-    w_full = np.concatenate([w[::-1], w])
-    return th_full, w_full
 
 
 class SeriesEngine:
@@ -95,7 +88,8 @@ class SeriesEngine:
         self.grid_z = max(9, int(round(15 * r)))
         self.nodes_t = max(8, int(round(14 * r)))
         self.nodes_z = max(12, int(round(28 * r)))
-        self._theta, self._theta_w = _tan_rule(self.nodes_z)
+        # unit peak rule: tan(theta) and w / cos(theta)**2
+        self._tan, self._tan_w = peak_rule(0.0, 1.0, self.nodes_z // 2)
         self._gl_t = gauss_legendre_rule(0.0, 1.0, self.nodes_t)
         self._gl_half = gauss_legendre_rule(0.0, 1.0, max(self.nodes_z // 2, 6))
 
@@ -159,8 +153,8 @@ class SeriesEngine:
         use1 = s1 <= s2
         center = np.where(use1, z0[:, None], self.y)
         scale = np.maximum(np.where(use1, s1, s2), 1e-300)
-        zp = center[:, :, None] + scale[:, None] * np.tan(self._theta)
-        wp = scale[:, None] * (self._theta_w / np.cos(self._theta) ** 2)
+        zp = center[:, :, None] + scale[:, None] * self._tan
+        wp = scale[:, None] * self._tan_w
         return zp, wp
 
     def _time_nodes(self, lo, hi, u0):
@@ -304,12 +298,6 @@ class SeriesEngine:
 
 def _chain_value(kernel, times, s, x, t, y, n_nodes):
     """Nested spatial integrals along one strictly increasing atom chain."""
-    th, tw = _tan_rule(n_nodes)
-
-    def rule(center, scale):
-        scale = max(float(scale), 1e-300)
-        return (center + scale * np.tan(th), scale * tw / np.cos(th) ** 2)
-
     def descend(j, z_prev):
         # integral over z_j of p(t_{j-1}, z_{j-1}, t_j, z_j) * rest
         u_prev = times[j - 1] if j > 0 else s
@@ -319,7 +307,7 @@ def _chain_value(kernel, times, s, x, t, y, n_nodes):
         out = np.empty_like(z_prev)
         for i, zc in enumerate(z_prev):
             center, scale = (zc, s1) if s1 <= s2 else (y, s2)
-            zj, wj = rule(center, scale)
+            zj, wj = peak_rule(center, scale, n_nodes // 2)
             pj = kernel(u_prev, zc, u_here, zj)
             if j == len(times) - 1:
                 rest = kernel(u_here, zj, t, y)
@@ -498,10 +486,7 @@ def alt_atom_kernel_apply(g, s, x, u0, kernel, n_nodes: int = 96) -> float:
         return 0.0
     if s == u0:
         return float(g(s, x))
-    th, tw = _tan_rule(n_nodes)
-    scale = max(float(kernel.peak_scale(u0 - s)), 1e-300)
-    z = x + scale * np.tan(th)
-    w = scale * tw / np.cos(th) ** 2
+    z, w = peak_rule(x, float(kernel.peak_scale(u0 - s)), n_nodes // 2)
     vals = kernel(s, x, np.full_like(z, u0), z) * g(np.full_like(z, u0), z)
     return float(np.sum(vals * w))
 
@@ -525,18 +510,6 @@ def multi_atom_series_factor(eta: float, L: int) -> float:
     return (1.0 - eta) ** (-L)
 
 
-def _peak_bridge(kernel, u, z, v, t, y, theta, theta_w):
-    """Nodes/weights for int F(z') p(u,z,v,z') p(v,z',t,y) dz' with the tan
-    rule centered on the narrower kernel factor (scalar u, z, v)."""
-    s1 = float(kernel.peak_scale(v - u))
-    s2 = float(kernel.peak_scale(t - v))
-    center, scale = (z, s1) if s1 <= s2 else (y, s2)
-    scale = max(scale, 1e-300)
-    zp = center + scale * np.tan(theta)
-    wp = scale * theta_w / np.cos(theta) ** 2
-    return zp, wp
-
-
 class MultiAtomOperator:
     """Iterates of K g(s,x) = rho({s}) g(s,x) +
     sum_{u_i > s} int p(s,x,u_i,z) g(u_i,z) dm(z) for rho a finite sum of
@@ -557,7 +530,7 @@ class MultiAtomOperator:
             raise ValueError("atoms must sit strictly before the target time")
         self.t = float(t)
         self.y = float(y)
-        self._theta, self._theta_w = _tan_rule(n_nodes)
+        self.n_nodes = n_nodes
         pad = 2.0 * float(kernel.peak_scale(t - min(self.times))) + 0.5
         self.z_grid = np.linspace(min(x_lo, y) - pad, max(x_hi, y) + pad,
                                   grid_size)
@@ -575,14 +548,17 @@ class MultiAtomOperator:
     def _transfer(self, u, z_arr, j, ratio_j):
         """Bridge integral from (u, z) through atom j in ratio space."""
         v = self.times[j]
+        # the tan rule is centered on the narrower kernel factor
+        s1 = float(self.kernel.peak_scale(v - u))
+        s2 = float(self.kernel.peak_scale(self.t - v))
         out = np.empty(len(z_arr))
         for a, z in enumerate(z_arr):
             f0 = float(self.kernel(u, z, self.t, self.y))
             if f0 <= 0:
                 out[a] = 0.0
                 continue
-            zp, wp = _peak_bridge(self.kernel, u, z, v, self.t, self.y,
-                                  self._theta, self._theta_w)
+            center, scale = (z, s1) if s1 <= s2 else (self.y, s2)
+            zp, wp = peak_rule(center, scale, self.n_nodes // 2)
             p1 = self.kernel(u, z, v, zp)
             p2 = self.kernel(v, zp, self.t, self.y)
             rj = np.interp(zp, self.z_grid, ratio_j)

@@ -3,8 +3,10 @@
 Adaptive 1-d quadrature built on the embedded 7-point Gauss / 15-point
 Kronrod pair, with declared endpoint substitutions for integrable power
 singularities and a rational map for unbounded axes.  Tensorized nd
-integration iterates the 1-d rule.  Monte Carlo uses importance sampling
-with counter-based (Philox) seeding so repeated runs are bit-identical.
+integration iterates the 1-d rule (up to four dimensions).  Fixed rules:
+Gauss-Legendre on an interval, and the tan-substituted peak rule for
+integrands peaked at a point of the real line; both cache their base
+rule per size.
 
 Every result carries (value, error_estimate); callers express downstream
 tolerances in units of that estimate.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,19 +84,6 @@ class QuadratureSpec:
                 raise ValueError("power substitution needs singularity order in (0,1)")
         if self.singular_end not in ("lower", "upper"):
             raise ValueError("singular_end must be 'lower' or 'upper'")
-
-
-@dataclass(frozen=True)
-class MCSpec:
-    """Monte Carlo budget.  Identical seed => bit-identical estimate."""
-
-    sample_count: int = 100_000
-    seed: int = 0
-    proposal: str = ""   # description of the importance density, for reports
-
-    def __post_init__(self):
-        if self.sample_count < 2:
-            raise ValueError("sample_count must be at least 2")
 
 
 def _gk15(g, a, b):
@@ -221,15 +210,14 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None) -> QuadResult:
 def integrate_nd(f, box, spec=None) -> QuadResult:
     """Iterated 1-d integration of f over a box; f maps (n, d) -> (n,).
 
-    ``spec`` may be a single QuadratureSpec or one per axis.  Dimensions
-    above 4 route to Monte Carlo over the (finite) box.  Error estimates
-    propagate conservatively: outer rule error plus the box measure times
-    the worst inner estimate.
+    The box has 1 to 4 dimensions; ``spec`` may be a single QuadratureSpec
+    or one per axis.  Error estimates propagate conservatively: outer rule
+    error plus the box measure times the worst inner estimate.
     """
     box = [tuple(map(float, ab)) for ab in box]
     d = len(box)
-    if d == 0:
-        raise ValueError("empty box specification")
+    if not 1 <= d <= 4:
+        raise ValueError(f"integrate_nd takes 1 to 4 dimensions, not {d}")
     for a, b in box:
         if a >= b:
             return QuadResult(0.0, 0.0, True, 0)
@@ -239,16 +227,6 @@ def integrate_nd(f, box, spec=None) -> QuadResult:
         specs = list(spec)
         if len(specs) != d:
             raise ValueError("need one spec per axis")
-
-    if d > 4:
-        if any(math.isinf(a) or math.isinf(b) for a, b in box):
-            raise ValueError("dimension > 4 requires a finite box (MC route)")
-        lows = np.array([a for a, _ in box])
-        highs = np.array([b for _, b in box])
-        val, se = mc_integrate(lambda p: f(p), BoxSampler(lows, highs),
-                               MCSpec(sample_count=200_000, seed=0,
-                                      proposal="uniform box"))
-        return QuadResult(val, 3.0 * se, True, 0)
 
     if d == 1:
         a, b = box[0]
@@ -280,64 +258,6 @@ def integrate_nd(f, box, spec=None) -> QuadResult:
                       outer.subdivisions)
 
 
-class BoxSampler:
-    """Uniform proposal on an axis-aligned box."""
-
-    def __init__(self, lows, highs):
-        self.lows = np.asarray(lows, dtype=float)
-        self.highs = np.asarray(highs, dtype=float)
-        if np.any(self.highs <= self.lows):
-            raise ValueError("degenerate box")
-        self._vol = float(np.prod(self.highs - self.lows))
-
-    def sample(self, rng, n):
-        u = rng.random((n, len(self.lows)))
-        return self.lows + u * (self.highs - self.lows)
-
-    def pdf(self, pts):
-        pts = np.asarray(pts)
-        inside = np.all((pts >= self.lows) & (pts <= self.highs), axis=1)
-        return inside / self._vol
-
-
-class GaussianSampler:
-    """Isotropic normal proposal centered at ``mean`` with scale ``sigma``."""
-
-    def __init__(self, mean, sigma):
-        self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        self.sigma = float(sigma)
-
-    def sample(self, rng, n):
-        return self.mean + self.sigma * rng.standard_normal((n, len(self.mean)))
-
-    def pdf(self, pts):
-        pts = np.asarray(pts)
-        d = pts.shape[1]
-        r2 = np.sum((pts - self.mean) ** 2, axis=1)
-        return np.exp(-0.5 * r2 / self.sigma ** 2) / (
-            (2.0 * np.pi) ** (d / 2.0) * self.sigma ** d)
-
-
-def mc_integrate(f, sampler, spec: MCSpec) -> tuple[float, float]:
-    """Importance-sampled integral of f with standard error.
-
-    The proposal must be positive wherever f is nonzero.  Philox keying
-    makes the stream counter-based: the same spec yields the same bits.
-    """
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    pts = sampler.sample(rng, spec.sample_count)
-    dens = np.asarray(sampler.pdf(pts), dtype=float)
-    vals = np.asarray(f(pts), dtype=float)
-    bad = (dens <= 0) & (vals != 0)
-    if np.any(bad):
-        raise ValueError("importance density vanishes where the integrand "
-                         f"does not ({int(bad.sum())} of {len(vals)} samples)")
-    w = np.where(dens > 0, vals / np.where(dens > 0, dens, 1.0), 0.0)
-    value = float(np.mean(w))
-    std_error = float(np.std(w, ddof=1) / math.sqrt(spec.sample_count))
-    return value, std_error
-
-
 # n -> read-only (nodes, weights) of the n-point rule on [-1, 1]
 _GL_BASE: dict = {}
 
@@ -357,3 +277,33 @@ def gauss_legendre_rule(a, b, n):
     x, w = base
     h = 0.5 * (b - a)
     return 0.5 * (a + b) + h * x, h * w
+
+
+# n -> read-only (tan theta, w, cos(theta)**2) of the peak rule's base,
+# theta the n-point Gauss-Legendre nodes on each half of (-pi/2, pi/2)
+_PEAK_BASE: dict = {}
+
+
+def peak_rule(center, scale, n):
+    """Nodes/weights for int F(z) dz with F peaked at ``center`` on scale
+    ``scale``: z = center + scale * tan(theta), weights
+    w * scale / cos(theta)**2, with n Gauss-Legendre nodes theta on each
+    half-axis.  For a Cauchy peak of that scale the substituted density is
+    constant, so the rule is exact for it at any scale.
+
+    ``scale`` is floored at 1e-300; an array ``scale`` gives one rule per
+    entry along a new last axis (shape scale.shape + (2 n,)).
+    """
+    base = _PEAK_BASE.get(n)
+    if base is None:
+        th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n)
+        tan, cos2 = np.tan(th), np.cos(th) ** 2
+        base = (np.concatenate([-tan[::-1], tan]),
+                np.concatenate([w[::-1], w]),
+                np.concatenate([cos2[::-1], cos2]))
+        for arr in base:
+            arr.flags.writeable = False
+        _PEAK_BASE[n] = base
+    tan, w, cos2 = base
+    scale = np.maximum(scale, 1e-300)[..., None]
+    return center + scale * tan, scale * w / cos2

@@ -3,7 +3,8 @@ comparison inequalities and residual checks.
 
 Kernels are evaluators p(s, x, t, y) >= 0 on R x R^d that vanish for
 s >= t (causality).  The registry makes them addressable by name from
-the CLI: "gaussian", "cauchy", "kappa", "stable-potential:alpha".
+the CLI: "gaussian", "cauchy", "kappa".  The stable potential kernel
+lives in space only and is the plain function stable_potential_kernel.
 
 Singular integrands here ((u+z)**-3/2 cones, z**-1/2 Weyl weights,
 x**-3/2 subordinator densities) get power-law endpoint substitutions so
@@ -23,7 +24,7 @@ from scipy.stats import qmc
 
 from kpert.errors import PreconditionError
 from kpert.quadrature import (QuadratureSpec, gauss_legendre_rule,
-                              integrate_1d, integrate_nd)
+                              integrate_1d, integrate_nd, peak_rule)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
@@ -150,21 +151,6 @@ class KappaKernel:
         return x_lo, max(x_hi, y)
 
 
-@dataclass(frozen=True)
-class StablePotential:
-    """Potential kernel of the (alpha/2)-stable subordinator:
-    Gamma(alpha/2)**(-1) (y - x)_+**(alpha/2 - 1)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2)")
-
-    def __call__(self, x, y):
-        return stable_potential_kernel(self.alpha, x, y)
-
-
 _GAUSSIANS: dict = {}
 _CAUCHYS: dict = {}
 
@@ -185,15 +171,13 @@ KAPPA = KappaKernel()
 
 
 def resolve_kernel(name: str, dim: int = 1):
-    """Registry lookup: gaussian | cauchy | kappa | stable-potential:alpha."""
+    """Registry lookup: gaussian | cauchy | kappa."""
     if name == "gaussian":
         return gaussian_kernel(dim)
     if name == "cauchy":
         return cauchy_kernel(dim)
     if name == "kappa":
         return KAPPA
-    if name.startswith("stable-potential:"):
-        return StablePotential(float(name.split(":", 1)[1]))
     raise ValueError(f"unknown kernel {name!r}")
 
 
@@ -582,32 +566,17 @@ class KatoResult(NamedTuple):
     samples: int
 
 
-def _peak_rule_1d(center, scale, n: int = 64):
-    """Nodes/weights for int F(z) dz with F peaked at ``center`` on scale
-    ``scale``: z = center + scale * tan(theta), theta Gauss-Legendre per
-    half-axis.  For a Cauchy peak of that scale the substituted density is
-    constant, so the rule is exact for it at any scale.
-
-    ``scale`` is an array with one rule per entry: nodes and weights have
-    shape scale.shape + (n,)."""
-    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n // 2)
-    scale = np.asarray(scale, dtype=float)[..., None]
-    zp = scale * np.tan(th)
-    wp = w * scale / np.cos(th) ** 2
-    z = center + np.concatenate([-zp[..., ::-1], zp], axis=-1)
-    return z, np.concatenate([wp[..., ::-1], wp], axis=-1)
-
-
 def _peak_rule_2d(center, scale, n_theta: int = 48, n_phi: int = 16):
-    """Polar rule around ``center``: r = scale * tan(theta); the Jacobian
+    """Polar rule around ``center``, the d = 2 counterpart of
+    ``quadrature.peak_rule``: r = scale * tan(theta); the Jacobian
     r dr dphi keeps the substituted Cauchy integrand smooth.
 
-    ``scale`` is an array with one rule per entry: nodes have shape
-    scale.shape + (n_theta * n_phi, 2), weights the same without the last
-    axis."""
+    ``scale`` is floored at 1e-300 and is an array with one rule per
+    entry: nodes have shape scale.shape + (n_theta * n_phi, 2), weights
+    the same without the last axis."""
     th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, n_theta)
     ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, n_phi)
-    scale = np.asarray(scale, dtype=float)[..., None, None]
+    scale = np.maximum(scale, 1e-300)[..., None, None]
     R = scale * np.tan(th)[:, None]
     DR = wt[:, None] * scale / np.cos(th)[:, None] ** 2
     flat = scale.shape[:-2] + (n_theta * n_phi,)
@@ -625,10 +594,12 @@ def _peak_factor(kernel, s, x, t, y, u, first: bool):
 
     Returns (uu, z, vals, w); row i of each holds time u_i (uu is ``u``
     broadcast to the rule's shape)."""
-    scale = np.maximum(kernel.peak_scale((u - s) if first else (t - u)),
-                       1e-300)
-    rule = _peak_rule_1d if getattr(kernel, "dim", 1) == 1 else _peak_rule_2d
-    z, w = rule(x if first else y, scale)
+    center = x if first else y
+    scale = kernel.peak_scale((u - s) if first else (t - u))
+    if getattr(kernel, "dim", 1) == 1:
+        z, w = peak_rule(center, scale, 32)
+    else:
+        z, w = _peak_rule_2d(center, scale)
     uu = np.broadcast_to(u[:, None], w.shape)
     vals = kernel(s, x, uu, z) if first else kernel(uu, z, t, y)
     return uu, z, vals, w

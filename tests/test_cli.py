@@ -62,6 +62,11 @@ GOLDEN = {
     "kato_cauchy_d2": ("kato", 0, "kato.csv",
                        "ed8271dfbb8d784727822e09d0727dc9"
                        "30fe569118eec065e115a66cbfe9eae8"),
+    # recorded before the five tan-substituted peak rules became
+    # quadrature.peak_rule; nothing else pins the atom chain sums
+    "series_atoms": ("series", 0, "series.csv",
+                     "f0e80410c889d7bd8e4e58559fe0056d"
+                     "d7b65fe776e2766c46b198dc52ae8ee7"),
 }
 
 
@@ -123,7 +128,7 @@ BAD_INPUTS = {
     "stable-potential": ({"kernel": {"name": "stable-potential:1.0"},
                           "measure": {"density": {"kind": "const",
                                                   "lambda": 0.5}}},
-                         "'stable-potential:1.0' in d = 1"),
+                         "unknown kernel 'stable-potential:1.0'"),
 }
 
 
@@ -178,6 +183,35 @@ def test_certify_kappa_fixture_exit_0(tmp_path):
     assert len(certs) == 4
 
 
+# eta >= 1 on both branches that estimate constants before certifying;
+# the diagonal-level branch once exited 4 with no output and no message
+SMALLNESS_FAILS = {
+    "diagonal-level": {"kernel": {"name": "kappa"},
+                       "target": {"t": 1.0, "y": 1.0},
+                       "slicing": {"mode": "diagonal-level", "c": 5,
+                                   "p": 0.2, "h": 0.9}},
+    "discrete": {"discrete": {"path": "problem.json", "chain": ["A1"]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALLNESS_FAILS))
+def test_certify_smallness_failure_exit_4_with_message(case, tmp_path,
+                                                       capsys):
+    (tmp_path / "problem.json").write_text(json.dumps(
+        {"n": 2, "entries": [[0.0, 0.0], [1.5, 0.0]], "sets": {"A1": [0, 1]},
+         "f": [1.0, 1.0]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALLNESS_FAILS[case]))
+    out = tmp_path / "out"
+    assert run_cli("certify", "--config", str(cfg), "--out", str(out)) == 4
+    doc = json.loads((out / "certificates.json").read_text())
+    assert doc["error"] == "local smallness fails" and doc["eta"] >= 1.0
+    assert (out / "certificates.json").read_text() == json.dumps(
+        doc, indent=2, sort_keys=True) + "\n"
+    assert not (out / "certificates.csv").exists()
+    assert f"eta = {doc['eta']!r}" in capsys.readouterr().err
+
+
 def test_invalid_certificates_exit_3(tmp_path, monkeypatch):
     import kpert.bounds as bnd
     from kpert.bounds import BoundCertificate
@@ -196,6 +230,11 @@ def test_oracle_check(tmp_path):
     assert rows[0] == "case,measured,expected,rel_error"
     for row in rows[1:]:
         assert float(row.split(",")[-1]) < 1e-3
+    # pins the single-atom chain sum and MultiAtomOperator (three atoms);
+    # recorded before the tan peak rules were merged into one
+    assert hashlib.sha256((tmp_path / "oracles.csv").read_bytes()).hexdigest() \
+        == ("69212a0a89e6a74ee12746e66e80e816"
+            "2da5b31a53b425999a6f737361815932")
 
 
 def test_kato_command(tmp_path):
@@ -263,11 +302,3 @@ def test_console_entry_point_subprocess(tmp_path):
         [sys.executable, "-m", "kpert.cli", "weyl", "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
-
-
-def test_kp_threads_env(monkeypatch):
-    monkeypatch.setenv("KP_THREADS", "3")
-    assert cli.worker_count() == 3
-    monkeypatch.setenv("KP_THREADS", "bogus")
-    assert cli.worker_count() == 1
-    assert cli.pmap(lambda v: v * v, [1, 2, 3]) == [1, 4, 9]

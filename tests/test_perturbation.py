@@ -13,6 +13,7 @@ from kpert.errors import DomainError, PreconditionError
 from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
                             PerturbingMeasure, measure_from_config,
                             restrict_measure)
+from kpert.quadrature import gauss_legendre_rule
 
 G = st.gaussian_kernel(1)
 
@@ -171,13 +172,16 @@ def _scalar_bridge(eng, u0, z0, v):
         wp = np.concatenate([wl, wr])
         return (np.broadcast_to(zp, (len(v), len(zp))).copy(),
                 np.broadcast_to(wp, (len(v), len(wp))).copy())
+    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, max(eng.nodes_z // 2, 4))
+    theta = np.concatenate([-th[::-1], th])
+    theta_w = np.concatenate([w[::-1], w])
     s1 = np.asarray(eng.kernel.peak_scale(v - u0), dtype=float)
     s2 = np.asarray(eng.kernel.peak_scale(eng.t - v), dtype=float)
     use1 = s1 <= s2
     center = np.where(use1, z0, eng.y)
     scale = np.maximum(np.where(use1, s1, s2), 1e-300)
-    zp = center[:, None] + scale[:, None] * np.tan(eng._theta)[None, :]
-    wp = scale[:, None] * (eng._theta_w / np.cos(eng._theta) ** 2)[None, :]
+    zp = center[:, None] + scale[:, None] * np.tan(theta)[None, :]
+    wp = scale[:, None] * (theta_w / np.cos(theta) ** 2)[None, :]
     return zp, wp
 
 

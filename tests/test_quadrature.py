@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from kpert.quadrature import (BoxSampler, GaussianSampler, MCSpec,
-                              QuadratureSpec, gauss_legendre_rule,
-                              integrate_1d, integrate_nd, mc_integrate)
+from kpert.quadrature import (QuadratureSpec, gauss_legendre_rule,
+                              integrate_1d, integrate_nd, peak_rule)
 from kpert.spacetime import stable_subordinator_density
 
 
@@ -107,50 +106,9 @@ def test_nd_slice_scaling_exponent():
     assert abs(measured - (0.5 - p)) < 0.02 * (0.5 - p)
 
 
-def test_mc_constant_ratio_zero_variance():
-    sampler = BoxSampler([0.0], [2.0])
-    v, se = mc_integrate(lambda p: np.full(len(p), 0.5), sampler,
-                         MCSpec(2000, seed=1))
-    assert abs(v - 1.0) < 1e-12 and se < 1e-12
-
-
-def test_mc_gaussian_3d():
-    sampler = GaussianSampler([0.0, 0.0, 0.0], 1.6)
-    target = (4.0 * math.pi) ** 1.5  # normalization of exp(-|x|^2/4) in R^3
-    v, se = mc_integrate(lambda p: np.exp(-np.sum(p * p, axis=1) / 4.0),
-                         sampler, MCSpec(100_000, seed=11))
-    assert abs(v - target) < 3.0 * se
-
-
-def test_mc_determinism():
-    sampler = GaussianSampler([0.0], 1.0)
-    spec = MCSpec(5000, seed=42)
-    a = mc_integrate(lambda p: np.cos(p[:, 0]), sampler, spec)
-    b = mc_integrate(lambda p: np.cos(p[:, 0]), sampler, spec)
-    assert a == b
-
-
-def test_mc_cross_check_with_nd():
-    def f(p):
-        return np.exp(-p[:, 0] ** 2 - 0.5 * p[:, 1] ** 2)
-    exact = integrate_nd(f, [(-7.0, 7.0), (-9.0, 9.0)],
-                         QuadratureSpec(rel_tol=1e-9))
-    v, se = mc_integrate(f, GaussianSampler([0.0, 0.0], 1.5),
-                         MCSpec(200_000, seed=5))
-    assert abs(v - exact.value) < 3.0 * se + exact.error
-
-
-class _DeadSampler(BoxSampler):
-    """Proposal whose density vanishes everywhere the integrand lives."""
-
-    def pdf(self, pts):
-        return np.zeros(len(pts))
-
-
-def test_mc_rejects_unsupported_sampler():
+def test_nd_rejects_more_than_four_dimensions():
     with pytest.raises(ValueError):
-        mc_integrate(lambda p: np.ones(len(p)),
-                     _DeadSampler([0.0], [1.0]), MCSpec(100, seed=0))
+        integrate_nd(lambda p: np.ones(len(p)), [(0.0, 1.0)] * 5)
 
 
 def test_gauss_legendre_rule_polynomial_exactness():
@@ -187,3 +145,94 @@ def test_gauss_legendre_rule_returns_fresh_arrays():
     x2, w2 = gauss_legendre_rule(-1.0, 1.0, 12)
     assert x2.tobytes() == x_ref.tobytes()
     assert w2.tobytes() == w_ref.tobytes()
+
+
+# -- the peak rule ---------------------------------------------------------------
+# Test-local copies of the tan rules peak_rule replaced; the series
+# engine's unit rule is the tan(theta), w / cos(theta)**2 pair checked
+# further down.  Each copy takes n nodes per half-axis (its former callers
+# passed 2 n).
+
+def _old_tan_rule(n_full):
+    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, max(n_full // 2, 4))
+    return np.concatenate([-th[::-1], th]), np.concatenate([w[::-1], w])
+
+
+def _old_chain_rule(center, scale, n):
+    """_tan_rule plus the ``rule`` closure of perturbation._chain_value."""
+    th, tw = _old_tan_rule(2 * n)
+    scale = max(float(scale), 1e-300)
+    return (center + scale * np.tan(th), scale * tw / np.cos(th) ** 2)
+
+
+def _old_alt_atom_rule(x, scale, n):
+    """The inline rule of perturbation.alt_atom_kernel_apply."""
+    th, tw = _old_tan_rule(2 * n)
+    scale = max(float(scale), 1e-300)
+    z = x + scale * np.tan(th)
+    w = scale * tw / np.cos(th) ** 2
+    return z, w
+
+
+def _old_peak_bridge(center, scale, n):
+    """perturbation._peak_bridge once the narrower factor is chosen."""
+    theta, theta_w = _old_tan_rule(2 * n)
+    scale = max(scale, 1e-300)
+    zp = center + scale * np.tan(theta)
+    wp = scale * theta_w / np.cos(theta) ** 2
+    return zp, wp
+
+
+def _old_peak_rule_1d(center, scale, n):
+    """spacetime._peak_rule_1d after the floor its caller applied."""
+    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n)
+    scale = np.asarray(np.maximum(scale, 1e-300), dtype=float)[..., None]
+    zp = scale * np.tan(th)
+    wp = w * scale / np.cos(th) ** 2
+    z = center + np.concatenate([-zp[..., ::-1], zp], axis=-1)
+    return z, np.concatenate([wp[..., ::-1], wp], axis=-1)
+
+
+PEAK_NODES = (4, 16, 24, 32, 48)
+PEAK_SCALES = (0.0, 1e-3, 0.37, 1.0, 5.5)
+
+
+def _same_bits(got, want):
+    assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("old", [_old_chain_rule, _old_alt_atom_rule,
+                                 _old_peak_bridge, _old_peak_rule_1d])
+@pytest.mark.parametrize("n", PEAK_NODES)
+def test_peak_rule_matches_the_rules_it_replaced_bitwise(old, n):
+    for center in (0.0, 0.3, -2.5):
+        for scale in PEAK_SCALES:
+            _same_bits(peak_rule(center, scale, n), old(center, scale, n))
+
+
+@pytest.mark.parametrize("n", PEAK_NODES)
+def test_peak_rule_array_scale_gives_one_rule_per_entry(n):
+    scales = np.array([[0.0, 1e-3, 0.37], [1.0, 5.5, 2.0]])
+    z, w = peak_rule(0.3, scales, n)
+    assert z.shape == w.shape == scales.shape + (2 * n,)
+    _same_bits((z, w), _old_peak_rule_1d(0.3, scales, n))
+    for idx in np.ndindex(scales.shape):
+        _same_bits((z[idx], w[idx]), peak_rule(0.3, scales[idx], n))
+
+
+@pytest.mark.parametrize("n", PEAK_NODES)
+def test_unit_peak_rule_is_tan_and_weight_over_cos_squared(n):
+    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n)
+    theta = np.concatenate([-th[::-1], th])
+    w_full = np.concatenate([w[::-1], w])
+    _same_bits(peak_rule(0.0, 1.0, n),
+               (np.tan(theta), w_full / np.cos(theta) ** 2))
+
+
+def test_peak_rule_integrates_a_cauchy_peak_exactly():
+    for center, scale in ((0.0, 1.0), (1.5, 0.02), (-3.0, 40.0)):
+        z, w = peak_rule(center, scale, 16)
+        dens = scale / (math.pi * (scale ** 2 + (z - center) ** 2))
+        assert abs(np.sum(dens * w) - 1.0) < 1e-13
