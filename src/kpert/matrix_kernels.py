@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,14 +244,16 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     """Partial sums of sum_m K^m f with a convergence verdict.
 
     converged: the last term's sup norm fell below tail_tol relative to
-    the running sum.  diverging: term norms grew monotonically over 10
-    consecutive terms (cheap, conservative; a convergent geometric tail
-    never grows).  Otherwise truncated at max_terms.
+    the running sum.  diverging: term norms grew over 10 consecutive
+    terms and the exact test, a spectral radius of at least one on the
+    states that reach the support of f, confirms it (a convergent series
+    may grow for a while).  Otherwise truncated at max_terms.
     """
     f = np.asarray(f, dtype=float)
     total = f.copy()
     term = f.copy()
     norms = [float(np.max(term))]
+    radius_checked = False
     for m in range(1, max_terms + 1):
         term = apply(K, term)
         total = total + term
@@ -262,10 +264,23 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
             scale = float(np.max(total[np.isfinite(total)], initial=1.0))
         if tn <= tail_tol * max(scale, 1e-300):
             return MatrixSeriesResult(total, m, "converged", tn)
-        if len(norms) >= 11 and all(
+        if not radius_checked and len(norms) >= 11 and all(
                 norms[-i] > norms[-i - 1] for i in range(1, 11)):
-            return MatrixSeriesResult(total, m, "diverging", tn)
+            radius_checked = True
+            if _radius_toward(K, f) >= 1.0:
+                return MatrixSeriesResult(total, m, "diverging", tn)
     return MatrixSeriesResult(total, max_terms, "truncated", norms[-1])
+
+
+def _radius_toward(K: MatrixKernel, f) -> float:
+    """Spectral radius of K restricted to the states with a path of
+    positive entries into the support of f: the only states the series
+    sees, so it converges exactly when this is below one."""
+    reach = f > 0
+    for _ in range(K.n):          # a shortest path has fewer than n steps
+        reach = reach | (K.entries[:, reach] > 0).any(axis=1)
+    sub = K.entries[np.ix_(reach, reach)]
+    return float(np.max(np.abs(np.linalg.eigvals(sub)), initial=0.0))
 
 
 def exact_series_sum(K: MatrixKernel, f) -> np.ndarray:

@@ -9,7 +9,7 @@ density outside the interval and drops atoms whose times fall outside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,14 +15,15 @@ per-panel grid (panels split at atom times and support endpoints, where
 ratios jump); each level is one pass of nested fixed rules, with the
 spatial rule recentered and rescaled on the narrower kernel factor (tan
 substitution, exact for a Cauchy peak) so end-of-interval bridges stay
-resolved.  A level is evaluated one grid row (one source time) per
-numpy broadcast: the time rule is shared along the row, and each node
-still reduces on its own, so the values match node-by-node evaluation
-bit for bit.  Pure-atom measures bypass the grid entirely: terms are
-exact sums over strictly increasing atom chains (which is why a single
-atom kills every term past the first).  Error estimates come from
-rerunning at a refined resolution.  The slice problems build that
-engine pair once and reuse it for every batch of sample points.
+resolved; an atom term, one spatial integral, gets a finer rule.  A
+level is evaluated one grid row (one source time) per numpy broadcast:
+the time rule is shared along the row, and each node still reduces on
+its own, so the values match node-by-node evaluation bit for bit.  Every
+measure, atoms included, takes this one path (an atom level reads the
+previous one only at later atoms, so a single atom kills every term past
+the first), and the error estimate is the relative difference of the
+sums at two resolutions.  The slice problems build that engine pair once
+and reuse it for every batch of sample points.
 """
 from __future__ import annotations
 
@@ -36,11 +37,9 @@ from scipy.stats import qmc
 from kpert import bounds as bnd
 from kpert import spacetime as st
 from kpert.errors import DomainError, PreconditionError
-from kpert.measures import (Atom, CornerPowerDensity, Interval,
-                            PerturbingMeasure, restrict_measure)
+from kpert.measures import (CornerPowerDensity, Interval, PerturbingMeasure,
+                            restrict_measure)
 from kpert.quadrature import gauss_legendre_rule, peak_rule
-
-DIVERGENCE_WINDOW = 10
 
 
 @dataclass
@@ -50,7 +49,7 @@ class SeriesResult:
     truncation_index: int
     tail_estimate: float
     quad_error_estimate: float
-    status: str                  # converged | truncated | diverging
+    status: str                  # converged | truncated
     control: float = 0.0         # base density at the evaluation point
 
     @property
@@ -88,8 +87,11 @@ class SeriesEngine:
         self.grid_z = max(9, int(round(15 * r)))
         self.nodes_t = max(8, int(round(14 * r)))
         self.nodes_z = max(12, int(round(28 * r)))
-        # unit peak rule: tan(theta) and w / cos(theta)**2
-        self._tan, self._tan_w = peak_rule(0.0, 1.0, self.nodes_z // 2)
+        self.nodes_atom = int(round(40 * r))
+        # unit peak rules, tan(theta) and w / cos(theta)**2; an atom term
+        # is one spatial integral and affords more nodes
+        self._rule = peak_rule(0.0, 1.0, self.nodes_z // 2)
+        self._atom_rule = peak_rule(0.0, 1.0, self.nodes_atom // 2)
         self._gl_t = gauss_legendre_rule(0.0, 1.0, self.nodes_t)
         self._gl_half = gauss_legendre_rule(0.0, 1.0, max(self.nodes_z // 2, 6))
 
@@ -130,12 +132,12 @@ class SeriesEngine:
 
     # -- rules ------------------------------------------------------------
 
-    def _bridge(self, u0, z0, v):
+    def _bridge(self, u0, z0, v, atom=False):
         """Spatial nodes/weights for the z' integral at intermediate times v,
         one block per source node z0: nodes have shape (len(z0), len(v), n)
         and weights broadcast to it.  The rule is centered on the narrower
-        of the two kernel factors; cone rules need z0 < y, which holds
-        wherever p(u0, z0, t, y) > 0."""
+        of the two kernel factors, with the finer unit rule at an atom;
+        cone rules need z0 < y, which holds wherever p(u0, z0, t, y) > 0."""
         if self.kind == "cone":
             xi, w = self._gl_half
             zm = 0.5 * (z0 + self.y)
@@ -153,8 +155,9 @@ class SeriesEngine:
         use1 = s1 <= s2
         center = np.where(use1, z0[:, None], self.y)
         scale = np.maximum(np.where(use1, s1, s2), 1e-300)
-        zp = center[:, :, None] + scale[:, None] * self._tan
-        wp = scale[:, None] * self._tan_w
+        tan, tan_w = self._atom_rule if atom else self._rule
+        zp = center[:, :, None] + scale[:, None] * tan
+        wp = scale[:, None] * tan_w
         return zp, wp
 
     def _time_nodes(self, lo, hi, u0):
@@ -226,7 +229,7 @@ class SeriesEngine:
         for atom in self.mu.active_atoms():
             if u0 < atom.time < self.t:
                 v = np.array([atom.time])
-                zp, wp = self._bridge(u0, z0, v)
+                zp, wp = self._bridge(u0, z0, v, atom=True)
                 vv = np.broadcast_to(v[:, None], zp.shape)
                 p1 = self.kernel(u0, zc, vv, zp)
                 p2 = self.kernel(vv, zp, self.t, self.y)
@@ -293,74 +296,23 @@ class SeriesEngine:
 
 
 # ---------------------------------------------------------------------------
-# Pure-atom series: exact chain sums
-# ---------------------------------------------------------------------------
-
-def _chain_value(kernel, times, s, x, t, y, n_nodes):
-    """Nested spatial integrals along one strictly increasing atom chain."""
-    def descend(j, z_prev):
-        # integral over z_j of p(t_{j-1}, z_{j-1}, t_j, z_j) * rest
-        u_prev = times[j - 1] if j > 0 else s
-        u_here = times[j]
-        s1 = kernel.peak_scale(u_here - u_prev)
-        s2 = kernel.peak_scale(t - u_here)
-        out = np.empty_like(z_prev)
-        for i, zc in enumerate(z_prev):
-            center, scale = (zc, s1) if s1 <= s2 else (y, s2)
-            zj, wj = peak_rule(center, scale, n_nodes // 2)
-            pj = kernel(u_prev, zc, u_here, zj)
-            if j == len(times) - 1:
-                rest = kernel(u_here, zj, t, y)
-            else:
-                rest = descend(j + 1, zj)
-            out[i] = float(np.sum(pj * rest * wj))
-        return out
-
-    return float(descend(0, np.array([x]))[0])
-
-
-def _atom_series_terms(kernel, mu, s, x, t, y, n_nodes=48):
-    """Term ratios for a pure-atom measure: sum over increasing chains of
-    atoms strictly inside (s, t).  Terms beyond the atom count vanish
-    identically (no admissible chain)."""
-    from itertools import combinations
-
-    f0 = float(kernel(s, x, t, y))
-    if f0 <= 0:
-        return np.array([0.0])
-    atoms = [a for a in mu.active_atoms() if s < a.time < t]
-    terms = [1.0]
-    for n in range(1, len(atoms) + 1):
-        val = 0.0
-        for chain in combinations(atoms, n):
-            times = [a.time for a in chain]
-            weight = math.prod(a.weight for a in chain)
-            val += weight * _chain_value(kernel, times, s, x, t, y, n_nodes)
-        terms.append(val / f0)
-    return np.array(terms)
-
-
-# ---------------------------------------------------------------------------
 # Public term / series interface
 # ---------------------------------------------------------------------------
 
 def pn_term(kernel, mu: PerturbingMeasure, n: int, s, x, t, y,
             quad_tol: float = 1e-4) -> float:
-    """Single term p_n(s, x, t, y); p_0 is the base density itself."""
+    """Single term p_n(s, x, t, y); p_0 is the base density itself.  Read
+    from the refined engine, whose terms ``series`` reports."""
     if n < 0:
         raise ValueError("term index must be nonnegative")
     f0 = float(kernel(s, x, t, y))
     if n == 0:
         return f0
-    if f0 <= 0 or mu.is_zero:
+    if f0 <= 0:
         return 0.0
-    if mu.density is None:
-        terms = _atom_series_terms(kernel, mu, s, x, t, y)
-        ratio = terms[n] if n < len(terms) else 0.0
-        return float(ratio) * f0
     eng = SeriesEngine(kernel, mu, t, y, s_min=min(s, t - 1e-9),
                        x_range=(min(x, y), max(x, y)),
-                       quad_tol=quad_tol, max_terms=n)
+                       quad_tol=quad_tol, max_terms=n, resolution=1.6)
     rows = eng.ratios([s], [x])
     ratio = rows[n, 0] if n < rows.shape[0] else 0.0
     return float(ratio) * f0
@@ -376,12 +328,11 @@ def series(kernel, mu: PerturbingMeasure, s, x, t, y,
 
 
 def _verdict(terms, quad_tol, max_terms):
+    """converged or truncated, never diverging: terms like lambda^n / n!
+    grow for lambda steps, and the engine cannot tell them apart."""
     n = len(terms) - 1
     partial = float(np.sum(terms))
     last = float(terms[-1]) if n >= 1 else 0.0
-    if n >= DIVERGENCE_WINDOW and all(
-            terms[-i] > terms[-i - 1] for i in range(1, DIVERGENCE_WINDOW + 1)):
-        return "diverging", last
     if n < max_terms or last <= quad_tol * max(partial, 1e-300):
         # geometric tail extrapolation from the last two terms
         tail = 0.0
@@ -400,23 +351,6 @@ def series_batch(kernel, mu: PerturbingMeasure, s_pts, x_pts, t, y,
     s_pts = np.atleast_1d(np.asarray(s_pts, dtype=float))
     x_pts = np.atleast_1d(np.asarray(x_pts, dtype=float))
     f0 = np.asarray(kernel(s_pts, x_pts, t, y), dtype=float)
-
-    if mu.is_zero:
-        return [SeriesResult(float(f), (float(f),), 0, 0.0, 0.0, "converged",
-                             float(f)) for f in f0]
-
-    if mu.density is None:
-        out = []
-        for si, xi, fi in zip(s_pts, x_pts, f0):
-            lo = _atom_series_terms(kernel, mu, si, xi, t, y, n_nodes=32)
-            hi = _atom_series_terms(kernel, mu, si, xi, t, y, n_nodes=48)
-            err = float(np.max(np.abs(hi - lo[:len(hi)]))) if fi > 0 else 0.0
-            terms = tuple(float(r) * float(fi) for r in hi)
-            out.append(SeriesResult(float(np.sum(terms)), terms,
-                                    len(terms) - 1, 0.0, err, "converged",
-                                    float(fi)))
-        return out
-
     if s_min is None:
         s_min = float(np.min(s_pts))
     if x_range is None:
@@ -623,62 +557,52 @@ class MultiAtomOperator:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DiracPerturbedKernel:
+class _AtomPerturbedKernel:
+    """A base kernel times a factor set by where the pair (s, t) lies
+    relative to the atom at u0; subclasses give the factor and ck."""
+
+    base: object
+    u0: float
+    eta: float
+    kind = "peak"
+
+    @property
+    def dim(self):
+        return self.base.dim
+
+    def __call__(self, s, x, t, y):
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
+        return self._factor(s, t) * self.base(s, x, t, y)
+
+    def peak_scale(self, dt):
+        return self.base.peak_scale(dt)
+
+    def spatial_window(self, *a):
+        return self.base.spatial_window(*a)
+
+
+class DiracPerturbedKernel(_AtomPerturbedKernel):
     """Series oracle for a single atom: (1 + eta) p when the pair straddles
     the atom, p otherwise.  Not a semigroup: composing through the atom
     time itself loses the (1 + eta) factor."""
 
-    base: object
-    u0: float
-    eta: float
     ck = False
-    kind = "peak"
 
-    @property
-    def dim(self):
-        return self.base.dim
-
-    def __call__(self, s, x, t, y):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        factor = np.where((s < self.u0) & (self.u0 < t), 1.0 + self.eta, 1.0)
-        return factor * self.base(s, x, t, y)
-
-    def peak_scale(self, dt):
-        return self.base.peak_scale(dt)
-
-    def spatial_window(self, *a):
-        return self.base.spatial_window(*a)
+    def _factor(self, s, t):
+        return np.where((s < self.u0) & (self.u0 < t), 1.0 + self.eta, 1.0)
 
 
-@dataclass(frozen=True)
-class AltAtomPerturbedKernel:
+class AltAtomPerturbedKernel(_AtomPerturbedKernel):
     """Closed form of the alternative single-atom series:
     (1 - eta)**(-1) p for s <= u0 < t, else p.  This one does satisfy the
     composition identity (the <= / < asymmetry makes the factors match)."""
 
-    base: object
-    u0: float
-    eta: float
     ck = True
-    kind = "peak"
 
-    @property
-    def dim(self):
-        return self.base.dim
-
-    def __call__(self, s, x, t, y):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        factor = np.where((s <= self.u0) & (self.u0 < t),
-                          1.0 / (1.0 - self.eta), 1.0)
-        return factor * self.base(s, x, t, y)
-
-    def peak_scale(self, dt):
-        return self.base.peak_scale(dt)
-
-    def spatial_window(self, *a):
-        return self.base.spatial_window(*a)
+    def _factor(self, s, t):
+        return np.where((s <= self.u0) & (self.u0 < t),
+                        1.0 / (1.0 - self.eta), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -709,27 +633,17 @@ class _SliceProblem:
 
     def _engine_series(self, pts):
         """Series at the points from the problem's one engine pair, built
-        on first use for measures with a density part; zero and pure-atom
-        measures go through series_batch."""
-        s_min, x_range = self.engine_window
-        if self.mu.density is None:
-            res = series_batch(self.kernel, self.mu, pts[:, 0], pts[:, 1],
-                               self.t, self.y, quad_tol=self.quad_tol,
-                               max_terms=self.max_terms, s_min=s_min,
-                               x_range=x_range)
-        else:
-            if self._engines is None:
-                self._engines = _engine_pair(self.kernel, self.mu, self.t,
-                                             self.y, s_min, x_range,
-                                             self.quad_tol, self.max_terms)
-            res = _sum_rows(self._engines, pts[:, 0], pts[:, 1],
-                            self.control(pts), self.quad_tol, self.max_terms)
+        on first use."""
+        if self._engines is None:
+            s_min, x_range = self.engine_window
+            self._engines = _engine_pair(self.kernel, self.mu, self.t, self.y,
+                                         s_min, x_range, self.quad_tol,
+                                         self.max_terms)
+        res = _sum_rows(self._engines, pts[:, 0], pts[:, 1],
+                        self.control(pts), self.quad_tol, self.max_terms)
         vals = np.array([r.value for r in res])
-        status = "converged"
-        if any(r.status == "diverging" for r in res):
-            status = "diverging"
-        elif any(r.status == "truncated" for r in res):
-            status = "truncated"
+        status = "truncated" if any(r.status == "truncated" for r in res) \
+            else "converged"
         rep = bnd.TruncationReport(max(r.truncation_index for r in res),
                                    status,
                                    max(r.tail_estimate for r in res),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -34,7 +35,6 @@ def test_series_atomless_ratio(tmp_path):
                    "--out", str(tmp_path))
     assert code == 0
     rows = (tmp_path / "series.csv").read_text().strip().splitlines()
-    import math
     for row in rows[1:]:
         assert abs(float(row.split(",")[4]) - math.exp(0.25)) < 1e-3
 
@@ -51,9 +51,10 @@ GOLDEN = {
     "certify_kappa": ("certify", 0, "certificates.json",
                       "5c2e9129a598698e248bff48b561f98d"
                       "ed874472fb2adc899e71fb36583ef97a"),
+    # re-recorded when pure-atom measures moved onto the series engine
     "certify_atom_violation": ("certify", 4, "certificates.json",
-                               "6faeca469aa9e31425fedb70ddc72cba"
-                               "9c16e3b893895a9f37bc9f23112c935b"),
+                               "0c400791063b3a6a3e2b65e29d0f145d"
+                               "fd19799b1a17b8a231169a766ce9a2b2"),
     # recorded before kato_inner_integral evaluated its time nodes in one
     # broadcast and Gauss-Legendre base rules were cached
     "kato_gauss_atom": ("kato", 0, "kato.csv",
@@ -62,11 +63,10 @@ GOLDEN = {
     "kato_cauchy_d2": ("kato", 0, "kato.csv",
                        "ed8271dfbb8d784727822e09d0727dc9"
                        "30fe569118eec065e115a66cbfe9eae8"),
-    # recorded before the five tan-substituted peak rules became
-    # quadrature.peak_rule; nothing else pins the atom chain sums
+    # re-recorded when pure-atom measures moved onto the series engine
     "series_atoms": ("series", 0, "series.csv",
-                     "f0e80410c889d7bd8e4e58559fe0056d"
-                     "d7b65fe776e2766c46b198dc52ae8ee7"),
+                     "7366b562372f386f47916e0725527395"
+                     "a0ced9ef8c24e6d4161312f29adbdd99"),
 }
 
 
@@ -76,6 +76,19 @@ def test_fixture_outputs_golden(fixture, tmp_path):
     assert run_cli(command, "--config", str(FIXTURES / f"{fixture}.json"),
                    "--out", str(tmp_path)) == code
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_series_five_atoms_closed_form(tmp_path):
+    # five atoms: a sum over every increasing chain took minutes
+    cfg = FIXTURES / "series_atoms5.json"
+    atoms = json.loads(cfg.read_text())["measure"]["atoms"]
+    assert run_cli("series", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "series.csv").read_text().strip().splitlines()
+    for row in rows[1:]:
+        s, _, _, _, ratio, _, status = row.split(",")
+        want = math.prod(1.0 + a["eta"] for a in atoms if a["u"] > float(s))
+        assert float(ratio) == pytest.approx(want, rel=1e-6)
+        assert status == "converged"
 
 
 def test_malformed_config_exit_2(tmp_path):
@@ -230,11 +243,11 @@ def test_oracle_check(tmp_path):
     assert rows[0] == "case,measured,expected,rel_error"
     for row in rows[1:]:
         assert float(row.split(",")[-1]) < 1e-3
-    # pins the single-atom chain sum and MultiAtomOperator (three atoms);
-    # recorded before the tan peak rules were merged into one
+    # pins the single-atom series and MultiAtomOperator (three atoms);
+    # re-recorded when pure-atom measures moved onto the series engine
     assert hashlib.sha256((tmp_path / "oracles.csv").read_bytes()).hexdigest() \
-        == ("69212a0a89e6a74ee12746e66e80e816"
-            "2da5b31a53b425999a6f737361815932")
+        == ("6e3889e986862bbaee89cd9f68b2e6d6"
+            "ed178ccaaac2e295c53d830d043c0f77")
 
 
 def test_kato_command(tmp_path):

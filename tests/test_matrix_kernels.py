@@ -232,6 +232,28 @@ def test_neumann_diverging():
     assert np.max(np.abs(np.linalg.eigvals(K.entries))) >= 1.0
 
 
+def test_neumann_growing_terms_with_radius_below_one_converge():
+    # the terms grow for ~40 steps (a Jordan block), yet rho = 0.95: ten
+    # growing terms once read as divergence
+    K = MatrixKernel(np.array([[0.95, 1.0, 0.0],
+                               [0.0, 0.95, 1.0],
+                               [0.0, 0.0, 0.95]]))
+    res = neumann_series(K, np.ones(3))
+    assert res.status == "converged"
+    np.testing.assert_allclose(res.value, [8420.0, 420.0, 20.0], rtol=1e-9)
+
+
+def test_neumann_radius_only_counts_states_reaching_f():
+    # state 0 has rho = 2 but no path into the support of f
+    K = MatrixKernel(np.array([[2.0, 0.0, 0.0],
+                               [0.0, 0.95, 1.0],
+                               [0.0, 0.0, 0.95]]))
+    res = neumann_series(K, np.array([0.0, 0.0, 1.0]))
+    assert res.status == "converged"
+    np.testing.assert_allclose(res.value, [0.0, 400.0, 20.0], rtol=1e-9)
+    assert neumann_series(K, np.ones(3)).status == "diverging"
+
+
 def test_series_solve_cross_check():
     rng = np.random.default_rng(8)
     for _ in range(25):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy.integrate import quad
 
 from kpert import perturbation as pt
 from kpert import spacetime as st
@@ -144,6 +145,56 @@ def test_series_measure_monotonicity():
         assert lo.value <= hi.value * (1 + 1e-6)
 
 
+def test_series_growing_terms_are_truncated_not_diverging():
+    # terms 30^n / n! grow until n = 30: fourteen of them prove nothing
+    mu = PerturbingMeasure(ConstDensity(30.0))
+    r = pt.series(G, mu, 0.0, 0.0, 1.0, 0.0)
+    assert r.status == "truncated"
+    assert r.truncation_index == 14
+    assert all(b > a for a, b in zip(r.terms, r.terms[1:]))
+
+
+def test_series_kappa_single_atom_matches_quad():
+    # the cone kernel lives on z > x; the atom's bridge rule must keep to it
+    u, eta, t, y = 0.5, 0.4, 1.0, 1.0
+    mu = PerturbingMeasure(atoms=(Atom(u, eta),))
+    pts = [(0.0, 0.1), (0.1, 0.3), (0.2, 0.5)]
+    res = pt.series_batch(st.KAPPA, mu, [p[0] for p in pts],
+                          [p[1] for p in pts], t, y)
+    for (s, x), r in zip(pts, res):
+        bridge, _ = quad(lambda z: float(st.KAPPA(s, x, u, z) *
+                                         st.KAPPA(u, z, t, y)),
+                         x, y, limit=200)
+        want = 1.0 + eta * bridge / float(st.KAPPA(s, x, t, y))
+        assert r.status == "converged"
+        assert r.ratio == pytest.approx(want, rel=1e-6)
+
+
+ATOM_POINTS = ([0.0, 0.1, 0.0, 0.1, 0.6, 0.6], [-1.5, 0.0, 0.8, 1.5, 0.3, 1.5])
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("kernel, rel", [(G, 1e-6), (st.cauchy_kernel(1), 1e-3)],
+                         ids=["gaussian", "cauchy"])
+def test_series_atoms_match_product_closed_form(kernel, rel, L):
+    # composition identity: every chain of atoms in (s, t) adds one
+    # product of weights, so the series is prod(1 + eta_i) p
+    times, etas = (0.25, 0.5, 0.75)[3 - L:], (0.5, 0.3, 0.7)[3 - L:]
+    mu = PerturbingMeasure(atoms=tuple(map(Atom, times, etas)))
+    res = pt.series_batch(kernel, mu, *ATOM_POINTS, 1.0, 0.0)
+    for s, r in zip(ATOM_POINTS[0], res):
+        want = math.prod(1.0 + e for u, e in zip(times, etas) if u > s)
+        err = abs(r.ratio - want) / want
+        assert r.status == "converged"
+        assert err <= r.quad_error_estimate
+        # From s = 0.6 one atom is left 0.15 ahead: the bridge rule,
+        # centred on the narrower factor, misses the far peak of the
+        # Cauchy product at |x - y| = 1.5 (off by 1.9e-2, inside the
+        # error bar above).
+        if s < 0.5:
+            assert err <= rel
+
+
 def test_series_term_positivity_and_causality_grid():
     mu = PerturbingMeasure(ConstDensity(0.5), (Atom(0.6, 0.2),))
     res = pt.series_batch(G, mu, [0.0, 0.3, 1.2], [0.0, -0.5, 0.3], 1.0, 0.0,
@@ -155,8 +206,9 @@ def test_series_term_positivity_and_causality_grid():
 
 # -- grid rows ----------------------------------------------------------------
 
-def _scalar_bridge(eng, u0, z0, v):
-    """Bridge rule for one source node, as the engine once built it."""
+def _scalar_bridge(eng, u0, z0, v, n_half):
+    """Bridge rule for one source node, as the engine once built it, with
+    n_half tan nodes per half-axis."""
     if eng.kind == "cone":
         if not eng.y > z0:
             n = len(eng._gl_half[0]) * 2
@@ -172,7 +224,7 @@ def _scalar_bridge(eng, u0, z0, v):
         wp = np.concatenate([wl, wr])
         return (np.broadcast_to(zp, (len(v), len(zp))).copy(),
                 np.broadcast_to(wp, (len(v), len(wp))).copy())
-    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, max(eng.nodes_z // 2, 4))
+    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n_half)
     theta = np.concatenate([-th[::-1], th])
     theta_w = np.concatenate([w[::-1], w])
     s1 = np.asarray(eng.kernel.peak_scale(v - u0), dtype=float)
@@ -195,7 +247,7 @@ def _scalar_point_value(eng, u0, z0, splines):
         if hi <= u0:
             continue
         v, dv = eng._time_nodes(max(lo, u0), hi, u0)
-        zp, wp = _scalar_bridge(eng, u0, z0, v)
+        zp, wp = _scalar_bridge(eng, u0, z0, v, eng.nodes_z // 2)
         vv = np.broadcast_to(v[:, None], zp.shape)
         p1 = eng.kernel(u0, z0, vv, zp)
         p2 = eng.kernel(vv, zp, eng.t, eng.y)
@@ -205,7 +257,7 @@ def _scalar_point_value(eng, u0, z0, splines):
     for atom in eng.mu.active_atoms():
         if u0 < atom.time < eng.t:
             v = np.array([atom.time])
-            zp, wp = _scalar_bridge(eng, u0, z0, v)
+            zp, wp = _scalar_bridge(eng, u0, z0, v, eng.nodes_atom // 2)
             vv = np.broadcast_to(v[:, None], zp.shape)
             p1 = eng.kernel(u0, z0, vv, zp)
             p2 = eng.kernel(vv, zp, eng.t, eng.y)
