@@ -274,6 +274,21 @@ def estimate_constants(problem, rng=None, n_samples: int = 64,
                           exact=problem.exact)
 
 
+def quad_rel_tol(err: float) -> float:
+    """Relative certificate tolerance for a number carrying quadrature
+    error ``err``: QUAD_TOL_FACTOR times that error, at least
+    EXACT_REL_TOL."""
+    return max(EXACT_REL_TOL, QUAD_TOL_FACTOR * err)
+
+
+def verdict(status: str, ratio: float, bound: float, tol: float) -> str:
+    """INCONCLUSIVE when the series did not converge (never INVALID);
+    otherwise VALID when ratio <= bound (1 + tol), else INVALID."""
+    if status != "converged":
+        return "INCONCLUSIVE"
+    return "VALID" if ratio <= bound * (1.0 + tol) else "INVALID"
+
+
 def certify(problem, constants: SliceConstants, rng=None,
             n_samples: int = 64, beta_override: float | None = None,
             eta_override: float | None = None):
@@ -297,18 +312,11 @@ def certify(problem, constants: SliceConstants, rng=None,
         series, rep = problem.series(pts)
         ratio = _sup_ratio(series, f)
         tol = EXACT_REL_TOL if problem.exact else \
-            max(EXACT_REL_TOL,
-                QUAD_TOL_FACTOR * max(problem.quad_error, rep.quad_error))
-        if rep.status != "converged":
-            status = "INCONCLUSIVE"
-        elif ratio <= bound * (1.0 + tol):
-            status = "VALID"
-        else:
-            status = "INVALID"
+            quad_rel_tol(max(problem.quad_error, rep.quad_error))
         certs.append(BoundCertificate(
             slice_index=j, eta=eta, beta=beta, theorem_bound=bound,
-            measured_ratio=ratio, status=status, sample_count=len(pts),
-            truncation=rep,
+            measured_ratio=ratio, status=verdict(rep.status, ratio, bound, tol),
+            sample_count=len(pts), truncation=rep,
             note="" if problem.exact else
             "sampled sup; an undersampled eta can hide violations"))
     return certs

@@ -94,6 +94,11 @@ def load_config(path, seed=None) -> RunConfig:
             cfg.sample_s, cfg.sample_x = S.ravel(), X.ravel()
         if len(cfg.sample_s) != len(cfg.sample_x):
             raise ConfigError("sample arrays s and x differ in length")
+        if not (math.isfinite(cfg.target_t) and math.isfinite(cfg.target_y)):
+            raise ConfigError("target t and y must be finite")
+        if not (np.all(np.isfinite(cfg.sample_s))
+                and np.all(np.isfinite(cfg.sample_x))):
+            raise ConfigError("samples s and x must be finite")
         cfg.slicing = doc.get("slicing", {})
         cfg.discrete = doc.get("discrete", {})
         qdoc = doc.get("quad", {})

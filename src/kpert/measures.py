@@ -24,8 +24,11 @@ class Atom:
     weight: float
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise ValueError("atom weights must be positive")
+        if not math.isfinite(self.time):
+            raise ValueError(f"atom time must be finite, got {self.time!r}")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError(f"atom weights must be positive and finite, "
+                             f"got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,10 @@ class PowerLawSpaceDensity:
     def __post_init__(self):
         if not math.isfinite(self.eps):
             raise ValueError(f"density eps must be finite, got {self.eps!r}")
+        if not self.eps > 1 - self.dim:
+            raise ValueError(f"density eps must exceed 1 - d = {1 - self.dim}, "
+                             f"where |z|**(eps-1) is locally integrable, "
+                             f"got {self.eps!r}")
 
     def __call__(self, u, z):
         z = np.asarray(z, dtype=float)
@@ -175,6 +182,9 @@ def measure_from_config(doc: dict) -> PerturbingMeasure:
                   for a in doc.get("atoms", []))
     support = FULL_LINE
     if "support" in doc:
-        lo, hi = doc["support"]
-        support = Interval(float(lo), float(hi))
+        lo, hi = (float(v) for v in doc["support"])
+        if not lo < hi:
+            raise ValueError(f"support [lo, hi] needs lo < hi, got "
+                             f"{doc['support']!r}")
+        support = Interval(lo, hi)
     return PerturbingMeasure(density, atoms, support)

@@ -12,7 +12,8 @@ density.
 Numerics: everything runs in ratio form r_n = p_n / p, which strips the
 moving singularity of p out of interpolation.  Ratios live on a
 per-panel grid (panels split at atom times and support endpoints, where
-ratios jump); each level is one pass of nested fixed rules, with the
+ratios jump; a panel ending at an atom holds the left limit there, the
+atom still ahead); each level is one pass of nested fixed rules, with the
 spatial rule recentered and rescaled on the narrower kernel factor (tan
 substitution, exact for a Cauchy peak) so end-of-interval bridges stay
 resolved; an atom term, one spatial integral, gets a finer rule.  A
@@ -35,6 +36,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.stats import qmc
 
 from kpert import bounds as bnd
+from kpert import matrix_kernels as mk
 from kpert import spacetime as st
 from kpert.errors import DomainError, PreconditionError
 from kpert.measures import (CornerPowerDensity, Interval, PerturbingMeasure,
@@ -126,7 +128,7 @@ class SeriesEngine:
         if not z_hi > z_lo:
             z_hi = z_lo + 1.0
         self.z_nodes = np.linspace(z_lo, z_hi, self.grid_z)
-        self._panel_rows = None    # per panel: time nodes, p at the nodes
+        self._panel_rows = None    # per panel: time nodes, row times, p there
         self._splines = None       # per level: list over panels
         self._grid_sups = None
 
@@ -243,14 +245,20 @@ class SeriesEngine:
         sup = 0.0
         if self._panel_rows is None:     # p at the nodes: the same each level
             self._panel_rows = []
+            atom_times = {a.time for a in self.mu.active_atoms()}
             for lo, hi in self.panels:
                 u_nodes = np.linspace(lo, hi, self.grid_t)
-                self._panel_rows.append((u_nodes, [
+                # a panel ending at an atom holds the left limit there, the
+                # atom still ahead (a cone kernel's limit is infinite)
+                u_rows = u_nodes.copy()
+                if hi in atom_times and self.kind != "cone":
+                    u_rows[-1] = np.nextafter(hi, -np.inf)
+                self._panel_rows.append((u_nodes, u_rows, [
                     self._controls(np.full(self.grid_z, ui), self.z_nodes)
-                    for ui in u_nodes]))
-        for u_nodes, f0 in self._panel_rows:
+                    for ui in u_rows]))
+        for u_nodes, u_rows, f0 in self._panel_rows:
             vals = np.empty((self.grid_t, self.grid_z))
-            for i, ui in enumerate(u_nodes):
+            for i, ui in enumerate(u_rows):
                 vals[i] = self._row_values(ui, self.z_nodes, f0[i], splines)
             sup = max(sup, float(np.max(vals)))
             kx = min(3, self.grid_t - 1)
@@ -274,19 +282,21 @@ class SeriesEngine:
             self._grid_sups = [1.0]
         live = np.flatnonzero(alive)
         f0_live = self._controls(s_pts[live], x_pts[live])
-        level = 0
-        while level < self.max_terms:
-            level += 1
-            if level >= len(self._splines):
-                spl, sup = self._grid_level(self._splines[-1])
-                self._splines.append(spl)
-                self._grid_sups.append(sup)
+        for level in range(1, self.max_terms + 1):
             prev = self._splines[level - 1]
             row = np.zeros(len(s_pts))
             for k, i in enumerate(live):
                 row[i] = self._row_values(s_pts[i], x_pts[i:i + 1],
                                           f0_live[k:k + 1], prev)[0]
             rows.append(row)
+            if level == self.max_terms:
+                break
+            # level n on the grid is read by row n + 1 only; its sup says
+            # whether any later row can matter
+            if level >= len(self._splines):
+                spl, sup = self._grid_level(self._splines[-1])
+                self._splines.append(spl)
+                self._grid_sups.append(sup)
             partial = np.sum(rows, axis=0)
             tail_small = np.all(row <= self.quad_tol * np.maximum(partial, 1e-300))
             grid_dead = self._grid_sups[level] <= self.quad_tol * 1e-3
@@ -453,7 +463,11 @@ class MultiAtomOperator:
     where they are flat in space (the exact recursion only counts
     nondecreasing atom chains), so linear interpolation between grid
     nodes is essentially exact and all quadrature error sits in the
-    tan-substituted bridge rules.
+    tan-substituted bridge rules.  On the stacked grids K is one matrix,
+    assembled once: identity blocks on the diagonal (the rho({s}) term)
+    and, above it, bridge transfers from each atom to every later one.
+    A readout row takes grid values of g / f to (K g)(s, x) / f(s, x);
+    iterates and the series are summed by ``matrix_kernels``.
     """
 
     def __init__(self, kernel, atom_times, t, y, x_lo=-4.0, x_hi=4.0,
@@ -468,88 +482,80 @@ class MultiAtomOperator:
         pad = 2.0 * float(kernel.peak_scale(t - min(self.times))) + 0.5
         self.z_grid = np.linspace(min(x_lo, y) - pad, max(x_hi, y) + pad,
                                   grid_size)
-
-    def _propagate(self, ratios):
-        """One application of K in ratio space on the atom grids."""
-        new = []
+        G = grid_size
+        K = np.eye(len(self.times) * G)      # the rho({u_i}) blocks
         for i, u in enumerate(self.times):
-            vals = ratios[i].copy()     # rho({u_i}) g term
             for j in range(i + 1, len(self.times)):
-                vals = vals + self._transfer(u, self.z_grid, j, ratios[j])
-            new.append(vals)
-        return new
+                K[i * G:(i + 1) * G, j * G:(j + 1) * G] = \
+                    self._transfer(u, self.z_grid, j)
+        self.K = mk.MatrixKernel(K)
 
-    def _transfer(self, u, z_arr, j, ratio_j):
-        """Bridge integral from (u, z) through atom j in ratio space."""
+    def _hat(self, z):
+        """Linear interpolation on an atom grid (clamped at its ends, like
+        np.interp) as weights: shape z.shape + (grid,)."""
+        g = self.z_grid
+        zc = np.clip(z, g[0], g[-1])[..., None]
+        return np.maximum(0.0, 1.0 - np.abs(zc - g) / (g[1] - g[0]))
+
+    def _transfer(self, u, z_arr, j):
+        """Rows taking atom j's grid ratios to the bridge integral from
+        (u, z) through atom j, in ratio space; the tan rule is centered on
+        the narrower kernel factor."""
         v = self.times[j]
-        # the tan rule is centered on the narrower kernel factor
         s1 = float(self.kernel.peak_scale(v - u))
         s2 = float(self.kernel.peak_scale(self.t - v))
-        out = np.empty(len(z_arr))
-        for a, z in enumerate(z_arr):
-            f0 = float(self.kernel(u, z, self.t, self.y))
-            if f0 <= 0:
-                out[a] = 0.0
-                continue
-            center, scale = (z, s1) if s1 <= s2 else (self.y, s2)
-            zp, wp = peak_rule(center, scale, self.n_nodes // 2)
-            p1 = self.kernel(u, z, v, zp)
-            p2 = self.kernel(v, zp, self.t, self.y)
-            rj = np.interp(zp, self.z_grid, ratio_j)
-            out[a] = float(np.sum(p1 * p2 * rj * wp)) / f0
-        return out
+        z = np.asarray(z_arr, dtype=float)[:, None]
+        center, scale = (z, s1) if s1 <= s2 else (self.y, s2)
+        zp, wp = peak_rule(center, scale, self.n_nodes // 2)
+        zp = np.broadcast_to(zp, (len(z), zp.shape[-1]))
+        f0 = np.asarray(self.kernel(u, z, self.t, self.y), dtype=float)
+        c = self.kernel(u, z, v, zp) * self.kernel(v, zp, self.t, self.y) * wp
+        c = np.divide(c, f0, out=np.zeros_like(c), where=f0 > 0)
+        return np.einsum("ak,akg->ag", c, self._hat(zp))
+
+    def _readout(self, s, x):
+        """Row taking the stacked grid ratios of g to (K g)(s, x) / f(s, x):
+        the rho({s}) hat row at an atom time, bridges to later atoms."""
+        G = len(self.z_grid)
+        row = np.zeros(self.K.n)
+        for j, u in enumerate(self.times):
+            if u == s:
+                row[j * G:(j + 1) * G] = self._hat(float(x))
+            elif u > s:
+                row[j * G:(j + 1) * G] = self._transfer(s, [x], j)[0]
+        return row
 
     def iterate_ratio_at(self, n: int, s, x) -> float:
-        """(K^n f)(s, x) / f(s, x) for s below the first atom branch."""
+        """(K^n f)(s, x) / f(s, x)."""
         if n == 0:
             return 1.0
-        ratios = [np.ones_like(self.z_grid) for _ in self.times]
+        g = np.ones(self.K.n)
         for _ in range(n - 1):
-            ratios = self._propagate(ratios)
-        if s in self.times:
-            raise ValueError("evaluation exactly at an atom time needs the "
-                             "rho({s}) branch; offset s slightly")
-        total = 0.0
-        for j, u in enumerate(self.times):
-            if u > s:
-                total += float(self._transfer(s, np.array([x]), j, ratios[j])[0])
-        return total
+            g = mk.apply(self.K, g)
+        return float(self._readout(s, x) @ g)
 
     def iterate_at(self, n: int, s, x) -> float:
-        """(K^n f)(s, x) for s not an atom time."""
+        """(K^n f)(s, x)."""
         return self.iterate_ratio_at(n, s, x) * \
             float(self.kernel(s, x, self.t, self.y))
 
     def series_at(self, eta: float, s, x, tol: float = 1e-9,
                   max_terms: int = 200) -> SeriesResult:
-        """sum_n (eta K)^n f(s, x) with geometric tail control."""
+        """sum_n (eta K)^n f(s, x) = f (1 + eta R sum_m (eta K)^m 1), R the
+        readout row; terms are f and the summed perturbation."""
         if not 0.0 < eta < 1.0:
             raise DomainError(f"eta={eta} outside (0, 1): the series explodes")
         f = float(self.kernel(s, x, self.t, self.y))
         if f <= 0:
             return SeriesResult(0.0, (0.0,), 0, 0.0, 0.0, "converged", 0.0)
-        terms = [f]
-        ratios = [np.ones_like(self.z_grid) for _ in self.times]
-        total = f
-        factor = eta
-        status = "truncated"
-        n = 0
-        for n in range(1, max_terms + 1):
-            val = 0.0
-            for j, u in enumerate(self.times):
-                if u > s:
-                    val += float(self._transfer(s, np.array([x]), j,
-                                                ratios[j])[0])
-            term = factor * val * f
-            terms.append(term)
-            total += term
-            if term <= tol * max(total, 1e-300):
-                status = "converged"
-                break
-            ratios = self._propagate(ratios)
-            factor *= eta
-        tail = terms[-1] * eta / (1 - eta) if len(terms) > 1 else 0.0
-        return SeriesResult(total, tuple(terms), n, tail, 0.0, status, f)
+        row = self._readout(s, x)
+        res = mk.neumann_series(mk.MatrixKernel(eta * self.K.entries),
+                                np.ones(self.K.n), max_terms=max_terms,
+                                tail_tol=tol)
+        pert = eta * float(row @ res.value) * f
+        tail = eta * float(np.sum(row)) * res.tail_estimate * f
+        return SeriesResult(f + pert, (f, pert), res.n_terms, tail, 0.0,
+                            res.status, f)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +822,7 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
                 sample_count=2 * n_samples,
                 note="slice smallness constant is not below one"))
         return certs
-    tol = max(bnd.EXACT_REL_TOL, bnd.QUAD_TOL_FACTOR * quad_tol)
+    tol = bnd.quad_rel_tol(quad_tol)
     ok_slices = [j for j in range(1, problem.k + 1)
                  if sups[j - 1] <= eta * (1.0 + tol)]
     consts = bnd.SliceConstants(tuple(min(s, eta) for s in sups),
@@ -853,7 +859,7 @@ def corollary47_bound(kernel, mu, r, t, y, intervals, c, beta,
     problem = TimeSliceProblem(kernel, mu, r, t, y, intervals,
                                quad_tol=quad_tol, seed=seed)
     rng = np.random.default_rng(seed)
-    tol = max(bnd.EXACT_REL_TOL, bnd.QUAD_TOL_FACTOR * quad_tol)
+    tol = bnd.quad_rel_tol(quad_tol)
     top = problem.top_points(rng, n_samples)
     p1 = sum(problem.slice_apply(j, top) for j in range(1, problem.k + 1))
     ratio1 = bnd._sup_ratio(p1, problem.control(top))
@@ -897,7 +903,7 @@ def localization_check(kernel, mu, I: Interval, eta, t, y,
         raise PreconditionError("kernel does not satisfy the composition "
                                 "identity; the localization lemma does not apply")
     mu_I = restrict_measure(mu, I)
-    tol = max(bnd.EXACT_REL_TOL, bnd.QUAD_TOL_FACTOR * quad_tol)
+    tol = bnd.quad_rel_tol(quad_tol)
     eng = qmc.Halton(d=2, scramble=True, seed=seed)
     pts = eng.random(2 * n_samples)
     hi = min(I.hi, t)
@@ -937,17 +943,12 @@ def kato_certify(kernel, mu, h, eta, t, y, sample_pts,
     for i, rr in enumerate(res):
         s = pts[i, 0]
         bound = (1.0 - eta) ** -(1.0 + (t - s) / h)
-        tol = max(bnd.EXACT_REL_TOL,
-                  bnd.QUAD_TOL_FACTOR * max(rr.quad_error_estimate, quad_tol))
-        if rr.status != "converged":
-            status = "INCONCLUSIVE"
-        elif rr.ratio <= bound * (1.0 + tol):
-            status = "VALID"
-        else:
-            status = "INVALID"
+        tol = bnd.quad_rel_tol(max(rr.quad_error_estimate, quad_tol))
         certs.append(bnd.BoundCertificate(
             slice_index=i + 1, eta=eta, beta=eta, theorem_bound=bound,
-            measured_ratio=rr.ratio, status=status, sample_count=1,
+            measured_ratio=rr.ratio,
+            status=bnd.verdict(rr.status, rr.ratio, bound, tol),
+            sample_count=1,
             truncation=bnd.TruncationReport(rr.truncation_index, rr.status,
                                             rr.tail_estimate,
                                             rr.quad_error_estimate),

@@ -22,6 +22,7 @@ from scipy.special import beta as euler_beta
 from scipy.special import gamma as gamma_fn
 from scipy.stats import qmc
 
+from kpert import matrix_kernels as mk
 from kpert.errors import PreconditionError
 from kpert.quadrature import (QuadratureSpec, gauss_legendre_rule,
                               integrate_1d, integrate_nd, peak_rule)
@@ -442,14 +443,13 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
                           q=None, perturbed: bool = False,
                           rel_tol: float = 1e-7,
                           nystrom_nodes: int = 24,
-                          correction_sweeps: int = 6,
                           segment_nodes: int = 64):
     """Residual |integral + phi(s, x)| of the left-inverse identity.
 
     Unperturbed: the cone kernel integrated against
     (D_u^{1/2} + D_z^{1/2}) phi over (s, inf) x (x, inf) returns
-    -phi(s, x).  Perturbed: the series kernel (built by fixed-point
-    iteration on a clustered product grid) against
+    -phi(s, x).  Perturbed: the series kernel (a Neumann series on a
+    clustered product grid) against
     (D_u^{1/2} + D_z^{1/2} + q) phi.
 
     The kernel is constant on level lines u + z = const, so the singular
@@ -502,7 +502,7 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
 
     if perturbed:
         correction = _kappa_series_correction(s, x, u_hi, z_hi, q,
-                                              nystrom_nodes, correction_sweeps)
+                                              nystrom_nodes)
         cxi, cw = gauss_legendre_rule(0.0, 1.0, 32)
         cu = s + (u_hi - s) * cxi ** 2
         cwu = cw * 2.0 * cxi * (u_hi - s)
@@ -520,11 +520,14 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
     return abs(value), err
 
 
-def _kappa_series_correction(s, x, u_hi, z_hi, q, n_nodes, sweeps):
-    """Fixed-point correction D with kappa~(s,x,.) = kappa(s,x,.) + D.
+def _kappa_series_correction(s, x, u_hi, z_hi, q, n_nodes):
+    """Series correction D with kappa~(s,x,.) = kappa(s,x,.) + D.
 
     D(u, z) = int kappa~(s,x,a,b) q(a,b) kappa(a,b,u,z) db da on a product
     grid clustered toward the cone tip (nodes a = s + (u_hi - s) w**2).
+    On the grid kappa~ = kappa + M kappa~, with M the node-to-node
+    propagator weighted by q and the rule: assembled once, summed as a
+    Neumann series.
     """
     xi, wt = gauss_legendre_rule(0.0, 1.0, n_nodes)
     a = s + (u_hi - s) * xi ** 2
@@ -532,19 +535,14 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q, n_nodes, sweeps):
     b = x + (z_hi - x) * xi ** 2
     wb = wt * 2.0 * xi * (z_hi - x)
     A, B = np.meshgrid(a, b, indexing="ij")
-    W = np.outer(wa, wb)
-    Q = q(A, B)
-    base = kappa(s, x, A, B)
-    ktilde = base.copy()
-    for _ in range(sweeps):
-        # kappa(node -> node'), contracted against the weighted density
-        prop = kappa(A.ravel()[:, None], B.ravel()[:, None],
-                     A.ravel()[None, :], B.ravel()[None, :])
-        src = (ktilde * Q * W).ravel()
-        ktilde = base + (src @ prop).reshape(base.shape)
-
-    src = (ktilde * Q * W).ravel()
     Ar, Br = A.ravel(), B.ravel()
+    d = (q(A, B) * np.outer(wa, wb)).ravel()
+    prop = kappa(Ar[:, None], Br[:, None], Ar[None, :], Br[None, :])
+    res = mk.neumann_series(mk.MatrixKernel(prop.T * d), kappa(s, x, Ar, Br))
+    if res.status != "converged":
+        raise PreconditionError(f"the series correction is {res.status} "
+                                f"after {res.n_terms} terms")
+    src = res.value * d
 
     def correction(u, z):
         u = np.asarray(u, dtype=float)

@@ -142,6 +142,28 @@ BAD_INPUTS = {
                           "measure": {"density": {"kind": "const",
                                                   "lambda": 0.5}}},
                          "unknown kernel 'stable-potential:1.0'"),
+    # a NaN atom time was dropped (ratio 1.0, exit 0), an infinite weight
+    # gave ratio inf and a NaN support end dropped the density, each marked
+    # converged; eps = -3 gave ratio -1.1e31; a non-finite target or sample
+    # ended in a fitpack traceback
+    "nan-atom-time": ({"measure": {"atoms": [{"u": float("nan"),
+                                              "eta": 0.5}]}},
+                      "atom time must be finite"),
+    "inf-atom-weight": ({"measure": {"atoms": [{"u": 0.5,
+                                                "eta": float("inf")}]}},
+                        "atom weights must be positive and finite"),
+    "nan-support": ({"measure": {"density": {"kind": "const", "lambda": 0.5},
+                                 "support": [float("nan"), 2.0]}},
+                    "support [lo, hi] needs lo < hi"),
+    "power-eps-not-integrable": ({"measure": {"density": {"kind": "power",
+                                                          "eps": -3.0}}},
+                                 "density eps must exceed 1 - d = 0"),
+    "nan-target-time": ({"target": {"t": float("nan"), "y": 0.0}},
+                        "target t and y must be finite"),
+    "inf-target-point": ({"target": {"t": 1.0, "y": float("inf")}},
+                         "target t and y must be finite"),
+    "nan-sample": ({"samples": {"s": [float("nan")], "x": [0.3]}},
+                   "samples s and x must be finite"),
 }
 
 
@@ -244,10 +266,11 @@ def test_oracle_check(tmp_path):
     for row in rows[1:]:
         assert float(row.split(",")[-1]) < 1e-3
     # pins the single-atom series and MultiAtomOperator (three atoms);
-    # re-recorded when pure-atom measures moved onto the series engine
+    # re-recorded when MultiAtomOperator became one matrix summed by
+    # matrix_kernels (multi-atom-L3 7.999999915000639 -> 7.999999917838267)
     assert hashlib.sha256((tmp_path / "oracles.csv").read_bytes()).hexdigest() \
-        == ("6e3889e986862bbaee89cd9f68b2e6d6"
-            "ed178ccaaac2e295c53d830d043c0f77")
+        == ("34eb9998eb8aaf05c86786dcdce10542"
+            "618f570607f2f4348c91866c60614fa3")
 
 
 def test_kato_command(tmp_path):

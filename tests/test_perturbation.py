@@ -96,6 +96,20 @@ def test_pn_single_atom():
     assert pt.pn_term(G, mu, 1, 0.5, 0.2, 1.0, 0.0) == 0.0   # boundary
 
 
+def test_pn_first_term_builds_no_grid(monkeypatch):
+    # row n reads grid level n - 1 only: the level at max_terms went unread
+    built = []
+    level = pt.SeriesEngine._grid_level
+    monkeypatch.setattr(pt.SeriesEngine, "_grid_level",
+                        lambda eng, spl: built.append(1) or level(eng, spl))
+    mu = PerturbingMeasure(ConstDensity(0.5), (Atom(0.6, 0.2),))
+    p = float(G(0.1, 0.3, 1.0, 0.0))
+    p1 = pt.pn_term(G, mu, 1, 0.1, 0.3, 1.0, 0.0)
+    assert built == []
+    assert p1 == pytest.approx(pt.p1_ratio(G, mu, 1.0, 0.0, 0.1, 0.3) * p,
+                               rel=1e-14)
+
+
 # -- series ---------------------------------------------------------------------
 
 def test_series_causality():
@@ -195,6 +209,21 @@ def test_series_atoms_match_product_closed_form(kernel, rel, L):
             assert err <= rel
 
 
+def test_series_density_plus_atom_left_limit():
+    # README config: the grid row of the panel ending at the atom sat at the
+    # atom time, where the atom is not ahead, so the panel's spline ran
+    # across the jump: 1.924433 against e**0.25 * 1.5 = 1.926038, off by
+    # 8.3e-4 against a stated 5.7e-4 and marked converged
+    mu = measure_from_config({"density": {"kind": "const", "lambda": 0.25},
+                              "atoms": [{"u": 0.5, "eta": 0.5}],
+                              "support": [0.0, 1.0]})
+    s = [0.0, 0.1]
+    for si, r in zip(s, pt.series_batch(G, mu, s, [-0.5, 0.5], 1.0, 0.0)):
+        want = math.exp(0.25 * (1.0 - si)) * 1.5
+        assert r.status == "converged"
+        assert abs(r.ratio - want) / want <= r.quad_error_estimate
+
+
 def test_series_term_positivity_and_causality_grid():
     mu = PerturbingMeasure(ConstDensity(0.5), (Atom(0.6, 0.2),))
     res = pt.series_batch(G, mu, [0.0, 0.3, 1.2], [0.0, -0.5, 0.3], 1.0, 0.0,
@@ -286,7 +315,7 @@ def test_row_values_match_scalar_nodes(case):
     # nodes past the target point are dead for the cone kernel
     z0 = np.concatenate([eng.z_nodes, [y + 0.25, y + 1.0]])
     level1, _ = eng._grid_level(None)
-    rows = [u for u_nodes, _ in eng._panel_rows for u in u_nodes[[0, 3, -2]]]
+    rows = [u for u_nodes, _, _ in eng._panel_rows for u in u_nodes[[0, 3, -2]]]
     for splines in (None, level1):
         for u0 in rows:
             f0 = eng._controls(np.full(len(z0), u0), z0)
@@ -377,6 +406,31 @@ def test_multi_atom_series_matches_closed_form():
         assert r.ratio == pytest.approx(2.0 ** L, rel=1e-6)
     with pytest.raises(DomainError):
         op.series_at(1.5, 0.1, 0.0)
+
+
+def test_multi_atom_series_counts_the_atom_at_s():
+    # rho({s}) at an atom time, the s <= u0 convention of
+    # AltAtomPerturbedKernel; the series once dropped that atom and the
+    # iterate raised
+    op = pt.MultiAtomOperator(G, [1 / 4, 1 / 2, 3 / 4], 1.0, 0.0)
+    for s, L in ((0.25, 3), (0.5, 2), (0.75, 1)):
+        assert op.series_at(0.5, s, 0.1).ratio == \
+            pytest.approx(2.0 ** L, rel=1e-8)
+    single = pt.MultiAtomOperator(G, [0.5], 1.0, 0.0)
+    for n in (1, 2, 4):
+        assert single.iterate_ratio_at(n, 0.5, 0.3) == \
+            pytest.approx(1.0, abs=1e-12)
+
+
+def test_multi_atom_series_sums_its_iterates():
+    op = pt.MultiAtomOperator(st.cauchy_kernel(1), [0.3, 0.6], 1.0, 0.0)
+    eta = 0.4
+    for s, x in ((0.1, 0.2), (0.3, -0.4), (0.45, 1.5)):
+        r = op.series_at(eta, s, x, tol=1e-15)
+        assert r.status == "converged"
+        direct = sum(eta ** n * op.iterate_ratio_at(n, s, x)
+                     for n in range(60))
+        assert r.ratio == pytest.approx(direct, rel=1e-12)
 
 
 # -- closed-form perturbed kernels ------------------------------------------------
