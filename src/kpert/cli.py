@@ -92,8 +92,12 @@ def load_config(path, seed=None) -> RunConfig:
             x = np.linspace(*gs["x"][:2], int(gs["x"][2]))
             S, X = np.meshgrid(s, x, indexing="ij")
             cfg.sample_s, cfg.sample_x = S.ravel(), X.ravel()
+        if cfg.sample_s.ndim != 1 or cfg.sample_x.ndim != 1:
+            raise ConfigError("samples s and x must be lists of numbers")
         if len(cfg.sample_s) != len(cfg.sample_x):
             raise ConfigError("sample arrays s and x differ in length")
+        if len(cfg.sample_s) == 0:
+            raise ConfigError("samples need at least one point")
         if not (math.isfinite(cfg.target_t) and math.isfinite(cfg.target_y)):
             raise ConfigError("target t and y must be finite")
         if not (np.all(np.isfinite(cfg.sample_s))
@@ -103,14 +107,25 @@ def load_config(path, seed=None) -> RunConfig:
         cfg.discrete = doc.get("discrete", {})
         qdoc = doc.get("quad", {})
         cfg.quad_tol = float(qdoc.get("rel_tol", 1e-4))
+        if not 0.0 < cfg.quad_tol < 1.0:        # NaN fails too
+            raise ConfigError(f"quad rel_tol must lie in (0, 1), got "
+                              f"{cfg.quad_tol!r}")
         cfg.max_terms = int(qdoc.get("max_terms", 14))
-        cfg.seed = int(doc.get("seed", 0)) if seed is None else seed
+        if cfg.max_terms < 1:
+            raise ConfigError(f"quad max_terms must be at least 1, got "
+                              f"{cfg.max_terms!r}")
+        cfg.seed = int(doc.get("seed", 0))
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got "
+                              f"{cfg.seed!r}")
+        if seed is not None:
+            cfg.seed = seed
         cfg.base_dir = Path(path).resolve().parent
         cfg.kernel  # resolves now; unknown names fail at parse time
         return cfg
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
@@ -281,7 +296,7 @@ def cmd_kato(args) -> int:
     from kpert.measures import ConstDensity
     mu = cfg.measure if not cfg.measure.is_zero else \
         PerturbingMeasure(ConstDensity(1.0, cfg.dim))
-    hs = [float(h) for h in (args.windows or "1,0.5,0.25,0.125").split(",")]
+    hs = args.windows or [1.0, 0.5, 0.25, 0.125]
     kernel = _command_kernel(cfg, "kato", peak_dims=(1, 2))
     prof = st.kato_profile(kernel, mu, hs, n_samples=16, seed=cfg.seed)
     rows = ["h,k_h"] + [f"{_fmt(h)},{_fmt(prof[h])}" for h in sorted(prof, reverse=True)]
@@ -343,6 +358,31 @@ def cmd_reproduce(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _seed(text) -> int:
+    """--seed: a non-negative integer below 2**128 (Philox's key range)."""
+    seed = int(text)
+    if not 0 <= seed < 2 ** 128:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer below 2**128, got {text}")
+    return seed
+
+
+def _count(text) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return count
+
+
+def _windows(text) -> list:
+    """--windows: comma-separated finite positive h values."""
+    hs = [float(h) for h in text.split(",")]
+    if not all(0.0 < h < math.inf for h in hs):
+        raise argparse.ArgumentTypeError(
+            f"windows must be finite and positive, got {text}")
+    return hs
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="kpert", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -350,7 +390,7 @@ def build_parser():
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required,
                        help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("series", help="perturbed series on a sample grid")
@@ -366,19 +406,20 @@ def build_parser():
     p.set_defaults(fn=cmd_oracle_check)
     p = sub.add_parser("kato", help="window modulus ladder")
     common(p, config_required=False)
-    p.add_argument("--windows", default=None, help="comma-separated h values")
+    p.add_argument("--windows", type=_windows, default=None,
+                   help="comma-separated h values")
     p.set_defaults(fn=cmd_kato)
     p = sub.add_parser("3g", help="comparison-inequality sampler")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--samples", type=_count, default=100_000)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_3g)
     p = sub.add_parser("weyl", help="half-derivative spot checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_weyl)
     p = sub.add_parser("reproduce", help="run the acceptance table")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out", default=None)
     p.add_argument("--only", default=None, help="substring filter on criteria")
     p.set_defaults(fn=cmd_reproduce)

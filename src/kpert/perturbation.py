@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
-from scipy.stats import qmc
 
 from kpert import bounds as bnd
 from kpert import matrix_kernels as mk
@@ -41,7 +40,7 @@ from kpert import spacetime as st
 from kpert.errors import DomainError, PreconditionError
 from kpert.measures import (CornerPowerDensity, Interval, PerturbingMeasure,
                             restrict_measure)
-from kpert.quadrature import gauss_legendre_rule, peak_rule
+from kpert.quadrature import Halton, gauss_legendre_rule, peak_rule
 
 
 @dataclass
@@ -686,7 +685,7 @@ class TimeSliceProblem(_SliceProblem):
         self._restricted = [restrict_measure(self.mu, I) for I in self.intervals]
 
     def _sample(self, lo, hi, n, salt):
-        eng = qmc.Halton(d=2, scramble=True, seed=self.seed + salt)
+        eng = Halton(2, self.seed + salt)
         pts = eng.random(n)
         s = lo + (hi - lo) * pts[:, 0]
         x = self.x_box[0] + (self.x_box[1] - self.x_box[0]) * pts[:, 1]
@@ -749,7 +748,7 @@ class KappaSliceProblem(_SliceProblem):
 
     def _sample_strip(self, a_lo, a_hi, n, salt):
         """Points of [0, t) x [0, y) with s + x in [a_lo, a_hi)."""
-        eng = qmc.Halton(d=2, scramble=True, seed=self.seed + salt)
+        eng = Halton(2, self.seed + salt)
         out = []
         guard = 0
         while len(out) < n and guard < 80:
@@ -904,7 +903,7 @@ def localization_check(kernel, mu, I: Interval, eta, t, y,
                                 "identity; the localization lemma does not apply")
     mu_I = restrict_measure(mu, I)
     tol = bnd.quad_rel_tol(quad_tol)
-    eng = qmc.Halton(d=2, scramble=True, seed=seed)
+    eng = Halton(2, seed)
     pts = eng.random(2 * n_samples)
     hi = min(I.hi, t)
 

@@ -6,7 +6,9 @@ singularities and a rational map for unbounded axes.  Tensorized nd
 integration iterates the 1-d rule (up to four dimensions).  Fixed rules:
 Gauss-Legendre on an interval, and the tan-substituted peak rule for
 integrands peaked at a point of the real line; both cache their base
-rule per size.
+rule per size.  Sample points come from ``Halton``, the scrambled Halton
+sequence of A. B. Owen, "A randomized Halton algorithm in R"
+(arXiv:1706.02808, 2017).
 
 Every result carries (value, error_estimate); callers express downstream
 tolerances in units of that estimate.
@@ -307,3 +309,66 @@ def peak_rule(center, scale, n):
     tan, w, cos2 = base
     scale = np.maximum(scale, 1e-300)[..., None]
     return center + scale * tan, scale * w / cos2
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+class Halton:
+    """Owen's randomly scrambled Halton sequence in [0, 1)**d, seeded.
+
+    Coordinate i is a van der Corput sequence in the i-th prime base b:
+    digit j of the point index goes through its own random permutation of
+    range(b), for every j with b**-(j+1) > 2**-54.  ``random(n)`` returns
+    the next n points, so repeated calls continue one sequence.
+
+    The permutations come from ``numpy.random.default_rng(seed)`` and the
+    digit sum runs in the order of j with the same floating-point steps
+    as SciPy's scrambled ``Halton`` engine seeded with the same integer,
+    whose points it reproduces bit for bit.
+    """
+
+    _CHUNK = 4096       # points per digit matrix in ``random``
+
+    def __init__(self, d: int, seed: int):
+        if not 1 <= d <= len(_PRIMES):
+            raise ValueError(f"Halton dimension must be in 1..{len(_PRIMES)}")
+        if seed < 0:
+            raise ValueError("Halton seed must be a non-negative integer")
+        rng = np.random.default_rng(seed)
+        self.d = d
+        self._drawn = 0
+        self._bases = []
+        for b in _PRIMES[:d]:
+            count = math.ceil(54 / math.log2(b)) - 1
+            # one shuffle per row, drawn in row order
+            perm = rng.permuted(np.repeat(np.arange(b)[None], count, 0), axis=1)
+            scale = np.empty(count)
+            step = 1.0 / b
+            for j in range(count):
+                scale[j] = step
+                step /= b
+            powers = np.array([b ** j for j in range(count)], dtype=np.int64)
+            # terms[j * b + r] = perm[j, r] * b**-(j+1); digit 0 at [::b]
+            terms = (perm * scale[:, None]).ravel()
+            self._bases.append((b, powers, terms, terms[::b]))
+
+    def random(self, n: int) -> np.ndarray:
+        """The next ``n`` points, shape (n, d)."""
+        start = self._drawn
+        self._drawn += n
+        out = np.empty((n, self.d))
+        for lo in range(0, n, self._CHUNK):
+            hi = min(lo + self._CHUNK, n)
+            index = np.arange(start + lo, start + hi, dtype=np.int64)
+            for i, (b, powers, terms, digit0) in enumerate(self._bases):
+                # digits j >= m are 0 at every index in the chunk
+                m = int(np.searchsorted(powers, start + hi - 1, side="right"))
+                rows = np.empty((len(powers), hi - lo))
+                digits = index // powers[:m, None] % b
+                digits += np.arange(0, m * b, b)[:, None]
+                rows[:m] = terms[digits]
+                rows[m:] = digit0[m:, None]
+                # cumsum adds the digits' terms one at a time in order of j
+                out[lo:hi, i] = rows.cumsum(0)[-1]
+        return out

@@ -20,11 +20,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import beta as euler_beta
 from scipy.special import gamma as gamma_fn
-from scipy.stats import qmc
 
 from kpert import matrix_kernels as mk
 from kpert.errors import PreconditionError
-from kpert.quadrature import (QuadratureSpec, gauss_legendre_rule,
+from kpert.quadrature import (Halton, QuadratureSpec, gauss_legendre_rule,
                               integrate_1d, integrate_nd, peak_rule)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
@@ -331,7 +330,7 @@ def scan_3p_constant(d: int = 1, n: int = 100_000, seed: int = 0,
     The true constant depends only on d but has no closed form here; the
     scan reports (max_3p, max_5p) under a seeded Halton stream.
     """
-    eng = qmc.Halton(d=3 + 3 * d, scramble=True, seed=seed)
+    eng = Halton(3 + 3 * d, seed)
     pts = eng.random(n)
     times = -1.0 + 3.0 * pts[:, :3]
     space = box * (2.0 * pts[:, 3:] - 1.0)
@@ -647,7 +646,7 @@ def kato_modulus(kernel, mu, h, n_samples: int = 24, seed: int = 0,
     if h <= 0:
         raise ValueError("window must be positive")
     d = getattr(kernel, "dim", 1)
-    eng = qmc.Halton(d=1 + 2 * d, scramble=True, seed=seed)
+    eng = Halton(1 + 2 * d, seed)
     pts = eng.random(max(n_samples - 1, 1))
     best = -np.inf
     arg = None
@@ -680,9 +679,11 @@ def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0,
     nested estimator of a monotone quantity.
     """
     h_values = sorted(h_values, reverse=True)
+    if not h_values or not all(0.0 < h < math.inf for h in h_values):
+        raise ValueError("windows must be finite and positive")
     h_max = h_values[0]
     d = getattr(kernel, "dim", 1)
-    eng = qmc.Halton(d=1 + 2 * d, scramble=True, seed=seed)
+    eng = Halton(1 + 2 * d, seed)
     pts = eng.random(max(n_samples - len(h_values), 1))
     samples = []
     for h in h_values:

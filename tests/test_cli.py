@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from kpert import acceptance, cli
 
@@ -164,6 +165,27 @@ BAD_INPUTS = {
                          "target t and y must be finite"),
     "nan-sample": ({"samples": {"s": [float("nan")], "x": [0.3]}},
                    "samples s and x must be finite"),
+    # max_terms 0 or -3 gave ratio 1.0 marked converged (the truth is
+    # e**0.25 for a density); rel_tol 0, -1 or NaN ran every point to
+    # truncated; no samples ended in a reduction traceback
+    "max-terms-zero": ({"quad": {"max_terms": 0}},
+                       "max_terms must be at least 1"),
+    "max-terms-negative": ({"quad": {"max_terms": -3}},
+                           "max_terms must be at least 1"),
+    "max-terms-inf": ({"quad": {"max_terms": float("inf")}},
+                      "cannot convert float infinity"),
+    "rel-tol-zero": ({"quad": {"rel_tol": 0.0}},
+                     "rel_tol must lie in (0, 1)"),
+    "rel-tol-negative": ({"quad": {"rel_tol": -1.0}},
+                         "rel_tol must lie in (0, 1)"),
+    "rel-tol-nan": ({"quad": {"rel_tol": float("nan")}},
+                    "rel_tol must lie in (0, 1)"),
+    "no-samples": ({"samples": {"s": [], "x": []}},
+                   "samples need at least one point"),
+    "empty-grid": ({"samples": {"grid": {"s": [0.0, 0.5, 0],
+                                         "x": [0.0, 1.0, 3]}}},
+                   "samples need at least one point"),
+    "negative-seed": ({"seed": -1}, "seed must be a non-negative integer"),
 }
 
 
@@ -177,6 +199,70 @@ def test_bad_input_exit_2_with_message(case, command, tmp_path, capsys):
                    "--out", str(tmp_path / "out")) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# CLI arguments that ended in a traceback (a negative seed in default_rng
+# or Philox, no samples, an empty or non-positive window ladder) or, for
+# --windows 0, in k(0) = 0.0
+BAD_ARGS = {
+    "certify-negative-seed": (["certify", "--config",
+                               str(FIXTURES / "certify_kappa.json"),
+                               "--seed", "-1"], "non-negative integer"),
+    "kato-negative-seed": (["kato", "--seed", "-1"], "non-negative integer"),
+    "3g-negative-seed": (["3g", "--seed", "-1", "--samples", "10"],
+                         "non-negative integer"),
+    "3g-zero-samples": (["3g", "--samples", "0"], "at least 1"),
+    "3g-negative-samples": (["3g", "--samples", "-5"], "at least 1"),
+    "kato-negative-window": (["kato", "--windows", "0.5,-0.25"],
+                             "finite and positive"),
+    "kato-nan-window": (["kato", "--windows", "nan"], "finite and positive"),
+    "kato-zero-window": (["kato", "--windows", "0"], "finite and positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGS))
+def test_bad_argument_exit_2_with_message(case, tmp_path, capsys):
+    argv, message = BAD_ARGS[case]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_NUMBERS = hst.one_of(
+    hst.integers(-10, 10 ** 6),
+    hst.floats(allow_nan=True, allow_infinity=True),
+    hst.sampled_from([0, -1, 0.0, -0.0, float("nan"), float("inf"),
+                      -float("inf")]))
+
+
+@given(max_terms=_NUMBERS, rel_tol=_NUMBERS,
+       s=hst.lists(_NUMBERS, max_size=3), x=hst.lists(_NUMBERS, max_size=3),
+       seed=_NUMBERS, t=_NUMBERS, y=_NUMBERS, u=_NUMBERS, eta=_NUMBERS)
+@settings(max_examples=200, deadline=None)
+def test_load_config_rejects_or_meets_invariants(tmp_path_factory, max_terms,
+                                                 rel_tol, s, x, seed, t, y,
+                                                 u, eta):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps({
+        "measure": {"atoms": [{"u": u, "eta": eta}]},
+        "target": {"t": t, "y": y}, "samples": {"s": s, "x": x},
+        "quad": {"rel_tol": rel_tol, "max_terms": max_terms},
+        "seed": seed}))
+    try:
+        cfg = cli.load_config(path)
+    except cli.ConfigError:
+        return
+    assert isinstance(cfg.max_terms, int) and cfg.max_terms >= 1
+    assert 0.0 < cfg.quad_tol < 1.0
+    assert cfg.sample_s.shape == cfg.sample_x.shape == (len(s),)
+    assert len(s) >= 1
+    assert np.isfinite(cfg.sample_s).all() and np.isfinite(cfg.sample_x).all()
+    assert isinstance(cfg.seed, int) and cfg.seed >= 0
+    assert math.isfinite(cfg.target_t) and math.isfinite(cfg.target_y)
+    atom, = cfg.measure.atoms
+    assert math.isfinite(atom.time) and 0.0 < atom.weight < math.inf
 
 
 def test_kato_rejects_stable_potential(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from kpert.quadrature import (QuadratureSpec, gauss_legendre_rule,
+from kpert.quadrature import (Halton, QuadratureSpec, gauss_legendre_rule,
                               integrate_1d, integrate_nd, peak_rule)
 from kpert.spacetime import stable_subordinator_density
 
@@ -236,3 +238,42 @@ def test_peak_rule_integrates_a_cauchy_peak_exactly():
         z, w = peak_rule(center, scale, 16)
         dens = scale / (math.pi * (scale ** 2 + (z - center) ** 2))
         assert abs(np.sum(dens * w) - 1.0) < 1e-13
+
+
+# The sampler must give SciPy's scrambled Halton points bit for bit: every
+# certificate, Kato ladder and golden hash was recorded with them.
+@pytest.mark.parametrize("seed", [0, 1, 977, 2 ** 31 - 1, 2 ** 40])
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 9])
+def test_halton_matches_scipy_bit_for_bit(d, seed):
+    from scipy.stats import qmc
+    ours = Halton(d, seed)
+    ref = qmc.Halton(d=d, scramble=True, seed=seed)
+    for n in (1, 7, 13, 32, 96, 5000):     # successive draws continue
+        assert np.array_equal(ours.random(n), ref.random(n))
+
+
+def test_halton_large_draw_matches_scipy():
+    from scipy.stats import qmc
+    ref = qmc.Halton(d=9, scramble=True, seed=5).random(20_000)
+    assert np.array_equal(Halton(9, 5).random(20_000), ref)
+
+
+def test_halton_points_in_unit_cube():
+    pts = Halton(3, 2).random(500)
+    assert pts.shape == (500, 3)
+    assert ((pts >= 0.0) & (pts < 1.0)).all()
+    assert Halton(2, 0).random(0).shape == (0, 2)
+
+
+def test_halton_rejects_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        Halton(2, -1)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: this test process has loaded scipy.stats
+    code = "import sys, kpert.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

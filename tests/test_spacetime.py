@@ -362,6 +362,15 @@ def test_kato_profile_monotone():
     assert prof[1.0] > prof[0.5] > 0.0
 
 
+@pytest.mark.parametrize("windows", [[], [0.5, -0.25], [0.0], [math.nan],
+                                     [math.inf]])
+def test_kato_profile_rejects_bad_windows(windows):
+    # [] ended in an IndexError and [0.0] returned k(0) = 0.0
+    mu = PerturbingMeasure(PowerLawSpaceDensity(0.5, dim=1))
+    with pytest.raises(ValueError, match="finite and positive"):
+        st.kato_profile(st.cauchy_kernel(1), mu, windows, n_samples=4)
+
+
 # -- two-subordinator slice constants -----------------------------------------------
 
 def test_eta_for_kappa_beta_values():
