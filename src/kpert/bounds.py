@@ -189,12 +189,18 @@ class MatrixSliceProblem:
         chain.validate_for(K)
         self.K = K
         self.f = np.asarray(f, dtype=float)
-        if np.any(self.f < 0):
+        if self.f.shape != (K.n,):
+            raise ValueError(f"control function has shape {self.f.shape}, "
+                             f"kernel has {K.n} states")
+        if not (self.f >= 0).all():          # also catches NaN
             raise ValueError("control function must be nonnegative")
         self.chain = chain
         self._slices = chain.slices
-        self._Kjf = [mk.apply(mk.restrict(K, S, "right"), self.f)
+        # K 1_S f as K (1_S f): the same products, with the zeros in the
+        # same places, and no restricted copy of K
+        self._Kjf = [mk.apply(K, np.where(S.mask, self.f, 0.0))
                      for S in self._slices]
+        self._series = None
 
     @property
     def k(self):
@@ -213,7 +219,10 @@ class MatrixSliceProblem:
         return self._Kjf[j - 1][pts]
 
     def series(self, pts):
-        res = mk.neumann_series(self.K, self.f)
+        """The series at pts; summed on the first call, once for all slices."""
+        if self._series is None:
+            self._series = mk.neumann_series(self.K, self.f)
+        res = self._series
         rep = TruncationReport(res.n_terms, res.status, res.tail_estimate, 0.0)
         return res.value[pts], rep
 

@@ -18,6 +18,7 @@ sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -204,6 +205,9 @@ def cmd_series(args) -> int:
 def _intervals_from_config(cfg) -> list:
     mode = cfg.slicing.get("mode", "time-uniform")
     if mode == "time-uniform":
+        if "h" not in cfg.slicing:
+            raise ConfigError("time-uniform slicing needs slicing.h, the "
+                              "slice width")
         r = float(cfg.slicing.get("r", 0.0))
         h = float(cfg.slicing["h"])
         return bnd.time_uniform_slices(r, cfg.target_t, h)
@@ -426,8 +430,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser main builds once and reuses; parse_args returns a fresh
+    Namespace on every call, so nothing carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

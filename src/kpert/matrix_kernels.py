@@ -94,15 +94,21 @@ def _check_dim(K: MatrixKernel, length: int, what: str):
         raise ValueError(f"{what} has length {length}, kernel has {K.n} states")
 
 
+def _vector(K: MatrixKernel, f) -> np.ndarray:
+    """f as a float array, checked to be a nonnegative vector on K's states."""
+    f = np.asarray(f, dtype=float)
+    _check_dim(K, f.shape[0], "vector")
+    if not (f >= 0).all():          # also catches NaN
+        raise ValueError("vector must be nonnegative")
+    return f
+
+
 def apply(K: MatrixKernel, f) -> np.ndarray:
     """Kf(x) = sum_y K(x, {y}) f(y); additive and positively homogeneous.
 
     f is a nonnegative vector; +inf entries saturate, with 0 * inf = 0.
     """
-    f = np.asarray(f, dtype=float)
-    _check_dim(K, f.shape[0], "vector")
-    if not (f >= 0).all():          # also catches NaN
-        raise ValueError("vector must be nonnegative")
+    f = _vector(K, f)
     inf_mask = np.isinf(f)
     if not inf_mask.any():
         return K.entries @ f
@@ -116,12 +122,6 @@ def compose(K: MatrixKernel, L: MatrixKernel) -> MatrixKernel:
     if K.n != L.n:
         raise ValueError(f"state counts differ: {K.n} vs {L.n}")
     return MatrixKernel(K.entries @ L.entries)
-
-
-def kernel_power(K: MatrixKernel, m: int) -> MatrixKernel:
-    if m < 0:
-        raise ValueError("power must be nonnegative")
-    return MatrixKernel(np.linalg.matrix_power(K.entries, m))
 
 
 def restrict(K: MatrixKernel, A: StateSet, side: str) -> MatrixKernel:
@@ -155,10 +155,11 @@ def verify_power_identity(K: MatrixKernel, A: StateSet, m: int,
         raise ValueError("m must be a positive integer")
     if not is_absorbing(K, A):
         raise PreconditionError("set is not absorbing for the kernel")
-    km = kernel_power(K, m).entries
-    lhs = restrict(MatrixKernel(km), A, "left").entries
-    mid = np.linalg.matrix_power(restrict(K, A, "left").entries, m)
-    rhs = restrict(MatrixKernel(km), A, "both").entries
+    km = np.linalg.matrix_power(K.entries, m)
+    rows = A.mask[:, None]
+    lhs = np.where(rows, km, 0.0)
+    mid = np.linalg.matrix_power(np.where(rows, K.entries, 0.0), m)
+    rhs = np.where(rows & A.mask[None, :], km, 0.0)
     ok = np.array_equal(lhs, mid) and np.array_equal(mid, rhs)
     if f is not None:
         f = np.asarray(f, dtype=float)
@@ -182,14 +183,12 @@ def verify_slice_identity(K: MatrixKernel, A: StateSet, B: StateSet,
         raise PreconditionError("first set must be contained in the second")
     if not (is_absorbing(K, A) and is_absorbing(K, B)):
         raise PreconditionError("both sets must be absorbing")
-    S = B.difference(A)
-    km = kernel_power(K, m).entries
-    ks = restrict(K, S, "right").entries
-    ksm = np.linalg.matrix_power(ks, m)
-    one = restrict(MatrixKernel(km), B, "left")
-    one = restrict(one, S, "right").entries
-    two = restrict(MatrixKernel(ksm), B, "left").entries
-    three = restrict(MatrixKernel(ksm), S, "left").entries
+    s = B.mask & ~A.mask
+    km = np.linalg.matrix_power(K.entries, m)
+    ksm = np.linalg.matrix_power(np.where(s[None, :], K.entries, 0.0), m)
+    one = np.where(B.mask[:, None] & s[None, :], km, 0.0)
+    two = np.where(B.mask[:, None], ksm, 0.0)
+    three = np.where(s[:, None], ksm, 0.0)
     return np.array_equal(one, two) and np.array_equal(two, three)
 
 
@@ -249,27 +248,38 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     states that reach the support of f, confirms it (a convergent series
     may grow for a while).  Otherwise truncated at max_terms.
     """
-    f = np.asarray(f, dtype=float)
+    f = _vector(K, f)
     total = f.copy()
-    term = f.copy()
-    norms = [float(np.max(term))]
+    term = f
+    tn = float(np.max(f))
+    growing = 0                     # consecutive terms above the last
     radius_checked = False
     for m in range(1, max_terms + 1):
-        term = apply(K, term)
-        total = total + term
-        tn = float(term.max()) if term.size else 0.0
-        norms.append(tn)
+        last = tn
+        term = _next_term(K, term, tn)
+        total += term
+        tn = float(term.max())
         scale = float(total.max(initial=1.0))
         if not math.isfinite(scale):     # the max over finite entries
             scale = float(np.max(total[np.isfinite(total)], initial=1.0))
         if tn <= tail_tol * max(scale, 1e-300):
             return MatrixSeriesResult(total, m, "converged", tn)
-        if not radius_checked and len(norms) >= 11 and all(
-                norms[-i] > norms[-i - 1] for i in range(1, 11)):
+        growing = growing + 1 if tn > last else 0
+        if not radius_checked and growing >= 10:
             radius_checked = True
             if _radius_toward(K, f) >= 1.0:
                 return MatrixSeriesResult(total, m, "diverging", tn)
-    return MatrixSeriesResult(total, max_terms, "truncated", norms[-1])
+    return MatrixSeriesResult(total, max_terms, "truncated", tn)
+
+
+def _next_term(K: MatrixKernel, term: np.ndarray, top: float) -> np.ndarray:
+    """K term for a nonnegative term whose largest entry is top.
+
+    A finite term needs only the matvec, which is what apply computes for
+    it; a term with a +inf entry goes through apply for the saturation
+    and 0 * inf = 0 rules.
+    """
+    return K.entries @ term if top < math.inf else apply(K, term)
 
 
 def _radius_toward(K: MatrixKernel, f) -> float:
@@ -314,11 +324,11 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
     slack = 1 + 1e-12
     rho = 1.0 - 1.0 / c
     f_a = f[A.mask]
-    term = f.copy()
+    term = f
     for n in range(n_max + 1):
         if not (term[A.mask] <= c * rho ** n * f_a * slack + 1e-300).all():
             return False
-        term = apply(K, term)
+        term = _next_term(K, term, float(term.max()))
     return bool(np.all(g[A.mask] <= c * c * f[A.mask] * slack + 1e-300))
 
 

@@ -127,6 +127,44 @@ def test_estimate_constants_flags_zero_control():
     assert math.isinf(const.eta)
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_matrix_certify_sums_the_series_once(k, monkeypatch):
+    calls = []
+    neumann = mk.neumann_series
+    monkeypatch.setattr(mk, "neumann_series",
+                        lambda K, f: calls.append(1) or neumann(K, f))
+    K = mk.MatrixKernel(np.tril(np.full((4, 4), 0.125)))
+    chain = mk.AbsorbingChain(tuple(
+        mk.StateSet.from_indices(4, range(5 - k + i)) for i in range(k)))
+    prob = MatrixSliceProblem(K, np.ones(4), chain)
+    certs = certify(prob, estimate_constants(prob))
+    assert [c.status for c in certs] == ["VALID"] * k
+    assert len(calls) == 1
+
+
+def test_matrix_slice_apply_matches_restriction():
+    # K (1_S f) in place of (K 1_S) f: the same bits, +inf entries included
+    rng = np.random.default_rng(17)
+    for trial in range(100):
+        K, chain = mk.random_absorbing_instance(rng, contractive=True)
+        f = rng.random(K.n)
+        if trial % 4 == 0:
+            f[rng.integers(K.n)] = np.inf
+        prob = MatrixSliceProblem(K, f, chain)
+        pts = np.arange(K.n)
+        for j, S in enumerate(chain.slices, start=1):
+            want = mk.apply(mk.restrict(K, S, "right"), f)
+            assert prob.slice_apply(j, pts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("f", [[1.0, np.nan], [1.0, -1.0], [1.0],
+                               [1.0, 1.0, 1.0], [[1.0], [1.0]]])
+def test_matrix_problem_rejects_bad_control(f):
+    chain = mk.AbsorbingChain((mk.StateSet.full(2),))
+    with pytest.raises(ValueError, match="control function"):
+        MatrixSliceProblem(mk.MatrixKernel(0.5 * np.eye(2)), f, chain)
+
+
 def test_certify_zero_kernel_valid():
     K = mk.MatrixKernel(np.zeros((2, 2)))
     chain = mk.AbsorbingChain((mk.StateSet.from_indices(2, [0]),

@@ -68,6 +68,11 @@ GOLDEN = {
     "series_atoms": ("series", 0, "series.csv",
                      "7366b562372f386f47916e0725527395"
                      "a0ced9ef8c24e6d4161312f29adbdd99"),
+    # recorded before neumann_series stopped sending each term through
+    # apply and a slice problem summed its series once
+    "certify_discrete": ("certify", 0, "certificates.json",
+                         "ec5e0007b3f38b5566c26e44712fab9d"
+                         "ed5f443431eb33922bd15c319458dafd"),
 }
 
 
@@ -90,6 +95,36 @@ def test_series_five_atoms_closed_form(tmp_path):
         want = math.prod(1.0 + a["eta"] for a in atoms if a["u"] > float(s))
         assert float(ratio) == pytest.approx(want, rel=1e-6)
         assert status == "converged"
+
+
+def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
+    # main builds its parser once; no argument may leak into a later call
+    parser = cli._parser()
+    seen = []
+    parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv=None: seen.append(parse(argv)) or seen[-1])
+    assert run_cli("certify", "--config",
+                   str(FIXTURES / "certify_discrete.json"), "--discrete",
+                   str(FIXTURES / "discrete_eta05.json"), "--seed", "3",
+                   "--out", str(tmp_path / "a")) == 0
+    assert run_cli("series", "--config",
+                   str(FIXTURES / "series_zero_measure.json"),
+                   "--out", str(tmp_path / "b")) == 0
+    assert cli._parser() is parser
+    first, second = seen
+    assert first.discrete is not None and first.seed == 3
+    assert vars(second) == {"command": "series",
+                            "config": str(FIXTURES / "series_zero_measure.json"),
+                            "seed": 0, "out": str(tmp_path / "b"),
+                            "fn": cli.cmd_series}
+
+
+def test_certify_without_slice_width_names_it(capsys):
+    # a time-uniform config with no slicing.h exited 2 with only "error: 'h'"
+    assert run_cli("certify", "--config",
+                   str(FIXTURES / "series_atomless.json")) == 2
+    assert "slicing.h" in capsys.readouterr().err
 
 
 def test_malformed_config_exit_2(tmp_path):

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from kpert import matrix_kernels as mk
 from kpert.errors import PreconditionError
 from kpert.matrix_kernels import (AbsorbingChain, MatrixKernel, StateSet,
                                   apply, check_geometric_decay, compose,
@@ -252,6 +254,67 @@ def test_neumann_radius_only_counts_states_reaching_f():
     assert res.status == "converged"
     np.testing.assert_allclose(res.value, [0.0, 400.0, 20.0], rtol=1e-9)
     assert neumann_series(K, np.ones(3)).status == "diverging"
+
+
+def _reference_neumann(K, f, max_terms=10_000, tail_tol=1e-14):
+    """neumann_series with every term through apply and the growth test
+    over a list of term norms: the loop the lean one must match bit for
+    bit."""
+    f = np.asarray(f, dtype=float)
+    total = f.copy()
+    term = f.copy()
+    norms = [float(np.max(term))]
+    radius_checked = False
+    for m in range(1, max_terms + 1):
+        term = apply(K, term)
+        total = total + term
+        tn = float(term.max()) if term.size else 0.0
+        norms.append(tn)
+        scale = float(total.max(initial=1.0))
+        if not math.isfinite(scale):
+            scale = float(np.max(total[np.isfinite(total)], initial=1.0))
+        if tn <= tail_tol * max(scale, 1e-300):
+            return mk.MatrixSeriesResult(total, m, "converged", tn)
+        if not radius_checked and len(norms) >= 11 and all(
+                norms[-i] > norms[-i - 1] for i in range(1, 11)):
+            radius_checked = True
+            if mk._radius_toward(K, f) >= 1.0:
+                return mk.MatrixSeriesResult(total, m, "diverging", tn)
+    return mk.MatrixSeriesResult(total, max_terms, "truncated", norms[-1])
+
+
+def _assert_same_bits(K, f, **kw):
+    got, want = neumann_series(K, f, **kw), _reference_neumann(K, f, **kw)
+    assert (got.n_terms, got.status) == (want.n_terms, want.status)
+    assert got.value.tobytes() == want.value.tobytes()
+    assert float(got.tail_estimate).hex() == float(want.tail_estimate).hex()
+    return got
+
+
+def test_neumann_matches_reference_on_random_instances():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        K, _ = random_absorbing_instance(rng, contractive=True)
+        _assert_same_bits(K, rng.random(K.n))     # not dyadic: rounding shows
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("entries, f, max_terms, status", [
+    # +inf in f, seen by a positive weight and by a zero one
+    ([[0.5, 0.25], [0.0, 0.5]], [1.0, np.inf], 40, "truncated"),
+    ([[0.5, 0.0], [0.0, 0.0]], [1.0, np.inf], 10_000, "converged"),
+    # the first term overflows; 0 * inf = 0 then ends the series
+    ([[0.0, 1e300], [0.0, 0.0]], [0.0, 1e300], 10_000, "converged"),
+    # overflow part-way through a growing series
+    ([[1e100, 0.0], [0.0, 0.5]], [1.0, 1.0], 20, "truncated"),
+    ([[1.2, 0.0], [0.0, 1.2]], [1.0, 1.0], 500, "diverging"),
+    ([[0.95, 1.0, 0.0], [0.0, 0.95, 1.0], [0.0, 0.0, 0.95]],
+     [1.0, 1.0, 1.0], 20, "truncated"),
+])
+def test_neumann_matches_reference_on_edge_cases(entries, f, max_terms,
+                                                 status):
+    res = _assert_same_bits(MatrixKernel(entries), f, max_terms=max_terms)
+    assert res.status == status
 
 
 def test_series_solve_cross_check():
