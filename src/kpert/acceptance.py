@@ -309,27 +309,28 @@ def criterion_residuals(seed: int = 7):
 
 def criterion_kato(seed: int = 7):
     def run():
-        ck = st.cauchy_kernel(1)
+        cauchy = st.cauchy_kernel(1)
         mu = PerturbingMeasure(ConstDensity(1.0))
         worst = 0.0
         for h in (0.1, 0.5, 1.0):
-            k = st.kato_modulus(ck, mu, h, n_samples=10, seed=seed).value
+            k = st.kato_modulus(cauchy, mu, h, n_samples=10, seed=seed).value
             worst = max(worst, abs(k - 2.0 * h))
         if worst > 1e-4:
             return False, f"modulus misses 2h by {worst:.2e}"
-        ck2 = st.cauchy_kernel(2)
+        cauchy2 = st.cauchy_kernel(2)
         mu2 = PerturbingMeasure(PowerLawSpaceDensity(0.5, dim=2))
-        prof = st.kato_profile(ck2, mu2, [1.0, 0.5, 0.25, 0.125],
+        prof = st.kato_profile(cauchy2, mu2, [1.0, 0.5, 0.25, 0.125],
                                n_samples=16, seed=seed)
         vals = [prof[h] for h in (1.0, 0.5, 0.25, 0.125)]
         if not all(a > b for a, b in zip(vals, vals[1:])):
             return False, f"profile not decreasing: {vals}"
         c3p, _ = st.scan_3p_constant(1, 20_000, seed=seed)
         h = 0.1
-        eta = c3p * st.kato_modulus(ck, mu, h, n_samples=10, seed=seed).value
+        eta = c3p * st.kato_modulus(cauchy, mu, h, n_samples=10,
+                                    seed=seed).value
         pts = np.stack([np.linspace(0.3, 0.9, 10),
                         np.linspace(-0.5, 0.5, 10)], axis=1)
-        certs = pt.kato_certify(ck, mu, h, eta, 1.0, 0.0, pts,
+        certs = pt.kato_certify(cauchy, mu, h, eta, 1.0, 0.0, pts,
                                 quad_tol=1e-3, max_terms=10)
         bad = [c for c in certs if c.status != "VALID"]
         if bad:

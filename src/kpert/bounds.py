@@ -6,10 +6,13 @@ global boundedness (K_j f <= beta f on the top set) force
 
     sum_m K^m f <= (1 / (1 - eta)) * (1 + beta / (1 - eta))**(j - 1) * f
 
-on S_j.  This module exposes the discrete Gronwall recursion behind that
-bound, the bound formulas themselves, constant estimation from samples
-or exact enumeration, and certificates comparing the bound against an
-independently summed series.
+on S_j.  That bound is the closed form alpha (1 + delta)**(j - 1) of the
+discrete Gronwall recursion gamma_j <= alpha + delta sum_{i<j} gamma_i,
+written once in ``gronwall_bound``; ``theorem_bound`` takes alpha =
+1/(1-eta), delta = beta/(1-eta), and ``corollary_bound`` scales it for
+per-slice summability.  The module also estimates the constants from
+samples or exact enumeration and writes certificates comparing the bound
+against an independently summed series.
 
 Certificates never silently trust the theorem: a certificate is VALID
 only when the measured series ratio stays below the bound within the
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from kpert.errors import CertificationError, DomainError, PreconditionError
+from kpert.errors import DomainError, SmallnessError
 from kpert import matrix_kernels as mk
 
 EXACT_REL_TOL = 1e-9
@@ -40,44 +43,11 @@ def gronwall_bound(alpha: float, delta: float, j: int) -> float:
     return alpha * (1.0 + delta) ** (j - 1)
 
 
-@dataclass(frozen=True)
-class GronwallSequence:
-    alpha: float
-    delta: float
-    gamma: tuple
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.delta < 0:
-            raise ValueError("alpha and delta must be nonnegative")
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-
-
-def check_gronwall(seq: GronwallSequence) -> bool:
-    """Verify the recursion hypothesis, then the closed-form bound.
-
-    Raises PreconditionError naming the first index where
-    gamma_j <= alpha + delta * sum_{i<j} gamma_i fails.
-    """
-    acc = 0.0
-    for j, g in enumerate(seq.gamma, start=1):
-        if g > seq.alpha + seq.delta * acc:
-            raise PreconditionError(
-                f"recursion hypothesis fails at index {j}: "
-                f"{g:.6g} > {seq.alpha + seq.delta * acc:.6g}")
-        acc += g
-    return all(g <= gronwall_bound(seq.alpha, seq.delta, j) * (1 + 1e-12)
-               for j, g in enumerate(seq.gamma, start=1))
-
-
 def theorem_bound(eta: float, beta: float, j: int) -> float:
     """Slice-j series bound (1/(1-eta)) * (1 + beta/(1-eta))**(j-1)."""
     if not 0.0 <= eta < 1.0:
         raise DomainError(f"local smallness fails: eta={eta} must lie in [0, 1)")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if j < 1 or int(j) != j:
-        raise ValueError("slice index must be a positive integer")
-    return (1.0 / (1.0 - eta)) * (1.0 + beta / (1.0 - eta)) ** (j - 1)
+    return gronwall_bound(1.0 / (1.0 - eta), beta / (1.0 - eta), j)
 
 
 def corollary_bound(c: float, N: int, beta: float, j: int) -> float:
@@ -307,12 +277,13 @@ def certify(problem, constants: SliceConstants, rng=None,
     for matrices, quadrature-backed series otherwise) at the slice's
     points; INCONCLUSIVE when that series did not converge, never INVALID
     in that case.  Overrides let a caller certify against declared
-    constants instead of the measured ones.
+    constants instead of the measured ones.  An eta of one or more
+    raises SmallnessError.
     """
     eta = constants.eta if eta_override is None else eta_override
     beta = constants.beta if beta_override is None else beta_override
     if not eta < 1.0:
-        raise PreconditionError(f"eta={eta} is not below 1; bound unavailable")
+        raise SmallnessError(eta)
     certs = []
     for j in range(1, problem.k + 1):
         pts = problem.slice_points(j, rng, n_samples)

@@ -33,6 +33,7 @@ from kpert import bounds as bnd
 from kpert import matrix_kernels as mk
 from kpert import perturbation as pt
 from kpert import spacetime as st
+from kpert.errors import SmallnessError
 from kpert.measures import PerturbingMeasure, measure_from_config
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -202,18 +203,60 @@ def cmd_series(args) -> int:
     return 0
 
 
+# slicing key -> (rule its value must meet, what the rule says)
+_SLICING_RULES = {
+    "h": (lambda v: 0.0 < v < math.inf, "must be positive and finite"),
+    "r": (math.isfinite, "must be finite"),
+    "eta": (lambda v: 0.0 <= v < math.inf, "must be non-negative and finite"),
+    "n_samples": (lambda v: 1.0 <= v < math.inf and v.is_integer(),
+                  "must be a positive integer"),
+    "c": (lambda v: 0.0 < v < math.inf, "must be positive and finite"),
+    "p": (lambda v: 0.0 < v < 0.5, "must lie in (0, 1/2)"),
+    "eta_target": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+}
+_REQUIRED = object()
+
+
+def _slicing_number(cfg, key, default=_REQUIRED):
+    """slicing.<key> as a float that meets its rule, else a ConfigError
+    naming the key; ``default`` when the key is absent, unless the key is
+    required."""
+    if key not in cfg.slicing:
+        if default is _REQUIRED:
+            raise ConfigError(f"{cfg.slicing.get('mode', 'time-uniform')} "
+                              f"slicing needs slicing.{key}")
+        return default
+    ok, rule = _SLICING_RULES[key]
+    try:
+        value = float(cfg.slicing[key])
+    except (TypeError, ValueError):
+        value = math.nan                  # fails every rule
+    if not ok(value):
+        raise ConfigError(f"slicing.{key} {rule}, got {cfg.slicing[key]!r}")
+    return value
+
+
 def _intervals_from_config(cfg) -> list:
     mode = cfg.slicing.get("mode", "time-uniform")
     if mode == "time-uniform":
-        if "h" not in cfg.slicing:
-            raise ConfigError("time-uniform slicing needs slicing.h, the "
-                              "slice width")
-        r = float(cfg.slicing.get("r", 0.0))
-        h = float(cfg.slicing["h"])
+        h = _slicing_number(cfg, "h")
+        r = _slicing_number(cfg, "r", 0.0)
+        if not r < cfg.target_t:
+            raise ConfigError(f"slicing.r = {r!r} must lie below the target "
+                              f"time t = {cfg.target_t!r}")
         return bnd.time_uniform_slices(r, cfg.target_t, h)
     if mode == "intervals":
-        return [bnd.Interval(float(a), float(b))
-                for a, b in cfg.slicing["intervals"]]
+        pairs = cfg.slicing.get("intervals")
+        try:
+            out = [bnd.Interval(float(a), float(b)) for a, b in pairs]
+        except (TypeError, ValueError):
+            out = []
+        if not out or not all(-math.inf < I.lo < I.hi < math.inf
+                              for I in out):
+            raise ConfigError(f"slicing.intervals must be a non-empty "
+                              f"list of finite [lo, hi] with lo < hi, got "
+                              f"{pairs!r}")
+        return out
     raise ConfigError(f"slicing mode {mode!r} needs the diagonal or discrete path")
 
 
@@ -227,45 +270,62 @@ def _smallness_fails(out_dir, eta) -> int:
     return 4
 
 
-def cmd_certify(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    rng = np.random.default_rng(cfg.seed)
-    if args.discrete or cfg.discrete:
-        doc = cfg.discrete
-        path = doc["path"] if "path" in doc else args.discrete
-        if not Path(path).is_absolute():
-            path = str(cfg.base_dir / path)
+def _discrete_problem(args, cfg):
+    """The problem at --discrete PATH, else at discrete.path (relative to
+    the config); any fault in it is one ConfigError naming the file."""
+    if args.discrete:
+        path = args.discrete
+    elif "path" in cfg.discrete:
+        path = str(cfg.base_dir / cfg.discrete["path"])
+    else:
+        raise ConfigError("a discrete certify needs --discrete or "
+                          "discrete.path")
+    try:
         K, sets, f = mk.load_discrete_problem(path)
-        names = doc.get("chain", sorted(sets))
+        names = cfg.discrete.get("chain", sorted(sets))
         chain = mk.AbsorbingChain(tuple(sets[n] for n in names))
-        prob = bnd.MatrixSliceProblem(K, f, chain)
-        const = bnd.estimate_constants(prob)
-        if const.eta >= 1.0:
-            return _smallness_fails(args.out, const.eta)
-        certs = bnd.certify(prob, const)
-    elif cfg.slicing.get("mode") == "diagonal-level":
-        dd = cfg.slicing
-        prob = pt.KappaSliceProblem(float(dd["c"]), float(dd["p"]),
-                                    cfg.target_t, cfg.target_y,
-                                    h=dd.get("h"),
-                                    eta_target=float(dd.get("eta_target", 0.5)),
-                                    quad_tol=cfg.quad_tol, seed=cfg.seed,
-                                    max_terms=cfg.max_terms)
+        return bnd.MatrixSliceProblem(K, f, chain)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid discrete problem {path}: {exc}") from exc
+
+
+def _certificates(args, cfg):
+    """The certificates of one certify run, by the branch the config
+    selects; SmallnessError for a slice constant eta >= 1."""
+    if args.discrete or cfg.discrete:
+        prob = _discrete_problem(args, cfg)
+        return bnd.certify(prob, bnd.estimate_constants(prob))
+    if cfg.slicing.get("mode") == "diagonal-level":
+        if cfg.kernel_name != "kappa" or not (cfg.target_t > 0.0
+                                              and cfg.target_y > 0.0):
+            raise ConfigError("diagonal-level slicing takes kernel kappa "
+                              "and a target with t > 0 and y > 0")
+        prob = pt.KappaSliceProblem(
+            _slicing_number(cfg, "c"), _slicing_number(cfg, "p"),
+            cfg.target_t, cfg.target_y, h=_slicing_number(cfg, "h", None),
+            eta_target=_slicing_number(cfg, "eta_target", 0.5),
+            quad_tol=cfg.quad_tol, seed=cfg.seed, max_terms=cfg.max_terms)
+        rng = np.random.default_rng(cfg.seed)
         const = bnd.estimate_constants(prob, rng, n_samples=12, refine_rounds=1)
         if const.eta >= 1.0:
-            return _smallness_fails(args.out, const.eta)
-        certs = bnd.certify(prob, const, rng, n_samples=6,
-                            beta_override=prob.analytic_eta,
-                            eta_override=prob.analytic_eta)
-    else:
-        kernel = _command_kernel(cfg, "certify")
-        intervals = _intervals_from_config(cfg)
-        certs = pt.theorem46_certify(kernel, cfg.measure, 0.0,
-                                     cfg.target_t, cfg.target_y, intervals,
-                                     eta=cfg.slicing.get("eta"),
-                                     n_samples=int(cfg.slicing.get("n_samples", 16)),
-                                     seed=cfg.seed, quad_tol=cfg.quad_tol,
-                                     max_terms=cfg.max_terms)
+            raise SmallnessError(const.eta)
+        return bnd.certify(prob, const, rng, n_samples=6,
+                           beta_override=prob.analytic_eta,
+                           eta_override=prob.analytic_eta)
+    kernel = _command_kernel(cfg, "certify")
+    return pt.theorem46_certify(
+        kernel, cfg.measure, 0.0, cfg.target_t, cfg.target_y,
+        _intervals_from_config(cfg), eta=_slicing_number(cfg, "eta", None),
+        n_samples=int(_slicing_number(cfg, "n_samples", 16)), seed=cfg.seed,
+        quad_tol=cfg.quad_tol, max_terms=cfg.max_terms)
+
+
+def cmd_certify(args) -> int:
+    cfg = load_config(args.config, args.seed)
+    try:
+        certs = _certificates(args, cfg)
+    except SmallnessError as exc:
+        return _smallness_fails(args.out, exc.eta)
     _write(args.out, "certificates.json", certificates_json(certs))
     _write(args.out, "certificates.csv", certificates_csv(certs))
     return _certificate_exit(certs)
@@ -394,7 +454,8 @@ def build_parser():
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required,
                        help="JSON run configuration")
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="overrides the config's seed (default 0)")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("series", help="perturbed series on a sample grid")
@@ -403,7 +464,8 @@ def build_parser():
     p = sub.add_parser("certify", help="slice certificates")
     common(p)
     p.add_argument("--discrete", default=None,
-                   help="path to a matrix-kernel JSON problem")
+                   help="path to a matrix-kernel JSON problem; overrides "
+                        "discrete.path")
     p.set_defaults(fn=cmd_certify)
     p = sub.add_parser("oracle-check", help="closed-form oracle comparisons")
     common(p, config_required=False)

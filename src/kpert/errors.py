@@ -11,3 +11,12 @@ class DomainError(ValueError):
 
 class CertificationError(RuntimeError):
     """A soundness check that should hold by theorem failed numerically."""
+
+
+class SmallnessError(PreconditionError):
+    """Local smallness fails: a slice constant eta is not below one, so no
+    slice bound exists.  Carries eta."""
+
+    def __init__(self, eta):
+        super().__init__(f"local smallness fails: eta={eta!r} >= 1")
+        self.eta = eta

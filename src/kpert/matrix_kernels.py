@@ -67,9 +67,6 @@ class StateSet:
     def full(cls, n):
         return cls(np.ones(n, dtype=bool))
 
-    def complement(self):
-        return StateSet(~self.mask)
-
     def union(self, other):
         return StateSet(self.mask | other.mask)
 
@@ -117,13 +114,6 @@ def apply(K: MatrixKernel, f) -> np.ndarray:
     return out
 
 
-def compose(K: MatrixKernel, L: MatrixKernel) -> MatrixKernel:
-    """Kernel composition KL(x, B) = int L(y, B) K(x, dy): matrix product."""
-    if K.n != L.n:
-        raise ValueError(f"state counts differ: {K.n} vs {L.n}")
-    return MatrixKernel(K.entries @ L.entries)
-
-
 def restrict(K: MatrixKernel, A: StateSet, side: str) -> MatrixKernel:
     """Multiply by the indicator of A: left zeroes rows outside A, right
     zeroes columns outside A, both does both."""
@@ -139,7 +129,7 @@ def restrict(K: MatrixKernel, A: StateSet, side: str) -> MatrixKernel:
 
 
 def is_absorbing(K: MatrixKernel, A: StateSet) -> bool:
-    """True iff every row x in A has zero mass on the complement of A."""
+    """True iff no row x in A has mass outside A."""
     _check_dim(K, len(A.mask), "mask")
     return bool(np.all(K.entries[A.mask][:, ~A.mask] == 0.0))
 

@@ -37,7 +37,7 @@ from scipy.interpolate import RectBivariateSpline
 from kpert import bounds as bnd
 from kpert import matrix_kernels as mk
 from kpert import spacetime as st
-from kpert.errors import DomainError, PreconditionError
+from kpert.errors import CertificationError, DomainError, PreconditionError
 from kpert.measures import (CornerPowerDensity, Interval, PerturbingMeasure,
                             restrict_measure)
 from kpert.quadrature import Halton, gauss_legendre_rule, peak_rule
@@ -413,26 +413,9 @@ def p1_ratio(kernel, mu: PerturbingMeasure, t, y, s, x,
                                  np.array([f0]), None)[0])
 
 
-def restrict_to_window(mu: PerturbingMeasure, s, t) -> PerturbingMeasure:
-    """Restriction to the open window (s, t); the series only sees this part."""
-    return restrict_measure(mu, Interval(s, t, closed_lo=False, closed_hi=False))
-
-
 # ---------------------------------------------------------------------------
 # Alternative atom operator (counts coincident times; nondecreasing chains)
 # ---------------------------------------------------------------------------
-
-def alt_atom_kernel_apply(g, s, x, u0, kernel, n_nodes: int = 96) -> float:
-    """Three-case operator for a unit atom at u0:
-    0 for s > u0; g(s, x) at s = u0; int p(s,x,u0,z) g(u0, z) dm(z) below."""
-    if s > u0:
-        return 0.0
-    if s == u0:
-        return float(g(s, x))
-    z, w = peak_rule(x, float(kernel.peak_scale(u0 - s)), n_nodes // 2)
-    vals = kernel(s, x, np.full_like(z, u0), z) * g(np.full_like(z, u0), z)
-    return float(np.sum(vals * w))
-
 
 def multi_atom_iterate_count(L: int, n: int) -> int:
     """Number of nondecreasing length-n chains from L usable atoms:
@@ -533,11 +516,6 @@ class MultiAtomOperator:
             g = mk.apply(self.K, g)
         return float(self._readout(s, x) @ g)
 
-    def iterate_at(self, n: int, s, x) -> float:
-        """(K^n f)(s, x)."""
-        return self.iterate_ratio_at(n, s, x) * \
-            float(self.kernel(s, x, self.t, self.y))
-
     def series_at(self, eta: float, s, x, tol: float = 1e-9,
                   max_terms: int = 200) -> SeriesResult:
         """sum_n (eta K)^n f(s, x) = f (1 + eta R sum_m (eta K)^m 1), R the
@@ -555,59 +533,6 @@ class MultiAtomOperator:
         tail = eta * float(np.sum(row)) * res.tail_estimate * f
         return SeriesResult(f + pert, (f, pert), res.n_terms, tail, 0.0,
                             res.status, f)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form perturbed densities (oracles)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _AtomPerturbedKernel:
-    """A base kernel times a factor set by where the pair (s, t) lies
-    relative to the atom at u0; subclasses give the factor and ck."""
-
-    base: object
-    u0: float
-    eta: float
-    kind = "peak"
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    def __call__(self, s, x, t, y):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return self._factor(s, t) * self.base(s, x, t, y)
-
-    def peak_scale(self, dt):
-        return self.base.peak_scale(dt)
-
-    def spatial_window(self, *a):
-        return self.base.spatial_window(*a)
-
-
-class DiracPerturbedKernel(_AtomPerturbedKernel):
-    """Series oracle for a single atom: (1 + eta) p when the pair straddles
-    the atom, p otherwise.  Not a semigroup: composing through the atom
-    time itself loses the (1 + eta) factor."""
-
-    ck = False
-
-    def _factor(self, s, t):
-        return np.where((s < self.u0) & (self.u0 < t), 1.0 + self.eta, 1.0)
-
-
-class AltAtomPerturbedKernel(_AtomPerturbedKernel):
-    """Closed form of the alternative single-atom series:
-    (1 - eta)**(-1) p for s <= u0 < t, else p.  This one does satisfy the
-    composition identity (the <= / < asymmetry makes the factors match)."""
-
-    ck = True
-
-    def _factor(self, s, t):
-        return np.where((s <= self.u0) & (self.u0 < t),
-                        1.0 / (1.0 - self.eta), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +721,8 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
     <= eta by sampling (withholding the certificate as HYPOTHESIS_FAIL for
     slices that violate it), then compares the series against
     (1 - eta)**(-j) on each slice.  With eta omitted, the measured sup
-    (slightly padded) is used; it must come out below one.
+    (slightly padded) is used.  An eta of one or more raises
+    SmallnessError (from ``bounds.certify``), which carries it.
     """
     problem = TimeSliceProblem(kernel, mu, r, t, y, intervals,
                                quad_tol=quad_tol, seed=seed,
@@ -813,14 +739,6 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
     if eta is None:
         eta = measured * (1.0 + 1e-6)
     certs = []
-    if not eta < 1.0:
-        for j in range(1, problem.k + 1):
-            certs.append(bnd.BoundCertificate(
-                slice_index=j, eta=eta, beta=eta, theorem_bound=math.inf,
-                measured_ratio=sups[j - 1], status="HYPOTHESIS_FAIL",
-                sample_count=2 * n_samples,
-                note="slice smallness constant is not below one"))
-        return certs
     tol = bnd.quad_rel_tol(quad_tol)
     ok_slices = [j for j in range(1, problem.k + 1)
                  if sups[j - 1] <= eta * (1.0 + tol)]
@@ -876,53 +794,13 @@ def corollary47_bound(kernel, mu, r, t, y, intervals, c, beta,
                 f"{max(ratios):.4g} > c={c}")
     if c <= 1.0:
         return 1.0
-    N = bnd.smallest_admissible_N(c)
-    eta = c * (1.0 - 1.0 / c) ** N
-    C = sum(beta ** n_ for n_ in range(N)) * \
-        (1.0 + beta / (1.0 - eta)) ** (problem.k - 1) / (1.0 - eta)
+    C = bnd.corollary_bound(c, bnd.smallest_admissible_N(c), beta, problem.k)
     vals, rep = problem.series(top)
     full = bnd._sup_ratio(vals, problem.control(top))
     if rep.status == "converged" and full > C * (1.0 + tol):
-        raise bnd.CertificationError(
+        raise CertificationError(
             f"series ratio {full:.4g} exceeds the bound C={C:.4g}")
     return C
-
-
-def localization_check(kernel, mu, I: Interval, eta, t, y,
-                       n_samples: int = 16, seed: int = 0,
-                       quad_tol: float = 1e-4, x_box=(-4.0, 4.0)) -> bool:
-    """Propagation of the slice inequality to sources left of the interval.
-
-    Requires the composition identity (kernel.ck); verifies the
-    hypothesis sup over (s, x) with s in I of p_1^{mu_I} / p <= eta, then
-    re-tests at samples strictly left of I and reports whether the same
-    bound holds there within quadrature tolerance.
-    """
-    if not getattr(kernel, "ck", False):
-        raise PreconditionError("kernel does not satisfy the composition "
-                                "identity; the localization lemma does not apply")
-    mu_I = restrict_measure(mu, I)
-    tol = bnd.quad_rel_tol(quad_tol)
-    eng = Halton(2, seed)
-    pts = eng.random(2 * n_samples)
-    hi = min(I.hi, t)
-
-    def ratio_at(s, x):
-        return p1_ratio(kernel, mu_I, t, y, s, x, quad_tol)
-
-    inside = [(I.lo + (hi - I.lo) * p0,
-               x_box[0] + (x_box[1] - x_box[0]) * p1)
-              for p0, p1 in pts[:n_samples]]
-    for s, x in inside:
-        rr = ratio_at(s, x)
-        if rr > eta * (1.0 + tol):
-            raise PreconditionError(
-                f"hypothesis fails inside the interval: {rr:.4g} > eta={eta}")
-    span = max(hi - I.lo, 0.5)
-    left = [(I.lo - 2.0 * span * p0 - 1e-6,
-             x_box[0] + (x_box[1] - x_box[0]) * p1)
-            for p0, p1 in pts[n_samples:]]
-    return all(ratio_at(s, x) <= eta * (1.0 + tol) for s, x in left)
 
 
 def kato_certify(kernel, mu, h, eta, t, y, sample_pts,

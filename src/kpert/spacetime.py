@@ -3,13 +3,13 @@ comparison inequalities and residual checks.
 
 Kernels are evaluators p(s, x, t, y) >= 0 on R x R^d that vanish for
 s >= t (causality).  The registry makes them addressable by name from
-the CLI: "gaussian", "cauchy", "kappa".  The stable potential kernel
-lives in space only and is the plain function stable_potential_kernel.
+the CLI: "gaussian", "cauchy", "kappa"; ``kappa`` is the four-argument
+form of the cone kernel.
 
-Singular integrands here ((u+z)**-3/2 cones, z**-1/2 Weyl weights,
-x**-3/2 subordinator densities) get power-law endpoint substitutions so
-the transformed integrand is bounded; plain adaptive subdivision stalls
-at such endpoints.  Each evaluator documents its substitution.
+Singular integrands here ((u+z)**-3/2 cones, z**-1/2 and z**-3/2 Weyl
+weights) get power-law endpoint substitutions so the transformed
+integrand is bounded; plain adaptive subdivision stalls at such
+endpoints.  Each evaluator documents its substitution.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from scipy.special import gamma as gamma_fn
 from kpert import matrix_kernels as mk
 from kpert.errors import PreconditionError
 from kpert.quadrature import (Halton, QuadratureSpec, gauss_legendre_rule,
-                              integrate_1d, integrate_nd, peak_rule)
+                              integrate_1d, peak_rule)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
@@ -42,7 +42,6 @@ class GaussianKernel:
     """Heat-semigroup density [4 pi (t-s)]**(-d/2) exp(-|x-y|^2 / 4(t-s))."""
 
     kind = "peak"
-    ck = True
 
     def __init__(self, dim: int = 1):
         self.dim = int(dim)
@@ -62,12 +61,6 @@ class GaussianKernel:
         # transition variance is 2*dt
         return np.sqrt(2.0 * np.maximum(dt, 0.0))
 
-    def spatial_window(self, x_lo, x_hi, y, max_dt, tol):
-        # Gaussian tail: mass beyond n sigma ~ exp(-n^2/2); pad so the
-        # discarded fraction stays below tol/10
-        pad = math.sqrt(2.0 * max_dt) * (math.sqrt(2.0 * math.log(10.0 / tol)) + 2.0)
-        return min(x_lo, y) - pad, max(x_hi, y) + pad
-
 
 class CauchyKernel:
     """Cauchy semigroup density c_d (t-s) [(t-s)^2 + |y-x|^2]**(-(d+1)/2).
@@ -78,7 +71,6 @@ class CauchyKernel:
     """
 
     kind = "peak"
-    ck = True
     _c_cache: dict = {}
 
     def __init__(self, dim: int = 1):
@@ -111,13 +103,6 @@ class CauchyKernel:
     def peak_scale(self, dt):
         return np.maximum(dt, 0.0)
 
-    def spatial_window(self, x_lo, x_hi, y, max_dt, tol):
-        # power tail ~ (2/pi) dt / R in d=1: pad so the mass outside stays
-        # below tol/10 (interpolation grids only; the series engine
-        # integrates tails through a tan substitution, not truncation)
-        pad = max_dt * (10.0 / tol) ** (1.0 / self.dim) + 1.0
-        return min(x_lo, y) - pad, max(x_hi, y) + pad
-
 
 class KappaKernel:
     """Potential kernel of two independent right-moving 1/2-stable motions:
@@ -128,7 +113,6 @@ class KappaKernel:
     """
 
     kind = "cone"
-    ck = False
     dim = 1
 
     def __init__(self):
@@ -146,9 +130,6 @@ class KappaKernel:
 
     def peak_scale(self, dt):
         return np.maximum(dt, 0.0)
-
-    def spatial_window(self, x_lo, x_hi, y, max_dt, tol):
-        return x_lo, max(x_hi, y)
 
 
 _GAUSSIANS: dict = {}
@@ -181,48 +162,6 @@ def resolve_kernel(name: str, dim: int = 1):
     raise ValueError(f"unknown kernel {name!r}")
 
 
-def gaussian_density(s, x, t, y, d: int = 1):
-    return gaussian_kernel(d)(s, x, t, y)
-
-
-def cauchy_density(s, x, t, y, d: int = 1):
-    return cauchy_kernel(d)(s, x, t, y)
-
-
-def stable_subordinator_density(t, x):
-    """Density (4 pi)**(-1/2) t x**(-3/2) exp(-t^2 / 4x) of the 1/2-stable
-    subordinator at time t > 0; zero for x <= 0."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("time must be positive")
-    x = np.asarray(x, dtype=float)
-    ok = x > 0
-    x_safe = np.where(ok, x, 1.0)
-    val = _INV_SQRT_4PI * t * x_safe ** -1.5 * np.exp(-t * t / (4.0 * x_safe))
-    return np.where(ok, val, 0.0)
-
-
-def stable_potential_kernel(alpha, x, y):
-    """Gamma(alpha/2)**(-1) (y - x)_+**(alpha/2 - 1), 0 < alpha < 2."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gap = y - x
-    ok = gap > 0
-    gap_safe = np.where(ok, gap, 1.0)
-    return np.where(ok, gap_safe ** (alpha / 2.0 - 1.0) / gamma_fn(alpha / 2.0), 0.0)
-
-
-def kappa_density(s, x):
-    """Two-argument form (4 pi)**(-1/2) (s + x)**(-3/2) for s, x > 0."""
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    ok = (s > 0) & (x > 0)
-    w = np.where(ok, s + x, 1.0)
-    return np.where(ok, _INV_SQRT_4PI * w ** -1.5, 0.0)
-
-
 def kappa(s, x, u, z):
     """Four-argument translation-invariant form kappa(u - s, z - x)."""
     return KAPPA(s, x, u, z)
@@ -239,26 +178,16 @@ class CKResidual(NamedTuple):
 
 def check_chapman_kolmogorov(kernel, s, x, u, t, y,
                              spec: QuadratureSpec | None = None) -> CKResidual:
-    """|int p(s,x,u,z) p(u,z,t,y) dz - p(s,x,t,y)| by quadrature."""
+    """|int p(s,x,u,z) p(u,z,t,y) dz - p(s,x,t,y)| by quadrature (d = 1)."""
     if not s < u < t:
         raise ValueError("need s < u < t")
+    if getattr(kernel, "dim", 1) != 1:
+        raise ValueError("the Chapman-Kolmogorov check takes d = 1")
     spec = spec or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
-    d = getattr(kernel, "dim", 1)
-    if d == 1:
-        def f(z):
-            return kernel(s, x, u, z) * kernel(u, z, t, y)
-        res = integrate_1d(f, -np.inf, np.inf, spec)
-    elif d == 2:
-        def f(pts):
-            return kernel(s, np.asarray([x] * len(pts)), u, pts) * \
-                kernel(u, pts, t, np.asarray([y] * len(pts)))
-        lo, hi = kernel.spatial_window(min(x[0], y[0]), max(x[0], y[0]),
-                                       y[0], t - s, spec.rel_tol)
-        span = hi - lo
-        box = [(min(x[i], y[i]) - span, max(x[i], y[i]) + span) for i in range(2)]
-        res = integrate_nd(f, box, spec)
-    else:
-        raise ValueError("Chapman-Kolmogorov check supports d <= 2")
+
+    def f(z):
+        return kernel(s, x, u, z) * kernel(u, z, t, y)
+    res = integrate_1d(f, -np.inf, np.inf, spec)
     target = float(kernel(s, x, t, y))
     return CKResidual(abs(res.value - target), res.error)
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from kpert import matrix_kernels as mk
-from kpert.bounds import (BoundCertificate, GronwallSequence, Interval,
-                          MatrixSliceProblem, SliceConstants, TruncationReport,
-                          certify, check_gronwall, corollary_bound,
+from kpert.bounds import (BoundCertificate, Interval, MatrixSliceProblem,
+                          SliceConstants, TruncationReport, certify,
+                          corollary_bound,
                           diagonal_levels, estimate_constants, gronwall_bound,
                           smallest_admissible_N, theorem_bound,
                           time_uniform_slices)
-from kpert.errors import DomainError, PreconditionError
+from kpert.errors import DomainError, PreconditionError, SmallnessError
 
 
 # -- gronwall ------------------------------------------------------------------
@@ -31,23 +31,20 @@ def test_gronwall_recursion_equality():
     for _ in range(6):
         gamma.append(alpha + delta * sum(gamma))
     assert gamma[3] == 8.0
-    assert check_gronwall(GronwallSequence(alpha, delta, tuple(gamma)))
-
-
-def test_gronwall_hypothesis_violation_names_index():
-    with pytest.raises(PreconditionError, match="index 1"):
-        check_gronwall(GronwallSequence(1.0, 0.5, (2.0,)))
+    assert gamma == [gronwall_bound(alpha, delta, j) for j in range(1, 7)]
 
 
 @given(hst.floats(0.0, 4.0), hst.floats(0.0, 2.0),
        hst.lists(hst.floats(0.0, 1.0), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_gronwall_random_hypothesis_satisfying(alpha, delta, fractions):
-    # build gamma_j as a random fraction of its allowed maximum
+    # gamma_j a random fraction of its allowed maximum
+    # alpha + delta * sum_{i<j} gamma_i stays below the closed form
     gamma = []
     for frac in fractions:
         gamma.append(frac * (alpha + delta * sum(gamma)))
-    assert check_gronwall(GronwallSequence(alpha, delta, tuple(gamma)))
+    for j, g in enumerate(gamma, start=1):
+        assert g <= gronwall_bound(alpha, delta, j) * (1 + 1e-12)
 
 
 # -- bound formulas --------------------------------------------------------------
@@ -190,8 +187,9 @@ def test_certify_fixture_ratios():
 def test_certify_requires_smallness():
     prob = fixture_problem()
     bad = SliceConstants((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), exact=True)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(SmallnessError) as exc:
         certify(prob, bad)
+    assert isinstance(exc.value, PreconditionError) and exc.value.eta == 1.0
 
 
 def test_certify_invalid_when_constants_understated():

@@ -52,10 +52,11 @@ GOLDEN = {
     "certify_kappa": ("certify", 0, "certificates.json",
                       "5c2e9129a598698e248bff48b561f98d"
                       "ed874472fb2adc899e71fb36583ef97a"),
-    # re-recorded when pure-atom measures moved onto the series engine
+    # re-recorded when eta >= 1 on time slices wrote the error and eta
+    # in place of certificates
     "certify_atom_violation": ("certify", 4, "certificates.json",
-                               "0c400791063b3a6a3e2b65e29d0f145d"
-                               "fd19799b1a17b8a231169a766ce9a2b2"),
+                               "0b8527c3a8edd2188368be2243d511c0"
+                               "79f8d45dbe1aae1c85f0649a9a26c7fa"),
     # recorded before kato_inner_integral evaluated its time nodes in one
     # broadcast and Gauss-Legendre base rules were cached
     "kato_gauss_atom": ("kato", 0, "kato.csv",
@@ -116,7 +117,7 @@ def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
     assert first.discrete is not None and first.seed == 3
     assert vars(second) == {"command": "series",
                             "config": str(FIXTURES / "series_zero_measure.json"),
-                            "seed": 0, "out": str(tmp_path / "b"),
+                            "seed": None, "out": str(tmp_path / "b"),
                             "fn": cli.cmd_series}
 
 
@@ -236,6 +237,116 @@ def test_bad_input_exit_2_with_message(case, command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# certify inputs that ended in a traceback, in a bare "error: 'c'" or, for
+# a reversed interval, in exit 0 with a certificate for an empty slice;
+# each case is (config, the problem.json beside it or None, message)
+_KAPPA = {"kernel": {"name": "kappa"}, "target": {"t": 1.0, "y": 1.0}}
+_PROBLEM = {"n": 2, "entries": [[0.5, 0.0], [0.25, 0.5]],
+            "sets": {"A1": [0], "A2": [0, 1]}, "f": [1.0, 1.0]}
+_DISCRETE = {"discrete": {"path": "problem.json", "chain": ["A1", "A2"]}}
+BAD_CERTIFY_INPUTS = {
+    "time-uniform-h-negative": (
+        {"slicing": {"mode": "time-uniform", "h": -0.5}}, None,
+        "slicing.h must be positive and finite"),
+    "time-uniform-r-at-target": (
+        {"slicing": {"mode": "time-uniform", "h": 0.5, "r": 1.0}}, None,
+        "slicing.r = 1.0 must lie below the target time"),
+    "time-uniform-zero-samples": (
+        {"slicing": {"mode": "time-uniform", "h": 0.5, "n_samples": 0}},
+        None, "slicing.n_samples must be a positive integer"),
+    "time-uniform-nan-eta": (
+        {"slicing": {"mode": "time-uniform", "h": 0.5,
+                     "eta": float("nan")}}, None, "slicing.eta must be"),
+    "intervals-missing": ({"slicing": {"mode": "intervals"}}, None,
+                          "slicing.intervals must be a non-empty list"),
+    "intervals-reversed": (
+        {"slicing": {"mode": "intervals", "intervals": [[0.5, 0.2]]}}, None,
+        "slicing.intervals must be a non-empty list"),
+    "diagonal-p-above-half": (
+        {**_KAPPA, "slicing": {"mode": "diagonal-level", "c": 0.05,
+                               "p": 0.7}}, None, "slicing.p must lie in"),
+    "diagonal-c-negative": (
+        {**_KAPPA, "slicing": {"mode": "diagonal-level", "c": -1,
+                               "p": 0.1}}, None, "slicing.c must be"),
+    "diagonal-c-missing": (
+        {**_KAPPA, "slicing": {"mode": "diagonal-level", "p": 0.1}}, None,
+        "diagonal-level slicing needs slicing.c"),
+    "diagonal-eta-target-above-one": (
+        {**_KAPPA, "slicing": {"mode": "diagonal-level", "c": 0.05,
+                               "p": 0.1, "eta_target": 1.5}}, None,
+        "slicing.eta_target must lie in (0, 1)"),
+    "diagonal-h-zero": (
+        {**_KAPPA, "slicing": {"mode": "diagonal-level", "c": 0.05,
+                               "p": 0.1, "h": 0}}, None,
+        "slicing.h must be positive and finite"),
+    "diagonal-gaussian-kernel": (
+        {"slicing": {"mode": "diagonal-level", "c": 0.05, "p": 0.1}}, None,
+        "diagonal-level slicing takes kernel kappa"),
+    "diagonal-target-on-axis": (
+        {**_KAPPA, "target": {"t": 1.0, "y": 0.0},
+         "slicing": {"mode": "diagonal-level", "c": 0.05, "p": 0.1}}, None,
+        "a target with t > 0 and y > 0"),
+    "discrete-nan-control": (
+        _DISCRETE, {**_PROBLEM, "f": [float("nan"), 1.0]},
+        "invalid discrete problem"),
+    "discrete-chain-not-absorbing": (
+        _DISCRETE, {**_PROBLEM, "entries": [[0.5, 0.25], [0.25, 0.5]]},
+        "invalid discrete problem"),
+    "discrete-unknown-set": (
+        {"discrete": {"path": "problem.json", "chain": ["B9"]}}, _PROBLEM,
+        "problem.json: 'B9'"),
+    "discrete-no-path": ({"discrete": {"chain": ["A1"]}}, None,
+                         "needs --discrete or discrete.path"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CERTIFY_INPUTS))
+def test_bad_certify_input_exit_2_with_message(case, tmp_path, capsys):
+    doc, problem, message = BAD_CERTIFY_INPUTS[case]
+    if problem is not None:
+        (tmp_path / "problem.json").write_text(json.dumps(problem))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SERIES_CASE, **doc}))
+    assert run_cli("certify", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if problem is not None:
+        assert str(tmp_path / "problem.json") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_discrete_flag_overrides_config_path(tmp_path, capsys):
+    # --discrete once lost to the config's discrete.path: the config's
+    # problem was certified and the run exited 0
+    problem = json.loads((FIXTURES / "discrete_eta05.json").read_text())
+    problem["f"][0] = float("nan")
+    nanf = tmp_path / "nanf.json"
+    nanf.write_text(json.dumps(problem))
+    assert run_cli("certify", "--config",
+                   str(FIXTURES / "certify_discrete.json"), "--discrete",
+                   str(nanf), "--out", str(tmp_path / "out")) == 2
+    assert f"invalid discrete problem {nanf}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_config_seed_applies_without_flag(tmp_path):
+    # --seed defaulted to 0, so a config's seed key was never read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        **_SERIES_CASE, "seed": 3,
+        "measure": {"density": {"kind": "const", "lambda": 0.25}},
+        "slicing": {"mode": "time-uniform", "h": 0.5, "n_samples": 3},
+        "quad": {"rel_tol": 3e-3, "max_terms": 8}}))
+    out = {}
+    for name, flag in (("key", []), ("flag-3", ["--seed", "3"]),
+                       ("flag-0", ["--seed", "0"])):
+        assert run_cli("certify", "--config", str(cfg), *flag,
+                       "--out", str(tmp_path / name)) == 0
+        out[name] = (tmp_path / name / "certificates.json").read_bytes()
+    assert out["key"] == out["flag-3"] != out["flag-0"]
+
+
 # CLI arguments that ended in a traceback (a negative seed in default_rng
 # or Philox, no samples, an empty or non-positive window ladder) or, for
 # --windows 0, in k(0) = 0.0
@@ -321,12 +432,16 @@ def test_certify_discrete_fixture_exit_0(tmp_path):
 
 
 def test_certify_atom_violation_exit_4(tmp_path):
+    # the measured slice constant is above one: no certificate exists (this
+    # branch once wrote HYPOTHESIS_FAIL certificates with "bound": Infinity,
+    # which is not JSON)
     code = run_cli("certify", "--config",
                    str(FIXTURES / "certify_atom_violation.json"),
                    "--out", str(tmp_path))
     assert code == 4
-    certs = json.loads((tmp_path / "certificates.json").read_text())
-    assert any(c["status"] == "HYPOTHESIS_FAIL" for c in certs)
+    doc = json.loads((tmp_path / "certificates.json").read_text())
+    assert doc["error"] == "local smallness fails" and doc["eta"] > 1.0
+    assert not (tmp_path / "certificates.csv").exists()
 
 
 def test_certify_kappa_fixture_exit_0(tmp_path):
@@ -339,9 +454,12 @@ def test_certify_kappa_fixture_exit_0(tmp_path):
     assert len(certs) == 4
 
 
-# eta >= 1 on both branches that estimate constants before certifying;
-# the diagonal-level branch once exited 4 with no output and no message
+# eta >= 1 on every branch; the diagonal-level branch once exited 4 with
+# no output and no message, the time-uniform one wrote certificates
 SMALLNESS_FAILS = {
+    "time-uniform": {"measure": {"atoms": [{"u": 0.5, "eta": 1.5}]},
+                     "slicing": {"mode": "time-uniform", "h": 0.5,
+                                 "n_samples": 6}},
     "diagonal-level": {"kernel": {"name": "kappa"},
                        "target": {"t": 1.0, "y": 1.0},
                        "slicing": {"mode": "diagonal-level", "c": 5,

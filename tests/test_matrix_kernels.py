@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as hst
 from kpert import matrix_kernels as mk
 from kpert.errors import PreconditionError
 from kpert.matrix_kernels import (AbsorbingChain, MatrixKernel, StateSet,
-                                  apply, check_geometric_decay, compose,
+                                  apply, check_geometric_decay,
                                   exact_series_sum, is_absorbing,
                                   load_discrete_problem, neumann_series,
                                   random_absorbing_instance, restrict,
@@ -78,26 +78,6 @@ def test_apply_additive_homogeneous_monotone(K, f, g):
     np.testing.assert_array_equal(apply(K, f + g), apply(K, f) + apply(K, g))
     np.testing.assert_array_equal(apply(K, 2.0 * f), 2.0 * apply(K, f))
     assert np.all(apply(K, f) <= apply(K, f + g))
-
-
-# -- compose -----------------------------------------------------------------
-
-def test_compose_identity():
-    L = MatrixKernel([[0.5, 0.25], [0, 1]])
-    np.testing.assert_array_equal(
-        compose(MatrixKernel(np.eye(2)), L).entries, L.entries)
-
-
-def test_compose_nilpotent():
-    K = MatrixKernel([[0, 1], [0, 0]])
-    np.testing.assert_array_equal(compose(K, K).entries, np.zeros((2, 2)))
-
-
-@given(dyadic_matrices(4), dyadic_matrices(4), dyadic_matrices(4))
-@settings(max_examples=40, deadline=None)
-def test_compose_associative_exactly(K, L, M):
-    np.testing.assert_array_equal(compose(compose(K, L), M).entries,
-                                  compose(K, compose(L, M)).entries)
 
 
 # -- restrict / absorbing ----------------------------------------------------

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from kpert import perturbation as pt
 from kpert import spacetime as st
 from kpert.bounds import Interval, TruncationReport, time_uniform_slices
-from kpert.errors import DomainError, PreconditionError
+from kpert.errors import DomainError, PreconditionError, SmallnessError
 from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
                             PerturbingMeasure, measure_from_config,
                             restrict_measure)
@@ -138,7 +138,8 @@ def test_series_restriction_consistency():
     # only the measure inside (s, t) can matter
     mu = PerturbingMeasure(ConstDensity(0.5), (Atom(1.5, 0.9), Atom(2.5, 0.4)))
     r_full = pt.series(G, mu, 0.2, 0.1, 1.0, 0.0, quad_tol=1e-4)
-    r_cut = pt.series(G, pt.restrict_to_window(mu, 0.2, 1.0),
+    window = Interval(0.2, 1.0, closed_lo=False, closed_hi=False)
+    r_cut = pt.series(G, restrict_measure(mu, window),
                       0.2, 0.1, 1.0, 0.0, quad_tol=1e-4)
     assert r_full.value == pytest.approx(r_cut.value, rel=1e-6)
 
@@ -359,16 +360,7 @@ def test_slice_problem_reuses_engine_pair_bit_for_bit():
         assert engines[0] is engines[1]
 
 
-# -- alternative atom operator ----------------------------------------------------
-
-def test_alt_atom_kernel_three_cases():
-    g = lambda s, x: np.asarray(G(s, x, 1.0, 0.0))
-    assert pt.alt_atom_kernel_apply(g, 0.7, 0.0, 0.5, G) == 0.0
-    at = pt.alt_atom_kernel_apply(g, 0.5, 0.3, 0.5, G)
-    assert at == pytest.approx(float(G(0.5, 0.3, 1.0, 0.0)), rel=1e-14)
-    below = pt.alt_atom_kernel_apply(g, 0.2, 0.3, 0.5, G)
-    assert below == pytest.approx(float(G(0.2, 0.3, 1.0, 0.0)), rel=1e-8)
-
+# -- multi-atom operator ----------------------------------------------------------
 
 def test_multi_atom_iterate_counts():
     assert pt.multi_atom_iterate_count(2, 0) == 1
@@ -396,7 +388,7 @@ def test_multi_atom_operator_iterate_identity():
     op = pt.MultiAtomOperator(G, [0.5], 1.0, 0.0)
     for n in (1, 2, 4):
         assert op.iterate_ratio_at(n, 0.2, 0.3) == pytest.approx(1.0, abs=1e-7)
-    assert op.iterate_at(1, 0.7, 0.3) == 0.0
+    assert op.iterate_ratio_at(1, 0.7, 0.3) == 0.0      # no atom ahead
 
 
 def test_multi_atom_series_matches_closed_form():
@@ -409,8 +401,8 @@ def test_multi_atom_series_matches_closed_form():
 
 
 def test_multi_atom_series_counts_the_atom_at_s():
-    # rho({s}) at an atom time, the s <= u0 convention of
-    # AltAtomPerturbedKernel; the series once dropped that atom and the
+    # rho({s}) at an atom time, the s <= u0 convention of the alternative
+    # single-atom series; the series once dropped that atom and the
     # iterate raised
     op = pt.MultiAtomOperator(G, [1 / 4, 1 / 2, 3 / 4], 1.0, 0.0)
     for s, L in ((0.25, 3), (0.5, 2), (0.75, 1)):
@@ -435,20 +427,32 @@ def test_multi_atom_series_sums_its_iterates():
 
 # -- closed-form perturbed kernels ------------------------------------------------
 
+def _atom_perturbed_kernel(u0, factor, closed_lo):
+    """G times ``factor`` when the pair (s, t) straddles an atom at u0:
+    s < u0 < t, or s <= u0 < t with ``closed_lo``."""
+    def kernel(s, x, t, y):
+        s = np.asarray(s, dtype=float)
+        t = np.asarray(t, dtype=float)
+        before = (s <= u0) if closed_lo else (s < u0)
+        return np.where(before & (u0 < t), factor, 1.0) * G(s, x, t, y)
+    return kernel
+
+
 def test_dirac_perturbed_kernel_fails_composition_at_atom():
-    pk = pt.DiracPerturbedKernel(G, 0.5, 0.7)
+    # the single-atom series (1 + eta) p is not a semigroup: composing
+    # through the atom time itself loses the factor
+    pk = _atom_perturbed_kernel(0.5, 1.7, closed_lo=False)
     r = st.check_chapman_kolmogorov(pk, 0.2, 0.0, 0.5, 1.0, 0.3)
     base = float(G(0.2, 0.0, 1.0, 0.3))
     assert r.residual == pytest.approx(0.7 * base, rel=1e-7)
-    assert not pk.ck
 
 
 def test_alt_atom_perturbed_kernel_satisfies_composition():
-    ak = pt.AltAtomPerturbedKernel(G, 0.5, 0.3)
+    # (1 - eta)**-1 p for s <= u0 < t does compose, at the atom time too
+    ak = _atom_perturbed_kernel(0.5, 1.0 / (1.0 - 0.3), closed_lo=True)
     for u in (0.3, 0.5, 0.8):
         r = st.check_chapman_kolmogorov(ak, 0.2, 0.0, u, 1.0, 0.3)
         assert r.residual <= 1e-8
-    assert ak.ck
 
 
 # -- sliced certification ----------------------------------------------------------
@@ -473,11 +477,19 @@ def test_theorem46_atomless_small():
 
 
 def test_theorem46_hypothesis_fail_on_heavy_atom():
+    # the atom sits in slice 1 = [0.5, 1): its constant exceeds eta there,
+    # while slice 2 sees no measure and still gets its certificate
     mu = PerturbingMeasure(atoms=(Atom(0.5, 1.5),))
     intervals = time_uniform_slices(0.0, 1.0, 0.5)
-    certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals,
+    certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, eta=0.5,
                                  n_samples=6, quad_tol=1e-3)
-    assert any(c.status == "HYPOTHESIS_FAIL" for c in certs)
+    assert [c.status for c in certs] == ["HYPOTHESIS_FAIL", "VALID"]
+    assert certs[0].measured_ratio > 1.0 and certs[0].theorem_bound == 2.0
+    # with eta measured it comes out above one: no certificate exists
+    with pytest.raises(SmallnessError) as exc:
+        pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, n_samples=6,
+                             quad_tol=1e-3)
+    assert exc.value.eta > 1.0
 
 
 def test_theorem46_sharpness_with_alt_series():
@@ -520,18 +532,6 @@ def test_corollary47_rejects_false_constants():
     with pytest.raises(PreconditionError):
         pt.corollary47_bound(G, mu, 0.0, 1.0, 0.0, intervals, c=2.0,
                              beta=1e-4, n_samples=4)
-
-
-def test_localization_check():
-    mu = PerturbingMeasure(ConstDensity(0.5))
-    assert pt.localization_check(G, mu, Interval(0.4, 0.7), 0.16, 1.0, 0.0,
-                                 n_samples=5)
-    with pytest.raises(PreconditionError):
-        pt.localization_check(pt.DiracPerturbedKernel(G, 0.5, 0.7), mu,
-                              Interval(0.4, 0.7), 0.2, 1.0, 0.0)
-    with pytest.raises(PreconditionError):    # hypothesis fails inside
-        pt.localization_check(G, mu, Interval(0.4, 0.7), 1e-4, 1.0, 0.0,
-                              n_samples=5)
 
 
 def test_kato_certify_statuses():

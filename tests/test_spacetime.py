@@ -14,18 +14,27 @@ from kpert.quadrature import QuadratureSpec, gauss_legendre_rule, integrate_1d
 INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
 
 
+def subordinator_density(t, x):
+    """(4 pi)**(-1/2) t x**(-3/2) exp(-t^2 / 4x), the density of the
+    1/2-stable subordinator at time t > 0 (zero for x <= 0)."""
+    x = np.asarray(x, dtype=float)
+    x_safe = np.where(x > 0, x, 1.0)
+    return np.where(x > 0, INV_SQRT_4PI * t * x_safe ** -1.5
+                    * np.exp(-t * t / (4.0 * x_safe)), 0.0)
+
+
 # -- densities -----------------------------------------------------------------
 
 def test_gaussian_point_values():
-    assert st.gaussian_density(1.0, 0.0, 0.5, 0.0) == 0.0    # causality
-    assert st.gaussian_density(1.0, 0.0, 1.0, 0.0) == 0.0
-    assert st.gaussian_density(0, 0.0, 1, 0.0) == pytest.approx(INV_SQRT_4PI,
-                                                                rel=1e-15)
+    g = st.gaussian_kernel(1)
+    assert g(1.0, 0.0, 0.5, 0.0) == 0.0    # causality
+    assert g(1.0, 0.0, 1.0, 0.0) == 0.0
+    assert g(0, 0.0, 1, 0.0) == pytest.approx(INV_SQRT_4PI, rel=1e-15)
 
 
 def test_gaussian_normalization_by_quadrature():
     for s, x, t in ((0.0, 0.3, 1.0), (0.2, -1.0, 0.7), (-1.0, 2.0, 2.5)):
-        r = integrate_1d(lambda z: st.gaussian_density(s, x, t, z),
+        r = integrate_1d(lambda z: st.gaussian_kernel(1)(s, x, t, z),
                          -np.inf, np.inf, QuadratureSpec(rel_tol=1e-10))
         assert abs(r.value - 1.0) < 1e-8
 
@@ -35,7 +44,7 @@ def test_cauchy_normalizer_d1():
 
 
 def test_cauchy_normalization_by_quadrature():
-    r = integrate_1d(lambda z: st.cauchy_density(0.0, 0.4, 1.2, z),
+    r = integrate_1d(lambda z: st.cauchy_kernel(1)(0.0, 0.4, 1.2, z),
                      -np.inf, np.inf, QuadratureSpec(rel_tol=1e-10))
     assert abs(r.value - 1.0) < 1e-8
 
@@ -47,7 +56,7 @@ def test_cauchy_power_asymptotics():
     t = rng.uniform(0.1, 2.0, 500)
     x = rng.uniform(-3, 3, 500)
     y = rng.uniform(-3, 3, 500)
-    p = st.cauchy_density(s, x, t, y)
+    p = st.cauchy_kernel(1)(s, x, t, y)
     comp = np.minimum((t - s) / np.maximum(np.abs(y - x), 1e-12) ** 2,
                       (t - s) ** -1.0)
     ratio = p / comp
@@ -64,37 +73,20 @@ def test_causality_grid():
         assert np.all(ker(s, x, t, y) >= 0.0)
 
 
-def test_subordinator_density_values():
-    assert float(st.stable_subordinator_density(1.0, -0.5)) == 0.0
-    assert float(st.stable_subordinator_density(1.0, 1.0)) == pytest.approx(
-        INV_SQRT_4PI * math.exp(-0.25), rel=1e-14)
-    with pytest.raises(ValueError):
-        st.stable_subordinator_density(0.0, 1.0)
-
-
 def test_subordinator_laplace_transform_grid():
     for u in (0.5, 1.0, 2.0):
-        r = integrate_1d(lambda z: st.stable_subordinator_density(1.0, z)
+        r = integrate_1d(lambda z: subordinator_density(1.0, z)
                          * np.exp(-u * z), 0.0, np.inf,
                          QuadratureSpec(rel_tol=1e-10))
         assert abs(r.value - math.exp(-math.sqrt(u))) < 1e-6
 
 
-def test_stable_potential_values():
-    assert float(st.stable_potential_kernel(1.0, 0.5, 0.2)) == 0.0
-    assert float(st.stable_potential_kernel(1.0, 0.0, 1.0)) == pytest.approx(
-        math.pi ** -0.5, rel=1e-14)
-    with pytest.raises(ValueError):
-        st.stable_potential_kernel(2.0, 0.0, 1.0)
-
-
 def test_potential_equals_time_integral_of_density():
-    # the 1/2-stable density integrates in time to the potential with
-    # exponent alpha/2 - 1 = -1/2
-    r = integrate_1d(lambda t: st.stable_subordinator_density(t, 1.0),
+    # the 1/2-stable density integrates in time to the potential
+    # Gamma(1/2)**-1 y**(-1/2), which is pi**(-1/2) at y = 1
+    r = integrate_1d(lambda t: subordinator_density(t, 1.0),
                      0.0, np.inf, QuadratureSpec(rel_tol=1e-10))
-    assert abs(r.value - float(st.stable_potential_kernel(1.0, 0.0, 1.0))) \
-        < 1e-4
+    assert abs(r.value - math.pi ** -0.5) < 1e-4
 
 
 def test_kappa_values_and_time_integral():
@@ -103,10 +95,10 @@ def test_kappa_values_and_time_integral():
     assert float(st.kappa(0, 0, 0.5, -0.1)) == 0.0
     assert float(st.kappa(0.5, 0, 0.5, 1)) == 0.0
     for sx in ((1.0, 1.0), (0.5, 2.0), (0.2, 0.3)):
-        r = integrate_1d(lambda t: st.stable_subordinator_density(t, sx[0])
-                         * st.stable_subordinator_density(t, sx[1]),
+        r = integrate_1d(lambda t: subordinator_density(t, sx[0])
+                         * subordinator_density(t, sx[1]),
                          0.0, np.inf, QuadratureSpec(rel_tol=1e-10))
-        assert abs(r.value - float(st.kappa_density(sx[0], sx[1]))) < 1e-6
+        assert abs(r.value - float(st.kappa(0, 0, *sx))) < 1e-6
 
 
 def test_registry():
@@ -226,7 +218,7 @@ def test_weyl_semigroup_generator():
 
     def averaged(tt):
         r = integrate_1d(lambda z: b(x + z)
-                         * st.stable_subordinator_density(tt, z),
+                         * subordinator_density(tt, z),
                          0.0, np.inf, QuadratureSpec(rel_tol=1e-10))
         return r.value
     slope = (averaged(eps) - b(x)) / eps
