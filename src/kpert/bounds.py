@@ -268,7 +268,7 @@ def verdict(status: str, ratio: float, bound: float, tol: float) -> str:
     return "VALID" if ratio <= bound * (1.0 + tol) else "INVALID"
 
 
-def certify(problem, constants: SliceConstants, rng=None,
+def certify(problem, constants: SliceConstants | None, rng=None,
             n_samples: int = 64, beta_override: float | None = None,
             eta_override: float | None = None):
     """One certificate per slice: measured series ratio vs the bound.
@@ -277,8 +277,8 @@ def certify(problem, constants: SliceConstants, rng=None,
     for matrices, quadrature-backed series otherwise) at the slice's
     points; INCONCLUSIVE when that series did not converge, never INVALID
     in that case.  Overrides let a caller certify against declared
-    constants instead of the measured ones.  An eta of one or more
-    raises SmallnessError.
+    constants instead of the measured ones (constants may be None when
+    both are given).  An eta of one or more raises SmallnessError.
     """
     eta = constants.eta if eta_override is None else eta_override
     beta = constants.beta if beta_override is None else beta_override

@@ -305,13 +305,9 @@ def _certificates(args, cfg):
             cfg.target_t, cfg.target_y, h=_slicing_number(cfg, "h", None),
             eta_target=_slicing_number(cfg, "eta_target", 0.5),
             quad_tol=cfg.quad_tol, seed=cfg.seed, max_terms=cfg.max_terms)
-        rng = np.random.default_rng(cfg.seed)
-        const = bnd.estimate_constants(prob, rng, n_samples=12, refine_rounds=1)
-        if const.eta >= 1.0:
-            raise SmallnessError(const.eta)
-        return bnd.certify(prob, const, rng, n_samples=6,
-                           beta_override=prob.analytic_eta,
-                           eta_override=prob.analytic_eta)
+        eta = float(prob.analytic_eta)
+        return bnd.certify(prob, None, n_samples=6, beta_override=eta,
+                           eta_override=eta)
     kernel = _command_kernel(cfg, "certify")
     return pt.theorem46_certify(
         kernel, cfg.measure, 0.0, cfg.target_t, cfg.target_y,

@@ -19,12 +19,17 @@ substitution, exact for a Cauchy peak) so end-of-interval bridges stay
 resolved; an atom term, one spatial integral, gets a finer rule.  A
 level is evaluated one grid row (one source time) per numpy broadcast:
 the time rule is shared along the row, and each node still reduces on
-its own, so the values match node-by-node evaluation bit for bit.  Every
-measure, atoms included, takes this one path (an atom level reads the
-previous one only at later atoms, so a single atom kills every term past
-the first), and the error estimate is the relative difference of the
-sums at two resolutions.  The slice problems build that engine pair once
-and reuse it for every batch of sample points.
+its own, so the values match node-by-node evaluation bit for bit.  At
+the time nodes (and atoms) whose spatial rule sits on the target, the
+nodes, weights and every factor but p(u0, z0, v, z') do not depend on
+the source node z0, so they are evaluated once per row and broadcast
+over it.  Row n + 1 is the only reader of grid level n, which is built
+only once that row is due.  Every measure, atoms included, takes this
+one path (an atom level reads the previous one only at later atoms, so a
+single atom kills every term past the first), and the error estimate is
+the relative difference of the sums at two resolutions.  The slice
+problems build that engine pair once and reuse it for every batch of
+sample points.
 """
 from __future__ import annotations
 
@@ -135,10 +140,13 @@ class SeriesEngine:
 
     def _bridge(self, u0, z0, v, atom=False):
         """Spatial nodes/weights for the z' integral at intermediate times v,
-        one block per source node z0: nodes have shape (len(z0), len(v), n)
-        and weights broadcast to it.  The rule is centered on the narrower
-        of the two kernel factors, with the finer unit rule at an atom;
-        cone rules need z0 < y, which holds wherever p(u0, z0, t, y) > 0."""
+        as (cols, zp, wp) groups over the columns cols of v: zp has shape
+        (len(z0), ncols, n), or (1, ncols, n) where it does not depend on
+        the source node z0, and wp broadcasts to it.  The rule is centered
+        on the narrower of the two kernel factors, with the finer unit rule
+        at an atom; time nodes whose rule sits on the target (t, y) form the
+        z0-free group.  Cone rules need z0 < y, which holds wherever
+        p(u0, z0, t, y) > 0."""
         if self.kind == "cone":
             xi, w = self._gl_half
             zm = 0.5 * (z0 + self.y)
@@ -150,16 +158,20 @@ class SeriesEngine:
             zp = np.concatenate([left, right], axis=1)
             wp = np.concatenate([wl, wr], axis=1)
             shape = (len(z0), len(v), zp.shape[1])
-            return np.broadcast_to(zp[:, None, :], shape), wp[:, None, :]
+            return [(slice(None), np.broadcast_to(zp[:, None, :], shape),
+                     wp[:, None, :])]
         s1 = np.asarray(self.kernel.peak_scale(v - u0), dtype=float)
         s2 = np.asarray(self.kernel.peak_scale(self.t - v), dtype=float)
         use1 = s1 <= s2
-        center = np.where(use1, z0[:, None], self.y)
         scale = np.maximum(np.where(use1, s1, s2), 1e-300)
         tan, tan_w = self._atom_rule if atom else self._rule
-        zp = center[:, :, None] + scale[:, None] * tan
-        wp = scale[:, None] * tan_w
-        return zp, wp
+        groups = []
+        for cols, center in ((use1, z0[:, None, None]),
+                             (~use1, np.full((1, 1, 1), self.y))):
+            if np.any(cols):
+                groups.append((cols, center + scale[cols][:, None] * tan,
+                               scale[cols][:, None] * tan_w))
+        return groups
 
     def _time_nodes(self, lo, hi, u0):
         """Rule for the v integral on (lo, hi); cone kernels get quadratic
@@ -200,6 +212,25 @@ class SeriesEngine:
                 out[m] = spl(v[m], zq[m], grid=False)
         return out
 
+    def _bridge_sums(self, u0, z0, v, splines, atom=False):
+        """Inner sums over z' of p(u0, z0, v, z') p(v, z', t, y) q(v, z')
+        r_{n-1}(v, z') w, shape (len(z0), len(v)); an atom term has no q.
+        On a z0-free group of the bridge rule, every factor but the first
+        is evaluated once for the whole row and broadcast over z0."""
+        inner = np.empty((len(z0), len(v)))
+        zc = z0[:, None, None]
+        for cols, zp, wp in self._bridge(u0, z0, v, atom):
+            vv = np.broadcast_to(v[cols, None], zp.shape)
+            p1 = self.kernel(u0, zc, vv, zp)
+            p2 = self.kernel(vv, zp, self.t, self.y)
+            rv = self._lookup(splines, vv, zp)
+            if atom:
+                inner[:, cols] = np.sum(p1 * p2 * rv * wp, axis=-1)
+            else:
+                qv = self.mu.q(vv, zp)
+                inner[:, cols] = np.sum(p1 * p2 * qv * rv * wp, axis=-1)
+        return inner
+
     def _row_values(self, u0, z0, f0, splines):
         """One application of the measure-weighted kernel to r_{n-1} p at
         the nodes (u0, z0[k]), divided by f0[k] = p(u0, z0[k], t, y).
@@ -213,29 +244,18 @@ class SeriesEngine:
         if u0 >= self.t or not np.any(live):
             return out
         z0, f0 = z0[live], f0[live]
-        zc = z0[:, None, None]
         total = np.zeros(len(z0))
         for lo, hi in self.segments:
             if hi <= u0:
                 continue
             v, dv = self._time_nodes(max(lo, u0), hi, u0)
-            zp, wp = self._bridge(u0, z0, v)
-            vv = np.broadcast_to(v[:, None], zp.shape)
-            p1 = self.kernel(u0, zc, vv, zp)
-            p2 = self.kernel(vv, zp, self.t, self.y)
-            qv = self.mu.q(vv, zp)
-            rv = self._lookup(splines, vv, zp)
-            inner = np.sum(p1 * p2 * qv * rv * wp, axis=-1)
+            inner = self._bridge_sums(u0, z0, v, splines)
             total += [float(dv @ row) for row in inner]
         for atom in self.mu.active_atoms():
             if u0 < atom.time < self.t:
-                v = np.array([atom.time])
-                zp, wp = self._bridge(u0, z0, v, atom=True)
-                vv = np.broadcast_to(v[:, None], zp.shape)
-                p1 = self.kernel(u0, zc, vv, zp)
-                p2 = self.kernel(vv, zp, self.t, self.y)
-                rv = self._lookup(splines, vv, zp)
-                total += atom.weight * np.sum(p1 * p2 * rv * wp, axis=-1)[:, 0]
+                inner = self._bridge_sums(u0, z0, np.array([atom.time]),
+                                          splines, atom=True)
+                total += atom.weight * inner[:, 0]
         out[live] = total / f0
         return out
 
@@ -290,16 +310,17 @@ class SeriesEngine:
             rows.append(row)
             if level == self.max_terms:
                 break
-            # level n on the grid is read by row n + 1 only; its sup says
-            # whether any later row can matter
+            partial = np.sum(rows, axis=0)
+            if np.all(row <= self.quad_tol * np.maximum(partial, 1e-300)):
+                break
+            # level n on the grid is read by row n + 1 only, so it is built
+            # here, once that row is due; its sup says whether any later
+            # row can matter
             if level >= len(self._splines):
                 spl, sup = self._grid_level(self._splines[-1])
                 self._splines.append(spl)
                 self._grid_sups.append(sup)
-            partial = np.sum(rows, axis=0)
-            tail_small = np.all(row <= self.quad_tol * np.maximum(partial, 1e-300))
-            grid_dead = self._grid_sups[level] <= self.quad_tol * 1e-3
-            if tail_small or grid_dead:
+            if self._grid_sups[level] <= self.quad_tol * 1e-3:
                 break
         return np.array(rows)
 

@@ -444,6 +444,24 @@ def test_certify_atom_violation_exit_4(tmp_path):
     assert not (tmp_path / "certificates.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certify_kappa_sampled_eta_below_analytic(seed):
+    # the diagonal-level branch certifies with the closed-form eta, so
+    # a sampled sup over each strip (12 Halton points and one refinement
+    # round, seeded like certify) must stay below it
+    from kpert import bounds as bnd
+    from kpert import perturbation as pt
+    cfg = cli.load_config(FIXTURES / "certify_kappa.json", seed)
+    prob = pt.KappaSliceProblem(
+        cfg.slicing["c"], cfg.slicing["p"], cfg.target_t, cfg.target_y,
+        eta_target=cfg.slicing["eta_target"], quad_tol=cfg.quad_tol,
+        seed=cfg.seed, max_terms=cfg.max_terms)
+    const = bnd.estimate_constants(prob, np.random.default_rng(cfg.seed),
+                                   n_samples=12, refine_rounds=1)
+    assert len(const.per_slice_eta) == prob.k == 4
+    assert all(0.0 < eta <= prob.analytic_eta for eta in const.per_slice_eta)
+
+
 def test_certify_kappa_fixture_exit_0(tmp_path):
     code = run_cli("certify", "--config",
                    str(FIXTURES / "certify_kappa.json"),

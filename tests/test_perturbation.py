@@ -110,6 +110,33 @@ def test_pn_first_term_builds_no_grid(monkeypatch):
                                rel=1e-14)
 
 
+def test_ratios_build_only_the_levels_their_rows_read(monkeypatch):
+    # terms (lambda (t - s))^n / n!: from s = 0.6 the tail is small at
+    # row 4, which reads grid level 3; level 4 would go unread
+    built = []
+    level = pt.SeriesEngine._grid_level
+    monkeypatch.setattr(pt.SeriesEngine, "_grid_level",
+                        lambda eng, spl: built.append(1) or level(eng, spl))
+    mu = PerturbingMeasure(ConstDensity(0.5))
+
+    def engine():
+        return pt.SeriesEngine(G, mu, 1.0, 0.0, s_min=0.0, quad_tol=1e-3)
+
+    eng = engine()
+    first = eng.ratios([0.6], [0.1])
+    n = first.shape[0] - 1
+    assert n == 4
+    assert first[n, 0] <= eng.quad_tol * np.sum(first[:, 0])
+    assert len(built) == n - 1
+    # a later call that needs more rows builds the rest lazily, with the
+    # values a fresh engine gives
+    s, x = [0.0, 0.1], [0.3, -0.2]
+    later = eng.ratios(s, x)
+    assert later.shape[0] > first.shape[0]
+    assert len(built) == later.shape[0] - 2
+    assert np.array_equal(later, engine().ratios(s, x))
+
+
 # -- series ---------------------------------------------------------------------
 
 def test_series_causality():
@@ -300,6 +327,15 @@ ROW_CASES = {       # kernel, measure, target point y, x_range
     "gaussian-atom": (G, PerturbingMeasure(ConstDensity(0.5),
                                            (Atom(0.45, 0.4),)),
                       0.0, (-1.0, 1.0)),
+    # an atom at 0.8 with t = 1: its bridge sits on the target from the
+    # rows with u0 < 0.6 and on the source node from the later ones
+    "gaussian-late-atom": (G, PerturbingMeasure(ConstDensity(0.5),
+                                                (Atom(0.8, 0.4),)),
+                           0.0, (-1.0, 1.0)),
+    "cauchy-late-atom": (st.cauchy_kernel(1),
+                         PerturbingMeasure(ConstDensity(0.5),
+                                           (Atom(0.8, 0.4),)),
+                         0.0, (-0.5, 0.5)),
     "cauchy-support-edge": (st.cauchy_kernel(1),
                             PerturbingMeasure(ConstDensity(1.0),
                                               time_support=Interval(0.3, 2.0)),
@@ -317,6 +353,17 @@ def test_row_values_match_scalar_nodes(case):
     z0 = np.concatenate([eng.z_nodes, [y + 0.25, y + 1.0]])
     level1, _ = eng._grid_level(None)
     rows = [u for u_nodes, _, _ in eng._panel_rows for u in u_nodes[[0, 3, -2]]]
+    # which rule groups the rows below evaluate: (atom term, per-group
+    # leading sizes), where a size of 1 is the z0-free group
+    seen = set()
+    bridge = eng._bridge
+
+    def spy(u0, z0, v, atom=False):
+        groups = bridge(u0, z0, v, atom)
+        seen.add((atom, tuple(zp.shape[0] for _, zp, _ in groups)))
+        return groups
+
+    eng._bridge = spy
     for splines in (None, level1):
         for u0 in rows:
             f0 = eng._controls(np.full(len(z0), u0), z0)
@@ -329,6 +376,13 @@ def test_row_values_match_scalar_nodes(case):
             assert np.all(np.isfinite(row))
             if kernel is st.KAPPA:
                 assert np.all(row[z0 >= eng.y] == 0.0)
+    if kernel.kind == "peak":
+        # time rules that mix both groups, and atoms on either side
+        assert (False, (len(z0), 1)) in seen
+        if mu.atoms:
+            assert (True, (len(z0),)) in seen
+        if case.endswith("late-atom"):
+            assert (True, (1,)) in seen
 
 
 def test_slice_problem_reuses_engine_pair_bit_for_bit():
