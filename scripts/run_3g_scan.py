@@ -19,14 +19,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    times = np.sort(rng.uniform(0.0, 2.0, size=(args.samples, 3)), axis=1)
-    space = np.sort(rng.uniform(-1.0, 2.0, size=(args.samples, 3)), axis=1)
-    ok = (np.diff(times, axis=1) > 0).all(axis=1) & \
-         (np.diff(space, axis=1) > 0).all(axis=1)
-    times, space = times[ok], space[ok]
-    chk = st.check_3g(times[:, 0], space[:, 0], times[:, 1], space[:, 1],
-                      times[:, 2], space[:, 2])
+    chk = st.sample_3g(np.random.Generator(np.random.Philox(key=args.seed)),
+                       args.samples)
     qs = np.quantile(chk.ratio, [0.0, 0.25, 0.5, 0.75, 1.0])
     print("quantile,ratio")
     for q, v in zip((0.0, 0.25, 0.5, 0.75, 1.0), qs):

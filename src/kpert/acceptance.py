@@ -20,9 +20,9 @@ from kpert import bounds as bnd
 from kpert import matrix_kernels as mk
 from kpert import perturbation as pt
 from kpert import spacetime as st
-from kpert.measures import (Atom, ConstDensity, PerturbingMeasure,
-                            PowerLawSpaceDensity)
-from kpert.quadrature import QuadratureSpec, integrate_nd
+from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
+                            PerturbingMeasure, PowerLawSpaceDensity)
+from kpert.quadrature import QuadratureSpec, integrate_1d
 
 
 @dataclass
@@ -221,14 +221,7 @@ def criterion_sharpness(seed: int = 7):
 
 def criterion_cone_kernel(seed: int = 7, n_tuples: int = 100_000):
     def run():
-        rng = _rng(seed, 7)
-        times = np.sort(rng.uniform(0.0, 2.0, size=(n_tuples, 3)), axis=1)
-        space = np.sort(rng.uniform(-1.0, 2.0, size=(n_tuples, 3)), axis=1)
-        ok_rows = (times[:, 0] < times[:, 1]) & (times[:, 1] < times[:, 2]) & \
-                  (space[:, 0] < space[:, 1]) & (space[:, 1] < space[:, 2])
-        times, space = times[ok_rows], space[ok_rows]
-        chk = st.check_3g(times[:, 0], space[:, 0], times[:, 1], space[:, 1],
-                          times[:, 2], space[:, 2])
+        chk = st.sample_3g(_rng(seed, 7), n_tuples)
         if not (np.all(chk.lower_ok) and np.all(chk.upper_ok)
                 and np.all(chk.product_upper_ok) and np.all(chk.product_lower_ok)):
             return False, "ratio left [1, 2 sqrt 2] on the random sample"
@@ -236,22 +229,18 @@ def criterion_cone_kernel(seed: int = 7, n_tuples: int = 100_000):
         if abs(float(mid.ratio) - st.TWO_SQRT2) > 1e-9:
             return False, f"midpoint ratio {float(mid.ratio)!r}"
 
-        # h-scaling of the slice integral against the closed exponent
+        # h-scaling of the slice integral against the closed exponent: the
+        # integrand g over {u, z > 0, u + z < h} depends on xi = u + z only,
+        # so its level lines (length xi) collapse it to int_0^h xi g(xi)
         exps = {}
         for p in (0.1, 0.25):
-            vals = {}
-            for h in (0.1, 0.05):
-                def f(pts, _p=p, _h=h):
-                    u, z = pts[:, 0], pts[:, 1]
-                    xi = u + z
-                    inside = xi < _h
-                    xi = np.where(inside, np.maximum(xi, 1e-300), 1.0)
-                    val = (xi ** -1.5 + (2.0 - xi) ** -1.5) * xi ** -_p
-                    return np.where(inside, val, 0.0)
-                spec = [QuadratureSpec(rel_tol=1e-7, substitution="power",
-                                       power=min(0.5 + p, 0.9)),
-                        QuadratureSpec(rel_tol=1e-7)]
-                vals[h] = integrate_nd(f, [(0.0, h), (0.0, h)], spec).value
+            def f(xi, _p=p):
+                xi = np.maximum(xi, 1e-300)
+                return xi * (xi ** -1.5 + (2.0 - xi) ** -1.5) * xi ** -_p
+            spec = QuadratureSpec(rel_tol=1e-7, substitution="power",
+                                  power=min(0.5 + p, 0.9))
+            vals = {h: integrate_1d(f, 0.0, h, spec).value
+                    for h in (0.1, 0.05)}
             exps[p] = math.log2(vals[0.1] / vals[0.05])
             if abs(exps[p] - (0.5 - p)) > 0.02 * (0.5 - p):
                 return False, f"measured exponent {exps[p]:.4f} vs {0.5 - p}"
@@ -263,7 +252,7 @@ def criterion_cone_kernel(seed: int = 7, n_tuples: int = 100_000):
         if max(const.per_slice_eta) > prob.analytic_eta:
             return False, (f"measured eta {max(const.per_slice_eta):.4g} "
                            f"exceeds {prob.analytic_eta:.4g}")
-        return True, (f"3G on {len(times)} tuples; exponents "
+        return True, (f"3G on {chk.ratio.size} tuples; exponents "
                       + ", ".join(f"{p}:{exps[p]:.3f}" for p in exps)
                       + f"; eta {max(const.per_slice_eta):.3f}"
                         f" <= {prob.analytic_eta:.3f}")
@@ -295,13 +284,20 @@ def criterion_residuals(seed: int = 7):
         if worst_w > 1e-6:
             return False, f"half-derivative error {worst_w:.2e}"
         bump = st.Bump1D(1.5, 0.5)
-        res, _ = st.left_inverse_residual(0.0, 0.0, bump, bump)
-        res_in, _ = st.left_inverse_residual(1.2, 1.3, bump, bump)
-        res = max(res, res_in)
+        res = max(st.left_inverse_residual(s, x, bump, bump)[0]
+                  for s, x in ((0.0, 0.0), (1.2, 1.3)))
         if res > 5e-3:
             return False, f"left-inverse residual {res:.2e}"
+        # the perturbed kernel against its generator, q varying in space
+        q = CornerPowerDensity(0.05, 0.25)
+        res_q = max(st.left_inverse_residual(s, x, bump, bump, q=q,
+                                             perturbed=True)[0]
+                    for s, x in ((0.0, 0.0), (1.2, 1.3)))
+        if res_q > 1e-2:
+            return False, f"perturbed left-inverse residual {res_q:.2e}"
         return True, (f"composition {worst_g:.1e}/{worst_c:.1e}, "
-                      f"half-derivative {worst_w:.1e}, left-inverse {res:.1e}")
+                      f"half-derivative {worst_w:.1e}, left-inverse "
+                      f"{res:.1e}, perturbed {res_q:.1e}")
     return _timed(8, "residuals", run)
 
 
@@ -311,10 +307,9 @@ def criterion_kato(seed: int = 7):
     def run():
         cauchy = st.cauchy_kernel(1)
         mu = PerturbingMeasure(ConstDensity(1.0))
-        worst = 0.0
-        for h in (0.1, 0.5, 1.0):
-            k = st.kato_modulus(cauchy, mu, h, n_samples=10, seed=seed).value
-            worst = max(worst, abs(k - 2.0 * h))
+        k = st.kato_profile(cauchy, mu, [1.0, 0.5, 0.1], n_samples=10,
+                            seed=seed)
+        worst = max(abs(k[h] - 2.0 * h) for h in (0.1, 0.5, 1.0))
         if worst > 1e-4:
             return False, f"modulus misses 2h by {worst:.2e}"
         cauchy2 = st.cauchy_kernel(2)
@@ -326,8 +321,7 @@ def criterion_kato(seed: int = 7):
             return False, f"profile not decreasing: {vals}"
         c3p, _ = st.scan_3p_constant(1, 20_000, seed=seed)
         h = 0.1
-        eta = c3p * st.kato_modulus(cauchy, mu, h, n_samples=10,
-                                    seed=seed).value
+        eta = c3p * k[h]
         pts = np.stack([np.linspace(0.3, 0.9, 10),
                         np.linspace(-0.5, 0.5, 10)], axis=1)
         certs = pt.kato_certify(cauchy, mu, h, eta, 1.0, 0.0, pts,
@@ -361,11 +355,7 @@ def reproduce_artifacts(seed: int):
     certs = bnd.certify(prob, const)
     buf.write(json.dumps([c.to_dict() for c in certs], indent=2,
                          sort_keys=True))
-    rng = _rng(seed, 10)
-    times = np.sort(rng.uniform(0.0, 2.0, size=(200, 3)), axis=1)
-    space = np.sort(rng.uniform(-1.0, 2.0, size=(200, 3)), axis=1)
-    chk = st.check_3g(times[:, 0], space[:, 0], times[:, 1], space[:, 1],
-                      times[:, 2], space[:, 2])
+    chk = st.sample_3g(_rng(seed, 10), 200)
     buf.write(f"\n3g ratio range: {float(np.min(chk.ratio))!r}"
               f" .. {float(np.max(chk.ratio))!r}\n")
     return buf.getvalue()

@@ -308,26 +308,18 @@ def certify(problem, constants: SliceConstants | None, rng=None,
 
 @dataclass(frozen=True)
 class Interval:
-    """Real interval with endpoint-inclusion flags (default [lo, hi))."""
+    """Half-open real interval [lo, hi)."""
 
     lo: float
     hi: float
-    closed_lo: bool = True
-    closed_hi: bool = False
 
     def contains(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        left = (u >= self.lo) if self.closed_lo else (u > self.lo)
-        right = (u <= self.hi) if self.closed_hi else (u < self.hi)
-        return left & right
+        return (u >= self.lo) & (u < self.hi)
 
     @property
     def length(self) -> float:
         return max(0.0, self.hi - self.lo)
-
-    def __str__(self):
-        return (("[" if self.closed_lo else "(") + f"{self.lo:g}, {self.hi:g}"
-                + ("]" if self.closed_hi else ")"))
 
 
 def time_uniform_slices(r: float, t: float, h: float):

@@ -365,17 +365,10 @@ def cmd_kato(args) -> int:
 
 
 def cmd_3g(args) -> int:
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    n = args.samples
-    times = np.sort(rng.uniform(0.0, 2.0, size=(n, 3)), axis=1)
-    space = np.sort(rng.uniform(-1.0, 2.0, size=(n, 3)), axis=1)
-    ok = (np.diff(times, axis=1) > 0).all(axis=1) & \
-         (np.diff(space, axis=1) > 0).all(axis=1)
-    times, space = times[ok], space[ok]
-    chk = st.check_3g(times[:, 0], space[:, 0], times[:, 1], space[:, 1],
-                      times[:, 2], space[:, 2])
+    chk = st.sample_3g(np.random.Generator(np.random.Philox(key=args.seed)),
+                       args.samples)
     rows = ["stat,value",
-            f"samples,{len(times)}",
+            f"samples,{chk.ratio.size}",
             f"ratio_min,{_fmt(float(np.min(chk.ratio)))}",
             f"ratio_max,{_fmt(float(np.max(chk.ratio)))}",
             f"upper_limit,{_fmt(st.TWO_SQRT2)}",

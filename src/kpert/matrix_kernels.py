@@ -63,16 +63,6 @@ class StateSet:
     def empty(cls, n):
         return cls(np.zeros(n, dtype=bool))
 
-    @classmethod
-    def full(cls, n):
-        return cls(np.ones(n, dtype=bool))
-
-    def union(self, other):
-        return StateSet(self.mask | other.mask)
-
-    def intersection(self, other):
-        return StateSet(self.mask & other.mask)
-
     def difference(self, other):
         return StateSet(self.mask & ~other.mask)
 
@@ -134,13 +124,8 @@ def is_absorbing(K: MatrixKernel, A: StateSet) -> bool:
     return bool(np.all(K.entries[A.mask][:, ~A.mask] == 0.0))
 
 
-def verify_power_identity(K: MatrixKernel, A: StateSet, m: int,
-                          f=None, c=None) -> bool:
-    """Exact check of 1_A K^m = (1_A K)^m = 1_A K^m 1_A for absorbing A.
-
-    With (f, c) supplied and Kf <= c f on A, additionally checks the
-    iterate bound K^m f <= c^m f on A.
-    """
+def verify_power_identity(K: MatrixKernel, A: StateSet, m: int) -> bool:
+    """Exact check of 1_A K^m = (1_A K)^m = 1_A K^m 1_A for absorbing A."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     if not is_absorbing(K, A):
@@ -150,18 +135,7 @@ def verify_power_identity(K: MatrixKernel, A: StateSet, m: int,
     lhs = np.where(rows, km, 0.0)
     mid = np.linalg.matrix_power(np.where(rows, K.entries, 0.0), m)
     rhs = np.where(rows & A.mask[None, :], km, 0.0)
-    ok = np.array_equal(lhs, mid) and np.array_equal(mid, rhs)
-    if f is not None:
-        f = np.asarray(f, dtype=float)
-        if c is None:
-            raise ValueError("supply c together with f")
-        if not np.all(apply(K, f)[A.mask] <= c * f[A.mask]):
-            raise PreconditionError("Kf <= c f fails on the set")
-        g = f.copy()
-        for _ in range(m):
-            g = apply(K, g)
-        ok = ok and bool(np.all(g[A.mask] <= (c ** m) * f[A.mask] * (1 + 1e-12)))
-    return ok
+    return np.array_equal(lhs, mid) and np.array_equal(mid, rhs)
 
 
 def verify_slice_identity(K: MatrixKernel, A: StateSet, B: StateSet,

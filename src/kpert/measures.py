@@ -2,9 +2,9 @@
 
 A measure splits into a density part q(u, z), integrated against
 du x dm(z), and an atomic-in-time part sum_i eta_i * delta_{u_i} (x) m.
-Either part may be restricted to a time interval; restriction zeroes the
-density outside the interval and drops atoms whose times fall outside
-(endpoint membership decided by the interval's closedness flags).
+Either part may be restricted to a half-open time interval [lo, hi);
+restriction zeroes the density outside the interval and drops atoms
+whose times fall outside it.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from kpert.bounds import Interval
 
-FULL_LINE = Interval(-np.inf, np.inf, closed_lo=False, closed_hi=False)
+FULL_LINE = Interval(-np.inf, np.inf)
 
 
 @dataclass(frozen=True)
@@ -66,24 +66,11 @@ class PerturbingMeasure:
                      if bool(self.time_support.contains(a.time)))
 
 
-ZERO_MEASURE = PerturbingMeasure()
-
-
 def restrict_measure(mu: PerturbingMeasure, interval: Interval) -> PerturbingMeasure:
     """Restrict both parts to interval x (space); idempotent."""
     lo = max(mu.time_support.lo, interval.lo)
     hi = min(mu.time_support.hi, interval.hi)
-    closed_lo = (mu.time_support.closed_lo if lo == mu.time_support.lo
-                 else interval.closed_lo)
-    if lo == mu.time_support.lo == interval.lo:
-        closed_lo = mu.time_support.closed_lo and interval.closed_lo
-    closed_hi = (mu.time_support.closed_hi if hi == mu.time_support.hi
-                 else interval.closed_hi)
-    if hi == mu.time_support.hi == interval.hi:
-        closed_hi = mu.time_support.closed_hi and interval.closed_hi
-    if lo > hi:
-        lo, hi, closed_lo, closed_hi = 0.0, 0.0, False, False
-    support = Interval(lo, hi, closed_lo, closed_hi)
+    support = Interval(lo, hi) if lo <= hi else Interval(0.0, 0.0)
     atoms = tuple(a for a in mu.atoms if bool(support.contains(a.time)))
     return PerturbingMeasure(mu.density, atoms, support)
 

@@ -34,7 +34,7 @@ sample points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -739,47 +739,45 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
     """Interval-sliced certification with beta = eta.
 
     First verifies the slice hypothesis sup_{r <= s < t} p_1^{I_j} / p
-    <= eta by sampling (withholding the certificate as HYPOTHESIS_FAIL for
-    slices that violate it), then compares the series against
-    (1 - eta)**(-j) on each slice.  With eta omitted, the measured sup
-    (slightly padded) is used.  An eta of one or more raises
-    SmallnessError (from ``bounds.certify``), which carries it.
+    <= eta by sampling, then compares the series against
+    (1 - eta)**(-j) on each slice.  Slice j's bound rests on the bounds
+    of every slice nearer the target, so a slice that violates the
+    hypothesis withholds its certificate and those of all later slices
+    as HYPOTHESIS_FAIL.  With eta omitted, the measured sup (slightly
+    padded) is used.  An eta of one or more raises SmallnessError (from
+    ``bounds.certify``), which carries it.
     """
     problem = TimeSliceProblem(kernel, mu, r, t, y, intervals,
                                quad_tol=quad_tol, seed=seed,
                                series_fn=series_fn, max_terms=max_terms)
     rng = np.random.default_rng(seed)
-    sups = []
-    for j in range(1, problem.k + 1):
-        pts = problem.top_points(rng, n_samples)
-        pts = np.concatenate([pts, problem.slice_points(j, rng, n_samples)])
-        vals = problem.slice_apply(j, pts)
-        ctrl = problem.control(pts)
-        sups.append(bnd._sup_ratio(vals, ctrl))
-    measured = max(sups)
+    # the sup over the slice's own points (eta_j) and over the top set
+    # (beta_j) together: the sup of p_1^{I_j} / p over s in [r, t)
+    const = bnd.estimate_constants(problem, rng, n_samples, refine_rounds=0)
+    sups = [max(e, b) for e, b in zip(const.per_slice_eta,
+                                      const.per_slice_beta)]
     if eta is None:
-        eta = measured * (1.0 + 1e-6)
-    certs = []
+        eta = max(sups) * (1.0 + 1e-6)
     tol = bnd.quad_rel_tol(quad_tol)
-    ok_slices = [j for j in range(1, problem.k + 1)
-                 if sups[j - 1] <= eta * (1.0 + tol)]
-    consts = bnd.SliceConstants(tuple(min(s, eta) for s in sups),
-                                tuple(min(s, eta) for s in sups),
-                                (2 * n_samples,) * problem.k, exact=False)
-    base = {c.slice_index: c for c in bnd.certify(
-        problem, consts, rng, n_samples, beta_override=eta,
-        eta_override=eta)}
-    for j in range(1, problem.k + 1):
-        if j in ok_slices:
-            certs.append(base[j])
-        else:
-            c = base[j]
-            certs.append(bnd.BoundCertificate(
+    failed = [j for j in range(1, problem.k + 1)
+              if not sups[j - 1] <= eta * (1.0 + tol)]
+    certs = []
+    for c in bnd.certify(problem, None, rng, n_samples, beta_override=eta,
+                         eta_override=eta):
+        j = c.slice_index
+        if j in failed:
+            c = bnd.BoundCertificate(
                 slice_index=j, eta=eta, beta=eta,
                 theorem_bound=c.theorem_bound, measured_ratio=sups[j - 1],
                 status="HYPOTHESIS_FAIL", sample_count=2 * n_samples,
                 note=f"measured slice constant {sups[j - 1]:.4g} exceeds "
-                     f"eta={eta:.4g}"))
+                     f"eta={eta:.4g}")
+        elif failed and j > failed[0]:
+            c = replace(c, status="HYPOTHESIS_FAIL",
+                        note=f"the bound rests on slice {failed[0]}, whose "
+                             f"measured constant {sups[failed[0] - 1]:.4g} "
+                             f"exceeds eta={eta:.4g}")
+        certs.append(c)
     return certs
 
 

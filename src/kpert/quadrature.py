@@ -2,8 +2,9 @@
 
 Adaptive 1-d quadrature built on the embedded 7-point Gauss / 15-point
 Kronrod pair, with declared endpoint substitutions for integrable power
-singularities and a rational map for unbounded axes.  Tensorized nd
-integration iterates the 1-d rule (up to four dimensions).  Fixed rules:
+singularities and a rational map for unbounded axes.  A 2-d integrand
+that depends on one linear form (a cone kernel on u + z) is collapsed to
+its level lines by the caller and integrated here in 1-d.  Fixed rules:
 Gauss-Legendre on an interval, and the tan-substituted peak rule for
 integrands peaked at a point of the real line; both cache their base
 rule per size.  Sample points come from ``Halton``, the scrambled Halton
@@ -64,8 +65,7 @@ class QuadratureSpec:
     ``singular_end``: "sqrt" maps z = end +/- w**2 (order-1/2), "power"
     uses the caller-declared order ``power`` in (0, 1) and maps
     z = end +/- w**(1/(1-power)), which renders the transformed integrand
-    bounded.  ``truncation_radius`` is a fallback cutoff for unbounded
-    axes; by default they are mapped rationally onto (0, 1).
+    bounded.  Unbounded axes are mapped rationally onto (0, 1).
     """
 
     rel_tol: float = 1e-9
@@ -74,7 +74,6 @@ class QuadratureSpec:
     substitution: str | None = None      # None | "sqrt" | "power"
     power: float | None = None           # singularity order for "power"
     singular_end: str = "lower"          # "lower" | "upper"
-    truncation_radius: float | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -155,10 +154,10 @@ def _substituted(f, a, b, spec):
 def integrate_1d(f, a, b, spec: QuadratureSpec | None = None) -> QuadResult:
     """Integrate the vectorized callable f over (a, b).
 
-    Endpoints may be +-inf; unless spec.truncation_radius requests a plain
-    cutoff, infinite ends are mapped rationally (x = a + w/(1-w)) so heavy
-    power tails are integrated rather than discarded.  A declared endpoint
-    substitution is applied before any unbounded map.
+    Endpoints may be +-inf; infinite ends are mapped rationally
+    (x = a + w/(1-w)) so heavy power tails are integrated rather than
+    discarded.  A declared endpoint substitution is applied before any
+    unbounded map.
     """
     spec = spec or QuadratureSpec()
     if a >= b:
@@ -166,14 +165,6 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None) -> QuadResult:
 
     lo_inf = math.isinf(a)
     hi_inf = math.isinf(b)
-    if (lo_inf or hi_inf) and spec.truncation_radius is not None:
-        r = spec.truncation_radius
-        a = max(a, -r)
-        b = min(b, r)
-        lo_inf = hi_inf = False
-        if a >= b:
-            return QuadResult(0.0, 0.0, True, 0)
-
     if lo_inf and hi_inf:
         left = integrate_1d(f, a, 0.0, replace(spec, substitution=None))
         right = integrate_1d(f, 0.0, b, replace(spec, substitution=None))
@@ -207,57 +198,6 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None) -> QuadResult:
     g, lo, hi = _substituted(f, a, b, spec)
     return _adaptive(g, [(lo, hi)], spec.rel_tol, spec.abs_tol,
                      spec.max_subdivisions)
-
-
-def integrate_nd(f, box, spec=None) -> QuadResult:
-    """Iterated 1-d integration of f over a box; f maps (n, d) -> (n,).
-
-    The box has 1 to 4 dimensions; ``spec`` may be a single QuadratureSpec
-    or one per axis.  Error estimates propagate conservatively: outer rule
-    error plus the box measure times the worst inner estimate.
-    """
-    box = [tuple(map(float, ab)) for ab in box]
-    d = len(box)
-    if not 1 <= d <= 4:
-        raise ValueError(f"integrate_nd takes 1 to 4 dimensions, not {d}")
-    for a, b in box:
-        if a >= b:
-            return QuadResult(0.0, 0.0, True, 0)
-    if isinstance(spec, QuadratureSpec) or spec is None:
-        specs = [spec or QuadratureSpec()] * d
-    else:
-        specs = list(spec)
-        if len(specs) != d:
-            raise ValueError("need one spec per axis")
-
-    if d == 1:
-        a, b = box[0]
-        return integrate_1d(lambda x: f(np.asarray(x)[:, None]), a, b, specs[0])
-
-    inner_errs = [0.0]
-    not_conv = [False]
-
-    def outer_integrand(xs):
-        xs = np.atleast_1d(xs)
-        out = np.empty_like(xs, dtype=float)
-        for i, x0 in enumerate(xs):
-            def inner(pts, _x0=x0):
-                pts = np.asarray(pts)
-                full = np.concatenate(
-                    [np.full((pts.shape[0], 1), _x0), pts], axis=1)
-                return f(full)
-            r = integrate_nd(inner, box[1:], specs[1:])
-            inner_errs[0] = max(inner_errs[0], r.error)
-            not_conv[0] |= not r.converged
-            out[i] = r.value
-        return out
-
-    a, b = box[0]
-    outer = integrate_1d(outer_integrand, a, b, specs[0])
-    width = min(b - a, specs[0].truncation_radius or (b - a)) if not math.isinf(b - a) else 1.0
-    err = outer.error + abs(width) * inner_errs[0]
-    return QuadResult(outer.value, err, outer.converged and not not_conv[0],
-                      outer.subdivisions)
 
 
 # n -> read-only (nodes, weights) of the n-point rule on [-1, 1]

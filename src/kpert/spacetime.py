@@ -224,6 +224,19 @@ def check_3g(s, x, u, z, t, y) -> ThreeGCheck:
     return ThreeGCheck(lower_ok, upper_ok, ratio, prod_up, prod_lo)
 
 
+def sample_3g(rng, n: int) -> ThreeGCheck:
+    """check_3g on n random tuples: times s <= u <= t sorted from uniform
+    draws on [0, 2), then places x <= z <= y from [-1, 2); a tuple with a
+    tie is dropped, so ratio.size counts the tuples checked."""
+    times = np.sort(rng.uniform(0.0, 2.0, size=(n, 3)), axis=1)
+    space = np.sort(rng.uniform(-1.0, 2.0, size=(n, 3)), axis=1)
+    ok = (np.diff(times, axis=1) > 0).all(axis=1) & \
+        (np.diff(space, axis=1) > 0).all(axis=1)
+    times, space = times[ok], space[ok]
+    return check_3g(times[:, 0], space[:, 0], times[:, 1], space[:, 1],
+                    times[:, 2], space[:, 2])
+
+
 def check_3p_cauchy(s, x, u, z, t, y, d: int = 1):
     """Ratio (p(s,x,u,z) ^ p(u,z,t,y)) / p(s,x,t,y) for the Cauchy density.
 
@@ -486,12 +499,6 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q, n_nodes):
 # Kato modulus
 # ---------------------------------------------------------------------------
 
-class KatoResult(NamedTuple):
-    value: float
-    argmax: tuple
-    samples: int
-
-
 def _peak_rule_2d(center, scale, n_theta: int = 48, n_phi: int = 16):
     """Polar rule around ``center``, the d = 2 counterpart of
     ``quadrature.peak_rule``: r = scale * tan(theta); the Jacobian
@@ -563,46 +570,14 @@ def kato_inner_integral(kernel, mu, s, x, t, y, time_nodes: int = 32):
     return total
 
 
-def kato_modulus(kernel, mu, h, n_samples: int = 24, seed: int = 0,
-                 box: float = 2.0) -> KatoResult:
-    """Sampled sup of the inner double integral over x, y and s < t <= s+h.
-
-    Translation invariance in time fixes s = 0 (exact for the
-    time-invariant measures used here); x and y are sampled from a
-    low-discrepancy stream plus the deterministic corner x = y = 0,
-    t = h, which dominates for densities concentrated at the origin.
-    """
-    if h <= 0:
-        raise ValueError("window must be positive")
-    d = getattr(kernel, "dim", 1)
-    eng = Halton(1 + 2 * d, seed)
-    pts = eng.random(max(n_samples - 1, 1))
-    best = -np.inf
-    arg = None
-    samples = []
-    if d == 1:
-        samples.append((h, 0.0, 0.0))
-        for row in pts:
-            samples.append((h * (0.05 + 0.95 * row[0]),
-                            box * (2 * row[1] - 1), box * (2 * row[2] - 1)))
-    else:
-        samples.append((h, np.zeros(d), np.zeros(d)))
-        for row in pts:
-            samples.append((h * (0.05 + 0.95 * row[0]),
-                            box * (2 * row[1:1 + d] - 1),
-                            box * (2 * row[1 + d:] - 1)))
-    for t, x, y in samples:
-        val = kato_inner_integral(kernel, mu, 0.0, x, t, y)
-        if val > best:
-            best = val
-            arg = (t, x, y)
-    return KatoResult(best, arg, len(samples))
-
-
 def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0,
                  box: float = 2.0):
     """k(h) along a decreasing ladder of windows with a shared sample set.
 
+    k(h) is the sampled sup of the inner double integral over x, y and
+    0 = s < t <= h (time-invariant measures), from a Halton stream plus
+    each window's corner x = y = 0, t = h, the sup for densities
+    concentrated at the origin.
     Samples are drawn once for the largest window; each smaller window
     takes the sup over the samples it still admits (t <= h), the natural
     nested estimator of a monotone quantity.

@@ -14,6 +14,11 @@ from kpert.bounds import (BoundCertificate, Interval, MatrixSliceProblem,
 from kpert.errors import DomainError, PreconditionError, SmallnessError
 
 
+def _full(n):
+    """The set of all n states."""
+    return mk.StateSet(np.ones(n, dtype=bool))
+
+
 # -- gronwall ------------------------------------------------------------------
 
 def test_gronwall_bound_examples():
@@ -102,7 +107,7 @@ def fixture_problem():
 def test_estimate_constants_zero_kernel():
     K = mk.MatrixKernel(np.zeros((2, 2)))
     chain = mk.AbsorbingChain((mk.StateSet.from_indices(2, [0]),
-                               mk.StateSet.full(2)))
+                               _full(2)))
     const = estimate_constants(MatrixSliceProblem(K, np.ones(2), chain))
     assert const.eta == 0.0 and const.beta == 0.0
 
@@ -110,7 +115,7 @@ def test_estimate_constants_zero_kernel():
 def test_estimate_constants_scaled_identity_exact():
     eta = 0.375
     K = mk.MatrixKernel(eta * np.eye(2))
-    chain = mk.AbsorbingChain((mk.StateSet.full(2),))
+    chain = mk.AbsorbingChain((_full(2),))
     const = estimate_constants(MatrixSliceProblem(K, np.ones(2), chain))
     assert const.per_slice_eta == (eta,)
     assert const.exact
@@ -118,7 +123,7 @@ def test_estimate_constants_scaled_identity_exact():
 
 def test_estimate_constants_flags_zero_control():
     K = mk.MatrixKernel([[0.0, 0.0], [0.5, 0.0]])
-    chain = mk.AbsorbingChain((mk.StateSet.full(2),))
+    chain = mk.AbsorbingChain((_full(2),))
     const = estimate_constants(MatrixSliceProblem(K, np.array([1.0, 0.0]),
                                                   chain))
     assert math.isinf(const.eta)
@@ -157,7 +162,7 @@ def test_matrix_slice_apply_matches_restriction():
 @pytest.mark.parametrize("f", [[1.0, np.nan], [1.0, -1.0], [1.0],
                                [1.0, 1.0, 1.0], [[1.0], [1.0]]])
 def test_matrix_problem_rejects_bad_control(f):
-    chain = mk.AbsorbingChain((mk.StateSet.full(2),))
+    chain = mk.AbsorbingChain((_full(2),))
     with pytest.raises(ValueError, match="control function"):
         MatrixSliceProblem(mk.MatrixKernel(0.5 * np.eye(2)), f, chain)
 
@@ -165,7 +170,7 @@ def test_matrix_problem_rejects_bad_control(f):
 def test_certify_zero_kernel_valid():
     K = mk.MatrixKernel(np.zeros((2, 2)))
     chain = mk.AbsorbingChain((mk.StateSet.from_indices(2, [0]),
-                               mk.StateSet.full(2)))
+                               _full(2)))
     prob = MatrixSliceProblem(K, np.ones(2), chain)
     certs = certify(prob, estimate_constants(prob))
     assert all(c.status == "VALID" for c in certs)
@@ -257,10 +262,12 @@ def test_time_uniform_slices_partition():
 
 
 def test_interval_membership():
+    # half-open [lo, hi): the lower end belongs, the upper does not
     i = Interval(0.0, 1.0)
     assert bool(i.contains(0.0)) and not bool(i.contains(1.0))
-    j = Interval(0.0, 1.0, closed_lo=False, closed_hi=True)
-    assert not bool(j.contains(0.0)) and bool(j.contains(1.0))
+    np.testing.assert_array_equal(i.contains([-0.5, 0.5, 1.5]),
+                                  [False, True, False])
+    assert not bool(Interval(0.5, 0.5).contains(0.5))
 
 
 def test_diagonal_levels():

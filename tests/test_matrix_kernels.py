@@ -16,6 +16,11 @@ from kpert.matrix_kernels import (AbsorbingChain, MatrixKernel, StateSet,
                                   verify_slice_identity)
 
 
+def _full(n):
+    """The set of all n states."""
+    return StateSet(np.ones(n, dtype=bool))
+
+
 def dyadic_matrices(n, denom=16):
     return hst.lists(
         hst.lists(hst.integers(0, denom), min_size=n, max_size=n),
@@ -84,7 +89,7 @@ def test_apply_additive_homogeneous_monotone(K, f, g):
 
 def test_restrict_cases():
     K = MatrixKernel([[1, 2], [3, 4]])
-    full = StateSet.full(2)
+    full = _full(2)
     np.testing.assert_array_equal(restrict(K, full, "left").entries, K.entries)
     np.testing.assert_array_equal(restrict(K, full, "right").entries, K.entries)
     empty = StateSet.empty(2)
@@ -98,7 +103,7 @@ def test_restrict_cases():
 def test_is_absorbing_basics():
     K = MatrixKernel([[0, 1], [0, 0]])
     assert is_absorbing(K, StateSet.empty(2))
-    assert is_absorbing(K, StateSet.full(2))
+    assert is_absorbing(K, _full(2))
     assert is_absorbing(K, StateSet.from_indices(2, [1]))
     assert not is_absorbing(K, StateSet.from_indices(2, [0]))
 
@@ -118,8 +123,8 @@ def test_absorbing_algebra(seed):
     rng = np.random.default_rng(seed)
     K, chain = random_absorbing_instance(rng)
     A, B = chain.sets[0], chain.sets[-1]
-    assert is_absorbing(K, A.union(B))
-    assert is_absorbing(K, A.intersection(B))
+    assert is_absorbing(K, StateSet(A.mask | B.mask))
+    assert is_absorbing(K, StateSet(A.mask & B.mask))
     # a dominated kernel inherits every absorbing set
     L = MatrixKernel(K.entries * 0.5)
     assert is_absorbing(L, A)
@@ -147,19 +152,11 @@ def test_power_identity_rejects_non_absorbing():
         verify_power_identity(K, StateSet.from_indices(2, [0]), 2)
 
 
-def test_power_identity_with_control_bound():
-    K = MatrixKernel(0.5 * np.eye(3))
-    A = StateSet.full(3)
-    assert verify_power_identity(K, A, 4, f=np.ones(3), c=0.5)
-    with pytest.raises(PreconditionError):
-        verify_power_identity(K, A, 2, f=np.ones(3), c=0.25)
-
-
 def test_slice_identity_degenerate_cases():
     K = MatrixKernel([[0, 1], [0, 0]])
     B = StateSet.from_indices(2, [1])
     assert verify_slice_identity(K, B, B, 3)          # empty difference
-    assert verify_slice_identity(K, StateSet.empty(2), StateSet.full(2), 2)
+    assert verify_slice_identity(K, StateSet.empty(2), _full(2), 2)
 
 
 def test_slice_identity_nested_chain():
@@ -311,20 +308,20 @@ def test_series_solve_cross_check():
 
 def test_decay_case_n0_trivial():
     K = MatrixKernel(np.zeros((2, 2)))
-    assert check_geometric_decay(K, np.ones(2), StateSet.full(2), 1.0, 5)
+    assert check_geometric_decay(K, np.ones(2), _full(2), 1.0, 5)
 
 
 def test_decay_scaled_identity_closed_form():
     eta = 0.5
     K = MatrixKernel(eta * np.eye(3))
     c = 1.0 / (1.0 - eta)
-    assert check_geometric_decay(K, np.ones(3), StateSet.full(3), c, 25)
+    assert check_geometric_decay(K, np.ones(3), _full(3), c, 25)
 
 
 def test_decay_reports_violating_state():
     K = MatrixKernel(0.5 * np.eye(2))
     with pytest.raises(PreconditionError, match="state"):
-        check_geometric_decay(K, np.ones(2), StateSet.full(2), 1.5, 5)
+        check_geometric_decay(K, np.ones(2), _full(2), 1.5, 5)
 
 
 def test_decay_random_with_measured_constant():
@@ -361,7 +358,7 @@ def test_chain_slices_partition():
 
 def test_json_round_trip(tmp_path):
     K = MatrixKernel([[0.5, 0], [0.25, 0.5]])
-    sets = {"A1": StateSet.from_indices(2, [0]), "A2": StateSet.full(2)}
+    sets = {"A1": StateSet.from_indices(2, [0]), "A2": _full(2)}
     path = tmp_path / "problem.json"
     save_discrete_problem(path, K, sets, f=[1.0, 2.0])
     K2, sets2, f2 = load_discrete_problem(path)

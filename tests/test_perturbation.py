@@ -41,17 +41,19 @@ def test_measure_from_config_kinds():
 
 def test_restrict_measure_cases():
     mu = PerturbingMeasure(ConstDensity(1.0), (Atom(1.0, 0.5),))
-    assert restrict_measure(mu, Interval(-np.inf, np.inf,
-                                         closed_lo=False,
-                                         closed_hi=False)).active_atoms()
+    assert restrict_measure(mu, Interval(-np.inf, np.inf)).active_atoms()
     empty = restrict_measure(mu, Interval(5.0, 5.0))
     assert not empty.active_atoms()
     assert float(empty.q(0.5, 0.0)) == 0.0
-    # endpoint membership decides whether the atom at 1 survives
-    dropped = restrict_measure(mu, Interval(0.0, 1.0))           # [0, 1)
-    kept = restrict_measure(mu, Interval(0.0, 1.0, closed_hi=True))
+    # intervals are [lo, hi): an atom at the upper end is dropped, one at
+    # the lower end kept
+    dropped = restrict_measure(mu, Interval(0.0, 1.0))
+    kept = restrict_measure(mu, Interval(1.0, 2.0))
     assert not dropped.active_atoms()
     assert kept.active_atoms()
+    # disjoint restrictions leave the empty support [0, 0)
+    assert restrict_measure(dropped, Interval(2.0, 3.0)).time_support == \
+        Interval(0.0, 0.0)
 
 
 def test_restrict_measure_idempotent():
@@ -165,7 +167,7 @@ def test_series_restriction_consistency():
     # only the measure inside (s, t) can matter
     mu = PerturbingMeasure(ConstDensity(0.5), (Atom(1.5, 0.9), Atom(2.5, 0.4)))
     r_full = pt.series(G, mu, 0.2, 0.1, 1.0, 0.0, quad_tol=1e-4)
-    window = Interval(0.2, 1.0, closed_lo=False, closed_hi=False)
+    window = Interval(0.2, 1.0)
     r_cut = pt.series(G, restrict_measure(mu, window),
                       0.2, 0.1, 1.0, 0.0, quad_tol=1e-4)
     assert r_full.value == pytest.approx(r_cut.value, rel=1e-6)
@@ -531,19 +533,68 @@ def test_theorem46_atomless_small():
 
 
 def test_theorem46_hypothesis_fail_on_heavy_atom():
-    # the atom sits in slice 1 = [0.5, 1): its constant exceeds eta there,
-    # while slice 2 sees no measure and still gets its certificate
+    # the atom sits in slice 1 = [0.5, 1): its constant exceeds eta there.
+    # Slice 2 sees no measure, but its bound uses slice 1's (beta_21 = 1.5
+    # > eta), so it gets no certificate either
     mu = PerturbingMeasure(atoms=(Atom(0.5, 1.5),))
     intervals = time_uniform_slices(0.0, 1.0, 0.5)
     certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, eta=0.5,
                                  n_samples=6, quad_tol=1e-3)
-    assert [c.status for c in certs] == ["HYPOTHESIS_FAIL", "VALID"]
+    assert [c.status for c in certs] == ["HYPOTHESIS_FAIL"] * 2
     assert certs[0].measured_ratio > 1.0 and certs[0].theorem_bound == 2.0
+    assert "slice 1" in certs[1].note
     # with eta measured it comes out above one: no certificate exists
     with pytest.raises(SmallnessError) as exc:
         pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, n_samples=6,
                              quad_tol=1e-3)
     assert exc.value.eta > 1.0
+
+
+def test_theorem46_hypothesis_fail_covers_later_slices():
+    # slice 1 fails (sup 0.60 > 0.32); slice 2's measured ratio 2.34 lies
+    # above its bound 2.16 (the true ratio e^0.6 * 1.3 = 2.37 breaks it),
+    # and only the quadrature tolerance (10 x 0.047) would pass it VALID
+    mu = PerturbingMeasure(ConstDensity(0.6), (Atom(0.7, 0.3),))
+    certs = pt.theorem46_certify(st.cauchy_kernel(1), mu, 0.0, 1.0, 0.0,
+                                 time_uniform_slices(0.0, 1.0, 0.5),
+                                 eta=0.32, n_samples=8, quad_tol=1e-3,
+                                 max_terms=10)
+    assert [c.status for c in certs] == ["HYPOTHESIS_FAIL"] * 2
+    assert certs[0].measured_ratio == pytest.approx(0.6, rel=1e-3)
+    assert certs[1].measured_ratio > certs[1].theorem_bound
+    assert certs[1].note.startswith("the bound rests on slice 1")
+
+
+def _slice_sups_by_loop(problem, n_samples):
+    """The sampling loop theorem46_certify ran before it took its sups from
+    estimate_constants: top and slice points together, per slice."""
+    sups = []
+    for j in range(1, problem.k + 1):
+        pts = np.concatenate([problem.top_points(None, n_samples),
+                              problem.slice_points(j, None, n_samples)])
+        vals = problem.slice_apply(j, pts) / problem.control(pts)
+        sups.append(float(np.max(vals)))
+    return sups
+
+
+def test_theorem46_sups_match_the_sampling_loop():
+    mu = PerturbingMeasure(ConstDensity(0.5), (Atom(0.6, 0.2),))
+    intervals = time_uniform_slices(0.0, 1.0, 0.25)
+    want = _slice_sups_by_loop(
+        pt.TimeSliceProblem(G, mu, 0.0, 1.0, 0.0, intervals), 4)
+
+    def unit_series(pts):          # the series does not enter the sups
+        return np.ones(len(pts)), TruncationReport()
+
+    # measured eta: the largest sup, padded
+    certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals,
+                                 n_samples=4, series_fn=unit_series)
+    assert certs[0].eta == max(want) * (1.0 + 1e-6)
+    # a tiny declared eta fails every slice on its own sup
+    certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, eta=1e-3,
+                                 n_samples=4, series_fn=unit_series)
+    assert [c.measured_ratio for c in certs] == want
+    assert [c.status for c in certs] == ["HYPOTHESIS_FAIL"] * 4
 
 
 def test_theorem46_sharpness_with_alt_series():

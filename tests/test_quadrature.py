@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from kpert.quadrature import (Halton, QuadratureSpec, gauss_legendre_rule,
-                              integrate_1d, integrate_nd, peak_rule)
+                              integrate_1d, peak_rule)
 
 
 def test_constant_is_exact():
@@ -55,12 +55,6 @@ def test_unbounded_map_default():
     assert abs(r.value - math.pi) < 1e-8
 
 
-def test_truncation_radius_fallback():
-    spec = QuadratureSpec(truncation_radius=3.0)
-    r = integrate_1d(lambda x: np.ones_like(x), 0.0, np.inf, spec)
-    assert abs(r.value - 3.0) < 1e-12
-
-
 def test_not_converged_flag():
     spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=2)
     r = integrate_1d(lambda x: np.abs(np.sin(50.0 / (x + 1e-3))), 0.0, 1.0, spec)
@@ -81,41 +75,21 @@ def test_linearity(coeffs_f, coeffs_g):
         combined.error + 2 * rf.error + 3 * rg.error + 1e-12
 
 
-def test_nd_gaussian_normalization():
-    r = integrate_nd(lambda p: np.exp(-p[:, 0] ** 2 - p[:, 1] ** 2) / math.pi,
-                     [(-8.0, 8.0), (-8.0, 8.0)],
-                     QuadratureSpec(rel_tol=1e-8))
-    assert abs(r.value - 1.0) < 1e-6
-
-
-def test_nd_empty_box():
-    r = integrate_nd(lambda p: np.ones(len(p)), [(0.0, 1.0), (2.0, 2.0)])
-    assert r.value == 0.0
-
-
 def test_nd_slice_scaling_exponent():
-    # corner-singular slice integral scales like h^(1/2 - p)
+    # the corner-singular slice integral over {u, z > 0, u + z < h} of
+    # g(u + z) scales like h^(1/2 - p); g depends on xi = u + z only, so
+    # the level lines (length xi) collapse it to int_0^h xi g(xi) dxi
     p = 0.25
     vals = {}
     for h in (0.1, 0.05):
-        def f(pts, _h=h):
-            u, z = pts[:, 0], pts[:, 1]
-            xi = u + z
-            inside = xi < _h
-            xi = np.where(inside, np.maximum(xi, 1e-300), 1.0)
-            return np.where(inside, (xi ** -1.5 + (2.0 - xi) ** -1.5)
-                            * xi ** -p, 0.0)
-        spec = [QuadratureSpec(rel_tol=1e-7, substitution="power",
-                               power=0.5 + p),
-                QuadratureSpec(rel_tol=1e-7)]
-        vals[h] = integrate_nd(f, [(0.0, h), (0.0, h)], spec).value
+        def f(xi):
+            xi = np.maximum(xi, 1e-300)
+            return xi * (xi ** -1.5 + (2.0 - xi) ** -1.5) * xi ** -p
+        spec = QuadratureSpec(rel_tol=1e-7, substitution="power",
+                              power=0.5 + p)
+        vals[h] = integrate_1d(f, 0.0, h, spec).value
     measured = math.log2(vals[0.1] / vals[0.05])
     assert abs(measured - (0.5 - p)) < 0.02 * (0.5 - p)
-
-
-def test_nd_rejects_more_than_four_dimensions():
-    with pytest.raises(ValueError):
-        integrate_nd(lambda p: np.ones(len(p)), [(0.0, 1.0)] * 5)
 
 
 def test_gauss_legendre_rule_polynomial_exactness():

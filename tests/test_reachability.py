@@ -1,6 +1,7 @@
-"""Every public module-level function and class of kpert is named
-somewhere in the package, the scripts or the benchmarks outside its own
-definition: code that only its own tests reach is deleted, not kept."""
+"""Every public module-level function, class and ALL-CAPS constant of
+kpert is named somewhere in the package, the scripts or the benchmarks
+outside its own definition: code that only its own tests reach is
+deleted, not kept."""
 import ast
 from pathlib import Path
 
@@ -32,6 +33,21 @@ def _names(node):
             yield n.value
 
 
+def _defined(stmt):
+    """Public names a module-level statement defines: a function, a class
+    or ALL-CAPS constants (NAME = ... or NAME: type = ...)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) \
+            else [stmt.target]
+        names = {t.id for t in targets
+                 if isinstance(t, ast.Name) and t.id.isupper()}
+    else:
+        names = set()
+    return {n for n in names if not n.startswith("_")}
+
+
 def test_every_public_name_is_reached():
     files = sorted(PACKAGE.glob("*.py")) + \
         sorted((ROOT / "scripts").rglob("*.py")) + \
@@ -39,11 +55,10 @@ def test_every_public_name_is_reached():
     public, named = {}, set()
     for path in files:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = stmt.name if isinstance(
-                stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            if own and path.parent == PACKAGE and not own.startswith("_"):
-                public[own] = path.name
-            named.update(n for n in _names(stmt) if n != own)
+            own = _defined(stmt)
+            if path.parent == PACKAGE:
+                public.update(dict.fromkeys(own, path.name))
+            named.update(n for n in _names(stmt) if n not in own)
     unreached = sorted(f"{public[n]}:{n}" for n in public
                        if n not in named and n not in ALLOWED)
     assert not unreached, f"named only by their own definition: {unreached}"

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as hst
 from kpert import spacetime as st
 from kpert.errors import PreconditionError
 from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
-                            PerturbingMeasure, PowerLawSpaceDensity,
-                            ZERO_MEASURE)
+                            PerturbingMeasure, PowerLawSpaceDensity)
 from kpert.quadrature import QuadratureSpec, gauss_legendre_rule, integrate_1d
 
 INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
@@ -253,16 +252,21 @@ def test_left_inverse_perturbed():
 # -- window modulus ---------------------------------------------------------------
 
 def test_kato_zero_measure():
-    r = st.kato_modulus(st.cauchy_kernel(1), ZERO_MEASURE, 0.5, n_samples=4)
-    assert r.value == 0.0
+    k = st.kato_profile(st.cauchy_kernel(1), PerturbingMeasure(), [0.5],
+                        n_samples=4)
+    assert k == {0.5: 0.0}
 
 
 def test_kato_lebesgue_exact():
+    # every sample gives 2t, so the corner t = h is the sup of each window
     mu = PerturbingMeasure(ConstDensity(1.0))
-    for h in (0.1, 0.5, 1.0):
-        r = st.kato_modulus(st.cauchy_kernel(1), mu, h, n_samples=8, seed=0)
-        assert abs(r.value - 2.0 * h) < 1e-4
-        assert r.samples == 8
+    for seed in (0, 7):
+        k = st.kato_profile(st.cauchy_kernel(1), mu, [1.0, 0.5, 0.1],
+                            n_samples=8, seed=seed)
+        for h in (0.1, 0.5, 1.0):
+            assert abs(k[h] - 2.0 * h) < 1e-4
+            assert k[h] == st.kato_inner_integral(st.cauchy_kernel(1), mu,
+                                                  0.0, 0.0, h, 0.0)
 
 
 # The per-time-node loop kato_inner_integral ran before it evaluated each
