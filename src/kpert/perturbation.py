@@ -24,7 +24,10 @@ the time nodes (and atoms) whose spatial rule sits on the target, the
 nodes, weights and every factor but p(u0, z0, v, z') do not depend on
 the source node z0, so they are evaluated once per row and broadcast
 over it.  Row n + 1 is the only reader of grid level n, which is built
-only once that row is due.  Every measure, atoms included, takes this
+only once that row is due; it reads the level through one interpolating
+cubic spline per panel (not-a-knot on both axes, in numpy), whose time
+weights are evaluated once per time column of the bridge rule.  Every
+measure, atoms included, takes this
 one path (an atom level reads the previous one only at later atoms, so a
 single atom kills every term past the first), and the error estimate is
 the relative difference of the sums at two resolutions.  The slice
@@ -37,7 +40,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from kpert import bounds as bnd
 from kpert import matrix_kernels as mk
@@ -62,6 +64,92 @@ class SeriesResult:
     def ratio(self) -> float:
         return self.value / self.control if self.control > 0 else \
             (0.0 if self.value == 0.0 else math.inf)
+
+
+def _not_a_knot_pieces(x):
+    """Cardinal not-a-knot cubic splines on the nodes x (at least four):
+    c[k, p, b] is the coefficient of (xi - x[k])**p on [x[k], x[k+1]] of
+    the spline that is 1 at x[b] and 0 at the other nodes.
+
+    The slopes at the nodes solve one dense system for every b at once:
+    C2 continuity at the interior nodes, and a continuous third
+    derivative at x[1] and x[n-2] (C. de Boor, A Practical Guide to
+    Splines, ch. IV).  Each piece is then the cubic Hermite interpolant
+    of its end values and slopes."""
+    n = len(x)
+    h = np.diff(x)
+    eye = np.eye(n)
+    delta = (eye[1:] - eye[:-1]) / h[:, None]       # chord slopes
+    a = np.zeros((n, n))
+    rhs = np.empty((n, n))
+    i = np.arange(1, n - 1)
+    a[i, i - 1] = h[1:]
+    a[i, i] = 2.0 * (h[:-1] + h[1:])
+    a[i, i + 1] = h[:-1]
+    rhs[1:-1] = 3.0 * (h[1:, None] * delta[:-1] + h[:-1, None] * delta[1:])
+    d = x[2] - x[0]
+    a[0, :2] = h[1], d
+    rhs[0] = ((h[0] + 2.0 * d) * h[1] * delta[0] + h[0] ** 2 * delta[1]) / d
+    d = x[-1] - x[-3]
+    a[-1, -2:] = d, h[-2]
+    rhs[-1] = (h[-1] ** 2 * delta[-2]
+               + (2.0 * d + h[-1]) * h[-2] * delta[-1]) / d
+    slope = np.linalg.solve(a, rhs)
+    c = np.empty((n - 1, 4, n))
+    c[:, 0] = eye[:-1]
+    c[:, 1] = slope[:-1]
+    c[:, 2] = (3.0 * delta - 2.0 * slope[:-1] - slope[1:]) / h[:, None]
+    c[:, 3] = (slope[:-1] + slope[1:] - 2.0 * delta) / h[:, None] ** 2
+    return c
+
+
+class RectBivariateSpline:
+    """Interpolating cubic tensor spline on a grid x (times) by y (uniform
+    space nodes), not-a-knot on each axis: the interpolant fitpack builds
+    for s = 0.
+
+    The space operator is applied to the grid values once, at build:
+    each row of values becomes a table of cubic pieces in y.  A lookup
+    weights those tables by the time splines at each column's time,
+    then evaluates each point on its piece by Horner's rule.
+    """
+
+    def __init__(self, x, y, z):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self._x_pieces = _not_a_knot_pieces(self.x)
+        ny = len(self.y)
+        y_pieces = _not_a_knot_pieces(self.y).reshape(4 * (ny - 1), ny)
+        self._rows = np.asarray(z, dtype=float) @ y_pieces.T
+        self._inv_dy = (ny - 1) / (self.y[-1] - self.y[0])
+
+    def __call__(self, x, y):
+        """Values at the points y[..., c, :] of column c, all at time x[c]
+        (x of shape (ncols,)); points off the grid are clamped to it, as
+        fitpack clamps them."""
+        xs, ys = self.x, self.y
+        x = np.minimum(np.maximum(x, xs[0]), xs[-1])
+        k = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
+        dx = (x - xs[k])[:, None]
+        c = self._x_pieces[k]
+        w = ((c[:, 3] * dx + c[:, 2]) * dx + c[:, 1]) * dx + c[:, 0]
+        # one column's pieces per matmul, so a column's values do not
+        # depend on which other columns share the call
+        pieces = (w[:, None, :] @ self._rows).reshape(-1, 4).T.copy()
+        y = np.minimum(np.maximum(y, ys[0]), ys[-1])
+        k = np.minimum(((y - ys[0]) * self._inv_dy).astype(np.intp),
+                       len(ys) - 2)
+        d = y - ys.take(k)
+        k += (np.arange(len(x)) * (len(ys) - 1))[:, None]
+        c0, c1, c2, c3 = pieces
+        out = c3.take(k)
+        out *= d
+        out += c2.take(k)
+        out *= d
+        out += c1.take(k)
+        out *= d
+        out += c0.take(k)
+        return out
 
 
 class SeriesEngine:
@@ -112,6 +200,7 @@ class SeriesEngine:
                 cuts.add(float(a.time))
         edges = sorted(cuts)
         self.panels = list(zip(edges[:-1], edges[1:]))
+        self._panel_los = np.array(edges[:-1])
         self.segments = []
         if mu.density is not None:
             for lo, hi in self.panels:
@@ -188,28 +277,21 @@ class SeriesEngine:
 
     # -- level evaluation ---------------------------------------------------
 
-    def _controls(self, s, x):
-        """p(s_i, x_i, t, y), one point per kernel call.  Rows are divided
-        by these values: a batched call rounds a few points differently
-        (the scalar path of a power differs in the last bit), which would
-        move the outputs."""
-        return np.array([float(self.kernel(si, xi, self.t, self.y))
-                         for si, xi in zip(s, x)])
-
     def _lookup(self, splines, v, zp):
-        """Evaluate the previous level's ratio at (v, z'), clamping z' to the
-        grid (ratios flatten off-window) and routing v to its panel."""
+        """Evaluate the previous level's ratio at (v[c], z'), z' the nodes
+        zp[..., c, :] of column c, routing each column to its panel.  The
+        spline clamps z' to the grid: ratios flatten off-window."""
         if splines is None:
-            return np.ones_like(zp)
-        out = np.zeros_like(zp)
-        zq = np.clip(zp, self.z_nodes[0], self.z_nodes[-1])
-        los = np.array([p[0] for p in self.panels])
-        idx = np.searchsorted(los, v, side="right") - 1
+            return np.ones(zp.shape)
+        idx = np.searchsorted(self._panel_los, v, side="right") - 1
         idx = np.clip(idx, 0, len(self.panels) - 1)
+        out = np.empty(zp.shape)
         for i, spl in enumerate(splines):
             m = idx == i
-            if np.any(m):
-                out[m] = spl(v[m], zq[m], grid=False)
+            if m.all():
+                return spl(v, zp)
+            if m.any():
+                out[..., m, :] = spl(v[m], zp[..., m, :])
         return out
 
     def _bridge_sums(self, u0, z0, v, splines, atom=False):
@@ -223,7 +305,7 @@ class SeriesEngine:
             vv = np.broadcast_to(v[cols, None], zp.shape)
             p1 = self.kernel(u0, zc, vv, zp)
             p2 = self.kernel(vv, zp, self.t, self.y)
-            rv = self._lookup(splines, vv, zp)
+            rv = self._lookup(splines, v[cols], zp)
             if atom:
                 inner[:, cols] = np.sum(p1 * p2 * rv * wp, axis=-1)
             else:
@@ -272,18 +354,16 @@ class SeriesEngine:
                 u_rows = u_nodes.copy()
                 if hi in atom_times and self.kind != "cone":
                     u_rows[-1] = np.nextafter(hi, -np.inf)
-                self._panel_rows.append((u_nodes, u_rows, [
-                    self._controls(np.full(self.grid_z, ui), self.z_nodes)
-                    for ui in u_rows]))
+                self._panel_rows.append((u_nodes, u_rows, np.asarray(
+                    self.kernel(u_rows[:, None], self.z_nodes, self.t,
+                                self.y), dtype=float)))
         for u_nodes, u_rows, f0 in self._panel_rows:
             vals = np.empty((self.grid_t, self.grid_z))
             for i, ui in enumerate(u_rows):
                 vals[i] = self._row_values(ui, self.z_nodes, f0[i], splines)
             sup = max(sup, float(np.max(vals)))
-            kx = min(3, self.grid_t - 1)
-            ky = min(3, self.grid_z - 1)
             new_splines.append(RectBivariateSpline(u_nodes, self.z_nodes,
-                                                   vals, kx=kx, ky=ky, s=0))
+                                                   vals))
         return new_splines, sup
 
     def ratios(self, s_pts, x_pts):
@@ -300,13 +380,12 @@ class SeriesEngine:
             self._splines = [None]
             self._grid_sups = [1.0]
         live = np.flatnonzero(alive)
-        f0_live = self._controls(s_pts[live], x_pts[live])
         for level in range(1, self.max_terms + 1):
             prev = self._splines[level - 1]
             row = np.zeros(len(s_pts))
-            for k, i in enumerate(live):
+            for i in live:
                 row[i] = self._row_values(s_pts[i], x_pts[i:i + 1],
-                                          f0_live[k:k + 1], prev)[0]
+                                          f0[i:i + 1], prev)[0]
             rows.append(row)
             if level == self.max_terms:
                 break
@@ -743,7 +822,9 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
     (1 - eta)**(-j) on each slice.  Slice j's bound rests on the bounds
     of every slice nearer the target, so a slice that violates the
     hypothesis withholds its certificate and those of all later slices
-    as HYPOTHESIS_FAIL.  With eta omitted, the measured sup (slightly
+    as HYPOTHESIS_FAIL; each such row keeps its measured series ratio and
+    truncation report, and its note names the slice constant that
+    failed.  With eta omitted, the measured sup (slightly
     padded) is used.  An eta of one or more raises SmallnessError (from
     ``bounds.certify``), which carries it.
     """
@@ -766,12 +847,9 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
                          eta_override=eta):
         j = c.slice_index
         if j in failed:
-            c = bnd.BoundCertificate(
-                slice_index=j, eta=eta, beta=eta,
-                theorem_bound=c.theorem_bound, measured_ratio=sups[j - 1],
-                status="HYPOTHESIS_FAIL", sample_count=2 * n_samples,
-                note=f"measured slice constant {sups[j - 1]:.4g} exceeds "
-                     f"eta={eta:.4g}")
+            c = replace(c, status="HYPOTHESIS_FAIL",
+                        note=f"measured slice constant {sups[j - 1]:.4g} "
+                             f"exceeds eta={eta:.4g}")
         elif failed and j > failed[0]:
             c = replace(c, status="HYPOTHESIS_FAIL",
                         note=f"the bound rests on slice {failed[0]}, whose "

@@ -22,6 +22,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+# numpy loads these on first use; loading them here keeps that cost in the
+# import instead of the first sample or rule a command draws
+import numpy.polynomial.legendre  # noqa: F401
+import numpy.random  # noqa: F401
 
 # 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1].
 # Gauss nodes are the odd-indexed Kronrod nodes, so one function sweep feeds

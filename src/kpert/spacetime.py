@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import beta as euler_beta
-from scipy.special import gamma as gamma_fn
 
 from kpert import matrix_kernels as mk
 from kpert.errors import PreconditionError
@@ -81,7 +79,7 @@ class CauchyKernel:
     @classmethod
     def _normalizer(cls, d):
         if d not in cls._c_cache:
-            surface = 2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0)
+            surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
             def radial(r):
                 return surface * r ** (d - 1) * (1.0 + r * r) ** (-(d + 1) / 2.0)
@@ -620,16 +618,23 @@ def eta_for_kappa(c: float, p_exp: float, h: float) -> float:
         raise ValueError("exponent must lie in (0, 1/2)")
     if c <= 0 or h <= 0:
         raise ValueError("coefficient and width must be positive")
-    s = euler_beta(0.5 - p_exp, 1.0) + euler_beta(0.5, 1.0 - p_exp)
-    return TWO_SQRT2 * c * s * h ** (0.5 - p_exp)
+    return TWO_SQRT2 * c * _beta_sum(p_exp) * h ** (0.5 - p_exp)
+
+
+def _beta_sum(p_exp):
+    """B(1/2 - p, 1) + B(1/2, 1 - p): the first is 1 / (1/2 - p), the
+    second Gamma(1/2) Gamma(1 - p) / Gamma(3/2 - p), formed from
+    log-gammas."""
+    return 1.0 / (0.5 - p_exp) + math.exp(
+        math.lgamma(0.5) + math.lgamma(1.0 - p_exp) - math.lgamma(1.5 - p_exp))
 
 
 def solve_h(c: float, p_exp: float, eta_target: float) -> float:
     """Invert eta_for_kappa for the slice width delivering eta_target."""
     if not 0.0 < eta_target < 1.0:
         raise ValueError("target must lie in (0, 1)")
-    s = euler_beta(0.5 - p_exp, 1.0) + euler_beta(0.5, 1.0 - p_exp)
-    return (eta_target / (TWO_SQRT2 * c * s)) ** (1.0 / (0.5 - p_exp))
+    return (eta_target / (TWO_SQRT2 * c * _beta_sum(p_exp))) ** \
+        (1.0 / (0.5 - p_exp))
 
 
 def kappa_slice_ratio(s, x, t, y, a_lo, a_hi, c, p_exp,

@@ -42,16 +42,20 @@ def test_series_atomless_ratio(tmp_path):
 
 # SHA-256 of outputs recorded before the series engine shared its grid
 # levels across calls and evaluated them a row at a time; speedups must
-# not move a byte.  Recorded with Python 3.11.7, numpy 2.4.6 and scipy
-# 1.17.1 on x86-64: outputs are written at full float precision, so other
-# versions (or another CPU's vectorized math) can move last bits.
+# not move a byte.  Recorded with Python 3.11.7 and numpy 2.4.6 on
+# x86-64: outputs are written at full float precision, so other versions
+# (or another CPU's vectorized math) can move last bits.  kpert itself
+# no longer uses scipy, so its version does not enter these hashes.
 GOLDEN = {
     "series_atomless": ("series", 0, "series.csv",
                         "9aadbb7ee32b8f7da12ba4dd5feb434f"
                         "9074545b853fbc9bc36cefda880db924"),
+    # re-recorded when the engine's splines moved from scipy's fitpack to
+    # kpert's own not-a-knot spline: three tail estimates moved by <= 1e-15
+    # relative
     "certify_kappa": ("certify", 0, "certificates.json",
-                      "5c2e9129a598698e248bff48b561f98d"
-                      "ed874472fb2adc899e71fb36583ef97a"),
+                      "830fffb97487dca20168d5e62dde55bd"
+                      "9de16603cfa2fb4b333a27e5d7a0abdc"),
     # re-recorded when eta >= 1 on time slices wrote the error and eta
     # in place of certificates
     "certify_atom_violation": ("certify", 4, "certificates.json",

@@ -263,6 +263,38 @@ def test_series_term_positivity_and_causality_grid():
     assert res[2].value == 0.0
 
 
+# -- spline -------------------------------------------------------------------
+
+@pytest.mark.parametrize("nx,ny", itertools.product((7, 11, 18), (9, 15, 24)))
+def test_spline_matches_fitpack_interpolant(nx, ny):
+    from scipy.interpolate import RectBivariateSpline as FitpackSpline
+    rng = np.random.default_rng(nx * 100 + ny)
+    x = np.linspace(0.13, 0.71, nx)
+    y = np.linspace(-3.2, 2.9, ny)
+    vals = 1.0 + np.exp(-(x[:, None] - 0.4) ** 2) * np.cos(y) ** 2 + \
+        0.5 * rng.random((nx, ny))
+    ref = FitpackSpline(x, y, vals, kx=3, ky=3, s=0)
+    spl = pt.RectBivariateSpline(x, y, vals)
+    # columns at every node, both ends and inside; per column the nodes,
+    # both ends, points beyond them (clamped) and points inside
+    v = np.concatenate([x, rng.uniform(x[0], x[-1], 12)])
+    z = np.concatenate([y, [y[0] - 0.7, y[-1] + 2.0],
+                        rng.uniform(y[0], y[-1], 25)])
+    zz = np.stack([rng.permutation(z) for _ in v])
+    got = spl(v, zz)
+    want = ref(np.broadcast_to(v[:, None], zz.shape),
+               np.clip(zz, y[0], y[-1]), grid=False)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    # a leading axis of points per column, as a grid row passes them
+    got3 = spl(v, np.stack([zz, zz[:, ::-1]]))
+    assert np.array_equal(got3[0], got) and np.array_equal(got3[1],
+                                                           got[:, ::-1])
+    # a column's values do not depend on the columns that share the call:
+    # the engine looks up the same column alone or in different groups
+    for i in range(len(v)):
+        assert np.array_equal(spl(v[i:i + 1], zz[i:i + 1])[0], got[i])
+
+
 # -- grid rows ----------------------------------------------------------------
 
 def _scalar_bridge(eng, u0, z0, v, n_half):
@@ -296,9 +328,9 @@ def _scalar_bridge(eng, u0, z0, v, n_half):
     return zp, wp
 
 
-def _scalar_point_value(eng, u0, z0, splines):
-    """Reference: one grid node per call, the engine's former scalar path."""
-    f0 = float(eng.kernel(u0, z0, eng.t, eng.y))
+def _scalar_point_value(eng, u0, z0, f0, splines):
+    """Reference: one grid node per call, the engine's former scalar path,
+    with the base density f0 there."""
     if not f0 > 0 or u0 >= eng.t:
         return 0.0
     total = 0.0
@@ -311,7 +343,7 @@ def _scalar_point_value(eng, u0, z0, splines):
         p1 = eng.kernel(u0, z0, vv, zp)
         p2 = eng.kernel(vv, zp, eng.t, eng.y)
         qv = eng.mu.q(vv, zp)
-        rv = eng._lookup(splines, vv, zp)
+        rv = eng._lookup(splines, v, zp)
         total += float(dv @ np.sum(p1 * p2 * qv * rv * wp, axis=1))
     for atom in eng.mu.active_atoms():
         if u0 < atom.time < eng.t:
@@ -320,7 +352,7 @@ def _scalar_point_value(eng, u0, z0, splines):
             vv = np.broadcast_to(v[:, None], zp.shape)
             p1 = eng.kernel(u0, z0, vv, zp)
             p2 = eng.kernel(vv, zp, eng.t, eng.y)
-            rv = eng._lookup(splines, vv, zp)
+            rv = eng._lookup(splines, v, zp)
             total += atom.weight * float(np.sum(p1 * p2 * rv * wp))
     return total / f0
 
@@ -368,12 +400,12 @@ def test_row_values_match_scalar_nodes(case):
     eng._bridge = spy
     for splines in (None, level1):
         for u0 in rows:
-            f0 = eng._controls(np.full(len(z0), u0), z0)
+            f0 = np.asarray(kernel(u0, z0, eng.t, eng.y), dtype=float)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 row = eng._row_values(u0, z0, f0, splines)
-            ref = np.array([_scalar_point_value(eng, u0, z, splines)
-                            for z in z0])
+            ref = np.array([_scalar_point_value(eng, u0, z, f, splines)
+                            for z, f in zip(z0, f0)])
             assert np.array_equal(row, ref)
             assert np.all(np.isfinite(row))
             if kernel is st.KAPPA:
@@ -541,7 +573,9 @@ def test_theorem46_hypothesis_fail_on_heavy_atom():
     certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, eta=0.5,
                                  n_samples=6, quad_tol=1e-3)
     assert [c.status for c in certs] == ["HYPOTHESIS_FAIL"] * 2
-    assert certs[0].measured_ratio > 1.0 and certs[0].theorem_bound == 2.0
+    # slice 1's own points lie at or after the atom: its series is p alone
+    assert certs[0].measured_ratio == 1.0 and certs[0].theorem_bound == 2.0
+    assert certs[0].note == "measured slice constant 1.5 exceeds eta=0.5"
     assert "slice 1" in certs[1].note
     # with eta measured it comes out above one: no certificate exists
     with pytest.raises(SmallnessError) as exc:
@@ -550,19 +584,36 @@ def test_theorem46_hypothesis_fail_on_heavy_atom():
     assert exc.value.eta > 1.0
 
 
+def _cauchy_declared_eta(eta):
+    mu = PerturbingMeasure(ConstDensity(0.6), (Atom(0.7, 0.3),))
+    return pt.theorem46_certify(st.cauchy_kernel(1), mu, 0.0, 1.0, 0.0,
+                                time_uniform_slices(0.0, 1.0, 0.5),
+                                eta=eta, n_samples=8, quad_tol=1e-3,
+                                max_terms=10)
+
+
 def test_theorem46_hypothesis_fail_covers_later_slices():
     # slice 1 fails (sup 0.60 > 0.32); slice 2's measured ratio 2.34 lies
     # above its bound 2.16 (the true ratio e^0.6 * 1.3 = 2.37 breaks it),
     # and only the quadrature tolerance (10 x 0.047) would pass it VALID
-    mu = PerturbingMeasure(ConstDensity(0.6), (Atom(0.7, 0.3),))
-    certs = pt.theorem46_certify(st.cauchy_kernel(1), mu, 0.0, 1.0, 0.0,
-                                 time_uniform_slices(0.0, 1.0, 0.5),
-                                 eta=0.32, n_samples=8, quad_tol=1e-3,
-                                 max_terms=10)
+    certs = _cauchy_declared_eta(0.32)
     assert [c.status for c in certs] == ["HYPOTHESIS_FAIL"] * 2
-    assert certs[0].measured_ratio == pytest.approx(0.6, rel=1e-3)
+    assert certs[0].note == "measured slice constant 0.6 exceeds eta=0.32"
     assert certs[1].measured_ratio > certs[1].theorem_bound
     assert certs[1].note.startswith("the bound rests on slice 1")
+
+
+def test_theorem46_failing_slice_keeps_its_series_ratio():
+    # the failing slice's own row once wrote its slice constant (0.60) as
+    # measured_ratio with an empty truncation report; it keeps what
+    # bounds.certify measured, as an eta that passes the slice shows
+    failing = _cauchy_declared_eta(0.32)[0]
+    passing = _cauchy_declared_eta(0.9)[0]
+    assert passing.status != "HYPOTHESIS_FAIL"
+    assert failing.measured_ratio == passing.measured_ratio > 1.0
+    assert failing.truncation == passing.truncation
+    assert failing.truncation.status == "converged"
+    assert failing.sample_count == passing.sample_count == 8
 
 
 def _slice_sups_by_loop(problem, n_samples):
@@ -590,10 +641,12 @@ def test_theorem46_sups_match_the_sampling_loop():
     certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals,
                                  n_samples=4, series_fn=unit_series)
     assert certs[0].eta == max(want) * (1.0 + 1e-6)
-    # a tiny declared eta fails every slice on its own sup
+    # a tiny declared eta fails every slice on its own sup, which the
+    # note names (the measured ratio stays the series ratio)
     certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, eta=1e-3,
                                  n_samples=4, series_fn=unit_series)
-    assert [c.measured_ratio for c in certs] == want
+    assert [c.note for c in certs] == [
+        f"measured slice constant {w:.4g} exceeds eta=0.001" for w in want]
     assert [c.status for c in certs] == ["HYPOTHESIS_FAIL"] * 4
 
 

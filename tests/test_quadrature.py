@@ -249,10 +249,15 @@ def test_halton_rejects_negative_seed():
         Halton(2, -1)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter: this test process has loaded scipy.stats
-    code = "import sys, kpert.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_loads_no_scipy_and_numpy_random():
+    # a fresh interpreter: this test process has loaded scipy.  numpy
+    # loads numpy.random on first use; kpert loads it at import, so the
+    # first command that draws samples does not pay for it
+    code = ("import sys, kpert.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')), "
+            "'numpy.random' in sys.modules, "
+            "'numpy.polynomial.legendre' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[] True True"

@@ -385,6 +385,39 @@ def test_solve_h_inverts():
         assert st.eta_for_kappa(c, p, h) == pytest.approx(target, rel=1e-12)
 
 
+def test_beta_constants_match_scipy():
+    # B(1/2 - p, 1) + B(1/2, 1 - p) once came from scipy.special.beta.
+    # On this grid each side lies within about 4 ulp of the exact sum
+    # (4.0 and 3.9 against 40-digit values), so the two may differ by 8;
+    # solve_h raises the sum to the power 1 / (1/2 - p), which scales
+    # that difference.
+    from scipy.special import beta
+    eps = np.finfo(float).eps
+    checked = 0
+    for p in np.linspace(0.001, 0.499, 499):
+        p = float(p)
+        s = beta(0.5 - p, 1.0) + beta(0.5, 1.0 - p)
+        want = st.TWO_SQRT2 * 0.7 * s * 0.3 ** (0.5 - p)
+        assert math.isclose(st.eta_for_kappa(0.7, p, 0.3), want,
+                            rel_tol=8 * eps)
+        want = (0.5 / (st.TWO_SQRT2 * 0.05 * s)) ** (1.0 / (0.5 - p))
+        if want >= np.finfo(float).tiny:       # else it underflows
+            checked += 1
+            assert math.isclose(st.solve_h(0.05, p, 0.5), want,
+                                rel_tol=8 * eps / (0.5 - p))
+    assert checked > 400
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cauchy_normalizer_bits_match_scipy_gamma(d):
+    from scipy.special import gamma
+    surface = 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
+    total = integrate_1d(
+        lambda r: surface * r ** (d - 1) * (1.0 + r * r) ** (-(d + 1) / 2.0),
+        0.0, np.inf, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14))
+    assert st.cauchy_kernel(d).c_d == 1.0 / total.value
+
+
 def test_kappa_slice_ratio_below_closed_form():
     c, p = 0.05, 0.1
     h = st.solve_h(c, p, 0.5)
