@@ -33,7 +33,7 @@ def main():
         rng = np.random.default_rng(args.seed)
         const = bnd.estimate_constants(prob, rng, n_samples=args.samples,
                                        refine_rounds=1)
-        certs = bnd.certify(prob, const, rng, n_samples=6,
+        certs = bnd.certify(prob, const, n_samples=6,
                             beta_override=prob.analytic_eta,
                             eta_override=prob.analytic_eta)
         for j, cert in enumerate(certs, start=1):

@@ -52,11 +52,11 @@ def _timed(number, name, fn):
 
 # -- 1: exact restriction identities on the random matrix corpus -----------
 
-def criterion_identities(seed: int = 7, n_instances: int = 1000):
+def criterion_identities(seed: int = 7):
     def run():
         rng = _rng(seed, 1)
         checks = 0
-        for _ in range(n_instances):
+        for _ in range(1000):
             K, chain = mk.random_absorbing_instance(rng)
             chain.validate_for(K)
             for A in chain.sets:
@@ -71,17 +71,17 @@ def criterion_identities(seed: int = 7, n_instances: int = 1000):
                                                     chain.sets[b], m):
                         return False, "slice identity violated"
                     checks += 1
-        return True, f"{checks} exact identities on {n_instances} kernels"
+        return True, f"{checks} exact identities on 1000 kernels"
     return _timed(1, "identities", run)
 
 
 # -- 2: series domination implies geometric decay --------------------------
 
-def criterion_decay(seed: int = 7, n_instances: int = 1000):
+def criterion_decay(seed: int = 7):
     def run():
         rng = _rng(seed, 2)
         checked = 0
-        for _ in range(n_instances):
+        for _ in range(1000):
             K, chain = mk.random_absorbing_instance(rng, contractive=True)
             f = np.ones(K.n)
             g = mk.exact_series_sum(K, f)
@@ -97,7 +97,7 @@ def criterion_decay(seed: int = 7, n_instances: int = 1000):
 
 # -- 3: slice-bound soundness + closed-form identity ------------------------
 
-def criterion_soundness(seed: int = 7, n_instances: int = 1000):
+def criterion_soundness(seed: int = 7):
     def run():
         for eta in np.linspace(0.0, 0.99, 25):
             for j in (1, 2, 5, 10):
@@ -107,7 +107,7 @@ def criterion_soundness(seed: int = 7, n_instances: int = 1000):
                     return False, f"identity off at eta={eta}, j={j}"
         rng = _rng(seed, 3)
         n_certs = 0
-        for _ in range(n_instances):
+        for _ in range(1000):
             K, chain = mk.random_absorbing_instance(rng, contractive=True)
             prob = bnd.MatrixSliceProblem(K, np.ones(K.n), chain)
             const = bnd.estimate_constants(prob)
@@ -219,9 +219,9 @@ def criterion_sharpness(seed: int = 7):
 
 # -- 7: two-subordinator cone kernel ----------------------------------------
 
-def criterion_cone_kernel(seed: int = 7, n_tuples: int = 100_000):
+def criterion_cone_kernel(seed: int = 7):
     def run():
-        chk = st.sample_3g(_rng(seed, 7), n_tuples)
+        chk = st.sample_3g(_rng(seed, 7), 100_000)
         if not (np.all(chk.lower_ok) and np.all(chk.upper_ok)
                 and np.all(chk.product_upper_ok) and np.all(chk.product_lower_ok)):
             return False, "ratio left [1, 2 sqrt 2] on the random sample"

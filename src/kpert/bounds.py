@@ -220,8 +220,11 @@ def estimate_constants(problem, rng=None, n_samples: int = 64,
 
     Matrix problems enumerate every state, so the sup is exact.  Sampled
     problems report a lower estimate of the sup; the certificate records
-    the sample count so the provenance is visible.  Points where f = 0
-    but K_j f > 0 force eta = inf (hypothesis unverifiable there).
+    the sample count so the provenance is visible; refine_rounds > 0
+    jitters around each slice's argmax with rng, through the problem's
+    local_points (the diagonal-level problem has one; time slices use
+    refine_rounds=0).  Points where f = 0 but K_j f > 0 force eta = inf
+    (hypothesis unverifiable there).
     """
     etas, betas, counts = [], [], []
     top = problem.top_points(rng, n_samples)
@@ -268,8 +271,8 @@ def verdict(status: str, ratio: float, bound: float, tol: float) -> str:
     return "VALID" if ratio <= bound * (1.0 + tol) else "INVALID"
 
 
-def certify(problem, constants: SliceConstants | None, rng=None,
-            n_samples: int = 64, beta_override: float | None = None,
+def certify(problem, constants: SliceConstants | None, n_samples: int = 64,
+            beta_override: float | None = None,
             eta_override: float | None = None):
     """One certificate per slice: measured series ratio vs the bound.
 
@@ -286,7 +289,7 @@ def certify(problem, constants: SliceConstants | None, rng=None,
         raise SmallnessError(eta)
     certs = []
     for j in range(1, problem.k + 1):
-        pts = problem.slice_points(j, rng, n_samples)
+        pts = problem.slice_points(j, None, n_samples)
         bound = theorem_bound(eta, beta, j)
         f = problem.control(pts)
         series, rep = problem.series(pts)

@@ -207,10 +207,12 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     """Partial sums of sum_m K^m f with a convergence verdict.
 
     converged: the last term's sup norm fell below tail_tol relative to
-    the running sum.  diverging: term norms grew over 10 consecutive
-    terms and the exact test, a spectral radius of at least one on the
-    states that reach the support of f, confirms it (a convergent series
-    may grow for a while).  Otherwise truncated at max_terms.
+    the running sum.  diverging: the exact test, a spectral radius of at
+    least one on the states that reach the support of f, holds.  The test
+    runs once term norms have grown over 10 consecutive terms (a
+    convergent series may grow for a while), or at max_terms if it has
+    not run by then: terms that never grow, at a radius of exactly one,
+    end there.  Otherwise truncated at max_terms.
     """
     f = _vector(K, f)
     total = f.copy()
@@ -233,6 +235,8 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
             radius_checked = True
             if _radius_toward(K, f) >= 1.0:
                 return MatrixSeriesResult(total, m, "diverging", tn)
+    if not radius_checked and _radius_toward(K, f) >= 1.0:
+        return MatrixSeriesResult(total, max_terms, "diverging", tn)
     return MatrixSeriesResult(total, max_terms, "truncated", tn)
 
 
@@ -271,13 +275,18 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
                           n_max: int = 30) -> bool:
     """Given sum_m K^m f <= c f on absorbing A, check the decay
     K^n f <= c (1 - 1/c)^n f on A for n <= n_max, plus the converse
-    series bound sum_n K^n f <= c^2 f on A."""
+    series bound sum_n K^n f <= c^2 f on A.  The hypothesis is checked
+    on the summed series, so a series that did not converge raises."""
     f = np.asarray(f, dtype=float)
     if not is_absorbing(K, A):
         raise PreconditionError("set is not absorbing")
     if c < 1:
         raise ValueError("c must be at least 1")
     series = neumann_series(K, f)
+    if series.status != "converged":
+        raise PreconditionError(
+            f"series hypothesis unchecked: the series is {series.status} "
+            f"after {series.n_terms} terms")
     g = series.value
     viol = A.mask & (g > c * f * (1 + 1e-12))
     if np.any(viol):
@@ -296,25 +305,25 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
     return bool(np.all(g[A.mask] <= c * c * f[A.mask] * slack + 1e-300))
 
 
-def random_absorbing_instance(rng, n_max: int = 8, k_max: int = 4,
-                              denom: int = 16, contractive: bool = False):
+def random_absorbing_instance(rng, contractive: bool = False):
     """Random dyadic kernel with an absorbing chain that holds by construction.
 
-    States are grouped into k consecutive slices; entries live only in
-    blocks where the column's slice index does not exceed the row's, i.e.
-    the matrix is block lower triangular, so every prefix union of slices
-    is absorbing.  A random relabeling hides the structure.  With
+    Between 2 and 8 states are grouped into k <= 4 consecutive slices;
+    entries, multiples of 1/16 in [0, 1], live only in blocks where the
+    column's slice index does not exceed the row's, i.e. the matrix is
+    block lower triangular, so every prefix union of slices is
+    absorbing.  A random relabeling hides the structure.  With
     contractive=True each row is scaled by a power of two so row sums stay
     below one (entries remain dyadic, the series converges).
     """
-    n = int(rng.integers(2, n_max + 1))
-    k = int(rng.integers(1, min(k_max, n) + 1))
+    n = int(rng.integers(2, 9))
+    k = int(rng.integers(1, min(4, n) + 1))
     cuts = np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
     bounds = np.concatenate([[0], cuts, [n]])
     slice_of = np.zeros(n, dtype=int)
     for j in range(k):
         slice_of[bounds[j]:bounds[j + 1]] = j
-    e = rng.integers(0, denom + 1, size=(n, n)).astype(float) / denom
+    e = rng.integers(0, 17, size=(n, n)).astype(float) / 16
     allowed = slice_of[None, :] <= slice_of[:, None]
     e = np.where(allowed, e, 0.0)
     if contractive:

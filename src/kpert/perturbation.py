@@ -408,8 +408,7 @@ class SeriesEngine:
 # Public term / series interface
 # ---------------------------------------------------------------------------
 
-def pn_term(kernel, mu: PerturbingMeasure, n: int, s, x, t, y,
-            quad_tol: float = 1e-4) -> float:
+def pn_term(kernel, mu: PerturbingMeasure, n: int, s, x, t, y) -> float:
     """Single term p_n(s, x, t, y); p_0 is the base density itself.  Read
     from the refined engine, whose terms ``series`` reports."""
     if n < 0:
@@ -421,19 +420,17 @@ def pn_term(kernel, mu: PerturbingMeasure, n: int, s, x, t, y,
         return 0.0
     eng = SeriesEngine(kernel, mu, t, y, s_min=min(s, t - 1e-9),
                        x_range=(min(x, y), max(x, y)),
-                       quad_tol=quad_tol, max_terms=n, resolution=1.6)
+                       quad_tol=1e-4, max_terms=n, resolution=1.6)
     rows = eng.ratios([s], [x])
     ratio = rows[n, 0] if n < rows.shape[0] else 0.0
     return float(ratio) * f0
 
 
 def series(kernel, mu: PerturbingMeasure, s, x, t, y,
-           quad_tol: float = 1e-4, max_terms: int = 14) -> SeriesResult:
+           quad_tol: float = 1e-4) -> SeriesResult:
     """Sum of the perturbation terms at one point, with refinement-based
     error estimate and a convergence verdict."""
-    results = series_batch(kernel, mu, [s], [x], t, y,
-                           quad_tol=quad_tol, max_terms=max_terms)
-    return results[0]
+    return series_batch(kernel, mu, [s], [x], t, y, quad_tol=quad_tol)[0]
 
 
 def _verdict(terms, quad_tol, max_terms):
@@ -453,19 +450,16 @@ def _verdict(terms, quad_tol, max_terms):
 
 
 def series_batch(kernel, mu: PerturbingMeasure, s_pts, x_pts, t, y,
-                 quad_tol: float = 1e-4, max_terms: int = 14,
-                 s_min=None, x_range=None):
+                 quad_tol: float = 1e-4, max_terms: int = 14):
     """Series at many source points sharing one engine (and its refined
-    rerun, which supplies the per-point quadrature error estimate)."""
+    rerun, which supplies the per-point quadrature error estimate), on
+    the window the points span."""
     s_pts = np.atleast_1d(np.asarray(s_pts, dtype=float))
     x_pts = np.atleast_1d(np.asarray(x_pts, dtype=float))
     f0 = np.asarray(kernel(s_pts, x_pts, t, y), dtype=float)
-    if s_min is None:
-        s_min = float(np.min(s_pts))
-    if x_range is None:
-        x_range = (float(np.min(x_pts)), float(np.max(x_pts)))
-    engines = _engine_pair(kernel, mu, t, y, s_min, x_range, quad_tol,
-                           max_terms)
+    x_range = (float(np.min(x_pts)), float(np.max(x_pts)))
+    engines = _engine_pair(kernel, mu, t, y, float(np.min(s_pts)), x_range,
+                           quad_tol, max_terms)
     return _sum_rows(engines, s_pts, x_pts, f0, quad_tol, max_terms)
 
 
@@ -541,8 +535,9 @@ class MultiAtomOperator:
     sum_{u_i > s} int p(s,x,u_i,z) g(u_i,z) dm(z) for rho a finite sum of
     unit atoms, applied to the control f = p(., ., t, y).
 
-    Iterates are tracked in ratio form (K^n f) / f on per-atom grids,
-    where they are flat in space (the exact recursion only counts
+    Iterates are tracked in ratio form (K^n f) / f on per-atom grids (17
+    nodes over [-4, 4] and y, padded by the kernel's reach), where they
+    are flat in space (the exact recursion only counts
     nondecreasing atom chains), so linear interpolation between grid
     nodes is essentially exact and all quadrature error sits in the
     tan-substituted bridge rules.  On the stacked grids K is one matrix,
@@ -552,8 +547,7 @@ class MultiAtomOperator:
     iterates and the series are summed by ``matrix_kernels``.
     """
 
-    def __init__(self, kernel, atom_times, t, y, x_lo=-4.0, x_hi=4.0,
-                 grid_size: int = 17, n_nodes: int = 64):
+    def __init__(self, kernel, atom_times, t, y, n_nodes: int = 64):
         self.kernel = kernel
         self.times = sorted(float(u) for u in atom_times)
         if any(u >= t for u in self.times):
@@ -562,9 +556,8 @@ class MultiAtomOperator:
         self.y = float(y)
         self.n_nodes = n_nodes
         pad = 2.0 * float(kernel.peak_scale(t - min(self.times))) + 0.5
-        self.z_grid = np.linspace(min(x_lo, y) - pad, max(x_hi, y) + pad,
-                                  grid_size)
-        G = grid_size
+        self.z_grid = np.linspace(min(-4.0, y) - pad, max(4.0, y) + pad, 17)
+        G = len(self.z_grid)
         K = np.eye(len(self.times) * G)      # the rho({u_i}) blocks
         for i, u in enumerate(self.times):
             for j in range(i + 1, len(self.times)):
@@ -616,8 +609,7 @@ class MultiAtomOperator:
             g = mk.apply(self.K, g)
         return float(self._readout(s, x) @ g)
 
-    def series_at(self, eta: float, s, x, tol: float = 1e-9,
-                  max_terms: int = 200) -> SeriesResult:
+    def series_at(self, eta: float, s, x, tol: float = 1e-9) -> SeriesResult:
         """sum_n (eta K)^n f(s, x) = f (1 + eta R sum_m (eta K)^m 1), R the
         readout row; terms are f and the summed perturbation."""
         if not 0.0 < eta < 1.0:
@@ -627,7 +619,7 @@ class MultiAtomOperator:
             return SeriesResult(0.0, (0.0,), 0, 0.0, 0.0, "converged", 0.0)
         row = self._readout(s, x)
         res = mk.neumann_series(mk.MatrixKernel(eta * self.K.entries),
-                                np.ones(self.K.n), max_terms=max_terms,
+                                np.ones(self.K.n), max_terms=200,
                                 tail_tol=tol)
         pert = eta * float(row @ res.value) * f
         tail = eta * float(np.sum(row)) * res.tail_estimate * f
@@ -687,7 +679,7 @@ class TimeSliceProblem(_SliceProblem):
     applies the measure restricted to I_j, and the series comes from the
     quadrature engine (or a caller-supplied engine)."""
 
-    def __init__(self, kernel, mu, r, t, y, intervals, x_box=None,
+    def __init__(self, kernel, mu, r, t, y, intervals,
                  quad_tol: float = 1e-4, seed: int = 0, series_fn=None,
                  max_terms: int = 14):
         self.kernel = kernel
@@ -701,11 +693,9 @@ class TimeSliceProblem(_SliceProblem):
         self.seed = seed
         self.series_fn = series_fn
         self.max_terms = max_terms
-        if x_box is None:
-            scale = float(kernel.peak_scale(self.t - self.r))
-            x_box = (self.y - 2.0 * scale - 1.0, self.y + 2.0 * scale + 1.0)
-        self.x_box = x_box
-        self.engine_window = (self.r, x_box)
+        scale = float(kernel.peak_scale(self.t - self.r))
+        self.x_box = (self.y - 2.0 * scale - 1.0, self.y + 2.0 * scale + 1.0)
+        self.engine_window = (self.r, self.x_box)
         self.quad_error = 0.0
         self._restricted = [restrict_measure(self.mu, I) for I in self.intervals]
 
@@ -722,15 +712,6 @@ class TimeSliceProblem(_SliceProblem):
 
     def top_points(self, rng=None, n=32):
         return self._sample(self.r, self.t - 1e-6 * max(1.0, abs(self.t)), n, 977)
-
-    def local_points(self, j, center, radius, n, rng):
-        I = self.intervals[j - 1]
-        jit = rng.normal(size=(n, 2)) * radius
-        s = np.clip(center[0] + jit[:, 0] * I.length, I.lo,
-                    np.nextafter(I.hi, I.lo))
-        x = np.clip(center[1] + jit[:, 1] * (self.x_box[1] - self.x_box[0]),
-                    self.x_box[0], self.x_box[1])
-        return np.stack([s, x], axis=1)
 
     def slice_apply(self, j, pts):
         mu_j = self._restricted[j - 1]
@@ -831,10 +812,10 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
     problem = TimeSliceProblem(kernel, mu, r, t, y, intervals,
                                quad_tol=quad_tol, seed=seed,
                                series_fn=series_fn, max_terms=max_terms)
-    rng = np.random.default_rng(seed)
     # the sup over the slice's own points (eta_j) and over the top set
     # (beta_j) together: the sup of p_1^{I_j} / p over s in [r, t)
-    const = bnd.estimate_constants(problem, rng, n_samples, refine_rounds=0)
+    const = bnd.estimate_constants(problem, n_samples=n_samples,
+                                   refine_rounds=0)
     sups = [max(e, b) for e, b in zip(const.per_slice_eta,
                                       const.per_slice_beta)]
     if eta is None:
@@ -843,7 +824,7 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
     failed = [j for j in range(1, problem.k + 1)
               if not sups[j - 1] <= eta * (1.0 + tol)]
     certs = []
-    for c in bnd.certify(problem, None, rng, n_samples, beta_override=eta,
+    for c in bnd.certify(problem, None, n_samples, beta_override=eta,
                          eta_override=eta):
         j = c.slice_index
         if j in failed:
@@ -872,16 +853,15 @@ def corollary47_bound(kernel, mu, r, t, y, intervals, c, beta,
     """
     problem = TimeSliceProblem(kernel, mu, r, t, y, intervals,
                                quad_tol=quad_tol, seed=seed)
-    rng = np.random.default_rng(seed)
     tol = bnd.quad_rel_tol(quad_tol)
-    top = problem.top_points(rng, n_samples)
+    top = problem.top_points(None, n_samples)
     p1 = sum(problem.slice_apply(j, top) for j in range(1, problem.k + 1))
     ratio1 = bnd._sup_ratio(p1, problem.control(top))
     if ratio1 > beta * (1.0 + tol):
         raise PreconditionError(
             f"first-term bound fails: measured {ratio1:.4g} > beta={beta}")
     for j, I in enumerate(problem.intervals, start=1):
-        pts = problem.slice_points(j, rng, n_samples)
+        pts = problem.slice_points(j, None, n_samples)
         res = series_batch(kernel, problem._restricted[j - 1],
                            pts[:, 0], pts[:, 1], t, y, quad_tol=quad_tol)
         ratios = [rr.ratio for rr in res]

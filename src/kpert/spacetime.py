@@ -174,18 +174,17 @@ class CKResidual(NamedTuple):
     quad_error: float
 
 
-def check_chapman_kolmogorov(kernel, s, x, u, t, y,
-                             spec: QuadratureSpec | None = None) -> CKResidual:
+def check_chapman_kolmogorov(kernel, s, x, u, t, y) -> CKResidual:
     """|int p(s,x,u,z) p(u,z,t,y) dz - p(s,x,t,y)| by quadrature (d = 1)."""
     if not s < u < t:
         raise ValueError("need s < u < t")
     if getattr(kernel, "dim", 1) != 1:
         raise ValueError("the Chapman-Kolmogorov check takes d = 1")
-    spec = spec or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
     def f(z):
         return kernel(s, x, u, z) * kernel(u, z, t, y)
-    res = integrate_1d(f, -np.inf, np.inf, spec)
+    res = integrate_1d(f, -np.inf, np.inf,
+                       QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13))
     target = float(kernel(s, x, t, y))
     return CKResidual(abs(res.value - target), res.error)
 
@@ -263,17 +262,17 @@ def five_p_ratio(s, x, u, z, t, y, d: int = 1):
                     np.where(num > 0, np.inf, 0.0))
 
 
-def scan_3p_constant(d: int = 1, n: int = 100_000, seed: int = 0,
-                     box: float = 3.0):
+def scan_3p_constant(d: int = 1, n: int = 100_000, seed: int = 0):
     """Empirical sup of the 3P and product-form ratios over random tuples.
 
     The true constant depends only on d but has no closed form here; the
-    scan reports (max_3p, max_5p) under a seeded Halton stream.
+    scan reports (max_3p, max_5p) under a seeded Halton stream, with
+    times in [-1, 2) and space in the box [-3, 3)^d.
     """
     eng = Halton(3 + 3 * d, seed)
     pts = eng.random(n)
     times = -1.0 + 3.0 * pts[:, :3]
-    space = box * (2.0 * pts[:, 3:] - 1.0)
+    space = 3.0 * (2.0 * pts[:, 3:] - 1.0)
     s, u, t = times[:, 0], times[:, 1], times[:, 2]
     if d == 1:
         x, z, y = space[:, 0], space[:, 1], space[:, 2]
@@ -290,8 +289,8 @@ def scan_3p_constant(d: int = 1, n: int = 100_000, seed: int = 0,
 # Weyl derivative of order 1/2 and left-inverse residuals
 # ---------------------------------------------------------------------------
 
-def weyl_half_derivative(phi, x, dphi=None, form: str = "derivative",
-                         spec: QuadratureSpec | None = None) -> float:
+def weyl_half_derivative(phi, x, dphi=None,
+                         form: str = "derivative") -> float:
     """Order-1/2 one-sided derivative of phi at x.
 
     derivative form: pi**(-1/2) int_0^inf z**(-1/2) phi'(x + z) dz,
@@ -300,11 +299,7 @@ def weyl_half_derivative(phi, x, dphi=None, form: str = "derivative",
     which only needs phi itself.  Both require an integrable tail; a
     non-convergent quadrature raises.
     """
-    spec = spec or QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13,
-                                  substitution="sqrt")
-    if spec.substitution is None:
-        spec = QuadratureSpec(spec.rel_tol, spec.abs_tol,
-                              spec.max_subdivisions, "sqrt")
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, substitution="sqrt")
     if form == "derivative":
         if dphi is None:
             raise ValueError("derivative form needs phi'")
@@ -379,10 +374,7 @@ def weyl_of_bump(bump: Bump1D, v):
 
 
 def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
-                          q=None, perturbed: bool = False,
-                          rel_tol: float = 1e-7,
-                          nystrom_nodes: int = 24,
-                          segment_nodes: int = 64):
+                          q=None, perturbed: bool = False):
     """Residual |integral + phi(s, x)| of the left-inverse identity.
 
     Unperturbed: the cone kernel integrated against
@@ -411,7 +403,7 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
             g = g + q(u, z) * phi_u(u) * phi_z(z)
         return g
 
-    gl_x, gl_w = gauss_legendre_rule(-1.0, 1.0, segment_nodes)
+    gl_x, gl_w = gauss_legendre_rule(-1.0, 1.0, 64)
 
     def segment(xi):
         """Cross-section integral of gfun along u + z = s + x + xi."""
@@ -434,14 +426,13 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
 
     xi_max = (u_hi - s) + (z_hi - x)
     res = integrate_1d(level_integrand, 0.0, xi_max,
-                       QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12,
+                       QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12,
                                       substitution="sqrt"))
     value = res.value
     err = res.error
 
     if perturbed:
-        correction = _kappa_series_correction(s, x, u_hi, z_hi, q,
-                                              nystrom_nodes)
+        correction = _kappa_series_correction(s, x, u_hi, z_hi, q)
         cxi, cw = gauss_legendre_rule(0.0, 1.0, 32)
         cu = s + (u_hi - s) * cxi ** 2
         cwu = cw * 2.0 * cxi * (u_hi - s)
@@ -459,16 +450,17 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
     return abs(value), err
 
 
-def _kappa_series_correction(s, x, u_hi, z_hi, q, n_nodes):
+def _kappa_series_correction(s, x, u_hi, z_hi, q):
     """Series correction D with kappa~(s,x,.) = kappa(s,x,.) + D.
 
-    D(u, z) = int kappa~(s,x,a,b) q(a,b) kappa(a,b,u,z) db da on a product
-    grid clustered toward the cone tip (nodes a = s + (u_hi - s) w**2).
+    D(u, z) = int kappa~(s,x,a,b) q(a,b) kappa(a,b,u,z) db da on a 24 x 24
+    product grid clustered toward the cone tip (nodes a = s + (u_hi - s)
+    w**2).
     On the grid kappa~ = kappa + M kappa~, with M the node-to-node
     propagator weighted by q and the rule: assembled once, summed as a
     Neumann series.
     """
-    xi, wt = gauss_legendre_rule(0.0, 1.0, n_nodes)
+    xi, wt = gauss_legendre_rule(0.0, 1.0, 24)
     a = s + (u_hi - s) * xi ** 2
     wa = wt * 2.0 * xi * (u_hi - s)
     b = x + (z_hi - x) * xi ** 2
@@ -497,20 +489,20 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q, n_nodes):
 # Kato modulus
 # ---------------------------------------------------------------------------
 
-def _peak_rule_2d(center, scale, n_theta: int = 48, n_phi: int = 16):
+def _peak_rule_2d(center, scale):
     """Polar rule around ``center``, the d = 2 counterpart of
     ``quadrature.peak_rule``: r = scale * tan(theta); the Jacobian
     r dr dphi keeps the substituted Cauchy integrand smooth.
 
     ``scale`` is floored at 1e-300 and is an array with one rule per
-    entry: nodes have shape scale.shape + (n_theta * n_phi, 2), weights
-    the same without the last axis."""
-    th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, n_theta)
-    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, n_phi)
+    entry: 48 theta by 16 phi nodes, so nodes have shape
+    scale.shape + (768, 2), weights the same without the last axis."""
+    th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, 48)
+    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
     scale = np.maximum(scale, 1e-300)[..., None, None]
     R = scale * np.tan(th)[:, None]
     DR = wt[:, None] * scale / np.cos(th)[:, None] ** 2
-    flat = scale.shape[:-2] + (n_theta * n_phi,)
+    flat = scale.shape[:-2] + (48 * 16,)
     center = np.asarray(center, dtype=float)
     pts = np.stack([center[0] + (R * np.cos(ph)).reshape(flat),
                     center[1] + (R * np.sin(ph)).reshape(flat)], axis=-1)
@@ -536,16 +528,16 @@ def _peak_factor(kernel, s, x, t, y, u, first: bool):
     return uu, z, vals, w
 
 
-def kato_inner_integral(kernel, mu, s, x, t, y, time_nodes: int = 32):
+def kato_inner_integral(kernel, mu, s, x, t, y):
     """int_s^t int [p(s,x,u,z) + p(u,z,t,y)] dmu(u,z).
 
-    Per-time-node peak rules in space; time nodes cluster (quadratically)
+    Per-time-node peak rules in space; 32 time nodes cluster (quadratically)
     at the endpoint where the respective p-factor concentrates, which
     also absorbs the u**(-1/2)-type endpoint growth that singular
     densities produce there.  Each piece evaluates all its time nodes in
     one broadcast and reduces each node's rule on its own.
     """
-    xi, wt = gauss_legendre_rule(0.0, 1.0, time_nodes)
+    xi, wt = gauss_legendre_rule(0.0, 1.0, 32)
 
     def piece(first: bool):
         if first:
@@ -568,14 +560,13 @@ def kato_inner_integral(kernel, mu, s, x, t, y, time_nodes: int = 32):
     return total
 
 
-def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0,
-                 box: float = 2.0):
+def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
     """k(h) along a decreasing ladder of windows with a shared sample set.
 
-    k(h) is the sampled sup of the inner double integral over x, y and
-    0 = s < t <= h (time-invariant measures), from a Halton stream plus
-    each window's corner x = y = 0, t = h, the sup for densities
-    concentrated at the origin.
+    k(h) is the sampled sup of the inner double integral over x, y in
+    [-2, 2]^d and 0 = s < t <= h (time-invariant measures), from a Halton
+    stream plus each window's corner x = y = 0, t = h, the sup for
+    densities concentrated at the origin.
     Samples are drawn once for the largest window; each smaller window
     takes the sup over the samples it still admits (t <= h), the natural
     nested estimator of a monotone quantity.
@@ -594,10 +585,10 @@ def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0,
     for row in pts:
         t = h_max * (0.02 + 0.98 * row[0])
         if d == 1:
-            samples.append((t, box * (2 * row[1] - 1), box * (2 * row[2] - 1)))
+            samples.append((t, 2.0 * (2 * row[1] - 1), 2.0 * (2 * row[2] - 1)))
         else:
-            samples.append((t, box * (2 * row[1:1 + d] - 1),
-                            box * (2 * row[1 + d:] - 1)))
+            samples.append((t, 2.0 * (2 * row[1:1 + d] - 1),
+                            2.0 * (2 * row[1 + d:] - 1)))
     values = [(t, kato_inner_integral(kernel, mu, 0.0, x, t, y))
               for t, x, y in samples]
     out = {}
@@ -637,8 +628,7 @@ def solve_h(c: float, p_exp: float, eta_target: float) -> float:
         (1.0 / (0.5 - p_exp))
 
 
-def kappa_slice_ratio(s, x, t, y, a_lo, a_hi, c, p_exp,
-                      rel_tol: float = 1e-9) -> float:
+def kappa_slice_ratio(s, x, t, y, a_lo, a_hi, c, p_exp) -> float:
     """K_j f(s,x) / f(s,x) for the cone kernel, f = kappa(., ., t, y),
     K_j the kernel cut to the diagonal slice a_lo <= u + z < a_hi under
     the density c (u + z)**(-p).
@@ -676,17 +666,17 @@ def kappa_slice_ratio(s, x, t, y, a_lo, a_hi, c, p_exp,
     mid = 0.5 * (lo + hi)
     lower_sub = None
     if lo == alpha and lo == 0.0:
-        lower_sub = QuadratureSpec(rel_tol=rel_tol, substitution="power",
+        lower_sub = QuadratureSpec(rel_tol=1e-9, substitution="power",
                                    power=min(0.5 + p_exp, 0.95))
     elif lo == alpha or lo == 0.0:
         order = 0.5 if lo == alpha else p_exp
-        lower_sub = QuadratureSpec(rel_tol=rel_tol, substitution="power",
+        lower_sub = QuadratureSpec(rel_tol=1e-9, substitution="power",
                                    power=max(order, 0.05))
     upper_sub = None
     if hi == omega:
-        upper_sub = QuadratureSpec(rel_tol=rel_tol, substitution="sqrt",
+        upper_sub = QuadratureSpec(rel_tol=1e-9, substitution="sqrt",
                                    singular_end="upper")
-    plain = QuadratureSpec(rel_tol=rel_tol)
+    plain = QuadratureSpec(rel_tol=1e-9)
     left = integrate_1d(integrand, lo, mid, lower_sub or plain)
     right = integrate_1d(integrand, mid, hi, upper_sub or plain)
     total = (left.value + right.value) * c / (4.0 * math.pi)

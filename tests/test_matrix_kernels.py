@@ -233,6 +233,22 @@ def test_neumann_radius_only_counts_states_reaching_f():
     assert neumann_series(K, np.ones(3)).status == "diverging"
 
 
+@pytest.mark.parametrize("entries", [
+    [[1.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]])
+def test_neumann_radius_one_with_flat_terms_diverges(entries):
+    # rho = 1 exactly: the terms never grow, so only the test at max_terms
+    # tells this series from a slowly converging one
+    K = MatrixKernel(entries)
+    assert mk._radius_toward(K, np.ones(K.n)) == 1.0
+    res = neumann_series(K, np.ones(K.n))
+    assert (res.status, res.n_terms) == ("diverging", 10_000)
+
+
+def test_neumann_radius_below_one_at_max_terms_stays_truncated():
+    res = neumann_series(MatrixKernel([[0.999]]), np.ones(1))
+    assert (res.status, res.n_terms) == ("truncated", 10_000)
+
+
 def _reference_neumann(K, f, max_terms=10_000, tail_tol=1e-14):
     """neumann_series with every term through apply and the growth test
     over a list of term norms: the loop the lean one must match bit for
@@ -257,6 +273,8 @@ def _reference_neumann(K, f, max_terms=10_000, tail_tol=1e-14):
             radius_checked = True
             if mk._radius_toward(K, f) >= 1.0:
                 return mk.MatrixSeriesResult(total, m, "diverging", tn)
+    if not radius_checked and mk._radius_toward(K, f) >= 1.0:
+        return mk.MatrixSeriesResult(total, max_terms, "diverging", norms[-1])
     return mk.MatrixSeriesResult(total, max_terms, "truncated", norms[-1])
 
 
@@ -282,8 +300,9 @@ def test_neumann_matches_reference_on_random_instances():
     ([[0.5, 0.0], [0.0, 0.0]], [1.0, np.inf], 10_000, "converged"),
     # the first term overflows; 0 * inf = 0 then ends the series
     ([[0.0, 1e300], [0.0, 0.0]], [0.0, 1e300], 10_000, "converged"),
-    # overflow part-way through a growing series
-    ([[1e100, 0.0], [0.0, 0.5]], [1.0, 1.0], 20, "truncated"),
+    # overflow part-way through a growing series; the overflowed terms
+    # stop growing, so the radius test runs at max_terms
+    ([[1e100, 0.0], [0.0, 0.5]], [1.0, 1.0], 20, "diverging"),
     ([[1.2, 0.0], [0.0, 1.2]], [1.0, 1.0], 500, "diverging"),
     ([[0.95, 1.0, 0.0], [0.0, 0.95, 1.0], [0.0, 0.0, 0.95]],
      [1.0, 1.0, 1.0], 20, "truncated"),
@@ -322,6 +341,14 @@ def test_decay_reports_violating_state():
     K = MatrixKernel(0.5 * np.eye(2))
     with pytest.raises(PreconditionError, match="state"):
         check_geometric_decay(K, np.ones(2), _full(2), 1.5, 5)
+
+
+def test_decay_rejects_a_series_that_did_not_converge():
+    # sum_m K^m f stops at 10,000 terms with 10001 <= c f: the hypothesis
+    # was once read off that partial sum
+    K = MatrixKernel([[1.0]])
+    with pytest.raises(PreconditionError, match="diverging"):
+        check_geometric_decay(K, np.ones(1), _full(1), 2e4)
 
 
 def test_decay_random_with_measured_constant():

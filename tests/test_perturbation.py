@@ -83,7 +83,7 @@ def test_pn_causality():
 def test_pn_atomless_factorial():
     mu = PerturbingMeasure(ConstDensity(1.0))
     p = float(G(0.0, 0.3, 1.0, 0.0))
-    p2 = pt.pn_term(G, mu, 2, 0.0, 0.3, 1.0, 0.0, quad_tol=1e-4)
+    p2 = pt.pn_term(G, mu, 2, 0.0, 0.3, 1.0, 0.0)
     assert p2 == pytest.approx(p / 2.0, rel=1e-3)
 
 
@@ -427,9 +427,10 @@ def test_slice_problem_reuses_engine_pair_bit_for_bit():
     pts = {"a": probe.slice_points(1, n=3), "b": probe.slice_points(2, n=4)}
     fresh = {}
     for key, p in pts.items():
-        res = pt.series_batch(G, probe.mu, p[:, 0], p[:, 1], 1.0, 0.0,
-                              quad_tol=1e-3, s_min=probe.r,
-                              x_range=probe.x_box)
+        engines = pt._engine_pair(G, probe.mu, 1.0, 0.0, probe.r, probe.x_box,
+                                  1e-3, 14)
+        res = pt._sum_rows(engines, p[:, 0], p[:, 1], probe.control(p), 1e-3,
+                           14)
         fresh[key] = (np.array([r.value for r in res]),
                       (max(r.truncation_index for r in res),
                        max(r.tail_estimate for r in res),
