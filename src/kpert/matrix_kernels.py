@@ -15,7 +15,6 @@ convention 0 * inf = 0.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,41 +212,82 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     convergent series may grow for a while), or at max_terms if it has
     not run by then: terms that never grow, at a radius of exactly one,
     end there.  Otherwise truncated at max_terms.
+
+    The terms come in blocks of up to _BLOCK rows (_term_blocks), and a
+    cumulative sum down a block forms its running totals; the stopping
+    rule then walks the block's term maxima and scales as floats.  The
+    accumulation adds row after row, so value, n_terms, status and
+    tail_estimate have the bits of a loop that adds one term at a time.
     """
     f = _vector(K, f)
     total = f.copy()
-    term = f
     tn = float(np.max(f))
     growing = 0                     # consecutive terms above the last
     radius_checked = False
-    for m in range(1, max_terms + 1):
-        last = tn
-        term = _next_term(K, term, tn)
-        total += term
-        tn = float(term.max())
-        scale = float(total.max(initial=1.0))
-        if not math.isfinite(scale):     # the max over finite entries
-            scale = float(np.max(total[np.isfinite(total)], initial=1.0))
-        if tn <= tail_tol * max(scale, 1e-300):
-            return MatrixSeriesResult(total, m, "converged", tn)
-        growing = growing + 1 if tn > last else 0
-        if not radius_checked and growing >= 10:
-            radius_checked = True
-            if _radius_toward(K, f) >= 1.0:
-                return MatrixSeriesResult(total, m, "diverging", tn)
+    m = 0
+    for block in _term_blocks(K, f, max_terms):
+        sums = np.concatenate((total[None], block)).cumsum(axis=0)[1:]
+        tops = block.max(axis=1).tolist()
+        # the scale is the largest finite partial sum, and at least one
+        scales = sums.max(axis=1, initial=1.0,
+                          where=np.isfinite(sums)).tolist()
+        for i, (top, scale) in enumerate(zip(tops, scales)):
+            m += 1
+            last, tn = tn, top
+            if tn <= tail_tol * scale:
+                return MatrixSeriesResult(sums[i].copy(), m, "converged", tn)
+            growing = growing + 1 if tn > last else 0
+            if not radius_checked and growing >= 10:
+                radius_checked = True
+                if _radius_toward(K, f) >= 1.0:
+                    return MatrixSeriesResult(sums[i].copy(), m,
+                                              "diverging", tn)
+        total = sums[-1].copy()
     if not radius_checked and _radius_toward(K, f) >= 1.0:
         return MatrixSeriesResult(total, max_terms, "diverging", tn)
     return MatrixSeriesResult(total, max_terms, "truncated", tn)
 
 
-def _next_term(K: MatrixKernel, term: np.ndarray, top: float) -> np.ndarray:
-    """K term for a nonnegative term whose largest entry is top.
+# Rows per block of _term_blocks: a block costs a few reductions, and a
+# series computes at most _BLOCK - 1 terms past the one it stops at.
+_BLOCK = 32
 
-    A finite term needs only the matvec, which is what apply computes for
-    it; a term with a +inf entry goes through apply for the saturation
-    and 0 * inf = 0 rules.
+
+def _term_blocks(K: MatrixKernel, term: np.ndarray, count: int):
+    """Yield K term, K^2 term, ..., K^count term for a nonnegative term,
+    as consecutive (rows, n) blocks of at most _BLOCK rows.
+
+    A finite term's successor is the plain matvec, which is what apply
+    computes for it; a term with a +inf entry goes through apply for the
+    saturation and 0 * inf = 0 rules.  A block is cut after its first row
+    with a +inf entry, so the next block starts on apply.  The matvecs
+    past the cut are discarded, and only they run with overflow and
+    invalid-value warnings silenced.
     """
-    return K.entries @ term if top < math.inf else apply(K, term)
+    matvec = K.entries.dot      # the bits of K.entries @ t, called faster
+    while count > 0:
+        block = np.empty((min(_BLOCK, count), K.n))
+        t, first = term, 0
+        if np.isinf(term).any():
+            t = apply(K, term)
+            block[0], first = t, 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(first, len(block)):
+                t = matvec(t)
+                block[i] = t
+        finite = np.isfinite(block).all(axis=1)
+        if finite.all():
+            term = t
+        else:
+            cut = int(np.argmin(finite))
+            if cut >= first:
+                # a finite term overflowed into this row: its matvec is
+                # kept, so run it again for its warnings
+                matvec(block[cut - 1] if cut else term)
+            block = block[:cut + 1]
+            term = block[-1]
+        count -= len(block)
+        yield block
 
 
 def _radius_toward(K: MatrixKernel, f) -> float:
@@ -280,7 +320,7 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
     f = np.asarray(f, dtype=float)
     if not is_absorbing(K, A):
         raise PreconditionError("set is not absorbing")
-    if c < 1:
+    if not c >= 1:                      # also catches NaN
         raise ValueError("c must be at least 1")
     series = neumann_series(K, f)
     if series.status != "converged":
@@ -297,12 +337,11 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
     slack = 1 + 1e-12
     rho = 1.0 - 1.0 / c
     f_a = f[A.mask]
-    term = f
-    for n in range(n_max + 1):
-        if not (term[A.mask] <= c * rho ** n * f_a * slack + 1e-300).all():
-            return False
-        term = _next_term(K, term, float(term.max()))
-    return bool(np.all(g[A.mask] <= c * c * f[A.mask] * slack + 1e-300))
+    terms = np.vstack((f, *_term_blocks(K, f, n_max)))[:, A.mask]
+    decay = np.array([c * rho ** n for n in range(n_max + 1)])
+    if not (terms <= decay[:, None] * f_a * slack + 1e-300).all():
+        return False
+    return bool(np.all(g[A.mask] <= c * c * f_a * slack + 1e-300))
 
 
 def random_absorbing_instance(rng, contractive: bool = False):

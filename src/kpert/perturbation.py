@@ -162,9 +162,9 @@ class SeriesEngine:
     two resolutions, whose difference is the quadrature error estimate.
     """
 
-    def __init__(self, kernel, mu: PerturbingMeasure, t, y, s_min,
-                 x_range=None, quad_tol: float = 1e-4, max_terms: int = 14,
-                 resolution: float = 1.0):
+    def __init__(self, kernel, mu: PerturbingMeasure, t, y, s_min, x_range,
+                 resolution: float, quad_tol: float = 1e-4,
+                 max_terms: int = 14):
         if s_min >= t:
             raise ValueError("need s_min < t")
         self.kernel = kernel
@@ -209,8 +209,6 @@ class SeriesEngine:
                     self.segments.append((lo2, hi2))
 
         # spatial window for the ratio grid
-        if x_range is None:
-            x_range = (self.y - 1.0, self.y + 1.0)
         if self.kind == "cone":
             z_lo = min(x_range[0], 0.0)
             z_hi = self.y

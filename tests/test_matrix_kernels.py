@@ -313,6 +313,115 @@ def test_neumann_matches_reference_on_edge_cases(entries, f, max_terms,
     assert res.status == status
 
 
+def _shift(n, weights=None):
+    """K[x, x + 1] = 1, or weights[x]: K^m e_{n-1} sits on state n-1-m."""
+    e = np.zeros((n, n))
+    e[np.arange(n - 1), np.arange(1, n)] = 1.0 if weights is None else weights
+    return MatrixKernel(e)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_neumann_blocks_stop_at_a_block_edge(shift):
+    # a nilpotent shift on n states stops at exactly n terms
+    n = mk._BLOCK + shift
+    res = _assert_same_bits(_shift(n), np.ones(n))
+    assert (res.status, res.n_terms) == ("converged", n)
+
+
+@pytest.mark.parametrize("max_terms", [mk._BLOCK + 5, 2 * mk._BLOCK - 1])
+def test_neumann_blocks_truncate_off_a_block_edge(max_terms):
+    res = _assert_same_bits(MatrixKernel([[0.999]]), np.ones(1),
+                            max_terms=max_terms)
+    assert (res.status, res.n_terms) == ("truncated", max_terms)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("at", [10, mk._BLOCK, mk._BLOCK + 1])
+def test_neumann_blocks_overflow_inside_and_on_block_edges(at):
+    # flat terms 1e300 until the weight 1e300 on term `at` overflows to
+    # +inf (mid-block, on a block's last row, on a block's first row);
+    # apply then carries the +inf down the shift until 0 * inf = 0
+    n = mk._BLOCK + 8
+    weights = np.ones(n - 1)
+    weights[n - 1 - at] = 1e300
+    f = np.zeros(n)
+    f[-1] = 1e300
+    res = _assert_same_bits(_shift(n, weights), f)
+    assert (res.status, res.n_terms) == ("converged", n)
+    assert np.isinf(res.value[:n - at]).all()
+    assert np.isfinite(res.value[n - at:]).all()
+
+
+def test_neumann_blocks_overflow_warns_once_per_kept_term():
+    weights = np.ones(mk._BLOCK + 7)
+    weights[mk._BLOCK - 3] = 1e300
+    f = np.zeros(mk._BLOCK + 8)
+    f[-1] = 1e300
+    with pytest.warns(RuntimeWarning, match="overflow") as caught:
+        neumann_series(_shift(len(f), weights), f)
+    assert len(caught) == 1
+
+
+@pytest.mark.parametrize("chain", [10, mk._BLOCK + 7])
+def test_neumann_blocks_radius_test_fires_mid_block(chain):
+    # flat terms down a shift, then a self-loop of weight 2 doubles them:
+    # the tenth growing term lands mid-block and the radius is 2
+    e = _shift(chain).entries
+    e[0, 0] = 2.0
+    K = MatrixKernel(e)
+    f = np.zeros(chain)
+    f[-1] = 1.0
+    res = _assert_same_bits(K, f)
+    assert (res.status, res.n_terms) == ("diverging", chain + 9)
+
+
+def _reference_decay(K, f, A, c, n_max):
+    """check_geometric_decay one term at a time through apply, stopping at
+    the first violation: the loop the blocked check must agree with."""
+    g = neumann_series(K, f).value
+    if np.any(A.mask & (g > c * f * (1 + 1e-12))):
+        raise PreconditionError("series hypothesis fails")
+    slack = 1 + 1e-12
+    rho = 1.0 - 1.0 / c
+    term = np.asarray(f, dtype=float)
+    for n in range(n_max + 1):
+        if not (term[A.mask] <= c * rho ** n * f[A.mask] * slack
+                + 1e-300).all():
+            return False
+        term = apply(K, term)
+    return bool(np.all(g[A.mask] <= c * c * f[A.mask] * slack + 1e-300))
+
+
+def test_decay_matches_reference_on_random_instances():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        K, chain = random_absorbing_instance(rng, contractive=True)
+        f = rng.random(K.n) + 0.5
+        g = exact_series_sum(K, f)
+        n_max = int(rng.integers(0, 2 * mk._BLOCK + 2))
+        for A in chain.sets:
+            tight = max(float(np.max(g[A.mask] / f[A.mask])), 1.0)
+            for c in (tight * (1 + 1e-12), 2.0 * tight, tight * tight):
+                want = _reference_decay(K, f, A, c, n_max)
+                assert check_geometric_decay(K, f, A, c, n_max) == want
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("entries, f, c, n_max, want", [
+    # c = inf: at f = 0 the bound c f is inf * 0 = nan, so n = 0 fails
+    ([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], np.inf, 0, False),
+    ([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], np.inf, 40, False),
+    # c = 1: rho = 0, and at f = inf the bound 0 * inf is nan from n = 1
+    ([[0.0, 0.0], [0.0, 0.0]], [1.0, np.inf], 1.0, 1, False),
+    ([[0.0, 0.0], [0.0, 0.0]], [1.0, np.inf], 1.0, 0, True),
+    ([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0], 1.0, 0, True),
+])
+def test_decay_matches_reference_on_edge_cases(entries, f, c, n_max, want):
+    K, f, A = MatrixKernel(entries), np.asarray(f), _full(2)
+    assert _reference_decay(K, f, A, c, n_max) == want
+    assert check_geometric_decay(K, f, A, c, n_max) == want
+
+
 def test_series_solve_cross_check():
     rng = np.random.default_rng(8)
     for _ in range(25):
@@ -341,6 +450,14 @@ def test_decay_reports_violating_state():
     K = MatrixKernel(0.5 * np.eye(2))
     with pytest.raises(PreconditionError, match="state"):
         check_geometric_decay(K, np.ones(2), _full(2), 1.5, 5)
+
+
+@pytest.mark.parametrize("c", [0.5, float("nan")])
+def test_decay_rejects_c_below_one_or_nan(c):
+    # nan once passed the c < 1 guard and the check returned False
+    K = MatrixKernel(0.5 * np.eye(2))
+    with pytest.raises(ValueError, match="at least 1"):
+        check_geometric_decay(K, np.ones(2), _full(2), c)
 
 
 def test_decay_rejects_a_series_that_did_not_converge():

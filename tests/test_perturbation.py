@@ -122,7 +122,9 @@ def test_ratios_build_only_the_levels_their_rows_read(monkeypatch):
     mu = PerturbingMeasure(ConstDensity(0.5))
 
     def engine():
-        return pt.SeriesEngine(G, mu, 1.0, 0.0, s_min=0.0, quad_tol=1e-3)
+        return pt.SeriesEngine(G, mu, 1.0, 0.0, s_min=0.0,
+                               x_range=(-1.0, 1.0), resolution=1.0,
+                               quad_tol=1e-3)
 
     eng = engine()
     first = eng.ratios([0.6], [0.1])
@@ -382,7 +384,8 @@ ROW_CASES = {       # kernel, measure, target point y, x_range
 @pytest.mark.parametrize("case", sorted(ROW_CASES))
 def test_row_values_match_scalar_nodes(case):
     kernel, mu, y, x_range = ROW_CASES[case]
-    eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0, x_range=x_range)
+    eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0, x_range=x_range,
+                          resolution=1.0)
     # nodes past the target point are dead for the cone kernel
     z0 = np.concatenate([eng.z_nodes, [y + 0.25, y + 1.0]])
     level1, _ = eng._grid_level(None)
