@@ -213,11 +213,12 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     not run by then: terms that never grow, at a radius of exactly one,
     end there.  Otherwise truncated at max_terms.
 
-    The terms come in blocks of up to _BLOCK rows (_term_blocks), and a
-    cumulative sum down a block forms its running totals; the stopping
-    rule then walks the block's term maxima and scales as floats.  The
-    accumulation adds row after row, so value, n_terms, status and
-    tail_estimate have the bits of a loop that adds one term at a time.
+    The terms come in blocks of up to _BLOCK rows, fewer for kernels on
+    more than 128 states (_term_blocks), and a cumulative sum down a block
+    forms its running totals; the stopping rule then walks the block's
+    term maxima and scales as floats.  The accumulation adds row after
+    row, so value, n_terms, status and tail_estimate have the bits of a
+    loop that adds one term at a time.
     """
     f = _vector(K, f)
     total = f.copy()
@@ -248,14 +249,23 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     return MatrixSeriesResult(total, max_terms, "truncated", tn)
 
 
-# Rows per block of _term_blocks: a block costs a few reductions, and a
-# series computes at most _BLOCK - 1 terms past the one it stops at.
+# Rows per block of _term_blocks.  A block costs a few reductions, and a
+# series may compute all but one of its rows past the term it stops at, so
+# a block holds at most _BLOCK rows and about _BLOCK_ENTRIES entries.
 _BLOCK = 32
+_BLOCK_ENTRIES = 4096
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of _term_blocks for a kernel on n states: _BLOCK up
+    to 128 states, fewer for larger kernels, whose series stop after a few
+    terms."""
+    return max(2, min(_BLOCK, _BLOCK_ENTRIES // max(n, 1)))
 
 
 def _term_blocks(K: MatrixKernel, term: np.ndarray, count: int):
     """Yield K term, K^2 term, ..., K^count term for a nonnegative term,
-    as consecutive (rows, n) blocks of at most _BLOCK rows.
+    as consecutive (rows, n) blocks of at most _block_rows(n) rows.
 
     A finite term's successor is the plain matvec, which is what apply
     computes for it; a term with a +inf entry goes through apply for the
@@ -265,8 +275,9 @@ def _term_blocks(K: MatrixKernel, term: np.ndarray, count: int):
     invalid-value warnings silenced.
     """
     matvec = K.entries.dot      # the bits of K.entries @ t, called faster
+    rows = _block_rows(K.n)
     while count > 0:
-        block = np.empty((min(_BLOCK, count), K.n))
+        block = np.empty((min(rows, count), K.n))
         t, first = term, 0
         if np.isinf(term).any():
             t = apply(K, term)
@@ -316,7 +327,8 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
     """Given sum_m K^m f <= c f on absorbing A, check the decay
     K^n f <= c (1 - 1/c)^n f on A for n <= n_max, plus the converse
     series bound sum_n K^n f <= c^2 f on A.  The hypothesis is checked
-    on the summed series, so a series that did not converge raises."""
+    on the summed series, so a series that did not converge raises.
+    Every bound is formed with 0 * inf = 0."""
     f = np.asarray(f, dtype=float)
     if not is_absorbing(K, A):
         raise PreconditionError("set is not absorbing")
@@ -328,20 +340,27 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
             f"series hypothesis unchecked: the series is {series.status} "
             f"after {series.n_terms} terms")
     g = series.value
-    viol = A.mask & (g > c * f * (1 + 1e-12))
+    cf = _times(c, f)
+    viol = A.mask & (g > cf * (1 + 1e-12))
     if np.any(viol):
         raise PreconditionError(
             "series hypothesis fails at state "
             f"{int(np.flatnonzero(viol)[0])}: sum={g[viol][0]:.6g} "
-            f"> c*f={c * f[viol][0]:.6g}")
+            f"> c*f={cf[viol][0]:.6g}")
     slack = 1 + 1e-12
     rho = 1.0 - 1.0 / c
     f_a = f[A.mask]
     terms = np.vstack((f, *_term_blocks(K, f, n_max)))[:, A.mask]
     decay = np.array([c * rho ** n for n in range(n_max + 1)])
-    if not (terms <= decay[:, None] * f_a * slack + 1e-300).all():
+    if not (terms <= _times(decay[:, None], f_a) * slack + 1e-300).all():
         return False
-    return bool(np.all(g[A.mask] <= c * c * f_a * slack + 1e-300))
+    return bool(np.all(g[A.mask] <= _times(c * c, f_a) * slack + 1e-300))
+
+
+def _times(a, f):
+    """a * f with 0 * inf = 0."""
+    return np.multiply(a, f, out=np.zeros(np.broadcast(a, f).shape),
+                       where=(a != 0) & (f != 0))
 
 
 def random_absorbing_instance(rng, contractive: bool = False):

@@ -51,15 +51,17 @@ class PerturbingMeasure:
     def q(self, u, z):
         """Density part gated by the time support (0 outside).
 
-        u must already carry the full result shape (z may add a trailing
-        spatial axis in dimension >= 2).
+        u and z broadcast; the support gate is evaluated on u's shape (z
+        may add a trailing spatial axis in dimension >= 2).  Without a
+        density part the result is zeros of u's shape.
         """
         u = np.asarray(u, dtype=float)
         if self.density is None:
             return np.zeros(u.shape)
         vals = np.asarray(self.density(u, np.asarray(z, dtype=float)),
                           dtype=float)
-        return np.where(self.time_support.contains(u), vals, 0.0)
+        inside = self.time_support.contains(u)
+        return vals if inside.all() else np.where(inside, vals, 0.0)
 
     def active_atoms(self):
         return tuple(a for a in self.atoms

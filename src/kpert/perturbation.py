@@ -23,16 +23,23 @@ its own, so the values match node-by-node evaluation bit for bit.  At
 the time nodes (and atoms) whose spatial rule sits on the target, the
 nodes, weights and every factor but p(u0, z0, v, z') do not depend on
 the source node z0, so they are evaluated once per row and broadcast
-over it.  Row n + 1 is the only reader of grid level n, which is built
-only once that row is due; it reads the level through one interpolating
-cubic spline per panel (not-a-knot on both axes, in numpy), whose time
-weights are evaluated once per time column of the bridge rule.  Every
-measure, atoms included, takes this
-one path (an atom level reads the previous one only at later atoms, so a
-single atom kills every term past the first), and the error estimate is
-the relative difference of the sums at two resolutions.  The slice
-problems build that engine pair once and reuse it for every batch of
-sample points.
+over it.  Every bridge factor is evaluated only along the axes it varies
+on: the kernels and q take the time nodes as a column v[:, None] and
+broadcast it against the spatial nodes, so dt, the kernels' time powers
+and the support gate are computed once per time column, and the
+integrand product is formed in place on the first kernel factor, in the
+order (((p1 p2) q) r) w; a level-1 bridge skips the factor r_0 = 1.  All
+of it has the bits of operands materialised at the full shape.
+
+Row n + 1 is the only reader of grid level n, which is built only once
+that row is due; it reads the level through one interpolating cubic
+spline per panel (not-a-knot on both axes, in numpy), whose time weights
+are evaluated once per time column of the bridge rule.  Every measure,
+atoms included, takes this one path (an atom level reads the previous
+one only at later atoms, so a single atom kills every term past the
+first), and the error estimate is the relative difference of the sums
+at two resolutions.  The slice problems build that engine pair once and
+reuse it for every batch of sample points.
 """
 from __future__ import annotations
 
@@ -128,7 +135,7 @@ class RectBivariateSpline:
         (x of shape (ncols,)); points off the grid are clamped to it, as
         fitpack clamps them."""
         xs, ys = self.x, self.y
-        x = np.minimum(np.maximum(x, xs[0]), xs[-1])
+        x = np.clip(x, xs[0], xs[-1])
         k = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
         dx = (x - xs[k])[:, None]
         c = self._x_pieces[k]
@@ -136,10 +143,12 @@ class RectBivariateSpline:
         # one column's pieces per matmul, so a column's values do not
         # depend on which other columns share the call
         pieces = (w[:, None, :] @ self._rows).reshape(-1, 4).T.copy()
-        y = np.minimum(np.maximum(y, ys[0]), ys[-1])
-        k = np.minimum(((y - ys[0]) * self._inv_dy).astype(np.intp),
-                       len(ys) - 2)
-        d = y - ys.take(k)
+        d = np.clip(y, ys[0], ys[-1])
+        k = d - ys[0]
+        k *= self._inv_dy
+        k = k.astype(np.intp)
+        np.minimum(k, len(ys) - 2, out=k)
+        d -= ys.take(k)
         k += (np.arange(len(x)) * (len(ys) - 1))[:, None]
         c0, c1, c2, c3 = pieces
         out = c3.take(k)
@@ -279,8 +288,6 @@ class SeriesEngine:
         """Evaluate the previous level's ratio at (v[c], z'), z' the nodes
         zp[..., c, :] of column c, routing each column to its panel.  The
         spline clamps z' to the grid: ratios flatten off-window."""
-        if splines is None:
-            return np.ones(zp.shape)
         idx = np.searchsorted(self._panel_los, v, side="right") - 1
         idx = np.clip(idx, 0, len(self.panels) - 1)
         out = np.empty(zp.shape)
@@ -294,21 +301,25 @@ class SeriesEngine:
 
     def _bridge_sums(self, u0, z0, v, splines, atom=False):
         """Inner sums over z' of p(u0, z0, v, z') p(v, z', t, y) q(v, z')
-        r_{n-1}(v, z') w, shape (len(z0), len(v)); an atom term has no q.
-        On a z0-free group of the bridge rule, every factor but the first
-        is evaluated once for the whole row and broadcast over z0."""
+        r_{n-1}(v, z') w, shape (len(z0), len(v)); an atom term has no q,
+        and level 1 (splines None) no r_0 = 1.  On a z0-free group of the
+        bridge rule, every factor but the first is evaluated once for the
+        whole row and broadcast over z0.  The time operand is the column
+        v[cols, None], so time-only factors are evaluated once per column,
+        and the product is formed in place on p(u0, z0, v, z') in the order
+        (((p1 p2) q) r) w."""
         inner = np.empty((len(z0), len(v)))
         zc = z0[:, None, None]
         for cols, zp, wp in self._bridge(u0, z0, v, atom):
-            vv = np.broadcast_to(v[cols, None], zp.shape)
-            p1 = self.kernel(u0, zc, vv, zp)
-            p2 = self.kernel(vv, zp, self.t, self.y)
-            rv = self._lookup(splines, v[cols], zp)
-            if atom:
-                inner[:, cols] = np.sum(p1 * p2 * rv * wp, axis=-1)
-            else:
-                qv = self.mu.q(vv, zp)
-                inner[:, cols] = np.sum(p1 * p2 * qv * rv * wp, axis=-1)
+            vc = v[cols, None]
+            prod = self.kernel(u0, zc, vc, zp)
+            prod *= self.kernel(vc, zp, self.t, self.y)
+            if not atom:
+                prod *= self.mu.q(vc, zp)
+            if splines is not None:
+                prod *= self._lookup(splines, v[cols], zp)
+            prod *= wp
+            inner[:, cols] = np.sum(prod, axis=-1)
         return inner
 
     def _row_values(self, u0, z0, f0, splines):

@@ -2,9 +2,12 @@
 comparison inequalities and residual checks.
 
 Kernels are evaluators p(s, x, t, y) >= 0 on R x R^d that vanish for
-s >= t (causality).  The registry makes them addressable by name from
-the CLI: "gaussian", "cauchy", "kappa"; ``kappa`` is the four-argument
-form of the cone kernel.
+s >= t (causality).  Their operands broadcast: a time operand may be a
+column with one entry per time, narrower than the space operands, and
+the time factors are then computed once per entry, with the bits that
+materialised operands give.  The registry makes them addressable by
+name from the CLI: "gaussian", "cauchy", "kappa"; ``kappa`` is the
+four-argument form of the cone kernel.
 
 Singular integrands here ((u+z)**-3/2 cones, z**-1/2 and z**-3/2 Weyl
 weights) get power-law endpoint substitutions so the transformed
@@ -29,11 +32,9 @@ _INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
 
 
 def _sqdist(x, y, dim):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if dim == 1:
-        return (x - y) ** 2
-    return np.sum((x - y) ** 2, axis=-1)
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    d **= 2
+    return d if dim == 1 else np.sum(d, axis=-1)
 
 
 class GaussianKernel:
@@ -46,14 +47,15 @@ class GaussianKernel:
         self.name = "gaussian"
 
     def __call__(self, s, x, t, y):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        dt = t - s
+        dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
         r2 = _sqdist(x, y, self.dim)
-        dt_safe = np.where(dt > 0, dt, 1.0)
-        val = (4.0 * math.pi * dt_safe) ** (-self.dim / 2.0) * \
-            np.exp(-r2 / (4.0 * dt_safe))
-        return np.where(dt > 0, val, 0.0)
+        live = dt > 0
+        dt_safe = np.where(live, dt, 1.0)
+        # r2 / (-4 dt) has the bits of -r2 / (4 dt) without negating r2
+        val = np.asarray(r2 / (-4.0 * dt_safe))
+        np.exp(val, out=val)
+        val *= (4.0 * math.pi * dt_safe) ** (-self.dim / 2.0)
+        return val if live.all() else np.where(live, val, 0.0)
 
     def peak_scale(self, dt):
         # transition variance is 2*dt
@@ -90,13 +92,14 @@ class CauchyKernel:
         return cls._c_cache[d]
 
     def __call__(self, s, x, t, y):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        dt = t - s
+        dt = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
         r2 = _sqdist(x, y, self.dim)
-        dt_safe = np.where(dt > 0, dt, 1.0)
-        val = self.c_d * dt_safe * (dt_safe ** 2 + r2) ** (-(self.dim + 1) / 2.0)
-        return np.where(dt > 0, val, 0.0)
+        live = dt > 0
+        dt_safe = np.where(live, dt, 1.0)
+        val = dt_safe ** 2 + r2
+        val **= -(self.dim + 1) / 2.0
+        val *= self.c_d * dt_safe
+        return val if live.all() else np.where(live, val, 0.0)
 
     def peak_scale(self, dt):
         return np.maximum(dt, 0.0)
@@ -121,10 +124,13 @@ class KappaKernel:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         z = np.asarray(z, dtype=float)
-        w = (u - s) + (z - x)
         ok = (u > s) & (z > x)
-        w_safe = np.where(ok, w, 1.0)
-        return np.where(ok, _INV_SQRT_4PI * w_safe ** -1.5, 0.0)
+        inside = ok.all()
+        w = np.asarray((u - s) + (z - x)) if inside else \
+            np.where(ok, (u - s) + (z - x), 1.0)
+        w **= -1.5
+        w *= _INV_SQRT_4PI
+        return w if inside else np.where(ok, w, 0.0)
 
     def peak_scale(self, dt):
         return np.maximum(dt, 0.0)
@@ -515,15 +521,15 @@ def _peak_factor(kernel, s, x, t, y, u, first: bool):
     ``u`` (1-d), on a peak rule per time: p(s, x, u_i, z) around x (first)
     or p(u_i, z, t, y) around y, scaled on that factor's peak.
 
-    Returns (uu, z, vals, w); row i of each holds time u_i (uu is ``u``
-    broadcast to the rule's shape)."""
+    Returns (uu, z, vals, w); row i of each holds time u_i (uu is the
+    column u[:, None], which the kernel and q broadcast against z)."""
     center = x if first else y
     scale = kernel.peak_scale((u - s) if first else (t - u))
     if getattr(kernel, "dim", 1) == 1:
         z, w = peak_rule(center, scale, 32)
     else:
         z, w = _peak_rule_2d(center, scale)
-    uu = np.broadcast_to(u[:, None], w.shape)
+    uu = u[:, None]
     vals = kernel(s, x, uu, z) if first else kernel(uu, z, t, y)
     return uu, z, vals, w
 

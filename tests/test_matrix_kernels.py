@@ -362,6 +362,36 @@ def test_neumann_blocks_overflow_warns_once_per_kept_term():
     assert len(caught) == 1
 
 
+def test_block_rows_shrink_past_128_states():
+    assert [mk._block_rows(n) for n in (1, 8, 128, 129, 256, 576, 4096)] == \
+        [mk._BLOCK] * 3 + [31, 16, 7, 2]
+
+
+@pytest.mark.parametrize("stop", [-1, 0, 1, 17])
+def test_neumann_blocks_stop_at_a_large_kernel_block_edge(stop):
+    # 256 states take blocks of 16 rows: a shift started on state
+    # chain - 1 stops at exactly chain terms, around a block edge
+    n = 256
+    rows = mk._block_rows(n)
+    chain = rows + stop
+    f = np.zeros(n)
+    f[chain - 1] = 1.0
+    res = _assert_same_bits(_shift(n), f)
+    assert (res.status, res.n_terms) == ("converged", chain)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_neumann_blocks_overflow_on_a_large_kernel_block_edge():
+    n = 256
+    at = mk._block_rows(n)
+    weights = np.ones(n - 1)
+    weights[n - 1 - at] = 1e300
+    f = np.zeros(n)
+    f[-1] = 1e300
+    res = _assert_same_bits(_shift(n, weights), f)
+    assert (res.status, res.n_terms) == ("converged", n)
+
+
 @pytest.mark.parametrize("chain", [10, mk._BLOCK + 7])
 def test_neumann_blocks_radius_test_fires_mid_block(chain):
     # flat terms down a shift, then a self-loop of weight 2 doubles them:
@@ -375,21 +405,28 @@ def test_neumann_blocks_radius_test_fires_mid_block(chain):
     assert (res.status, res.n_terms) == ("diverging", chain + 9)
 
 
+def _times(a, f):
+    """a * f with 0 * inf = 0, entry by entry."""
+    f = np.asarray(f, dtype=float)
+    return np.array([0.0 if a == 0 or v == 0 else a * v for v in f])
+
+
 def _reference_decay(K, f, A, c, n_max):
     """check_geometric_decay one term at a time through apply, stopping at
     the first violation: the loop the blocked check must agree with."""
     g = neumann_series(K, f).value
-    if np.any(A.mask & (g > c * f * (1 + 1e-12))):
+    if np.any(A.mask & (g > _times(c, f) * (1 + 1e-12))):
         raise PreconditionError("series hypothesis fails")
     slack = 1 + 1e-12
     rho = 1.0 - 1.0 / c
     term = np.asarray(f, dtype=float)
     for n in range(n_max + 1):
-        if not (term[A.mask] <= c * rho ** n * f[A.mask] * slack
+        if not (term[A.mask] <= _times(c * rho ** n, f[A.mask]) * slack
                 + 1e-300).all():
             return False
         term = apply(K, term)
-    return bool(np.all(g[A.mask] <= c * c * f[A.mask] * slack + 1e-300))
+    return bool(np.all(g[A.mask] <= _times(c * c, f[A.mask]) * slack
+                       + 1e-300))
 
 
 def test_decay_matches_reference_on_random_instances():
@@ -406,13 +443,13 @@ def test_decay_matches_reference_on_random_instances():
                 assert check_geometric_decay(K, f, A, c, n_max) == want
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("entries, f, c, n_max, want", [
-    # c = inf: at f = 0 the bound c f is inf * 0 = nan, so n = 0 fails
-    ([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], np.inf, 0, False),
-    ([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], np.inf, 40, False),
-    # c = 1: rho = 0, and at f = inf the bound 0 * inf is nan from n = 1
-    ([[0.0, 0.0], [0.0, 0.0]], [1.0, np.inf], 1.0, 1, False),
+    # c = inf: at f = 0 the bound c f is inf * 0 = 0, which the zero
+    # terms there meet
+    ([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], np.inf, 0, True),
+    ([[0.5, 0.0], [0.0, 0.5]], [1.0, 0.0], np.inf, 40, True),
+    # c = 1: rho = 0, and at f = inf the bound 0 * inf is 0 from n = 1
+    ([[0.0, 0.0], [0.0, 0.0]], [1.0, np.inf], 1.0, 1, True),
     ([[0.0, 0.0], [0.0, 0.0]], [1.0, np.inf], 1.0, 0, True),
     ([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0], 1.0, 0, True),
 ])
@@ -420,6 +457,14 @@ def test_decay_matches_reference_on_edge_cases(entries, f, c, n_max, want):
     K, f, A = MatrixKernel(entries), np.asarray(f), _full(2)
     assert _reference_decay(K, f, A, c, n_max) == want
     assert check_geometric_decay(K, f, A, c, n_max) == want
+
+
+def test_decay_hypothesis_takes_inf_times_zero_as_zero():
+    # c = inf and f = 0 at state 1, which the series reaches: c f is 0
+    # there, so the hypothesis sum <= c f fails at state 1
+    K = MatrixKernel([[0.5, 0.0], [0.5, 0.0]])
+    with pytest.raises(PreconditionError, match="state 1"):
+        check_geometric_decay(K, np.array([1.0, 0.0]), _full(2), np.inf)
 
 
 def test_series_solve_cross_check():

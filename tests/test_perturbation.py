@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -12,8 +13,8 @@ from kpert import spacetime as st
 from kpert.bounds import Interval, TruncationReport, time_uniform_slices
 from kpert.errors import DomainError, PreconditionError, SmallnessError
 from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
-                            PerturbingMeasure, measure_from_config,
-                            restrict_measure)
+                            PerturbingMeasure, PowerLawSpaceDensity,
+                            measure_from_config, restrict_measure)
 from kpert.quadrature import gauss_legendre_rule
 
 G = st.gaussian_kernel(1)
@@ -345,7 +346,7 @@ def _scalar_point_value(eng, u0, z0, f0, splines):
         p1 = eng.kernel(u0, z0, vv, zp)
         p2 = eng.kernel(vv, zp, eng.t, eng.y)
         qv = eng.mu.q(vv, zp)
-        rv = eng._lookup(splines, v, zp)
+        rv = 1.0 if splines is None else eng._lookup(splines, v, zp)
         total += float(dv @ np.sum(p1 * p2 * qv * rv * wp, axis=1))
     for atom in eng.mu.active_atoms():
         if u0 < atom.time < eng.t:
@@ -354,7 +355,7 @@ def _scalar_point_value(eng, u0, z0, f0, splines):
             vv = np.broadcast_to(v[:, None], zp.shape)
             p1 = eng.kernel(u0, z0, vv, zp)
             p2 = eng.kernel(vv, zp, eng.t, eng.y)
-            rv = eng._lookup(splines, v, zp)
+            rv = 1.0 if splines is None else eng._lookup(splines, v, zp)
             total += atom.weight * float(np.sum(p1 * p2 * rv * wp))
     return total / f0
 
@@ -420,6 +421,90 @@ def test_row_values_match_scalar_nodes(case):
             assert (True, (len(z0),)) in seen
         if case.endswith("late-atom"):
             assert (True, (1,)) in seen
+
+
+def _frozen_spline_eval(spl, x, y):
+    """RectBivariateSpline.__call__ as first written, with minimum/maximum
+    clamps and out-of-place index math."""
+    xs, ys = spl.x, spl.y
+    x = np.minimum(np.maximum(x, xs[0]), xs[-1])
+    k = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
+    dx = (x - xs[k])[:, None]
+    c = spl._x_pieces[k]
+    w = ((c[:, 3] * dx + c[:, 2]) * dx + c[:, 1]) * dx + c[:, 0]
+    pieces = (w[:, None, :] @ spl._rows).reshape(-1, 4).T.copy()
+    y = np.minimum(np.maximum(y, ys[0]), ys[-1])
+    k = np.minimum(((y - ys[0]) * spl._inv_dy).astype(np.intp), len(ys) - 2)
+    d = y - ys.take(k)
+    k += (np.arange(len(x)) * (len(ys) - 1))[:, None]
+    c0, c1, c2, c3 = pieces
+    return ((c3.take(k) * d + c2.take(k)) * d + c1.take(k)) * d + c0.take(k)
+
+
+def _frozen_bridge_sums(eng, u0, z0, v, splines, atom=False):
+    """SeriesEngine._bridge_sums as first written: every operand
+    materialised at the rule's full shape, r_0 = 1 as an array of ones and
+    the product out of place."""
+    inner = np.empty((len(z0), len(v)))
+    zc = z0[:, None, None]
+    for cols, zp, wp in eng._bridge(u0, z0, v, atom):
+        vv = np.broadcast_to(v[cols, None], zp.shape)
+        p1 = eng.kernel(u0, zc, vv, zp)
+        p2 = eng.kernel(vv, zp, eng.t, eng.y)
+        if splines is None:
+            rv = np.ones(zp.shape)
+        else:
+            vc = v[cols]
+            idx = np.clip(np.searchsorted(eng._panel_los, vc, side="right")
+                          - 1, 0, len(eng.panels) - 1)
+            rv = np.empty(zp.shape)
+            for i, spl in enumerate(splines):
+                m = idx == i
+                if m.any():
+                    rv[..., m, :] = _frozen_spline_eval(spl, vc[m],
+                                                        zp[..., m, :])
+        if atom:
+            inner[:, cols] = np.sum(p1 * p2 * rv * wp, axis=-1)
+        else:
+            qv = eng.mu.q(vv, zp)
+            inner[:, cols] = np.sum(p1 * p2 * qv * rv * wp, axis=-1)
+    return inner
+
+
+FROZEN_CASES = {    # kernel, measure, target point y, x_range
+    "two-panel-density-edge": (G, PerturbingMeasure(
+        ConstDensity(0.8), time_support=Interval(0.4, 2.0)), 0.0, (-1.0, 1.0)),
+    "density-plus-atom": (G, PerturbingMeasure(ConstDensity(0.5),
+                                               (Atom(0.45, 0.4),)),
+                          0.0, (-1.0, 1.0)),
+    "atoms-only": (st.cauchy_kernel(1), PerturbingMeasure(
+        None, (Atom(0.3, 0.4), Atom(0.6, 0.3))), 0.0, (-0.5, 0.5)),
+    "power-law-density": (G, PerturbingMeasure(PowerLawSpaceDensity(0.5)),
+                          0.2, (-1.0, 1.0)),
+    "cone": (st.KAPPA, PerturbingMeasure(CornerPowerDensity(0.05, 0.1)),
+             1.0, (0.0, 1.0)),
+}
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_ratios_match_frozen_bridge_sums(case):
+    kernel, mu, y, x_range = FROZEN_CASES[case]
+
+    def engine():
+        return pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0,
+                               x_range=x_range, resolution=1.0,
+                               quad_tol=1e-6)
+
+    s = np.array([0.0, 0.15, 0.35, 0.5, 0.7, 0.9])
+    x = x_range[0] + (x_range[1] - x_range[0]) * \
+        np.array([0.1, 0.9, 0.5, 0.3, 0.75, 0.6])
+    frozen = engine()
+    frozen._bridge_sums = functools.partial(_frozen_bridge_sums, frozen)
+    got, want = engine().ratios(s, x), frozen.ratios(s, x)
+    assert got.shape == want.shape
+    assert got.shape[0] >= 3 or mu.density is None
+    assert np.array_equal(got, want)
 
 
 def test_slice_problem_reuses_engine_pair_bit_for_bit():

@@ -109,6 +109,80 @@ def test_registry():
             st.resolve_kernel(name)
 
 
+# -- column time operands ------------------------------------------------------
+
+def _frozen_kernel(name, d):
+    """The kernel formulas as written for operands of the full result
+    shape: every factor at that shape, out of place, r2 negated."""
+    c_d = st.cauchy_kernel(d).c_d
+
+    def p(s, x, t, y):
+        s, x, t, y = (np.asarray(a, dtype=float) for a in (s, x, t, y))
+        if name == "kappa":
+            ok = (t > s) & (y > x)
+            w_safe = np.where(ok, (t - s) + (y - x), 1.0)
+            return np.where(ok, INV_SQRT_4PI * w_safe ** -1.5, 0.0)
+        dt = t - s
+        r2 = (x - y) ** 2 if d == 1 else np.sum((x - y) ** 2, axis=-1)
+        dt_safe = np.where(dt > 0, dt, 1.0)
+        if name == "gaussian":
+            val = (4.0 * math.pi * dt_safe) ** (-d / 2.0) * \
+                np.exp(-r2 / (4.0 * dt_safe))
+        else:
+            val = c_d * dt_safe * (dt_safe ** 2 + r2) ** (-(d + 1) / 2.0)
+        return np.where(dt > 0, val, 0.0)
+    return p
+
+
+def _materialised(d, args):
+    """(s, x, t, y) with each operand broadcast to the result's shape (plus
+    the trailing spatial axis in d >= 2)."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    trail = (d,) if d > 1 else ()
+    shape = np.broadcast_shapes(*(a.shape[:a.ndim - len(trail)] if i % 2
+                                  else a.shape for i, a in enumerate(args)))
+    return [np.broadcast_to(a, shape + (trail if i % 2 else ())).copy()
+            for i, a in enumerate(args)]
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("name, d", [("gaussian", 1), ("gaussian", 2),
+                                     ("cauchy", 1), ("cauchy", 2),
+                                     ("kappa", 1)])
+def test_kernel_column_operands_match_materialised_bits(name, d):
+    kernel = st.resolve_kernel(name, d)
+    frozen = _frozen_kernel(name, d)
+    rng = np.random.default_rng([d, len(name)])
+
+    def space(*shape):
+        return rng.normal(size=shape + ((d,) if d > 1 else ()))
+
+    # source time 0.3, target 1.0: the columns hold dt < 0, dt = 0 and
+    # dt > 0 against each
+    u0, t = 0.3, 1.0
+    v = np.array([-0.2, 0.3, np.nextafter(0.3, 1.0), 0.45, 0.8, 1.0, 1.3])
+    vc = v[:, None]
+    y = space()
+    cases = [
+        (u0, space(4, 1, 1), vc, space(4, len(v), 6)),   # p(u0, z0, v, z')
+        (u0, space(4, 1, 1), vc, space(1, len(v), 6)),   # z0-free group
+        (vc, space(1, len(v), 6), t, y),                 # p(v, z', t, y)
+        (vc, space(9), t, y),                            # a grid level
+        (rng.uniform(-0.5, 1.5, (5, 9)), space(9), t, y),  # r2 narrower
+        # every dt > 0, and for kappa every point inside the cone
+        (u0, space(4, 1, 1) - 3.0, vc[3:5], space(4, 2, 6) + 3.0),
+        (u0, space(), t, y), (t, space(), u0, y), (u0, space(), u0, y),
+    ]
+    for args in cases:
+        full = _materialised(d, args)
+        got = kernel(*args)
+        want = kernel(*full)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, frozen(*full))
+    assert np.all(kernel(*cases[5]) > 0)
+
+
 # -- composition identity --------------------------------------------------------
 
 def test_ck_gaussian():
@@ -334,6 +408,7 @@ def _kato_inner_per_node(kernel, mu, s, x, t, y, time_nodes=32):
 @pytest.mark.parametrize("name", ["gaussian", "cauchy"])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("density", ["const", "power"])
+@pytest.mark.bits
 def test_kato_inner_broadcast_matches_per_node_loop(name, d, density):
     kernel = st.resolve_kernel(name, d)
     q = ConstDensity(0.7, d) if density == "const" else \
