@@ -33,9 +33,8 @@ def main():
         rng = np.random.default_rng(args.seed)
         const = bnd.estimate_constants(prob, rng, n_samples=args.samples,
                                        refine_rounds=1)
-        certs = bnd.certify(prob, const, n_samples=6,
-                            beta_override=prob.analytic_eta,
-                            eta_override=prob.analytic_eta)
+        certs = bnd.certify(prob, prob.analytic_eta, prob.analytic_eta,
+                            n_samples=6)
         for j, cert in enumerate(certs, start=1):
             print(",".join(map(str, [
                 target, prob.h, j, const.per_slice_eta[j - 1],

@@ -113,7 +113,7 @@ def criterion_soundness(seed: int = 7):
             const = bnd.estimate_constants(prob)
             if const.eta >= 1.0:
                 continue
-            for cert in bnd.certify(prob, const):
+            for cert in bnd.certify(prob, const.eta, const.beta):
                 n_certs += 1
                 if cert.status != "VALID":
                     return False, f"certificate {cert.status} at eta={const.eta:.3g}"
@@ -148,9 +148,8 @@ def criterion_atom_oracles(seed: int = 7):
     def run():
         g = st.gaussian_kernel(1)
         mu = PerturbingMeasure(atoms=(Atom(0.5, 0.7),))
-        p0 = pt.pn_term(g, mu, 0, 0.0, 0.2, 1.0, 0.0)
-        p1 = pt.pn_term(g, mu, 1, 0.0, 0.2, 1.0, 0.0)
-        p2 = pt.pn_term(g, mu, 2, 0.0, 0.2, 1.0, 0.0)
+        p0, p1, p2 = pt.series_batch(g, mu, [0.0], [0.2], 1.0,
+                                     0.0)[0].terms[:3]
         e1 = abs(p1 / p0 - 0.7) / 0.7
         if e1 > 1e-6:
             return False, f"single-atom factor off by {e1:.2e}"
@@ -237,8 +236,7 @@ def criterion_cone_kernel(seed: int = 7):
             def f(xi, _p=p):
                 xi = np.maximum(xi, 1e-300)
                 return xi * (xi ** -1.5 + (2.0 - xi) ** -1.5) * xi ** -_p
-            spec = QuadratureSpec(rel_tol=1e-7, substitution="power",
-                                  power=min(0.5 + p, 0.9))
+            spec = QuadratureSpec(rel_tol=1e-7, power=min(0.5 + p, 0.9))
             vals = {h: integrate_1d(f, 0.0, h, spec).value
                     for h in (0.1, 0.05)}
             exps[p] = math.log2(vals[0.1] / vals[0.05])
@@ -290,8 +288,7 @@ def criterion_residuals(seed: int = 7):
             return False, f"left-inverse residual {res:.2e}"
         # the perturbed kernel against its generator, q varying in space
         q = CornerPowerDensity(0.05, 0.25)
-        res_q = max(st.left_inverse_residual(s, x, bump, bump, q=q,
-                                             perturbed=True)[0]
+        res_q = max(st.left_inverse_residual(s, x, bump, bump, q=q)[0]
                     for s, x in ((0.0, 0.0), (1.2, 1.3)))
         if res_q > 1e-2:
             return False, f"perturbed left-inverse residual {res_q:.2e}"
@@ -352,7 +349,7 @@ def reproduce_artifacts(seed: int):
     chain = mk.AbsorbingChain(tuple(sets[n] for n in ("A1", "A2", "A3")))
     prob = bnd.MatrixSliceProblem(K, f, chain)
     const = bnd.estimate_constants(prob)
-    certs = bnd.certify(prob, const)
+    certs = bnd.certify(prob, const.eta, const.beta)
     buf.write(json.dumps([c.to_dict() for c in certs], indent=2,
                          sort_keys=True))
     chk = st.sample_3g(_rng(seed, 10), 200)

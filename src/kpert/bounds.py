@@ -15,9 +15,10 @@ samples or exact enumeration and writes certificates comparing the bound
 against an independently summed series.
 
 Certificates never silently trust the theorem: a certificate is VALID
-only when the measured series ratio stays below the bound within the
-mode's tolerance (exact matrix arithmetic: relative 1e-9; quadrature
-mode: ten times the engine's reported error).
+only when the measured series ratio stays below the bound within a
+relative tolerance of ten times the quadrature error the problem and its
+series report, and at least 1e-9 (``quad_rel_tol``); exact matrix
+arithmetic reports no quadrature error, so it gets the 1e-9.
 """
 from __future__ import annotations
 
@@ -93,10 +94,6 @@ class SliceConstants:
     @property
     def beta(self) -> float:
         return max(self.per_slice_beta)
-
-    @property
-    def k(self) -> int:
-        return len(self.per_slice_eta)
 
 
 @dataclass
@@ -271,20 +268,15 @@ def verdict(status: str, ratio: float, bound: float, tol: float) -> str:
     return "VALID" if ratio <= bound * (1.0 + tol) else "INVALID"
 
 
-def certify(problem, constants: SliceConstants | None, n_samples: int = 64,
-            beta_override: float | None = None,
-            eta_override: float | None = None):
-    """One certificate per slice: measured series ratio vs the bound.
+def certify(problem, eta: float, beta: float, n_samples: int = 64):
+    """One certificate per slice: measured series ratio vs the bound for
+    the slice constants eta and beta (measured or declared).
 
     The series is computed by the problem's own engine (exact summation
     for matrices, quadrature-backed series otherwise) at the slice's
     points; INCONCLUSIVE when that series did not converge, never INVALID
-    in that case.  Overrides let a caller certify against declared
-    constants instead of the measured ones (constants may be None when
-    both are given).  An eta of one or more raises SmallnessError.
+    in that case.  An eta of one or more raises SmallnessError.
     """
-    eta = constants.eta if eta_override is None else eta_override
-    beta = constants.beta if beta_override is None else beta_override
     if not eta < 1.0:
         raise SmallnessError(eta)
     certs = []
@@ -294,8 +286,7 @@ def certify(problem, constants: SliceConstants | None, n_samples: int = 64,
         f = problem.control(pts)
         series, rep = problem.series(pts)
         ratio = _sup_ratio(series, f)
-        tol = EXACT_REL_TOL if problem.exact else \
-            quad_rel_tol(max(problem.quad_error, rep.quad_error))
+        tol = quad_rel_tol(max(problem.quad_error, rep.quad_error))
         certs.append(BoundCertificate(
             slice_index=j, eta=eta, beta=beta, theorem_bound=bound,
             measured_ratio=ratio, status=verdict(rep.status, ratio, bound, tol),

@@ -194,7 +194,7 @@ def _certificate_exit(certs) -> int:
 
 
 def cmd_series(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     res = pt.series_batch(_command_kernel(cfg, "series"), cfg.measure,
                           cfg.sample_s, cfg.sample_x, cfg.target_t,
                           cfg.target_y, quad_tol=cfg.quad_tol,
@@ -294,7 +294,8 @@ def _certificates(args, cfg):
     selects; SmallnessError for a slice constant eta >= 1."""
     if args.discrete or cfg.discrete:
         prob = _discrete_problem(args, cfg)
-        return bnd.certify(prob, bnd.estimate_constants(prob))
+        const = bnd.estimate_constants(prob)
+        return bnd.certify(prob, const.eta, const.beta)
     if cfg.slicing.get("mode") == "diagonal-level":
         if cfg.kernel_name != "kappa" or not (cfg.target_t > 0.0
                                               and cfg.target_y > 0.0):
@@ -306,12 +307,12 @@ def _certificates(args, cfg):
             eta_target=_slicing_number(cfg, "eta_target", 0.5),
             quad_tol=cfg.quad_tol, seed=cfg.seed, max_terms=cfg.max_terms)
         eta = float(prob.analytic_eta)
-        return bnd.certify(prob, None, n_samples=6, beta_override=eta,
-                           eta_override=eta)
+        return bnd.certify(prob, eta, eta, n_samples=6)
     kernel = _command_kernel(cfg, "certify")
+    intervals = _intervals_from_config(cfg)
     return pt.theorem46_certify(
-        kernel, cfg.measure, 0.0, cfg.target_t, cfg.target_y,
-        _intervals_from_config(cfg), eta=_slicing_number(cfg, "eta", None),
+        kernel, cfg.measure, min(I.lo for I in intervals), cfg.target_t,
+        cfg.target_y, intervals, eta=_slicing_number(cfg, "eta", None),
         n_samples=int(_slicing_number(cfg, "n_samples", 16)), seed=cfg.seed,
         quad_tol=cfg.quad_tol, max_terms=cfg.max_terms)
 
@@ -328,18 +329,19 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = load_config(args.config, args.seed) if args.config else RunConfig()
+    cfg = load_config(args.config) if args.config else RunConfig()
     g = st.gaussian_kernel(1)
     rows = ["case,measured,expected,rel_error"]
     from kpert.measures import Atom, ConstDensity
     for lam in (0.25, 1.0):
         mu = PerturbingMeasure(ConstDensity(lam))
-        r = pt.series(g, mu, 0.0, 0.3, 1.0, 0.0, quad_tol=cfg.quad_tol)
+        r = pt.series_batch(g, mu, [0.0], [0.3], 1.0, 0.0,
+                            quad_tol=cfg.quad_tol)[0]
         exp = math.exp(lam)
         rows.append(f"atomless-lam={lam},{_fmt(r.ratio)},{_fmt(exp)},"
                     f"{_fmt(abs(r.ratio - exp) / exp)}")
     mu = PerturbingMeasure(atoms=(Atom(0.5, 0.7),))
-    r = pt.series(g, mu, 0.0, 0.2, 1.0, 0.0)
+    r = pt.series_batch(g, mu, [0.0], [0.2], 1.0, 0.0)[0]
     rows.append(f"single-atom,{_fmt(r.ratio)},{_fmt(1.7)},"
                 f"{_fmt(abs(r.ratio - 1.7) / 1.7)}")
     op = pt.MultiAtomOperator(g, list(acceptance.SHARPNESS_TIMES), 1.0, 0.0)
@@ -443,8 +445,6 @@ def build_parser():
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required,
                        help="JSON run configuration")
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="overrides the config's seed (default 0)")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("series", help="perturbed series on a sample grid")
@@ -452,6 +452,8 @@ def build_parser():
     p.set_defaults(fn=cmd_series)
     p = sub.add_parser("certify", help="slice certificates")
     common(p)
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="overrides the config's seed (default 0)")
     p.add_argument("--discrete", default=None,
                    help="path to a matrix-kernel JSON problem; overrides "
                         "discrete.path")
@@ -461,6 +463,8 @@ def build_parser():
     p.set_defaults(fn=cmd_oracle_check)
     p = sub.add_parser("kato", help="window modulus ladder")
     common(p, config_required=False)
+    p.add_argument("--seed", type=_seed, default=None,
+                   help="overrides the config's seed (default 0)")
     p.add_argument("--windows", type=_windows, default=None,
                    help="comma-separated h values")
     p.set_defaults(fn=cmd_kato)
@@ -470,7 +474,6 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_3g)
     p = sub.add_parser("weyl", help="half-derivative spot checks")
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_weyl)
     p = sub.add_parser("reproduce", help="run the acceptance table")

@@ -417,31 +417,6 @@ class SeriesEngine:
 # Public term / series interface
 # ---------------------------------------------------------------------------
 
-def pn_term(kernel, mu: PerturbingMeasure, n: int, s, x, t, y) -> float:
-    """Single term p_n(s, x, t, y); p_0 is the base density itself.  Read
-    from the refined engine, whose terms ``series`` reports."""
-    if n < 0:
-        raise ValueError("term index must be nonnegative")
-    f0 = float(kernel(s, x, t, y))
-    if n == 0:
-        return f0
-    if f0 <= 0:
-        return 0.0
-    eng = SeriesEngine(kernel, mu, t, y, s_min=min(s, t - 1e-9),
-                       x_range=(min(x, y), max(x, y)),
-                       quad_tol=1e-4, max_terms=n, resolution=1.6)
-    rows = eng.ratios([s], [x])
-    ratio = rows[n, 0] if n < rows.shape[0] else 0.0
-    return float(ratio) * f0
-
-
-def series(kernel, mu: PerturbingMeasure, s, x, t, y,
-           quad_tol: float = 1e-4) -> SeriesResult:
-    """Sum of the perturbation terms at one point, with refinement-based
-    error estimate and a convergence verdict."""
-    return series_batch(kernel, mu, [s], [x], t, y, quad_tol=quad_tol)[0]
-
-
 def _verdict(terms, quad_tol, max_terms):
     """converged or truncated, never diverging: terms like lambda^n / n!
     grow for lambda steps, and the engine cannot tell them apart."""
@@ -833,8 +808,7 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
     failed = [j for j in range(1, problem.k + 1)
               if not sups[j - 1] <= eta * (1.0 + tol)]
     certs = []
-    for c in bnd.certify(problem, None, n_samples, beta_override=eta,
-                         eta_override=eta):
+    for c in bnd.certify(problem, eta, eta, n_samples):
         j = c.slice_index
         if j in failed:
             c = replace(c, status="HYPOTHESIS_FAIL",

@@ -6,10 +6,11 @@ singularities and a rational map for unbounded axes.  A 2-d integrand
 that depends on one linear form (a cone kernel on u + z) is collapsed to
 its level lines by the caller and integrated here in 1-d.  Fixed rules:
 Gauss-Legendre on an interval, and the tan-substituted peak rule for
-integrands peaked at a point of the real line; both cache their base
-rule per size.  Sample points come from ``Halton``, the scrambled Halton
-sequence of A. B. Owen, "A randomized Halton algorithm in R"
-(arXiv:1706.02808, 2017).
+integrands peaked at a point of the real line, with its polar
+counterpart in the plane; each caches its base rule per size.  Sample
+points come from ``Halton``, the scrambled Halton sequence of
+A. B. Owen, "A randomized Halton algorithm in R" (arXiv:1706.02808,
+2017).
 
 Every result carries (value, error_estimate); callers express downstream
 tolerances in units of that estimate.
@@ -54,6 +55,11 @@ _WGK *= 2.0 / _WGK.sum()
 _WG *= 2.0 / _WG.sum()
 
 
+# bisections one adaptive integration may make before it reports
+# converged=False
+MAX_SUBDIVISIONS = 400
+
+
 class QuadResult(NamedTuple):
     value: float
     error: float
@@ -65,28 +71,22 @@ class QuadResult(NamedTuple):
 class QuadratureSpec:
     """Tolerance and singularity declaration for adaptive integration.
 
-    ``substitution`` declares an integrable power singularity at
-    ``singular_end``: "sqrt" maps z = end +/- w**2 (order-1/2), "power"
-    uses the caller-declared order ``power`` in (0, 1) and maps
-    z = end +/- w**(1/(1-power)), which renders the transformed integrand
-    bounded.  Unbounded axes are mapped rationally onto (0, 1).
+    ``power`` declares an integrable power singularity of that order in
+    (0, 1) at ``singular_end``: the map z = end +/- w**(1/(1-power))
+    renders the transformed integrand bounded (power = 0.5 gives
+    z = end +/- w**2).  Unbounded axes are mapped rationally onto (0, 1).
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_subdivisions: int = 400
-    substitution: str | None = None      # None | "sqrt" | "power"
-    power: float | None = None           # singularity order for "power"
+    power: float | None = None           # singularity order, None for none
     singular_end: str = "lower"          # "lower" | "upper"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.substitution not in (None, "sqrt", "power"):
-            raise ValueError(f"unknown substitution {self.substitution!r}")
-        if self.substitution == "power":
-            if self.power is None or not 0.0 < self.power < 1.0:
-                raise ValueError("power substitution needs singularity order in (0,1)")
+        if self.power is not None and not 0.0 < self.power < 1.0:
+            raise ValueError("singularity order must lie in (0, 1)")
         if self.singular_end not in ("lower", "upper"):
             raise ValueError("singular_end must be 'lower' or 'upper'")
 
@@ -101,8 +101,9 @@ def _gk15(g, a, b):
     return vk, abs(vk - vg)
 
 
-def _adaptive(g, panels, rel_tol, abs_tol, max_subdivisions):
-    """Adaptive subdivision over initial panels, worst-error-first."""
+def _adaptive(g, panels, rel_tol, abs_tol):
+    """Adaptive subdivision over initial panels, worst-error-first, for at
+    most MAX_SUBDIVISIONS bisections."""
     heap = []
     total_v = 0.0
     total_e = 0.0
@@ -115,7 +116,7 @@ def _adaptive(g, panels, rel_tol, abs_tol, max_subdivisions):
         heapq.heappush(heap, (-e, a, b, v))
     nsub = 0
     while heap and total_e > max(abs_tol, rel_tol * abs(total_v)):
-        if nsub >= max_subdivisions:
+        if nsub >= MAX_SUBDIVISIONS:
             return QuadResult(total_v, total_e, False, nsub)
         neg_e, a, b, v = heapq.heappop(heap)
         m = 0.5 * (a + b)
@@ -137,13 +138,13 @@ def _adaptive(g, panels, rel_tol, abs_tol, max_subdivisions):
 def _substituted(f, a, b, spec):
     """Apply the declared endpoint substitution, returning (g, lo, hi).
 
-    Lower-end "power" with order gamma: z = a + w**e, e = 1/(1-gamma),
-    dz = e * w**(e-1) dw, so f(z) ~ (z-a)**-gamma becomes bounded.
+    Lower end with order gamma = spec.power: z = a + w**e,
+    e = 1/(1-gamma), dz = e * w**(e-1) dw, so f(z) ~ (z-a)**-gamma
+    becomes bounded.
     """
-    if spec.substitution is None:
+    if spec.power is None:
         return f, a, b
-    gamma = 0.5 if spec.substitution == "sqrt" else spec.power
-    e = 1.0 / (1.0 - gamma)
+    e = 1.0 / (1.0 - spec.power)
     if spec.singular_end == "lower":
         def g(w, _f=f, _a=a, _e=e):
             w = np.maximum(w, 0.0)
@@ -170,17 +171,17 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None) -> QuadResult:
     lo_inf = math.isinf(a)
     hi_inf = math.isinf(b)
     if lo_inf and hi_inf:
-        left = integrate_1d(f, a, 0.0, replace(spec, substitution=None))
-        right = integrate_1d(f, 0.0, b, replace(spec, substitution=None))
+        left = integrate_1d(f, a, 0.0, replace(spec, power=None))
+        right = integrate_1d(f, 0.0, b, replace(spec, power=None))
         return QuadResult(left.value + right.value, left.error + right.error,
                           left.converged and right.converged,
                           left.subdivisions + right.subdivisions)
 
     if hi_inf:
-        if spec.substitution is not None and spec.singular_end == "lower":
+        if spec.power is not None and spec.singular_end == "lower":
             # substitution owns [a, a+1]; the mapped tail takes the rest
             head = integrate_1d(f, a, a + 1.0, spec)
-            tail = integrate_1d(f, a + 1.0, np.inf, replace(spec, substitution=None))
+            tail = integrate_1d(f, a + 1.0, np.inf, replace(spec, power=None))
             return QuadResult(head.value + tail.value, head.error + tail.error,
                               head.converged and tail.converged,
                               head.subdivisions + tail.subdivisions)
@@ -189,8 +190,7 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None) -> QuadResult:
             w = np.clip(w, 0.0, np.nextafter(1.0, 0.0))
             x = _a + w / (1.0 - w)
             return _f(x) / (1.0 - w) ** 2
-        return _adaptive(g, [(0.0, 1.0)], spec.rel_tol, spec.abs_tol,
-                         spec.max_subdivisions)
+        return _adaptive(g, [(0.0, 1.0)], spec.rel_tol, spec.abs_tol)
 
     if lo_inf:
         def fr(x, _f=f):
@@ -200,8 +200,7 @@ def integrate_1d(f, a, b, spec: QuadratureSpec | None = None) -> QuadResult:
                             if spec.singular_end == "upper" else spec)
 
     g, lo, hi = _substituted(f, a, b, spec)
-    return _adaptive(g, [(lo, hi)], spec.rel_tol, spec.abs_tol,
-                     spec.max_subdivisions)
+    return _adaptive(g, [(lo, hi)], spec.rel_tol, spec.abs_tol)
 
 
 # n -> read-only (nodes, weights) of the n-point rule on [-1, 1]
@@ -230,16 +229,7 @@ def gauss_legendre_rule(a, b, n):
 _PEAK_BASE: dict = {}
 
 
-def peak_rule(center, scale, n):
-    """Nodes/weights for int F(z) dz with F peaked at ``center`` on scale
-    ``scale``: z = center + scale * tan(theta), weights
-    w * scale / cos(theta)**2, with n Gauss-Legendre nodes theta on each
-    half-axis.  For a Cauchy peak of that scale the substituted density is
-    constant, so the rule is exact for it at any scale.
-
-    ``scale`` is floored at 1e-300; an array ``scale`` gives one rule per
-    entry along a new last axis (shape scale.shape + (2 n,)).
-    """
+def _peak_base(n):
     base = _PEAK_BASE.get(n)
     if base is None:
         th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n)
@@ -250,9 +240,44 @@ def peak_rule(center, scale, n):
         for arr in base:
             arr.flags.writeable = False
         _PEAK_BASE[n] = base
-    tan, w, cos2 = base
+    return base
+
+
+def peak_rule(center, scale, n):
+    """Nodes/weights for int F(z) dz with F peaked at ``center`` on scale
+    ``scale``: z = center + scale * tan(theta), weights
+    w * scale / cos(theta)**2, with n Gauss-Legendre nodes theta on each
+    half-axis.  For a Cauchy peak of that scale the substituted density is
+    constant, so the rule is exact for it at any scale.
+
+    ``scale`` is floored at 1e-300; an array ``scale`` gives one rule per
+    entry along a new last axis (shape scale.shape + (2 n,)).
+    """
+    tan, w, cos2 = _peak_base(n)
     scale = np.maximum(scale, 1e-300)[..., None]
     return center + scale * tan, scale * w / cos2
+
+
+def peak_rule_2d(center, scale):
+    """Polar rule around the point ``center`` of the plane, the d = 2
+    counterpart of ``peak_rule``: r = scale * tan(theta) on the 48
+    positive theta nodes of ``peak_rule``'s base; the Jacobian r dr dphi
+    keeps the substituted Cauchy integrand smooth.
+
+    ``scale`` is floored at 1e-300 and is an array with one rule per
+    entry: 48 theta by 16 phi nodes, so nodes have shape
+    scale.shape + (768, 2), weights the same without the last axis."""
+    tan, wt, cos2 = (arr[48:, None] for arr in _peak_base(48))
+    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
+    scale = np.maximum(scale, 1e-300)[..., None, None]
+    R = scale * tan
+    DR = wt * scale / cos2
+    flat = scale.shape[:-2] + (48 * 16,)
+    center = np.asarray(center, dtype=float)
+    pts = np.stack([center[0] + (R * np.cos(ph)).reshape(flat),
+                    center[1] + (R * np.sin(ph)).reshape(flat)], axis=-1)
+    wts = (R * DR * wp).reshape(flat)
+    return pts, wts
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

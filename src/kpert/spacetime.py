@@ -6,8 +6,8 @@ s >= t (causality).  Their operands broadcast: a time operand may be a
 column with one entry per time, narrower than the space operands, and
 the time factors are then computed once per entry, with the bits that
 materialised operands give.  The registry makes them addressable by
-name from the CLI: "gaussian", "cauchy", "kappa"; ``kappa`` is the
-four-argument form of the cone kernel.
+name from the CLI: "gaussian", "cauchy", "kappa"; the cone kernel
+``KAPPA`` is the one instance of "kappa".
 
 Singular integrands here ((u+z)**-3/2 cones, z**-1/2 and z**-3/2 Weyl
 weights) get power-law endpoint substitutions so the transformed
@@ -25,7 +25,7 @@ import numpy as np
 from kpert import matrix_kernels as mk
 from kpert.errors import PreconditionError
 from kpert.quadrature import (Halton, QuadratureSpec, gauss_legendre_rule,
-                              integrate_1d, peak_rule)
+                              integrate_1d, peak_rule, peak_rule_2d)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
@@ -34,7 +34,11 @@ _INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
 def _sqdist(x, y, dim):
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     d **= 2
-    return d if dim == 1 else np.sum(d, axis=-1)
+    if dim == 1:
+        return d
+    # two squares added directly have the bits np.sum gives them, and
+    # skip a reduction over a length-2 axis per point
+    return d[..., 0] + d[..., 1] if dim == 2 else np.sum(d, axis=-1)
 
 
 class GaussianKernel:
@@ -166,11 +170,6 @@ def resolve_kernel(name: str, dim: int = 1):
     raise ValueError(f"unknown kernel {name!r}")
 
 
-def kappa(s, x, u, z):
-    """Four-argument translation-invariant form kappa(u - s, z - x)."""
-    return KAPPA(s, x, u, z)
-
-
 # ---------------------------------------------------------------------------
 # Residual and inequality checks
 # ---------------------------------------------------------------------------
@@ -214,9 +213,9 @@ def check_3g(s, x, u, z, t, y) -> ThreeGCheck:
                            (s, x, u, z, t, y))
     if not (np.all(s < u) and np.all(u < t) and np.all(x < z) and np.all(z < y)):
         raise ValueError("need s < u < t and x < z < y")
-    k0 = kappa(s, x, t, y)
-    k1 = kappa(s, x, u, z)
-    k2 = kappa(u, z, t, y)
+    k0 = KAPPA(s, x, t, y)
+    k1 = KAPPA(s, x, u, z)
+    k2 = KAPPA(u, z, t, y)
     m = np.minimum(k1, k2)
     slack = 1.0 + 1e-12
     ratio = m / k0
@@ -305,7 +304,7 @@ def weyl_half_derivative(phi, x, dphi=None,
     which only needs phi itself.  Both require an integrable tail; a
     non-convergent quadrature raises.
     """
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, substitution="sqrt")
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, power=0.5)
     if form == "derivative":
         if dphi is None:
             raise ValueError("derivative form needs phi'")
@@ -379,14 +378,13 @@ def weyl_of_bump(bump: Bump1D, v):
     return integral / math.sqrt(math.pi)
 
 
-def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
-                          q=None, perturbed: bool = False):
+def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D, q=None):
     """Residual |integral + phi(s, x)| of the left-inverse identity.
 
-    Unperturbed: the cone kernel integrated against
+    Unperturbed (no q): the cone kernel integrated against
     (D_u^{1/2} + D_z^{1/2}) phi over (s, inf) x (x, inf) returns
-    -phi(s, x).  Perturbed: the series kernel (a Neumann series on a
-    clustered product grid) against
+    -phi(s, x).  Perturbed by the density q: the series kernel (a Neumann
+    series on a clustered product grid) against
     (D_u^{1/2} + D_z^{1/2} + q) phi.
 
     The kernel is constant on level lines u + z = const, so the singular
@@ -395,8 +393,6 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
     the bounded series correction integrates on a product rule.  Returns
     (residual, quadrature error estimate).
     """
-    if perturbed and q is None:
-        raise ValueError("perturbed residual needs the density q")
     u_hi = phi_u.hi
     z_hi = phi_z.hi
     if u_hi <= s or z_hi <= x:
@@ -405,7 +401,7 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
 
     def gfun(u, z):
         g = weyl_of_bump(phi_u, u) * phi_z(z) + phi_u(u) * weyl_of_bump(phi_z, z)
-        if perturbed:
+        if q is not None:
             g = g + q(u, z) * phi_u(u) * phi_z(z)
         return g
 
@@ -432,12 +428,11 @@ def left_inverse_residual(s, x, phi_u: Bump1D, phi_z: Bump1D,
 
     xi_max = (u_hi - s) + (z_hi - x)
     res = integrate_1d(level_integrand, 0.0, xi_max,
-                       QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12,
-                                      substitution="sqrt"))
+                       QuadratureSpec(rel_tol=1e-7, abs_tol=1e-12, power=0.5))
     value = res.value
     err = res.error
 
-    if perturbed:
+    if q is not None:
         correction = _kappa_series_correction(s, x, u_hi, z_hi, q)
         cxi, cw = gauss_legendre_rule(0.0, 1.0, 32)
         cu = s + (u_hi - s) * cxi ** 2
@@ -474,8 +469,8 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q):
     A, B = np.meshgrid(a, b, indexing="ij")
     Ar, Br = A.ravel(), B.ravel()
     d = (q(A, B) * np.outer(wa, wb)).ravel()
-    prop = kappa(Ar[:, None], Br[:, None], Ar[None, :], Br[None, :])
-    res = mk.neumann_series(mk.MatrixKernel(prop.T * d), kappa(s, x, Ar, Br))
+    prop = KAPPA(Ar[:, None], Br[:, None], Ar[None, :], Br[None, :])
+    res = mk.neumann_series(mk.MatrixKernel(prop.T * d), KAPPA(s, x, Ar, Br))
     if res.status != "converged":
         raise PreconditionError(f"the series correction is {res.status} "
                                 f"after {res.n_terms} terms")
@@ -484,7 +479,7 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q):
     def correction(u, z):
         u = np.asarray(u, dtype=float)
         z = np.asarray(z, dtype=float)
-        prop = kappa(Ar[:, None], Br[:, None], u.ravel()[None, :],
+        prop = KAPPA(Ar[:, None], Br[:, None], u.ravel()[None, :],
                      z.ravel()[None, :])
         return (src @ prop).reshape(u.shape)
 
@@ -494,27 +489,6 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q):
 # ---------------------------------------------------------------------------
 # Kato modulus
 # ---------------------------------------------------------------------------
-
-def _peak_rule_2d(center, scale):
-    """Polar rule around ``center``, the d = 2 counterpart of
-    ``quadrature.peak_rule``: r = scale * tan(theta); the Jacobian
-    r dr dphi keeps the substituted Cauchy integrand smooth.
-
-    ``scale`` is floored at 1e-300 and is an array with one rule per
-    entry: 48 theta by 16 phi nodes, so nodes have shape
-    scale.shape + (768, 2), weights the same without the last axis."""
-    th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, 48)
-    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
-    scale = np.maximum(scale, 1e-300)[..., None, None]
-    R = scale * np.tan(th)[:, None]
-    DR = wt[:, None] * scale / np.cos(th)[:, None] ** 2
-    flat = scale.shape[:-2] + (48 * 16,)
-    center = np.asarray(center, dtype=float)
-    pts = np.stack([center[0] + (R * np.cos(ph)).reshape(flat),
-                    center[1] + (R * np.sin(ph)).reshape(flat)], axis=-1)
-    wts = (R * DR * wp).reshape(flat)
-    return pts, wts
-
 
 def _peak_factor(kernel, s, x, t, y, u, first: bool):
     """The p-factor of the kato integrand at each intermediate time in
@@ -528,7 +502,7 @@ def _peak_factor(kernel, s, x, t, y, u, first: bool):
     if getattr(kernel, "dim", 1) == 1:
         z, w = peak_rule(center, scale, 32)
     else:
-        z, w = _peak_rule_2d(center, scale)
+        z, w = peak_rule_2d(center, scale)
     uu = u[:, None]
     vals = kernel(s, x, uu, z) if first else kernel(uu, z, t, y)
     return uu, z, vals, w
@@ -647,7 +621,7 @@ def kappa_slice_ratio(s, x, t, y, a_lo, a_hi, c, p_exp) -> float:
     """
     alpha = s + x
     omega = t + y
-    f = kappa(s, x, t, y)
+    f = KAPPA(s, x, t, y)
     if f == 0.0:
         return 0.0
     lo = max(a_lo, alpha, 0.0)
@@ -672,15 +646,14 @@ def kappa_slice_ratio(s, x, t, y, a_lo, a_hi, c, p_exp) -> float:
     mid = 0.5 * (lo + hi)
     lower_sub = None
     if lo == alpha and lo == 0.0:
-        lower_sub = QuadratureSpec(rel_tol=1e-9, substitution="power",
+        lower_sub = QuadratureSpec(rel_tol=1e-9,
                                    power=min(0.5 + p_exp, 0.95))
     elif lo == alpha or lo == 0.0:
         order = 0.5 if lo == alpha else p_exp
-        lower_sub = QuadratureSpec(rel_tol=1e-9, substitution="power",
-                                   power=max(order, 0.05))
+        lower_sub = QuadratureSpec(rel_tol=1e-9, power=max(order, 0.05))
     upper_sub = None
     if hi == omega:
-        upper_sub = QuadratureSpec(rel_tol=1e-9, substitution="sqrt",
+        upper_sub = QuadratureSpec(rel_tol=1e-9, power=0.5,
                                    singular_end="upper")
     plain = QuadratureSpec(rel_tol=1e-9)
     left = integrate_1d(integrand, lo, mid, lower_sub or plain)

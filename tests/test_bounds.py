@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as hst
 
 from kpert import matrix_kernels as mk
 from kpert.bounds import (BoundCertificate, Interval, MatrixSliceProblem,
-                          SliceConstants, TruncationReport, certify,
-                          corollary_bound,
+                          TruncationReport, certify, corollary_bound,
                           diagonal_levels, estimate_constants, gronwall_bound,
                           smallest_admissible_N, theorem_bound,
                           time_uniform_slices)
@@ -139,7 +138,8 @@ def test_matrix_certify_sums_the_series_once(k, monkeypatch):
     chain = mk.AbsorbingChain(tuple(
         mk.StateSet.from_indices(4, range(5 - k + i)) for i in range(k)))
     prob = MatrixSliceProblem(K, np.ones(4), chain)
-    certs = certify(prob, estimate_constants(prob))
+    const = estimate_constants(prob)
+    certs = certify(prob, const.eta, const.beta)
     assert [c.status for c in certs] == ["VALID"] * k
     assert len(calls) == 1
 
@@ -172,7 +172,8 @@ def test_certify_zero_kernel_valid():
     chain = mk.AbsorbingChain((mk.StateSet.from_indices(2, [0]),
                                _full(2)))
     prob = MatrixSliceProblem(K, np.ones(2), chain)
-    certs = certify(prob, estimate_constants(prob))
+    const = estimate_constants(prob)
+    certs = certify(prob, const.eta, const.beta)
     assert all(c.status == "VALID" for c in certs)
     assert all(c.measured_ratio == 1.0 for c in certs)
     assert all(c.theorem_bound >= 1.0 for c in certs)
@@ -182,7 +183,7 @@ def test_certify_fixture_ratios():
     prob = fixture_problem()
     const = estimate_constants(prob)
     assert const.eta == 0.5 and const.beta == 0.5
-    certs = certify(prob, const)
+    certs = certify(prob, const.eta, const.beta)
     measured = [c.measured_ratio for c in certs]
     assert all(c.status == "VALID" for c in certs)
     for got, cap in zip(measured, (2.0, 4.0, 8.0)):
@@ -191,17 +192,15 @@ def test_certify_fixture_ratios():
 
 def test_certify_requires_smallness():
     prob = fixture_problem()
-    bad = SliceConstants((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), exact=True)
     with pytest.raises(SmallnessError) as exc:
-        certify(prob, bad)
+        certify(prob, 1.0, 1.0)
     assert isinstance(exc.value, PreconditionError) and exc.value.eta == 1.0
 
 
 def test_certify_invalid_when_constants_understated():
     # claiming eta far below the truth must surface as INVALID, not pass
     prob = fixture_problem()
-    lied = SliceConstants((0.05, 0.05, 0.05), (0.05, 0.05, 0.05), exact=True)
-    certs = certify(prob, lied)
+    certs = certify(prob, 0.05, 0.05)
     assert certs[0].status == "INVALID"
 
 
@@ -222,7 +221,8 @@ def test_soundness_on_random_instances(seed):
     prob = MatrixSliceProblem(K, np.ones(K.n), chain)
     const = estimate_constants(prob)
     if const.eta < 1.0:
-        assert all(c.status == "VALID" for c in certify(prob, const))
+        assert all(c.status == "VALID"
+                   for c in certify(prob, const.eta, const.beta))
 
 
 @given(hst.integers(0, 2 ** 31 - 1))

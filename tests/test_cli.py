@@ -121,8 +121,7 @@ def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
     assert first.discrete is not None and first.seed == 3
     assert vars(second) == {"command": "series",
                             "config": str(FIXTURES / "series_zero_measure.json"),
-                            "seed": None, "out": str(tmp_path / "b"),
-                            "fn": cli.cmd_series}
+                            "out": str(tmp_path / "b"), "fn": cli.cmd_series}
 
 
 def test_certify_without_slice_width_names_it(capsys):
@@ -351,9 +350,56 @@ def test_certify_config_seed_applies_without_flag(tmp_path):
     assert out["key"] == out["flag-3"] != out["flag-0"]
 
 
+# slicing.r = -1 in both slicing modes: certify built its time-slice
+# problem on [0, t) whatever the slicing said, so the measure below 0 was
+# dropped from eta and from the series
+_SLICINGS_BELOW_ZERO = {
+    "time-uniform": {"mode": "time-uniform", "h": 0.5, "r": -1.0},
+    "intervals": {"mode": "intervals",
+                  "intervals": [[0.5, 1.0], [0.0, 0.5], [-0.5, 0.0],
+                                [-1.0, -0.5]]},
+}
+
+
+def _certify_below_zero(tmp_path, mode, measure):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"name": "gaussian", "d": 1}, "measure": measure,
+        "target": {"t": 1.0, "y": 0.0},
+        "slicing": _SLICINGS_BELOW_ZERO[mode]}))
+    code = run_cli("certify", "--config", str(cfg), "--out", str(tmp_path))
+    return code, json.loads((tmp_path / "certificates.json").read_text())
+
+
+@pytest.mark.parametrize("mode", sorted(_SLICINGS_BELOW_ZERO))
+def test_certify_measures_eta_on_slices_below_zero(tmp_path, mode, capsys):
+    # lambda = 2.5 on [-1, 0): four VALID certificates with eta = 0 before
+    code, doc = _certify_below_zero(tmp_path, mode, {
+        "density": {"kind": "const", "lambda": 2.5}, "support": [-1.0, 0.0]})
+    assert code == 4
+    assert doc["error"] == "local smallness fails"
+    assert doc["eta"] == pytest.approx(2.5 * 0.5, rel=1e-3)
+    assert "local smallness fails" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", sorted(_SLICINGS_BELOW_ZERO))
+def test_certify_series_counts_the_measure_below_zero(tmp_path, mode):
+    # lambda = 0.3 everywhere: the series ratio at s is exp(0.3 (1 - s)),
+    # so slice I_j = [lo, hi) reads between exp(0.3 (1 - hi)) and
+    # exp(0.3 (1 - lo)); slice 4 read exp(0.3) = 1.35 before
+    code, doc = _certify_below_zero(tmp_path, mode, {
+        "density": {"kind": "const", "lambda": 0.3}})
+    assert code == 0
+    bands = _SLICINGS_BELOW_ZERO["intervals"]["intervals"]
+    for cert, (lo, hi) in zip(doc, bands):
+        assert math.exp(0.3 * (1.0 - hi)) * (1 - 1e-3) <= \
+            cert["measured_ratio"] <= math.exp(0.3 * (1.0 - lo)) * (1 + 1e-3)
+        assert cert["status"] == "VALID"
+
+
 # CLI arguments that ended in a traceback (a negative seed in default_rng
-# or Philox, no samples, an empty or non-positive window ladder) or, for
-# --windows 0, in k(0) = 0.0
+# or Philox, no samples, an empty or non-positive window ladder), for
+# --windows 0, in k(0) = 0.0, or that were accepted and changed nothing
 BAD_ARGS = {
     "certify-negative-seed": (["certify", "--config",
                                str(FIXTURES / "certify_kappa.json"),
@@ -367,6 +413,13 @@ BAD_ARGS = {
                              "finite and positive"),
     "kato-nan-window": (["kato", "--windows", "nan"], "finite and positive"),
     "kato-zero-window": (["kato", "--windows", "0"], "finite and positive"),
+    # series, oracle-check and weyl draw no random numbers
+    "series-seed": (["series", "--config",
+                     str(FIXTURES / "series_atomless.json"), "--seed", "3"],
+                    "unrecognized arguments: --seed"),
+    "oracle-check-seed": (["oracle-check", "--seed", "3"],
+                          "unrecognized arguments: --seed"),
+    "weyl-seed": (["weyl", "--seed", "3"], "unrecognized arguments: --seed"),
 }
 
 

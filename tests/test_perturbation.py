@@ -67,36 +67,48 @@ def test_restrict_measure_idempotent():
 
 # -- terms --------------------------------------------------------------------
 
+def _at(mu, s, x, **kw):
+    """The series of G perturbed by mu at the one point (s, x), target
+    (1, 0)."""
+    return pt.series_batch(G, mu, [s], [x], 1.0, 0.0, **kw)[0]
+
+
+def _term(mu, n, s, x, **kw):
+    """p_n(s, x, 1, 0) as the series reports it; 0 past its last term."""
+    terms = _at(mu, s, x, **kw).terms
+    return terms[n] if n < len(terms) else 0.0
+
+
 def test_pn_zero_measure():
     mu = PerturbingMeasure()
-    assert pt.pn_term(G, mu, 3, 0.0, 0.0, 1.0, 0.0) == 0.0
-    assert pt.pn_term(G, mu, 0, 0.0, 0.0, 1.0, 0.0) == \
+    assert _term(mu, 3, 0.0, 0.0) == 0.0
+    assert _term(mu, 0, 0.0, 0.0) == \
         float(G(0.0, 0.0, 1.0, 0.0))
 
 
 def test_pn_causality():
     mu = PerturbingMeasure(ConstDensity(1.0))
     for n in range(3):
-        assert pt.pn_term(G, mu, n, 1.0, 0.0, 1.0, 0.0) == 0.0
-        assert pt.pn_term(G, mu, n, 2.0, 0.0, 1.0, 0.0) == 0.0
+        assert _term(mu, n, 1.0, 0.0) == 0.0
+        assert _term(mu, n, 2.0, 0.0) == 0.0
 
 
 def test_pn_atomless_factorial():
     mu = PerturbingMeasure(ConstDensity(1.0))
     p = float(G(0.0, 0.3, 1.0, 0.0))
-    p2 = pt.pn_term(G, mu, 2, 0.0, 0.3, 1.0, 0.0)
+    p2 = _term(mu, 2, 0.0, 0.3)
     assert p2 == pytest.approx(p / 2.0, rel=1e-3)
 
 
 def test_pn_single_atom():
     mu = PerturbingMeasure(atoms=(Atom(0.5, 0.7),))
     p = float(G(0.0, 0.2, 1.0, 0.0))
-    assert pt.pn_term(G, mu, 1, 0.0, 0.2, 1.0, 0.0) == \
+    assert _term(mu, 1, 0.0, 0.2) == \
         pytest.approx(0.7 * p, rel=1e-7)
-    assert pt.pn_term(G, mu, 2, 0.0, 0.2, 1.0, 0.0) <= 1e-12 * p
+    assert _term(mu, 2, 0.0, 0.2) <= 1e-12 * p
     # atom outside the window contributes nothing
-    assert pt.pn_term(G, mu, 1, 0.6, 0.2, 1.0, 0.0) == 0.0
-    assert pt.pn_term(G, mu, 1, 0.5, 0.2, 1.0, 0.0) == 0.0   # boundary
+    assert _term(mu, 1, 0.6, 0.2) == 0.0
+    assert _term(mu, 1, 0.5, 0.2) == 0.0   # boundary
 
 
 def test_pn_first_term_builds_no_grid(monkeypatch):
@@ -107,7 +119,7 @@ def test_pn_first_term_builds_no_grid(monkeypatch):
                         lambda eng, spl: built.append(1) or level(eng, spl))
     mu = PerturbingMeasure(ConstDensity(0.5), (Atom(0.6, 0.2),))
     p = float(G(0.1, 0.3, 1.0, 0.0))
-    p1 = pt.pn_term(G, mu, 1, 0.1, 0.3, 1.0, 0.0)
+    p1 = _term(mu, 1, 0.1, 0.3, max_terms=1)
     assert built == []
     assert p1 == pytest.approx(pt.p1_ratio(G, mu, 1.0, 0.0, 0.1, 0.3) * p,
                                rel=1e-14)
@@ -146,13 +158,13 @@ def test_ratios_build_only_the_levels_their_rows_read(monkeypatch):
 
 def test_series_causality():
     mu = PerturbingMeasure(ConstDensity(1.0))
-    r = pt.series(G, mu, 1.5, 0.0, 1.0, 0.0)
+    r = _at(mu, 1.5, 0.0)
     assert r.value == 0.0 and r.status == "converged"
 
 
 def test_series_atomless_oracle():
     mu = PerturbingMeasure(ConstDensity(1.0))
-    r = pt.series(G, mu, 0.0, 0.5, 1.0, 0.0, quad_tol=1e-4)
+    r = _at(mu, 0.0, 0.5, quad_tol=1e-4)
     assert r.ratio == pytest.approx(math.e, rel=1e-3)
     assert r.status == "converged"
     assert r.quad_error_estimate < 1e-3
@@ -160,19 +172,18 @@ def test_series_atomless_oracle():
 
 def test_series_dirac_oracle_both_branches():
     mu = PerturbingMeasure(atoms=(Atom(0.5, 0.7),))
-    inside = pt.series(G, mu, 0.0, 0.1, 1.0, 0.0)
+    inside = _at(mu, 0.0, 0.1)
     assert inside.ratio == pytest.approx(1.7, rel=1e-6)
-    outside = pt.series(G, mu, 0.6, 0.1, 1.0, 0.0)
+    outside = _at(mu, 0.6, 0.1)
     assert outside.ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_series_restriction_consistency():
     # only the measure inside (s, t) can matter
     mu = PerturbingMeasure(ConstDensity(0.5), (Atom(1.5, 0.9), Atom(2.5, 0.4)))
-    r_full = pt.series(G, mu, 0.2, 0.1, 1.0, 0.0, quad_tol=1e-4)
+    r_full = _at(mu, 0.2, 0.1, quad_tol=1e-4)
     window = Interval(0.2, 1.0)
-    r_cut = pt.series(G, restrict_measure(mu, window),
-                      0.2, 0.1, 1.0, 0.0, quad_tol=1e-4)
+    r_cut = _at(restrict_measure(mu, window), 0.2, 0.1, quad_tol=1e-4)
     assert r_full.value == pytest.approx(r_cut.value, rel=1e-6)
 
 
@@ -181,21 +192,21 @@ def test_series_measure_monotonicity():
     small = PerturbingMeasure(ConstDensity(0.25))
     large = PerturbingMeasure(ConstDensity(0.5))
     for s, x in pts:
-        lo = pt.series(G, small, s, x, 1.0, 0.0, quad_tol=1e-4)
-        hi = pt.series(G, large, s, x, 1.0, 0.0, quad_tol=1e-4)
+        lo = _at(small, s, x, quad_tol=1e-4)
+        hi = _at(large, s, x, quad_tol=1e-4)
         assert lo.value <= hi.value * (1 + 1e-6)
     small_atoms = PerturbingMeasure(atoms=(Atom(0.5, 0.3),))
     large_atoms = PerturbingMeasure(atoms=(Atom(0.25, 0.2), Atom(0.5, 0.4)))
     for s, x in pts:
-        lo = pt.series(G, small_atoms, s, x, 1.0, 0.0)
-        hi = pt.series(G, large_atoms, s, x, 1.0, 0.0)
+        lo = _at(small_atoms, s, x)
+        hi = _at(large_atoms, s, x)
         assert lo.value <= hi.value * (1 + 1e-6)
 
 
 def test_series_growing_terms_are_truncated_not_diverging():
     # terms 30^n / n! grow until n = 30: fourteen of them prove nothing
     mu = PerturbingMeasure(ConstDensity(30.0))
-    r = pt.series(G, mu, 0.0, 0.0, 1.0, 0.0)
+    r = _at(mu, 0.0, 0.0)
     assert r.status == "truncated"
     assert r.truncation_index == 14
     assert all(b > a for a, b in zip(r.terms, r.terms[1:]))

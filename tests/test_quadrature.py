@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from kpert.quadrature import (Halton, QuadratureSpec, gauss_legendre_rule,
-                              integrate_1d, peak_rule)
+from kpert import quadrature
+from kpert.quadrature import (MAX_SUBDIVISIONS, Halton, QuadratureSpec,
+                              gauss_legendre_rule, integrate_1d, peak_rule,
+                              peak_rule_2d)
 
 
 def test_constant_is_exact():
@@ -18,7 +20,7 @@ def test_constant_is_exact():
 
 def test_inverse_sqrt_with_substitution():
     r = integrate_1d(lambda x: x ** -0.5, 0.0, 1.0,
-                     QuadratureSpec(substitution="sqrt"))
+                     QuadratureSpec(power=0.5))
     assert abs(r.value - 2.0) < 1e-10
 
 
@@ -26,14 +28,69 @@ def test_inverse_sqrt_with_substitution():
 def test_power_substitution_battery(gamma):
     # analytic antiderivative: integral of x^-gamma over (0,1) is 1/(1-gamma)
     r = integrate_1d(lambda x: x ** -gamma, 0.0, 1.0,
-                     QuadratureSpec(substitution="power", power=gamma))
+                     QuadratureSpec(power=gamma))
     assert abs(r.value - 1.0 / (1.0 - gamma)) < 1e-9 / (1.0 - gamma)
 
 
 def test_upper_endpoint_substitution():
     r = integrate_1d(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0,
-                     QuadratureSpec(substitution="sqrt", singular_end="upper"))
+                     QuadratureSpec(power=0.5, singular_end="upper"))
     assert abs(r.value - 2.0) < 1e-10
+
+
+def _old_sqrt_substituted(f, a, b, singular_end, rel_tol, abs_tol):
+    """integrate_1d's former substitution="sqrt" branch on a finite (a, b):
+    order 1/2 at the declared end, e = 2."""
+    e = 1.0 / (1.0 - 0.5)
+    if singular_end == "lower":
+        def g(w):
+            w = np.maximum(w, 0.0)
+            return f(a + w ** e) * e * w ** (e - 1.0)
+    else:
+        def g(w):
+            w = np.maximum(w, 0.0)
+            return f(b - w ** e) * e * w ** (e - 1.0)
+    return quadrature._adaptive(g, [(0.0, (b - a) ** (1.0 / e))],
+                                rel_tol, abs_tol)
+
+
+SQRT_CASES = [
+    (lambda x: x ** -0.5, 0.0, 1.0, "lower"),
+    (lambda x: np.cos(x) * np.maximum(x + 1.0, 1e-300) ** -0.5, -1.0, 3.0,
+     "lower"),
+    (lambda x: (1.0 - x) ** -0.5, 0.0, 1.0, "upper"),
+    (lambda x: np.exp(x) * np.maximum(2.5 - x, 1e-300) ** -0.5, -0.5, 2.5,
+     "upper"),
+]
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("case", range(len(SQRT_CASES)))
+@pytest.mark.parametrize("tols", [(1e-9, 1e-12), (1e-7, 1e-12),
+                                  (1e-10, 1e-13)])
+def test_power_half_matches_the_sqrt_substitution_bitwise(case, tols):
+    f, a, b, end = SQRT_CASES[case]
+    got = integrate_1d(f, a, b, QuadratureSpec(*tols, power=0.5,
+                                               singular_end=end))
+    want = _old_sqrt_substituted(f, a, b, end, *tols)
+    assert tuple(map(float, got[:2])) == tuple(map(float, want[:2]))
+    assert got[2:] == want[2:]
+
+
+@pytest.mark.bits
+def test_power_half_on_a_half_line_matches_the_sqrt_split_bitwise():
+    # the Weyl integrals: the substitution owns (0, 1), the rational map
+    # the rest
+    def f(z):
+        zs = np.where(z > 0, z, 1.0)
+        return np.where(z > 0, -np.exp(-zs) * zs ** -0.5, 0.0)
+    got = integrate_1d(f, 0.0, np.inf, QuadratureSpec(1e-10, 1e-13,
+                                                      power=0.5))
+    head = _old_sqrt_substituted(f, 0.0, 1.0, "lower", 1e-10, 1e-13)
+    tail = integrate_1d(f, 1.0, np.inf, QuadratureSpec(1e-10, 1e-13))
+    assert got.value == head.value + tail.value
+    assert got.error == head.error + tail.error
+    assert got.subdivisions == head.subdivisions + tail.subdivisions
 
 
 def test_subordinator_laplace_transform():
@@ -56,9 +113,10 @@ def test_unbounded_map_default():
 
 
 def test_not_converged_flag():
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=2)
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
     r = integrate_1d(lambda x: np.abs(np.sin(50.0 / (x + 1e-3))), 0.0, 1.0, spec)
     assert not r.converged
+    assert r.subdivisions == MAX_SUBDIVISIONS
 
 
 @given(hst.lists(hst.floats(-3, 3), min_size=2, max_size=4),
@@ -85,8 +143,7 @@ def test_nd_slice_scaling_exponent():
         def f(xi):
             xi = np.maximum(xi, 1e-300)
             return xi * (xi ** -1.5 + (2.0 - xi) ** -1.5) * xi ** -p
-        spec = QuadratureSpec(rel_tol=1e-7, substitution="power",
-                              power=0.5 + p)
+        spec = QuadratureSpec(rel_tol=1e-7, power=0.5 + p)
         vals[h] = integrate_1d(f, 0.0, h, spec).value
     measured = math.log2(vals[0.1] / vals[0.05])
     assert abs(measured - (0.5 - p)) < 0.02 * (0.5 - p)
@@ -210,6 +267,37 @@ def test_unit_peak_rule_is_tan_and_weight_over_cos_squared(n):
     w_full = np.concatenate([w[::-1], w])
     _same_bits(peak_rule(0.0, 1.0, n),
                (np.tan(theta), w_full / np.cos(theta) ** 2))
+
+
+def _old_peak_rule_2d(center, scale):
+    """spacetime._peak_rule_2d before it read peak_rule's cached base."""
+    th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, 48)
+    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
+    scale = np.maximum(scale, 1e-300)[..., None, None]
+    R = scale * np.tan(th)[:, None]
+    DR = wt[:, None] * scale / np.cos(th)[:, None] ** 2
+    flat = scale.shape[:-2] + (48 * 16,)
+    center = np.asarray(center, dtype=float)
+    pts = np.stack([center[0] + (R * np.cos(ph)).reshape(flat),
+                    center[1] + (R * np.sin(ph)).reshape(flat)], axis=-1)
+    wts = (R * DR * wp).reshape(flat)
+    return pts, wts
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("center", [(0.0, 0.0), np.array([0.3, -2.5])])
+def test_peak_rule_2d_matches_the_rule_it_replaced_bitwise(center):
+    scales = [0.0, 1e-300, 1e-310, 1e-3, 0.37, 5.5,
+              np.array([0.0, 1e-300, 0.37, 5.5]),
+              np.array([[1e-3, 0.0], [2.0, 1e-300]])]
+    for scale in scales:
+        got = peak_rule_2d(center, scale)
+        want = _old_peak_rule_2d(center, scale)
+        assert got[0].shape == np.shape(scale) + (768, 2)
+        _same_bits(got, want)
+    peak_rule(0.0, 1.0, 48)             # a warm base gives the same bits
+    _same_bits(peak_rule_2d(center, np.array([0.37, 5.5])),
+               _old_peak_rule_2d(center, np.array([0.37, 5.5])))
 
 
 def test_peak_rule_integrates_a_cauchy_peak_exactly():

@@ -1,9 +1,10 @@
 """Every public module-level function, class and ALL-CAPS constant of
 kpert is named somewhere in the package, the scripts or the benchmarks
 outside its own definition, and so is every public method; every
-defaulted parameter is passed by some call there.  Code that only its own
-tests reach is deleted, not kept, and a parameter that no caller sets is
-a constant."""
+defaulted parameter, and every defaulted field of a public frozen
+dataclass, is passed by some call there.  Code that only its own tests
+reach is deleted, not kept, and a parameter or field that no caller sets
+is a constant."""
 import ast
 import fnmatch
 from collections import Counter
@@ -184,3 +185,36 @@ def test_every_defaulted_parameter_is_passed():
     stale = [pattern for pattern in ALLOWED_PARAMETERS
              if not fnmatch.filter(defaulted, pattern)]
     assert not stale, f"allowed parameters that no longer exist: {stale}"
+
+
+def _frozen_dataclasses(tree):
+    """Public classes of a module decorated @dataclass(frozen=True)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_") \
+                and any(isinstance(d, ast.Call)
+                        and getattr(d.func, "id", None) == "dataclass"
+                        and any(k.arg == "frozen"
+                                and getattr(k.value, "value", False)
+                                for k in d.keywords)
+                        for d in node.decorator_list):
+            yield node
+
+
+def test_every_defaulted_dataclass_field_is_passed():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in _files()}
+    passed = _passed(trees.values())
+    unpassed = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in _frozen_dataclasses(tree):
+            most, kws = passed.get(cls.name, (0, set()))
+            fields = [stmt for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)]
+            for at, stmt in enumerate(fields):
+                name = stmt.target.id
+                if stmt.value is not None and name not in kws \
+                        and not most > at:
+                    unpassed.append(f"{path.name}:{cls.name}.{name}")
+    assert not unpassed, f"defaulted fields no call passes: {unpassed}"

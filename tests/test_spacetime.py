@@ -89,15 +89,15 @@ def test_potential_equals_time_integral_of_density():
 
 
 def test_kappa_values_and_time_integral():
-    assert float(st.kappa(0, 0, 1, 1)) == pytest.approx(0.09973557010035818,
+    assert float(st.KAPPA(0, 0, 1, 1)) == pytest.approx(0.09973557010035818,
                                                         rel=1e-13)
-    assert float(st.kappa(0, 0, 0.5, -0.1)) == 0.0
-    assert float(st.kappa(0.5, 0, 0.5, 1)) == 0.0
+    assert float(st.KAPPA(0, 0, 0.5, -0.1)) == 0.0
+    assert float(st.KAPPA(0.5, 0, 0.5, 1)) == 0.0
     for sx in ((1.0, 1.0), (0.5, 2.0), (0.2, 0.3)):
         r = integrate_1d(lambda t: subordinator_density(t, sx[0])
                          * subordinator_density(t, sx[1]),
                          0.0, np.inf, QuadratureSpec(rel_tol=1e-10))
-        assert abs(r.value - float(st.kappa(0, 0, *sx))) < 1e-6
+        assert abs(r.value - float(st.KAPPA(0, 0, *sx))) < 1e-6
 
 
 def test_registry():
@@ -317,9 +317,9 @@ def test_left_inverse_unperturbed():
 def test_left_inverse_perturbed():
     b = st.Bump1D(1.5, 0.5)
     q = CornerPowerDensity(0.05, 0.25)
-    res, err = st.left_inverse_residual(0.0, 0.0, b, b, q=q, perturbed=True)
+    res, err = st.left_inverse_residual(0.0, 0.0, b, b, q=q)
     assert res <= 1e-2
-    res_in, _ = st.left_inverse_residual(1.2, 1.3, b, b, q=q, perturbed=True)
+    res_in, _ = st.left_inverse_residual(1.2, 1.3, b, b, q=q)
     assert res_in <= 1e-2
 
 
