@@ -251,10 +251,11 @@ def _intervals_from_config(cfg) -> list:
             out = [bnd.Interval(float(a), float(b)) for a, b in pairs]
         except (TypeError, ValueError):
             out = []
-        if not out or not all(-math.inf < I.lo < I.hi < math.inf
+        if not out or not all(-math.inf < I.lo < I.hi <= cfg.target_t
                               for I in out):
             raise ConfigError(f"slicing.intervals must be a non-empty "
-                              f"list of finite [lo, hi] with lo < hi, got "
+                              f"list of finite [lo, hi] with lo < hi <= "
+                              f"the target time t = {cfg.target_t!r}, got "
                               f"{pairs!r}")
         return out
     raise ConfigError(f"slicing mode {mode!r} needs the diagonal or discrete path")

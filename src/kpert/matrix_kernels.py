@@ -11,10 +11,23 @@ and absorbing chains hold by construction.
 
 Vector entries may be +inf (saturating); we adopt the measure-theoretic
 convention 0 * inf = 0.
+
+A MatrixKernel is immutable: it holds a read-only copy of the array it is
+given, so the caller's array stays writable and changing it leaves the
+kernel as it was.  The arithmetic of the checks below is therefore done
+once per kernel and memoised on it: the Neumann sum per (f, max_terms,
+tail_tol), the rows f, Kf, ..., K^n f of the decay check, K^m per m and
+the absorption test per mask.  The memo holds one f at a time, so a new
+f drops the series and rows of the last one; besides those it holds one
+n x n power per m asked for and one flag per mask.  Every call still
+runs its own checks (the vector, c, m, absorption, the series status)
+and gets arrays of its own; only the arithmetic is shared, with the bits
+of computing it again.
 """
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +40,14 @@ class MatrixKernel:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        e = np.array(self.entries, dtype=float)     # a copy, in its layout
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("kernel matrix must be square")
         if not np.all(np.isfinite(e)) or np.any(e < 0):
             raise ValueError("kernel entries must be finite and nonnegative")
+        e.flags.writeable = False
         object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -54,8 +69,16 @@ class StateSet:
 
     @classmethod
     def from_indices(cls, n, indices):
+        """The set of the given states; each index must be an integer in
+        0 .. n-1 (a float, a bool or a negative index is refused)."""
+        indices = list(indices)
+        for i in indices:
+            if isinstance(i, bool) or not (
+                    isinstance(i, (int, np.integer)) and 0 <= i < n):
+                raise ValueError(f"state index {i!r} is not an integer "
+                                 f"in 0..{n - 1}")
         m = np.zeros(n, dtype=bool)
-        m[list(indices)] = True
+        m[indices] = True
         return cls(m)
 
     @classmethod
@@ -117,10 +140,39 @@ def restrict(K: MatrixKernel, A: StateSet, side: str) -> MatrixKernel:
     return MatrixKernel(e)
 
 
+def _memoised(memo: dict, key, compute):
+    """compute() once per memo and key; an array result is kept read-only,
+    so no caller can change what a later one reads."""
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = compute()
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+    return out
+
+
+def _f_memo(K: MatrixKernel, f: np.ndarray) -> dict:
+    """K's memo for the checked vector f.  It holds one f at a time: the
+    series and rows of the last f are dropped when another comes."""
+    key = (f.shape, f.tobytes())
+    held = K._memo.get("f")
+    if held is None or held[0] != key:
+        held = K._memo["f"] = (key, {})
+    return held[1]
+
+
+def _power(K: MatrixKernel, m) -> np.ndarray:
+    """K^m by np.linalg.matrix_power, once per kernel and m."""
+    m = operator.index(m)
+    return _memoised(K._memo, ("power", m),
+                     lambda: np.linalg.matrix_power(K.entries, m))
+
+
 def is_absorbing(K: MatrixKernel, A: StateSet) -> bool:
     """True iff no row x in A has mass outside A."""
     _check_dim(K, len(A.mask), "mask")
-    return bool(np.all(K.entries[A.mask][:, ~A.mask] == 0.0))
+    return _memoised(K._memo, ("absorbing", A.mask.tobytes()), lambda: bool(
+        np.all(K.entries[A.mask][:, ~A.mask] == 0.0)))
 
 
 def verify_power_identity(K: MatrixKernel, A: StateSet, m: int) -> bool:
@@ -129,12 +181,12 @@ def verify_power_identity(K: MatrixKernel, A: StateSet, m: int) -> bool:
         raise ValueError("m must be a positive integer")
     if not is_absorbing(K, A):
         raise PreconditionError("set is not absorbing for the kernel")
-    km = np.linalg.matrix_power(K.entries, m)
+    km = _power(K, m)
     rows = A.mask[:, None]
     lhs = np.where(rows, km, 0.0)
     mid = np.linalg.matrix_power(np.where(rows, K.entries, 0.0), m)
     rhs = np.where(rows & A.mask[None, :], km, 0.0)
-    return np.array_equal(lhs, mid) and np.array_equal(mid, rhs)
+    return bool((lhs == mid).all() and (mid == rhs).all())
 
 
 def verify_slice_identity(K: MatrixKernel, A: StateSet, B: StateSet,
@@ -147,12 +199,12 @@ def verify_slice_identity(K: MatrixKernel, A: StateSet, B: StateSet,
     if not (is_absorbing(K, A) and is_absorbing(K, B)):
         raise PreconditionError("both sets must be absorbing")
     s = B.mask & ~A.mask
-    km = np.linalg.matrix_power(K.entries, m)
+    km = _power(K, m)
     ksm = np.linalg.matrix_power(np.where(s[None, :], K.entries, 0.0), m)
     one = np.where(B.mask[:, None] & s[None, :], km, 0.0)
     two = np.where(B.mask[:, None], ksm, 0.0)
     three = np.where(s[:, None], ksm, 0.0)
-    return np.array_equal(one, two) and np.array_equal(two, three)
+    return bool((one == two).all() and (two == three).all())
 
 
 @dataclass(frozen=True)
@@ -218,9 +270,20 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     forms its running totals; the stopping rule then walks the block's
     term maxima and scales as floats.  The accumulation adds row after
     row, so value, n_terms, status and tail_estimate have the bits of a
-    loop that adds one term at a time.
+    loop that adds one term at a time.  The sum is memoised on K per
+    (f, max_terms, tail_tol), and each call gets its own copy of value.
     """
     f = _vector(K, f)
+    value, n_terms, status, tail = _memoised(
+        _f_memo(K, f), ("series", max_terms, tail_tol),
+        lambda: _sum_series(K, f, max_terms, tail_tol))
+    return MatrixSeriesResult(value.copy(), n_terms, status, tail)
+
+
+def _sum_series(K: MatrixKernel, f: np.ndarray, max_terms: int,
+                tail_tol: float):
+    """neumann_series's (value, n_terms, status, tail_estimate) for a
+    checked f, summed: the memo holds this value, and no caller sees it."""
     total = f.copy()
     tn = float(np.max(f))
     growing = 0                     # consecutive terms above the last
@@ -236,17 +299,16 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
             m += 1
             last, tn = tn, top
             if tn <= tail_tol * scale:
-                return MatrixSeriesResult(sums[i].copy(), m, "converged", tn)
+                return sums[i].copy(), m, "converged", tn
             growing = growing + 1 if tn > last else 0
             if not radius_checked and growing >= 10:
                 radius_checked = True
                 if _radius_toward(K, f) >= 1.0:
-                    return MatrixSeriesResult(sums[i].copy(), m,
-                                              "diverging", tn)
+                    return sums[i].copy(), m, "diverging", tn
         total = sums[-1].copy()
     if not radius_checked and _radius_toward(K, f) >= 1.0:
-        return MatrixSeriesResult(total, max_terms, "diverging", tn)
-    return MatrixSeriesResult(total, max_terms, "truncated", tn)
+        return total, max_terms, "diverging", tn
+    return total, max_terms, "truncated", tn
 
 
 # Rows per block of _term_blocks.  A block costs a few reductions, and a
@@ -328,7 +390,9 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
     K^n f <= c (1 - 1/c)^n f on A for n <= n_max, plus the converse
     series bound sum_n K^n f <= c^2 f on A.  The hypothesis is checked
     on the summed series, so a series that did not converge raises.
-    Every bound is formed with 0 * inf = 0."""
+    Every bound is formed with 0 * inf = 0.  The series and the rows
+    f, Kf, ..., K^n_max f come from K's memo, so the checks of one
+    (K, f) on every set of a chain sum the series once."""
     f = np.asarray(f, dtype=float)
     if not is_absorbing(K, A):
         raise PreconditionError("set is not absorbing")
@@ -350,11 +414,25 @@ def check_geometric_decay(K: MatrixKernel, f, A: StateSet, c: float,
     slack = 1 + 1e-12
     rho = 1.0 - 1.0 / c
     f_a = f[A.mask]
-    terms = np.vstack((f, *_term_blocks(K, f, n_max)))[:, A.mask]
+    terms = _term_rows(K, f, n_max)[:, A.mask]
     decay = np.array([c * rho ** n for n in range(n_max + 1)])
     if not (terms <= _times(decay[:, None], f_a) * slack + 1e-300).all():
         return False
     return bool(np.all(g[A.mask] <= _times(c * c, f_a) * slack + 1e-300))
+
+
+def _term_rows(K: MatrixKernel, f: np.ndarray, n_max: int) -> np.ndarray:
+    """The rows f, Kf, ..., K^n_max f of a checked f, memoised on K: a
+    larger n_max carries on from the last row held, which _term_blocks
+    continues with the bits of one unbroken run."""
+    memo = _f_memo(K, f)
+    rows = memo.get("rows", f[None])
+    if len(rows) <= n_max:
+        rows = np.vstack((rows, *_term_blocks(K, rows[-1],
+                                              n_max + 1 - len(rows))))
+        rows.flags.writeable = False
+        memo["rows"] = rows
+    return rows[:n_max + 1]
 
 
 def _times(a, f):
@@ -422,7 +500,11 @@ def load_discrete_problem(path):
     K = MatrixKernel(np.asarray(doc["entries"], dtype=float))
     if K.n != n:
         raise ValueError("declared n disagrees with the entries shape")
-    sets = {name: StateSet.from_indices(n, idx)
-            for name, idx in doc.get("sets", {}).items()}
+    sets = {}
+    for name, idx in doc.get("sets", {}).items():
+        try:
+            sets[name] = StateSet.from_indices(n, idx)
+        except ValueError as exc:
+            raise ValueError(f"set {name!r}: {exc}") from exc
     f = np.asarray(doc["f"], dtype=float) if "f" in doc else np.ones(n)
     return K, sets, f

@@ -300,6 +300,30 @@ BAD_CERTIFY_INPUTS = {
         "problem.json: 'B9'"),
     "discrete-no-path": ({"discrete": {"chain": ["A1"]}}, None,
                          "needs --discrete or discrete.path"),
+    # intervals at or above the target time certified an empty slice: one
+    # VALID certificate with ratio 0, exit 0
+    "intervals-above-target": (
+        {"slicing": {"mode": "intervals", "intervals": [[1.5, 2.0]]}}, None,
+        "with lo < hi <= the target time t = 1.0"),
+    "intervals-past-target": (
+        {"slicing": {"mode": "intervals",
+                     "intervals": [[0.0, 0.5], [0.5, 1.25]]}}, None,
+        "with lo < hi <= the target time t = 1.0"),
+    # set indices past n, a float or a bool ended in an IndexError
+    # traceback; -1 silently meant state n - 1 and certified VALID
+    "discrete-index-past-n": (
+        _DISCRETE, {**_PROBLEM, "sets": {"A1": [0, 5], "A2": [0, 1]}},
+        "set 'A1': state index 5 is not an integer in 0..1"),
+    "discrete-index-float": (
+        _DISCRETE, {**_PROBLEM, "sets": {"A1": [0.5], "A2": [0, 1]}},
+        "set 'A1': state index 0.5 is not an integer in 0..1"),
+    "discrete-index-bool": (
+        _DISCRETE, {**_PROBLEM, "sets": {"A1": [0], "A2": [True, 1]}},
+        "set 'A2': state index True is not an integer in 0..1"),
+    "discrete-index-negative": (
+        _DISCRETE, {**_PROBLEM, "entries": [[0.5, 0.25], [0.0, 0.5]],
+                    "sets": {"A1": [-1], "A2": [0, 1]}},
+        "set 'A1': state index -1 is not an integer in 0..1"),
 }
 
 

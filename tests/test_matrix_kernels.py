@@ -309,8 +309,10 @@ def test_neumann_matches_reference_on_random_instances():
 ])
 def test_neumann_matches_reference_on_edge_cases(entries, f, max_terms,
                                                  status):
-    res = _assert_same_bits(MatrixKernel(entries), f, max_terms=max_terms)
-    assert res.status == status
+    K = MatrixKernel(entries)
+    for _ in range(3):                  # the second and third read the memo
+        res = _assert_same_bits(K, f, max_terms=max_terms)
+        assert res.status == status
 
 
 def _shift(n, weights=None):
@@ -396,7 +398,7 @@ def test_neumann_blocks_overflow_on_a_large_kernel_block_edge():
 def test_neumann_blocks_radius_test_fires_mid_block(chain):
     # flat terms down a shift, then a self-loop of weight 2 doubles them:
     # the tenth growing term lands mid-block and the radius is 2
-    e = _shift(chain).entries
+    e = _shift(chain).entries.copy()
     e[0, 0] = 2.0
     K = MatrixKernel(e)
     f = np.zeros(chain)
@@ -457,6 +459,10 @@ def test_decay_matches_reference_on_edge_cases(entries, f, c, n_max, want):
     K, f, A = MatrixKernel(entries), np.asarray(f), _full(2)
     assert _reference_decay(K, f, A, c, n_max) == want
     assert check_geometric_decay(K, f, A, c, n_max) == want
+    # again from the memo, after its rows were extended past n_max
+    for n in (n_max + 3, n_max):
+        assert check_geometric_decay(K, f, A, c, n) == \
+            _reference_decay(K, f, A, c, n)
 
 
 def test_decay_hypothesis_takes_inf_times_zero_as_zero():
@@ -522,6 +528,157 @@ def test_decay_random_with_measured_constant():
         A = chain.sets[-1]
         c = max(float(np.max(g[A.mask])), 1.0) * (1 + 1e-12)
         assert check_geometric_decay(K, f, A, c, 20)
+
+
+# -- the memo on an immutable kernel -------------------------------------------
+
+@pytest.mark.bits
+def test_memoised_series_matches_reference_on_repeat_calls():
+    # every call after the first reads the memo; a second f replaces the
+    # first, which is then summed again
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        K, _ = random_absorbing_instance(rng, contractive=True)
+        f, g = rng.random(K.n), rng.random(K.n)
+        for v in (f, f, g, f, f):
+            _assert_same_bits(K, v)
+        _assert_same_bits(K, f, max_terms=5)
+        _assert_same_bits(K, f)
+
+
+@pytest.mark.bits
+def test_memoised_decay_matches_reference_on_random_instances():
+    # n_max goes down, up past the rows held, and down again, so the
+    # memo's rows are cut and extended
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        K, chain = random_absorbing_instance(rng, contractive=True)
+        f = rng.random(K.n) + 0.5
+        g = exact_series_sum(K, f)
+        for n_max in (20, 3, 2 * mk._BLOCK + 1, 0, 20):
+            rows = [f]
+            for _ in range(n_max):
+                rows.append(apply(K, rows[-1]))
+            assert mk._term_rows(K, f, n_max).tobytes() == \
+                np.array(rows).tobytes()
+            for A in chain.sets:
+                tight = max(float(np.max(g[A.mask] / f[A.mask])), 1.0)
+                for c in (tight * (1 + 1e-12), 2.0 * tight):
+                    want = _reference_decay(K, f, A, c, n_max)
+                    assert check_geometric_decay(K, f, A, c, n_max) == want
+
+
+@pytest.mark.bits
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_memoised_identities_match_a_fresh_kernel():
+    # non-dyadic weights on the absorbing pattern, some of them near 1e160
+    # so that K^2 overflows and 0 * inf puts NaN into K^3: then identities
+    # fail, and the memo must give every verdict a fresh kernel gives,
+    # with K^m of matrix_power's bits
+    rng = np.random.default_rng(47)
+    verdicts = set()
+    for i in range(40):
+        K, chain = random_absorbing_instance(rng)
+        scale = 1e160 if i % 4 == 0 else 1.0
+        K = MatrixKernel(K.entries * scale
+                         * (1.0 + rng.random(K.entries.shape)))
+        for m in (1, 2, 3, 2):
+            assert mk._power(K, m).tobytes() == \
+                np.linalg.matrix_power(K.entries, m).tobytes()
+            for A in chain.sets:
+                got = verify_power_identity(K, A, m)
+                assert got == verify_power_identity(
+                    MatrixKernel(K.entries), A, m)
+                verdicts.add(got)
+            for a in range(chain.k):
+                for b in range(a, chain.k):
+                    A, B = chain.sets[a], chain.sets[b]
+                    got = verify_slice_identity(K, A, B, m)
+                    assert got == verify_slice_identity(
+                        MatrixKernel(K.entries), A, B, m)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_series_value_belongs_to_the_caller():
+    K, f = MatrixKernel([[0.5, 0.25], [0.0, 0.5]]), np.ones(2)
+    first = neumann_series(K, f)
+    want = first.value.tobytes()
+    first.value[:] = -1.0
+    assert neumann_series(K, f).value.tobytes() == want
+    g = neumann_series(K, f).value
+    g[0] = 7.0                                  # writable, and a copy
+    assert neumann_series(K, f).value.tobytes() == want
+
+
+def test_kernel_keeps_a_read_only_copy_of_its_entries():
+    e = np.array([[0.5, 0.25], [0.0, 0.5]])
+    K, f = MatrixKernel(e), np.ones(2)
+    want = neumann_series(K, f).value.tobytes()
+    assert e.flags.writeable and not K.entries.flags.writeable
+    e[0, 1] = 0.75
+    assert K.entries[0, 1] == 0.25
+    assert neumann_series(K, f).value.tobytes() == want
+    assert check_geometric_decay(K, f, _full(2), 4.0 * (1 + 1e-12), 5)
+    with pytest.raises(ValueError, match="read-only"):
+        K.entries[0, 0] = 1.0
+
+
+def test_decay_checks_on_one_pair_sum_once(monkeypatch):
+    # k sets of a chain, each checked twice, make one summation and one
+    # run of term rows; another f is summed anew
+    calls = {"sum": 0, "rows": 0}
+    sum_series, term_blocks = mk._sum_series, mk._term_blocks
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(mk, "_sum_series", counted("sum", sum_series))
+    monkeypatch.setattr(mk, "_term_blocks", counted("rows", term_blocks))
+    K = MatrixKernel([[0.25, 0.0, 0.0], [0.25, 0.25, 0.0],
+                      [0.25, 0.25, 0.25]])
+    f = np.ones(3)
+    chain = AbsorbingChain(tuple(StateSet.from_indices(3, range(j + 1))
+                                 for j in range(3)))
+    for A in chain.sets * 2:
+        assert check_geometric_decay(K, f, A, 16.0, 20)
+    assert calls == {"sum": 1, "rows": 2}
+    check_geometric_decay(K, 2.0 * f, chain.sets[-1], 16.0, 20)
+    assert calls == {"sum": 2, "rows": 4}
+
+
+def test_memo_hit_still_checks_the_input():
+    # state 1 is absorbing, state 0 is not
+    K, f = MatrixKernel([[0.25, 0.25], [0.0, 0.5]]), np.ones(2)
+    A, B = StateSet.from_indices(2, [1]), _full(2)
+    assert check_geometric_decay(K, f, A, 2.0, 5)
+    assert verify_power_identity(K, A, 2)
+    assert verify_slice_identity(K, A, B, 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_geometric_decay(K, f, A, 0.5, 5)
+    with pytest.raises(PreconditionError, match="not absorbing"):
+        check_geometric_decay(K, f, StateSet.from_indices(2, [0]), 2.0, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_geometric_decay(K, np.array([-1.0, 1.0]), A, 2.0, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        neumann_series(K, np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="length 3"):
+        neumann_series(K, np.ones(3))
+    with pytest.raises(PreconditionError, match="not absorbing"):
+        verify_power_identity(K, StateSet.from_indices(2, [0]), 2)
+    with pytest.raises(ValueError, match="positive integer"):
+        verify_power_identity(K, A, 0)
+    with pytest.raises(TypeError):
+        verify_power_identity(K, A, 2.0)
+    with pytest.raises(PreconditionError, match="contained"):
+        verify_slice_identity(K, B, A, 2)
+    diverging = MatrixKernel([[1.0]])
+    for _ in range(2):                  # the status is checked on each call
+        with pytest.raises(PreconditionError, match="diverging"):
+            check_geometric_decay(diverging, np.ones(1), _full(1), 2e4)
 
 
 # -- chain and serialization ---------------------------------------------------
