@@ -36,12 +36,19 @@ QUAD_TOL_FACTOR = 10.0
 
 def gronwall_bound(alpha: float, delta: float, j: int) -> float:
     """Closed form alpha * (1 + delta)**(j-1) dominating the recursion
-    gamma_j <= alpha + delta * sum_{i<j} gamma_i."""
+    gamma_j <= alpha + delta * sum_{i<j} gamma_i; DomainError when it
+    exceeds the largest float."""
     if j < 1 or int(j) != j:
         raise ValueError("index j must be a positive integer")
     if alpha < 0 or delta < 0:
         raise ValueError("alpha and delta must be nonnegative")
-    return alpha * (1.0 + delta) ** (j - 1)
+    try:
+        bound = alpha * (1.0 + delta) ** (j - 1)
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise DomainError(f"the slice bound overflows a float at slice {j}")
+    return bound
 
 
 def theorem_bound(eta: float, beta: float, j: int) -> float:
@@ -167,7 +174,6 @@ class MatrixSliceProblem:
         # same places, and no restricted copy of K
         self._Kjf = [mk.apply(K, np.where(S.mask, self.f, 0.0))
                      for S in self._slices]
-        self._series = None
 
     @property
     def k(self):
@@ -186,10 +192,8 @@ class MatrixSliceProblem:
         return self._Kjf[j - 1][pts]
 
     def series(self, pts):
-        """The series at pts; summed on the first call, once for all slices."""
-        if self._series is None:
-            self._series = mk.neumann_series(self.K, self.f)
-        res = self._series
+        """The series at pts; K's memo sums it once for all slices."""
+        res = mk.neumann_series(self.K, self.f)
         rep = TruncationReport(res.n_terms, res.status, res.tail_estimate, 0.0)
         return res.value[pts], rep
 
@@ -275,14 +279,24 @@ def certify(problem, eta: float, beta: float, n_samples: int = 64):
     The series is computed by the problem's own engine (exact summation
     for matrices, quadrature-backed series otherwise) at the slice's
     points; INCONCLUSIVE when that series did not converge, never INVALID
-    in that case.  An eta of one or more raises SmallnessError.
+    in that case, and for a sampled slice that no sample point falls in,
+    where no series is computed.  An eta of one or more raises
+    SmallnessError, and a bound past the largest float DomainError, both
+    before any series is summed.
     """
     if not eta < 1.0:
         raise SmallnessError(eta)
+    theorem_bound(eta, beta, problem.k)     # the largest; raises first
     certs = []
     for j in range(1, problem.k + 1):
         pts = problem.slice_points(j, None, n_samples)
         bound = theorem_bound(eta, beta, j)
+        if not problem.exact and len(pts) == 0:
+            certs.append(BoundCertificate(
+                slice_index=j, eta=eta, beta=beta, theorem_bound=bound,
+                measured_ratio=0.0, status="INCONCLUSIVE", sample_count=0,
+                note="no sample point in the slice"))
+            continue
         f = problem.control(pts)
         series, rep = problem.series(pts)
         ratio = _sup_ratio(series, f)

@@ -9,6 +9,12 @@ Subcommands
     weyl          half-derivative spot checks -> CSV
     reproduce     the full acceptance table
 
+Settings come from the JSON run configuration (--config), whose shape is
+checked before any value is read; a discrete certify names its problem
+file there, at discrete.path.  The command line adds only --out, --seed
+(certify, kato, 3g, reproduce), --windows (kato), --samples (3g) and
+--only (reproduce); oracle-check, 3g, weyl and reproduce take no config.
+
 Exit codes: 0 success, 2 config error, 3 any INVALID certificate,
 4 any INCONCLUSIVE / HYPOTHESIS_FAIL, or a slice constant eta >= 1
 (``certify`` then writes only the error and eta).  All outputs are
@@ -33,7 +39,7 @@ from kpert import bounds as bnd
 from kpert import matrix_kernels as mk
 from kpert import perturbation as pt
 from kpert import spacetime as st
-from kpert.errors import SmallnessError
+from kpert.errors import DomainError, SmallnessError
 from kpert.measures import PerturbingMeasure, measure_from_config
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -68,19 +74,61 @@ class RunConfig:
         return st.resolve_kernel(self.kernel_name, self.dim)
 
 
+def _whole_number(value) -> bool:
+    """True for an int or an integral float; a bool is not one."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int)
+        or isinstance(value, float) and value.is_integer())
+
+
+# config sections, by dotted path, that must be JSON objects when present
+_OBJECTS = ("kernel", "measure", "measure.density", "target", "samples",
+            "samples.grid", "slicing", "quad", "discrete")
+
+
+def _check_structure(doc):
+    """The shapes load_config reads values out of: the document and each
+    section of _OBJECTS a JSON object, discrete.path a string and each
+    axis of samples.grid [lo, hi, n]; else a ConfigError naming the part."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a config must be a JSON object, got {doc!r}")
+    for name in _OBJECTS:
+        outer, _, key = name.rpartition(".")
+        section = doc.get(outer, {}) if outer else doc
+        if key in section and not isinstance(section[key], dict):
+            raise ConfigError(f"{name} must be a JSON object, got "
+                              f"{section[key]!r}")
+    path = doc.get("discrete", {}).get("path", "")
+    if not isinstance(path, str):
+        raise ConfigError(f"discrete.path must be a string, got {path!r}")
+    grid = doc.get("samples", {}).get("grid")
+    for axis in ("s", "x") if grid is not None else ():
+        spec = grid.get(axis)
+        if not (isinstance(spec, list) and len(spec) == 3
+                and all(isinstance(v, (int, float)) for v in spec)
+                and _whole_number(spec[2]) and spec[2] >= 0):
+            raise ConfigError(f"samples.grid.{axis} must be [lo, hi, n] "
+                              f"with n a non-negative integer, got {spec!r}")
+
+
 def load_config(path, seed=None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    _check_structure(doc)
     try:
         cfg = RunConfig()
         kdoc = doc.get("kernel", {})
         cfg.kernel_name = kdoc.get("name", "gaussian")
-        cfg.dim = int(kdoc.get("d", 1))
+        d = kdoc.get("d", 1)
+        if not (_whole_number(d) and d >= 1):
+            raise ConfigError(f"kernel d must be a positive integer, got "
+                              f"{d!r}")
+        cfg.dim = int(d)
         if "measure" in doc:
-            cfg.measure = measure_from_config(doc["measure"])
+            cfg.measure = measure_from_config(doc["measure"], cfg.dim)
         tdoc = doc.get("target", {})
         cfg.target_t = float(tdoc.get("t", 1.0))
         cfg.target_y = float(tdoc.get("y", 0.0))
@@ -271,16 +319,12 @@ def _smallness_fails(out_dir, eta) -> int:
     return 4
 
 
-def _discrete_problem(args, cfg):
-    """The problem at --discrete PATH, else at discrete.path (relative to
-    the config); any fault in it is one ConfigError naming the file."""
-    if args.discrete:
-        path = args.discrete
-    elif "path" in cfg.discrete:
-        path = str(cfg.base_dir / cfg.discrete["path"])
-    else:
-        raise ConfigError("a discrete certify needs --discrete or "
-                          "discrete.path")
+def _discrete_problem(cfg):
+    """The problem at discrete.path (relative to the config); any fault in
+    it is one ConfigError naming the file."""
+    if "path" not in cfg.discrete:
+        raise ConfigError("a discrete certify needs discrete.path")
+    path = str(cfg.base_dir / cfg.discrete["path"])
     try:
         K, sets, f = mk.load_discrete_problem(path)
         names = cfg.discrete.get("chain", sorted(sets))
@@ -290,11 +334,11 @@ def _discrete_problem(args, cfg):
         raise ConfigError(f"invalid discrete problem {path}: {exc}") from exc
 
 
-def _certificates(args, cfg):
+def _certificates(cfg):
     """The certificates of one certify run, by the branch the config
     selects; SmallnessError for a slice constant eta >= 1."""
-    if args.discrete or cfg.discrete:
-        prob = _discrete_problem(args, cfg)
+    if cfg.discrete:
+        prob = _discrete_problem(cfg)
         const = bnd.estimate_constants(prob)
         return bnd.certify(prob, const.eta, const.beta)
     if cfg.slicing.get("mode") == "diagonal-level":
@@ -321,23 +365,23 @@ def _certificates(args, cfg):
 def cmd_certify(args) -> int:
     cfg = load_config(args.config, args.seed)
     try:
-        certs = _certificates(args, cfg)
+        certs = _certificates(cfg)
     except SmallnessError as exc:
         return _smallness_fails(args.out, exc.eta)
+    except DomainError as exc:
+        raise ConfigError(f"{exc}; fewer slices keep it finite") from exc
     _write(args.out, "certificates.json", certificates_json(certs))
     _write(args.out, "certificates.csv", certificates_csv(certs))
     return _certificate_exit(certs)
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
     g = st.gaussian_kernel(1)
     rows = ["case,measured,expected,rel_error"]
     from kpert.measures import Atom, ConstDensity
     for lam in (0.25, 1.0):
         mu = PerturbingMeasure(ConstDensity(lam))
-        r = pt.series_batch(g, mu, [0.0], [0.3], 1.0, 0.0,
-                            quad_tol=cfg.quad_tol)[0]
+        r = pt.series_batch(g, mu, [0.0], [0.3], 1.0, 0.0)[0]
         exp = math.exp(lam)
         rows.append(f"atomless-lam={lam},{_fmt(r.ratio)},{_fmt(exp)},"
                     f"{_fmt(abs(r.ratio - exp) / exp)}")
@@ -455,12 +499,9 @@ def build_parser():
     common(p)
     p.add_argument("--seed", type=_seed, default=None,
                    help="overrides the config's seed (default 0)")
-    p.add_argument("--discrete", default=None,
-                   help="path to a matrix-kernel JSON problem; overrides "
-                        "discrete.path")
     p.set_defaults(fn=cmd_certify)
     p = sub.add_parser("oracle-check", help="closed-form oracle comparisons")
-    common(p, config_required=False)
+    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_oracle_check)
     p = sub.add_parser("kato", help="window modulus ladder")
     common(p, config_required=False)

@@ -12,17 +12,18 @@ and absorbing chains hold by construction.
 Vector entries may be +inf (saturating); we adopt the measure-theoretic
 convention 0 * inf = 0.
 
-A MatrixKernel is immutable: it holds a read-only copy of the array it is
-given, so the caller's array stays writable and changing it leaves the
-kernel as it was.  The arithmetic of the checks below is therefore done
-once per kernel and memoised on it: the Neumann sum per (f, max_terms,
-tail_tol), the rows f, Kf, ..., K^n f of the decay check, K^m per m and
-the absorption test per mask.  The memo holds one f at a time, so a new
-f drops the series and rows of the last one; besides those it holds one
-n x n power per m asked for and one flag per mask.  Every call still
-runs its own checks (the vector, c, m, absorption, the series status)
-and gets arrays of its own; only the arithmetic is shared, with the bits
-of computing it again.
+A MatrixKernel is immutable: it holds a read-only copy of the array it
+is given, so the caller's array stays writable and changing it leaves
+the kernel as it was; kernels and state sets compare and hash by
+identity, so either can key a dict.  The arithmetic of the checks below
+is therefore done once per kernel and memoised on it: the Neumann sum
+per (f, max_terms, tail_tol), the rows f, Kf, ..., K^n f of the decay
+check, K^m per m and the absorption test per mask.  The memo holds one f
+at a time, so a new f drops the series and rows of the last one; besides
+those it holds one n x n power per m asked for and one flag per mask.
+Every call still runs its own checks (the vector, c, m, absorption, the
+series status) and gets arrays of its own; only the arithmetic is
+shared, with the bits of computing it again.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 from kpert.errors import PreconditionError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixKernel:
     entries: np.ndarray
 
@@ -57,7 +58,7 @@ class MatrixKernel:
         return {"n": self.n, "entries": self.entries.tolist()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSet:
     mask: np.ndarray
 

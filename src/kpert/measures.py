@@ -147,21 +147,29 @@ class CornerPowerDensity:
         return np.where(ok, self.c * s ** (-self.p), 0.0)
 
 
-def measure_from_config(doc: dict) -> PerturbingMeasure:
-    """Build a measure from the config JSON fragment.
+def measure_from_config(doc: dict, dim: int) -> PerturbingMeasure:
+    """Build a measure from the config JSON fragment, for a kernel in
+    dimension ``dim``.
 
     {"density": {"kind": "const", "lambda": ..} | {"kind": "q0", "c": ..,
     "p": ..} | {"kind": "power", "eps": ..}, "atoms": [{"u": .., "eta": ..}],
-    "support": [a, b]}
+    "support": [a, b]}; a density's "dim" defaults to ``dim`` and must
+    equal it.
     """
     density = None
     dd = doc.get("density")
     if dd:
         kind = dd.get("kind")
-        dim = int(dd.get("dim", 1))
+        ddim = dd.get("dim", dim)
+        if isinstance(ddim, bool) or ddim != dim:
+            raise ValueError(f"density dim must equal the kernel's d = "
+                             f"{dim}, got {ddim!r}")
         if kind == "const":
             density = ConstDensity(float(dd["lambda"]), dim)
         elif kind == "q0":
+            if dim != 1:
+                raise ValueError(f"density kind 'q0' takes d = 1, the "
+                                 f"kernel has d = {dim}")
             density = CornerPowerDensity(float(dd["c"]), float(dd["p"]))
         elif kind == "power":
             density = PowerLawSpaceDensity(float(dd["eps"]), dim)

@@ -28,6 +28,15 @@ def test_gronwall_bound_examples():
         gronwall_bound(1.0, 1.0, 0)
 
 
+def test_gronwall_bound_past_float_range_raises():
+    # 2**1023 is the largest power of two below the largest float
+    assert gronwall_bound(1.0, 1.0, 1024) == 2.0 ** 1023
+    for alpha, j in ((1.0, 1025), (2.0, 1024), (1.0, 5000)):
+        with pytest.raises(DomainError, match=f"overflows a float at "
+                                              f"slice {j}"):
+            gronwall_bound(alpha, 1.0, j)
+
+
 def test_gronwall_recursion_equality():
     # running the recursion with equality reproduces the closed form
     alpha, delta = 1.0, 1.0
@@ -130,10 +139,11 @@ def test_estimate_constants_flags_zero_control():
 
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_matrix_certify_sums_the_series_once(k, monkeypatch):
+    # one summation for all k slices, whichever cache holds it
     calls = []
-    neumann = mk.neumann_series
-    monkeypatch.setattr(mk, "neumann_series",
-                        lambda K, f: calls.append(1) or neumann(K, f))
+    sum_series = mk._sum_series
+    monkeypatch.setattr(mk, "_sum_series",
+                        lambda *a: calls.append(1) or sum_series(*a))
     K = mk.MatrixKernel(np.tril(np.full((4, 4), 0.125)))
     chain = mk.AbsorbingChain(tuple(
         mk.StateSet.from_indices(4, range(5 - k + i)) for i in range(k)))
@@ -142,6 +152,52 @@ def test_matrix_certify_sums_the_series_once(k, monkeypatch):
     certs = certify(prob, const.eta, const.beta)
     assert [c.status for c in certs] == ["VALID"] * k
     assert len(calls) == 1
+
+
+class _SampledProblem:
+    """Two sampled slices; slice 1 draws no point, and summing a series
+    there fails the test."""
+
+    exact = False
+    quad_error = 0.0
+    k = 2
+
+    def slice_points(self, j, rng, n):
+        return np.ones((0 if j == 1 else n, 2))
+
+    def control(self, pts):
+        return np.ones(len(pts))
+
+    def series(self, pts):
+        assert len(pts) > 0
+        return np.full(len(pts), 1.5), TruncationReport()
+
+
+def test_certify_sampled_slice_without_points_is_inconclusive():
+    empty, full = certify(_SampledProblem(), 0.25, 0.25, n_samples=3)
+    assert (empty.status, empty.sample_count, empty.measured_ratio) == \
+        ("INCONCLUSIVE", 0, 0.0)
+    assert empty.note == "no sample point in the slice"
+    assert empty.theorem_bound == theorem_bound(0.25, 0.25, 1)
+    assert (full.status, full.sample_count, full.measured_ratio) == \
+        ("VALID", 3, 1.5)
+
+
+def test_certify_exact_empty_slice_is_summed():
+    # a matrix chain whose second set adds no state: an empty slice of an
+    # exact problem stays VALID with ratio 0
+    K = mk.MatrixKernel([[0.25, 0.0], [0.25, 0.25]])
+    A1 = mk.StateSet.from_indices(2, [0])
+    chain = mk.AbsorbingChain((A1, A1, _full(2)))
+    certs = certify(MatrixSliceProblem(K, np.ones(2), chain), 0.5, 0.5)
+    assert [(c.status, c.sample_count) for c in certs] == \
+        [("VALID", 1), ("VALID", 0), ("VALID", 1)]
+    assert certs[1].measured_ratio == 0.0
+
+
+def test_certify_checks_the_largest_bound_before_any_series():
+    with pytest.raises(DomainError, match="slice 2000"):
+        certify(type("Many", (_SampledProblem,), {"k": 2000})(), 0.5, 0.5)
 
 
 def test_matrix_slice_apply_matches_restriction():

@@ -110,15 +110,14 @@ def test_main_parses_each_call_afresh(tmp_path, monkeypatch):
     monkeypatch.setattr(parser, "parse_args",
                         lambda argv=None: seen.append(parse(argv)) or seen[-1])
     assert run_cli("certify", "--config",
-                   str(FIXTURES / "certify_discrete.json"), "--discrete",
-                   str(FIXTURES / "discrete_eta05.json"), "--seed", "3",
+                   str(FIXTURES / "certify_discrete.json"), "--seed", "3",
                    "--out", str(tmp_path / "a")) == 0
     assert run_cli("series", "--config",
                    str(FIXTURES / "series_zero_measure.json"),
                    "--out", str(tmp_path / "b")) == 0
     assert cli._parser() is parser
     first, second = seen
-    assert first.discrete is not None and first.seed == 3
+    assert first.seed == 3
     assert vars(second) == {"command": "series",
                             "config": str(FIXTURES / "series_zero_measure.json"),
                             "out": str(tmp_path / "b"), "fn": cli.cmd_series}
@@ -225,6 +224,52 @@ BAD_INPUTS = {
                                          "x": [0.0, 1.0, 3]}}},
                    "samples need at least one point"),
     "negative-seed": ({"seed": -1}, "seed must be a non-negative integer"),
+    # a density dim other than the kernel's d ended in a numpy broadcast
+    # traceback; int() read d = 2.5 as 2 and d = true as 1
+    "density-dim-above-d": ({"measure": {"density": {"kind": "const",
+                                                     "lambda": 0.5,
+                                                     "dim": 2}}},
+                            "density dim must equal the kernel's d = 1, "
+                            "got 2"),
+    "density-dim-fraction": ({"kernel": {"name": "cauchy", "d": 2},
+                              "measure": {"density": {"kind": "power",
+                                                      "eps": 0.5,
+                                                      "dim": 1.5}}},
+                             "density dim must equal the kernel's d = 2, "
+                             "got 1.5"),
+    "q0-density-d2": ({"kernel": {"name": "cauchy", "d": 2},
+                       "measure": {"density": {"kind": "q0", "c": 0.5,
+                                               "p": 0.2}}},
+                      "density kind 'q0' takes d = 1, the kernel has d = 2"),
+    "kernel-d-fraction": ({"kernel": {"name": "gaussian", "d": 2.5}},
+                          "kernel d must be a positive integer, got 2.5"),
+    "kernel-d-bool": ({"kernel": {"name": "gaussian", "d": True}},
+                      "kernel d must be a positive integer, got True"),
+    # a section of the wrong JSON type ended in an AttributeError,
+    # TypeError or IndexError traceback
+    "config-not-object": ([1, 2], "a config must be a JSON object"),
+    "kernel-number": ({"kernel": 0.5}, "kernel must be a JSON object"),
+    "measure-list": ({"measure": []}, "measure must be a JSON object"),
+    "target-number": ({"target": -1}, "target must be a JSON object"),
+    "samples-string": ({"samples": "x"}, "samples must be a JSON object"),
+    "quad-list": ({"quad": [1, 2]}, "quad must be a JSON object"),
+    "slicing-number": ({"slicing": 3}, "slicing must be a JSON object"),
+    "density-bool": ({"measure": {"density": True}},
+                     "measure.density must be a JSON object"),
+    "grid-number": ({"samples": {"grid": 2}},
+                    "samples.grid must be a JSON object"),
+    "discrete-number": ({"discrete": -0.5},
+                        "discrete must be a JSON object"),
+    "discrete-path-number": ({"discrete": {"path": 0.5}},
+                             "discrete.path must be a string, got 0.5"),
+    "grid-axis-empty": ({"samples": {"grid": {"s": [0.0, 0.5, 2],
+                                              "x": []}}},
+                        "samples.grid.x must be [lo, hi, n]"),
+    "grid-axis-missing": ({"samples": {"grid": {"s": [0.0, 0.5, 2]}}},
+                          "samples.grid.x must be [lo, hi, n]"),
+    "grid-count-fraction": ({"samples": {"grid": {"s": [0.0, 0.5, 2.5],
+                                                  "x": [0.0, 1.0, 3]}}},
+                            "samples.grid.s must be [lo, hi, n]"),
 }
 
 
@@ -233,7 +278,8 @@ BAD_INPUTS = {
 def test_bad_input_exit_2_with_message(case, command, tmp_path, capsys):
     doc, message = BAD_INPUTS[case]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**_SERIES_CASE, **doc}))
+    cfg.write_text(json.dumps({**_SERIES_CASE, **doc}
+                              if isinstance(doc, dict) else doc))
     assert run_cli(command, "--config", str(cfg),
                    "--out", str(tmp_path / "out")) == 2
     assert message in capsys.readouterr().err
@@ -285,6 +331,11 @@ BAD_CERTIFY_INPUTS = {
     "diagonal-gaussian-kernel": (
         {"slicing": {"mode": "diagonal-level", "c": 0.05, "p": 0.1}}, None,
         "diagonal-level slicing takes kernel kappa"),
+    # 1245 strips at c = 0.5: the bound 2**1244 overflowed in a traceback
+    "diagonal-bound-past-float-range": (
+        {**_KAPPA, "slicing": {"mode": "diagonal-level", "c": 0.5,
+                               "p": 0.1, "eta_target": 0.5}}, None,
+        "the slice bound overflows a float at slice 1245"),
     "diagonal-target-on-axis": (
         {**_KAPPA, "target": {"t": 1.0, "y": 0.0},
          "slicing": {"mode": "diagonal-level", "c": 0.05, "p": 0.1}}, None,
@@ -299,7 +350,7 @@ BAD_CERTIFY_INPUTS = {
         {"discrete": {"path": "problem.json", "chain": ["B9"]}}, _PROBLEM,
         "problem.json: 'B9'"),
     "discrete-no-path": ({"discrete": {"chain": ["A1"]}}, None,
-                         "needs --discrete or discrete.path"),
+                         "needs discrete.path"),
     # intervals at or above the target time certified an empty slice: one
     # VALID certificate with ratio 0, exit 0
     "intervals-above-target": (
@@ -340,20 +391,6 @@ def test_bad_certify_input_exit_2_with_message(case, tmp_path, capsys):
     assert message in err
     if problem is not None:
         assert str(tmp_path / "problem.json") in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_certify_discrete_flag_overrides_config_path(tmp_path, capsys):
-    # --discrete once lost to the config's discrete.path: the config's
-    # problem was certified and the run exited 0
-    problem = json.loads((FIXTURES / "discrete_eta05.json").read_text())
-    problem["f"][0] = float("nan")
-    nanf = tmp_path / "nanf.json"
-    nanf.write_text(json.dumps(problem))
-    assert run_cli("certify", "--config",
-                   str(FIXTURES / "certify_discrete.json"), "--discrete",
-                   str(nanf), "--out", str(tmp_path / "out")) == 2
-    assert f"invalid discrete problem {nanf}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -444,6 +481,16 @@ BAD_ARGS = {
     "oracle-check-seed": (["oracle-check", "--seed", "3"],
                           "unrecognized arguments: --seed"),
     "weyl-seed": (["weyl", "--seed", "3"], "unrecognized arguments: --seed"),
+    # discrete.path and the default quadrature tolerance are the only
+    # ways to set what these set
+    "certify-discrete": (["certify", "--config",
+                          str(FIXTURES / "certify_discrete.json"),
+                          "--discrete",
+                          str(FIXTURES / "discrete_eta05.json")],
+                         "unrecognized arguments: --discrete"),
+    "oracle-check-config": (["oracle-check", "--config",
+                             str(FIXTURES / "series_atomless.json")],
+                            "unrecognized arguments: --config"),
 }
 
 
@@ -553,6 +600,24 @@ def test_certify_kappa_fixture_exit_0(tmp_path):
     assert len(certs) == 4
 
 
+def test_certify_kappa_strip_without_sample_is_inconclusive(tmp_path):
+    # at c = 0.2 strips 3, 4 and 124-126 of 126 draw no Halton point;
+    # the run ended in "max() arg is an empty sequence"
+    doc = json.loads((FIXTURES / "certify_kappa.json").read_text())
+    doc["slicing"]["c"] = 0.2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("certify", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 4
+    certs = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert len(certs) == 126
+    empty = [c for c in certs if c["status"] != "VALID"]
+    assert [c["slice"] for c in empty] == [3, 4, 124, 125, 126]
+    for c in empty:
+        assert c["status"] == "INCONCLUSIVE" and c["samples"] == 0
+        assert c["note"] == "no sample point in the slice"
+
+
 # eta >= 1 on every branch; the diagonal-level branch once exited 4 with
 # no output and no message, the time-uniform one wrote certificates
 SMALLNESS_FAILS = {
@@ -618,6 +683,23 @@ def test_kato_command(tmp_path):
     assert rows[0] == "h,k_h"
     vals = [float(r.split(",")[1]) for r in rows[1:]]
     assert vals[0] > vals[1]
+
+
+def test_kato_density_takes_the_kernel_dimension(tmp_path):
+    # a const density without "dim" was one-dimensional, and the d = 2
+    # kernel ended in a numpy broadcast traceback
+    cfg = tmp_path / "cfg.json"
+    doc = {"kernel": {"name": "cauchy", "d": 2},
+           "measure": {"density": {"kind": "const", "lambda": 0.5}}}
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("kato", "--config", str(cfg), "--windows", "0.5",
+                   "--out", str(tmp_path / "a")) == 0
+    doc["measure"]["density"]["dim"] = 2
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("kato", "--config", str(cfg), "--windows", "0.5",
+                   "--out", str(tmp_path / "b")) == 0
+    assert (tmp_path / "a" / "kato.csv").read_bytes() == \
+        (tmp_path / "b" / "kato.csv").read_bytes()
 
 
 def test_3g_command(tmp_path):

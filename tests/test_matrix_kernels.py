@@ -625,6 +625,17 @@ def test_kernel_keeps_a_read_only_copy_of_its_entries():
         K.entries[0, 0] = 1.0
 
 
+def test_kernels_and_sets_compare_and_hash_by_identity():
+    # the generated __eq__ compared the array fields: == raised ValueError
+    # and hash raised TypeError
+    K1, K2 = MatrixKernel(np.eye(2)), MatrixKernel(np.eye(2))
+    A, B = StateSet.from_indices(2, [0]), StateSet.from_indices(2, [0])
+    assert K1 == K1 and K1 != K2 and A == A and A != B
+    assert hash(K1) == hash(K1) and hash(A) == hash(A)
+    seen = {K1: "K1", K2: "K2", A: "A", B: "B"}
+    assert [seen[x] for x in (K1, K2, A, B)] == ["K1", "K2", "A", "B"]
+
+
 def test_decay_checks_on_one_pair_sum_once(monkeypatch):
     # k sets of a chain, each checked twice, make one summation and one
     # run of term rows; another f is summed anew

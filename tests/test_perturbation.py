@@ -32,12 +32,12 @@ def test_measure_validation():
 def test_measure_from_config_kinds():
     mu = measure_from_config({"density": {"kind": "const", "lambda": 2.0},
                               "atoms": [{"u": 0.25, "eta": 0.5}],
-                              "support": [0.0, 1.0]})
+                              "support": [0.0, 1.0]}, 1)
     assert float(mu.q(0.5, 0.0)) == 2.0
     assert float(mu.q(1.5, 0.0)) == 0.0       # outside the support
     assert len(mu.active_atoms()) == 1
     with pytest.raises(ValueError):
-        measure_from_config({"density": {"kind": "nope"}})
+        measure_from_config({"density": {"kind": "nope"}}, 1)
 
 
 def test_restrict_measure_cases():
@@ -260,7 +260,7 @@ def test_series_density_plus_atom_left_limit():
     # 8.3e-4 against a stated 5.7e-4 and marked converged
     mu = measure_from_config({"density": {"kind": "const", "lambda": 0.25},
                               "atoms": [{"u": 0.5, "eta": 0.5}],
-                              "support": [0.0, 1.0]})
+                              "support": [0.0, 1.0]}, 1)
     s = [0.0, 0.1]
     for si, r in zip(s, pt.series_batch(G, mu, s, [-0.5, 0.5], 1.0, 0.0)):
         want = math.exp(0.25 * (1.0 - si)) * 1.5

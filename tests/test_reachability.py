@@ -1,6 +1,6 @@
 """Every public module-level function, class and ALL-CAPS constant of
-kpert is named somewhere in the package, the scripts or the benchmarks
-outside its own definition, and so is every public method; every
+kpert is named somewhere in the package or the benchmarks outside its
+own definition, and so is every public method; every
 defaulted parameter, and every defaulted field of a public frozen
 dataclass, is passed by some call there.  Code that only its own tests
 reach is deleted, not kept, and a parameter or field that no caller sets
@@ -46,7 +46,6 @@ ALLOWED_PARAMETERS = {
 
 def _files():
     return sorted(PACKAGE.glob("*.py")) + \
-        sorted((ROOT / "scripts").rglob("*.py")) + \
         sorted((ROOT / "benchmarks").rglob("*.py"))
 
 
