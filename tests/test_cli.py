@@ -78,6 +78,11 @@ GOLDEN = {
     "certify_discrete": ("certify", 0, "certificates.json",
                          "ec5e0007b3f38b5566c26e44712fab9d"
                          "ed5f443431eb33922bd15c319458dafd"),
+    # the README's run config: time slices, density and atom; recorded
+    # before the slice problem read p_1 from one engine per slice measure
+    "certify_time_uniform": ("certify", 0, "certificates.json",
+                             "869f0f5e3a920aed5194c069453fefdb"
+                             "0d42f39afd4d77d89a4974854eb59a56"),
 }
 
 
