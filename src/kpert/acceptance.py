@@ -207,7 +207,7 @@ def criterion_sharpness(seed: int = 7):
         if worst > 1e-3:
             return False, f"attainment error {worst:.2e} (tol 1e-3)"
         certs = pt.theorem46_certify(
-            g, mu, 0.0, 1.0, 0.0, intervals, eta=eta, n_samples=8,
+            g, mu, 1.0, 0.0, intervals, eta=eta, n_samples=8,
             quad_tol=1e-4, series_fn=sharpness_series_fn(op_lo, op_hi, eta))
         bad = [c for c in certs if c.status != "VALID"]
         if bad:
@@ -245,8 +245,7 @@ def criterion_cone_kernel(seed: int = 7):
 
         # measured slice constants never exceed the closed-form constant
         prob = pt.KappaSliceProblem(0.05, 0.1, 1.0, 1.0)
-        const = bnd.estimate_constants(prob, _rng(seed, 77), n_samples=12,
-                                       refine_rounds=2)
+        const = bnd.estimate_constants(prob, _rng(seed, 77), n_samples=12)
         if max(const.per_slice_eta) > prob.analytic_eta:
             return False, (f"measured eta {max(const.per_slice_eta):.4g} "
                            f"exceeds {prob.analytic_eta:.4g}")
@@ -316,7 +315,7 @@ def criterion_kato(seed: int = 7):
         vals = [prof[h] for h in (1.0, 0.5, 0.25, 0.125)]
         if not all(a > b for a, b in zip(vals, vals[1:])):
             return False, f"profile not decreasing: {vals}"
-        c3p, _ = st.scan_3p_constant(1, 20_000, seed=seed)
+        c3p = st.scan_3p_constant(20_000, seed=seed)
         h = 0.1
         eta = c3p * k[h]
         pts = np.stack([np.linspace(0.3, 0.9, 10),

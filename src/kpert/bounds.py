@@ -11,14 +11,18 @@ discrete Gronwall recursion gamma_j <= alpha + delta sum_{i<j} gamma_i,
 written once in ``gronwall_bound``; ``theorem_bound`` takes alpha =
 1/(1-eta), delta = beta/(1-eta), and ``corollary_bound`` scales it for
 per-slice summability.  The module also estimates the constants from
-samples or exact enumeration and writes certificates comparing the bound
-against an independently summed series.
+samples (refined around each slice's argmax only for a problem with
+local points) or exact enumeration and writes certificates comparing the
+bound against an independently summed series.  A slice problem holds no
+state that this module reads back: ``certify`` keeps its own running
+quadrature error.
 
 Certificates never silently trust the theorem: a certificate is VALID
 only when the measured series ratio stays below the bound within a
-relative tolerance of ten times the quadrature error the problem and its
-series report, and at least 1e-9 (``quad_rel_tol``); exact matrix
-arithmetic reports no quadrature error, so it gets the 1e-9.
+relative tolerance of ten times the largest quadrature error of the
+series summed for this slice and the slices before it, and at least 1e-9
+(``quad_rel_tol``); exact matrix arithmetic reports no quadrature error,
+so it gets the 1e-9.
 """
 from __future__ import annotations
 
@@ -92,7 +96,6 @@ class SliceConstants:
     per_slice_eta: tuple
     per_slice_beta: tuple
     sample_counts: tuple = ()
-    exact: bool = False
 
     @property
     def eta(self) -> float:
@@ -157,7 +160,6 @@ class MatrixSliceProblem:
     """Finite-state problem: exact enumeration, exact summation."""
 
     exact = True
-    quad_error = 0.0
 
     def __init__(self, K: mk.MatrixKernel, f, chain: mk.AbsorbingChain):
         chain.validate_for(K)
@@ -215,31 +217,32 @@ def _sup_ratio(num, den):
     return float(np.max(out)) if out.size else 0.0
 
 
-def estimate_constants(problem, rng=None, n_samples: int = 64,
-                       refine_rounds: int = 2) -> SliceConstants:
+def estimate_constants(problem, rng=None,
+                       n_samples: int = 64) -> SliceConstants:
     """Per-slice sup of K_j f / f over S_j (eta) and over the top set (beta).
 
     Matrix problems enumerate every state, so the sup is exact.  Sampled
     problems report a lower estimate of the sup; the certificate records
-    the sample count so the provenance is visible; refine_rounds > 0
-    jitters around each slice's argmax with rng, through the problem's
-    local_points (the diagonal-level problem has one; time slices use
-    refine_rounds=0).  Points where f = 0 but K_j f > 0 force eta = inf
-    (hypothesis unverifiable there).
+    the sample count so the provenance is visible.  A problem with
+    local_points (the diagonal-level one) is refined in two rounds that
+    jitter around each slice's argmax with rng; the others (matrix and
+    time slices) are not.  Points where f = 0 but K_j f > 0 force
+    eta = inf (hypothesis unverifiable there).
     """
     etas, betas, counts = [], [], []
+    refine = hasattr(problem, "local_points")
     top = problem.top_points(rng, n_samples)
     for j in range(1, problem.k + 1):
         pts = problem.slice_points(j, rng, n_samples)
         vals = _ratios(problem.slice_apply(j, pts), problem.control(pts))
         best = float(np.max(vals)) if len(vals) else 0.0
         count = len(pts)
-        if not problem.exact and len(vals):
+        if refine and len(vals):
             # local refinement: jitter around the running argmax with a
             # shrinking radius; a sampled sup only ever under-estimates
             center = pts[int(np.argmax(vals))]
             radius = 0.25
-            for _ in range(refine_rounds):
+            for _ in range(2):
                 pts2 = problem.local_points(j, center, radius,
                                             max(n_samples // 2, 4), rng)
                 vals2 = _ratios(problem.slice_apply(j, pts2),
@@ -253,8 +256,7 @@ def estimate_constants(problem, rng=None, n_samples: int = 64,
         betas.append(_sup_ratio(problem.slice_apply(j, top),
                                 problem.control(top)))
         counts.append(count)
-    return SliceConstants(tuple(etas), tuple(betas), tuple(counts),
-                          exact=problem.exact)
+    return SliceConstants(tuple(etas), tuple(betas), tuple(counts))
 
 
 def quad_rel_tol(err: float) -> float:
@@ -282,12 +284,15 @@ def certify(problem, eta: float, beta: float, n_samples: int = 64):
     in that case, and for a sampled slice that no sample point falls in,
     where no series is computed.  An eta of one or more raises
     SmallnessError, and a bound past the largest float DomainError, both
-    before any series is summed.
+    before any series is summed.  Each slice's tolerance reads the
+    largest quadrature error of the series summed so far, its own
+    included.
     """
     if not eta < 1.0:
         raise SmallnessError(eta)
     theorem_bound(eta, beta, problem.k)     # the largest; raises first
     certs = []
+    quad_error = 0.0
     for j in range(1, problem.k + 1):
         pts = problem.slice_points(j, None, n_samples)
         bound = theorem_bound(eta, beta, j)
@@ -300,7 +305,8 @@ def certify(problem, eta: float, beta: float, n_samples: int = 64):
         f = problem.control(pts)
         series, rep = problem.series(pts)
         ratio = _sup_ratio(series, f)
-        tol = quad_rel_tol(max(problem.quad_error, rep.quad_error))
+        quad_error = max(quad_error, rep.quad_error)
+        tol = quad_rel_tol(quad_error)
         certs.append(BoundCertificate(
             slice_index=j, eta=eta, beta=beta, theorem_bound=bound,
             measured_ratio=ratio, status=verdict(rep.status, ratio, bound, tol),

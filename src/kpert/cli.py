@@ -160,14 +160,19 @@ def load_config(path, seed=None) -> RunConfig:
         if not 0.0 < cfg.quad_tol < 1.0:        # NaN fails too
             raise ConfigError(f"quad rel_tol must lie in (0, 1), got "
                               f"{cfg.quad_tol!r}")
-        cfg.max_terms = int(qdoc.get("max_terms", 14))
+        max_terms = qdoc.get("max_terms", 14)
+        if not _whole_number(max_terms):
+            raise ConfigError(f"quad max_terms must be an integer, got "
+                              f"{max_terms!r}")
+        cfg.max_terms = int(max_terms)
         if cfg.max_terms < 1:
             raise ConfigError(f"quad max_terms must be at least 1, got "
                               f"{cfg.max_terms!r}")
-        cfg.seed = int(doc.get("seed", 0))
-        if cfg.seed < 0:
+        config_seed = doc.get("seed", 0)
+        if not (_whole_number(config_seed) and config_seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer, got "
-                              f"{cfg.seed!r}")
+                              f"{config_seed!r}")
+        cfg.seed = int(config_seed)
         if seed is not None:
             cfg.seed = seed
         cfg.base_dir = Path(path).resolve().parent
@@ -182,9 +187,9 @@ def load_config(path, seed=None) -> RunConfig:
 def _command_kernel(cfg, command: str, peak_dims=(1,)):
     """The configured kernel, if ``command`` can evaluate it.
 
-    The series engine (``series``, ``certify`` on time slices) has
-    one-dimensional rules; ``kato`` also has a polar rule for d = 2.  The
-    cone kernel is one-dimensional.
+    The series engine (``series``, ``certify`` on time slices and on
+    level strips) has one-dimensional rules; ``kato`` also has a polar
+    rule for d = 2.  The cone kernel is one-dimensional.
     """
     dims = {"peak": peak_dims, "cone": (1,)}[cfg.kernel.kind]
     if cfg.dim not in dims:
@@ -341,6 +346,7 @@ def _certificates(cfg):
         prob = _discrete_problem(cfg)
         const = bnd.estimate_constants(prob)
         return bnd.certify(prob, const.eta, const.beta)
+    kernel = _command_kernel(cfg, "certify")
     if cfg.slicing.get("mode") == "diagonal-level":
         if cfg.kernel_name != "kappa" or not (cfg.target_t > 0.0
                                               and cfg.target_y > 0.0):
@@ -353,11 +359,10 @@ def _certificates(cfg):
             quad_tol=cfg.quad_tol, seed=cfg.seed, max_terms=cfg.max_terms)
         eta = float(prob.analytic_eta)
         return bnd.certify(prob, eta, eta, n_samples=6)
-    kernel = _command_kernel(cfg, "certify")
     intervals = _intervals_from_config(cfg)
     return pt.theorem46_certify(
-        kernel, cfg.measure, min(I.lo for I in intervals), cfg.target_t,
-        cfg.target_y, intervals, eta=_slicing_number(cfg, "eta", None),
+        kernel, cfg.measure, cfg.target_t, cfg.target_y, intervals,
+        eta=_slicing_number(cfg, "eta", None),
         n_samples=int(_slicing_number(cfg, "n_samples", 16)), seed=cfg.seed,
         quad_tol=cfg.quad_tol, max_terms=cfg.max_terms)
 

@@ -478,19 +478,6 @@ def _sum_rows(engines, s_pts, x_pts, f0, quad_tol, max_terms):
     return out
 
 
-def p1_ratio(kernel, mu: PerturbingMeasure, t, y, s, x,
-             quad_tol: float = 1e-5) -> float:
-    """First-term ratio p_1 / p at one point (no grid needed: r_0 = 1)."""
-    f0 = float(kernel(s, x, t, y))
-    if f0 <= 0 or mu.is_zero:
-        return 0.0
-    eng = SeriesEngine(kernel, mu, t, y, s_min=min(s, t - 1e-9),
-                       x_range=(min(x, y), max(x, y)), quad_tol=quad_tol,
-                       resolution=1.6)
-    return float(eng._row_values(float(s), np.array([float(x)]),
-                                 np.array([f0]), None)[0])
-
-
 # ---------------------------------------------------------------------------
 # Alternative atom operator (counts coincident times; nondecreasing chains)
 # ---------------------------------------------------------------------------
@@ -618,8 +605,7 @@ class MultiAtomOperator:
 class _SliceProblem:
     """What the space-time slice problems share: the control
     p(., ., t, y) and the series adapter.  Subclasses set kernel, mu, t,
-    y, quad_tol, max_terms, quad_error and engine_window = (s_min,
-    x_range)."""
+    y, quad_tol, max_terms and engine_window = (s_min, x_range)."""
 
     exact = False
     series_fn = None
@@ -630,16 +616,10 @@ class _SliceProblem:
                           dtype=float)
 
     def series(self, pts):
+        """Series at the points from the caller's series_fn, else from the
+        problem's one engine pair, built on first use."""
         if self.series_fn is not None:
-            vals, rep = self.series_fn(pts)
-        else:
-            vals, rep = self._engine_series(pts)
-        self.quad_error = max(self.quad_error, rep.quad_error)
-        return vals, rep
-
-    def _engine_series(self, pts):
-        """Series at the points from the problem's one engine pair, built
-        on first use."""
+            return self.series_fn(pts)
         if self._engines is None:
             s_min, x_range = self.engine_window
             self._engines = _engine_pair(self.kernel, self.mu, self.t, self.y,
@@ -661,7 +641,11 @@ class TimeSliceProblem(_SliceProblem):
     """Slice problem over intervals I_1 (nearest the target time) through
     I_k partitioning [r, t): slice j is I_j x space, the sliced operator
     applies the measure restricted to I_j, and the series comes from the
-    quadrature engine (or a caller-supplied engine)."""
+    quadrature engine (or a caller-supplied engine).
+
+    The sliced operator is read from one resolution-1.6 engine per
+    restricted measure: level 1 needs no grid (r_0 = 1), so the engine
+    evaluates p_1^{I_j} / p at any source point with s >= r."""
 
     def __init__(self, kernel, mu, r, t, y, intervals,
                  quad_tol: float = 1e-4, seed: int = 0, series_fn=None,
@@ -680,8 +664,11 @@ class TimeSliceProblem(_SliceProblem):
         scale = float(kernel.peak_scale(self.t - self.r))
         self.x_box = (self.y - 2.0 * scale - 1.0, self.y + 2.0 * scale + 1.0)
         self.engine_window = (self.r, self.x_box)
-        self.quad_error = 0.0
         self._restricted = [restrict_measure(self.mu, I) for I in self.intervals]
+        self._p1_engines = [SeriesEngine(kernel, mu_j, self.t, self.y,
+                                         s_min=self.r, x_range=self.x_box,
+                                         resolution=1.6)
+                            for mu_j in self._restricted]
 
     def _sample(self, lo, hi, n, salt):
         eng = Halton(2, self.seed + salt)
@@ -698,11 +685,14 @@ class TimeSliceProblem(_SliceProblem):
         return self._sample(self.r, self.t - 1e-6 * max(1.0, abs(self.t)), n, 977)
 
     def slice_apply(self, j, pts):
-        mu_j = self._restricted[j - 1]
+        """p_1^{I_j} at the points: the ratio from slice j's engine, one
+        point at a time against the scalar p there, times p."""
+        eng = self._p1_engines[j - 1]
         out = np.empty(len(pts))
         for i, (s, x) in enumerate(pts):
-            out[i] = p1_ratio(self.kernel, mu_j, self.t, self.y, s, x,
-                              self.quad_tol)
+            f0 = float(self.kernel(s, x, self.t, self.y))
+            out[i] = eng._row_values(float(s), np.array([float(x)]),
+                                     np.array([f0]), None)[0]
         return out * self.control(pts)
 
 
@@ -730,7 +720,6 @@ class KappaSliceProblem(_SliceProblem):
         self.seed = seed
         self.max_terms = max_terms
         self.engine_window = (0.0, (0.0, self.y))
-        self.quad_error = 0.0
         self.analytic_eta = st.eta_for_kappa(self.c, self.p_exp, self.h)
 
     def _strip(self, j):
@@ -776,14 +765,15 @@ class KappaSliceProblem(_SliceProblem):
         return ratios * self.control(pts)
 
 
-def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
+def theorem46_certify(kernel, mu, t, y, intervals, eta=None,
                       n_samples: int = 24, seed: int = 0,
                       quad_tol: float = 1e-4, series_fn=None,
                       max_terms: int = 14):
     """Interval-sliced certification with beta = eta.
 
     First verifies the slice hypothesis sup_{r <= s < t} p_1^{I_j} / p
-    <= eta by sampling, then compares the series against
+    <= eta by sampling, r the lowest interval end, where the measure and
+    the sampled source times start; then compares the series against
     (1 - eta)**(-j) on each slice.  Slice j's bound rests on the bounds
     of every slice nearer the target, so a slice that violates the
     hypothesis withholds its certificate and those of all later slices
@@ -793,13 +783,12 @@ def theorem46_certify(kernel, mu, r, t, y, intervals, eta=None,
     padded) is used.  An eta of one or more raises SmallnessError (from
     ``bounds.certify``), which carries it.
     """
-    problem = TimeSliceProblem(kernel, mu, r, t, y, intervals,
-                               quad_tol=quad_tol, seed=seed,
+    problem = TimeSliceProblem(kernel, mu, min(I.lo for I in intervals), t,
+                               y, intervals, quad_tol=quad_tol, seed=seed,
                                series_fn=series_fn, max_terms=max_terms)
     # the sup over the slice's own points (eta_j) and over the top set
     # (beta_j) together: the sup of p_1^{I_j} / p over s in [r, t)
-    const = bnd.estimate_constants(problem, n_samples=n_samples,
-                                   refine_rounds=0)
+    const = bnd.estimate_constants(problem, n_samples=n_samples)
     sups = [max(e, b) for e, b in zip(const.per_slice_eta,
                                       const.per_slice_beta)]
     if eta is None:

@@ -239,14 +239,15 @@ def sample_3g(rng, n: int) -> ThreeGCheck:
                     times[:, 2], space[:, 2])
 
 
-def check_3p_cauchy(s, x, u, z, t, y, d: int = 1):
-    """Ratio (p(s,x,u,z) ^ p(u,z,t,y)) / p(s,x,t,y) for the Cauchy density.
+def check_3p_cauchy(s, x, u, z, t, y):
+    """Ratio (p(s,x,u,z) ^ p(u,z,t,y)) / p(s,x,t,y) for the Cauchy density
+    in d = 1.
 
     Zero denominator with zero numerator counts as 0; a positive numerator
     over a zero denominator is reported as inf (an unbounded sample, which
     causality rules out for s < t).  Vectorized.
     """
-    ker = cauchy_kernel(d)
+    ker = cauchy_kernel(1)
     p0 = np.asarray(ker(s, x, t, y), dtype=float)
     m = np.minimum(ker(s, x, u, z), ker(u, z, t, y))
     out = np.where(p0 > 0, m / np.where(p0 > 0, p0, 1.0),
@@ -254,40 +255,18 @@ def check_3p_cauchy(s, x, u, z, t, y, d: int = 1):
     return out
 
 
-def five_p_ratio(s, x, u, z, t, y, d: int = 1):
-    """Ratio p1*p2 / (p0*(p1+p2)) whose sup estimates the product-form
-    comparison constant; 0/0 counts as 0."""
-    ker = cauchy_kernel(d)
-    p0 = np.asarray(ker(s, x, t, y), dtype=float)
-    p1 = ker(s, x, u, z)
-    p2 = ker(u, z, t, y)
-    denom = p0 * (p1 + p2)
-    num = p1 * p2
-    return np.where(denom > 0, num / np.where(denom > 0, denom, 1.0),
-                    np.where(num > 0, np.inf, 0.0))
+def scan_3p_constant(n: int = 100_000, seed: int = 0) -> float:
+    """Empirical sup of the 3P ratio over random tuples in d = 1.
 
-
-def scan_3p_constant(d: int = 1, n: int = 100_000, seed: int = 0):
-    """Empirical sup of the 3P and product-form ratios over random tuples.
-
-    The true constant depends only on d but has no closed form here; the
-    scan reports (max_3p, max_5p) under a seeded Halton stream, with
-    times in [-1, 2) and space in the box [-3, 3)^d.
+    The true constant has no closed form here; the scan reports the
+    largest finite ratio under a seeded Halton stream, with times in
+    [-1, 2) and space in [-3, 3).
     """
-    eng = Halton(3 + 3 * d, seed)
-    pts = eng.random(n)
-    times = -1.0 + 3.0 * pts[:, :3]
-    space = 3.0 * (2.0 * pts[:, 3:] - 1.0)
-    s, u, t = times[:, 0], times[:, 1], times[:, 2]
-    if d == 1:
-        x, z, y = space[:, 0], space[:, 1], space[:, 2]
-    else:
-        x, z, y = space[:, :d], space[:, d:2 * d], space[:, 2 * d:]
-    r3 = check_3p_cauchy(s, x, u, z, t, y, d)
-    r5 = five_p_ratio(s, x, u, z, t, y, d)
-    r3 = r3[np.isfinite(r3)]
-    r5 = r5[np.isfinite(r5)]
-    return float(np.max(r3)), float(np.max(r5))
+    pts = Halton(6, seed).random(n)
+    s, u, t = (-1.0 + 3.0 * pts[:, :3]).T
+    x, z, y = (3.0 * (2.0 * pts[:, 3:] - 1.0)).T
+    r3 = check_3p_cauchy(s, x, u, z, t, y)
+    return float(np.max(r3[np.isfinite(r3)]))
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,6 @@ def test_estimate_constants_scaled_identity_exact():
     chain = mk.AbsorbingChain((_full(2),))
     const = estimate_constants(MatrixSliceProblem(K, np.ones(2), chain))
     assert const.per_slice_eta == (eta,)
-    assert const.exact
 
 
 def test_estimate_constants_flags_zero_control():
@@ -159,7 +158,6 @@ class _SampledProblem:
     there fails the test."""
 
     exact = False
-    quad_error = 0.0
     k = 2
 
     def slice_points(self, j, rng, n):
@@ -181,6 +179,34 @@ def test_certify_sampled_slice_without_points_is_inconclusive():
     assert empty.theorem_bound == theorem_bound(0.25, 0.25, 1)
     assert (full.status, full.sample_count, full.measured_ratio) == \
         ("VALID", 3, 1.5)
+
+
+@pytest.mark.parametrize("error, status", [(1e-3, "VALID"),
+                                           (0.0, "INVALID")])
+def test_certify_tolerance_keeps_the_largest_error_so_far(error, status):
+    # slice 2 reads 0.5 % over its bound and reports no error of its own;
+    # slice 1's series error 1e-3 gives it a tolerance of 1 %
+    over = theorem_bound(0.25, 0.25, 2) * 1.005
+
+    class Problem:
+        exact = False
+        k = 2
+
+        def slice_points(self, j, rng, n):
+            return np.full((n, 2), float(j))
+
+        def control(self, pts):
+            return np.ones(len(pts))
+
+        def series(self, pts):
+            if pts[0, 0] == 1.0:
+                return np.ones(len(pts)), TruncationReport(quad_error=error)
+            return np.full(len(pts), over), TruncationReport()
+
+    first, second = certify(Problem(), 0.25, 0.25, n_samples=2)
+    assert first.status == "VALID"
+    assert second.truncation.quad_error == 0.0
+    assert (second.measured_ratio, second.status) == (over, status)
 
 
 def test_certify_exact_empty_slice_is_summed():

@@ -216,7 +216,15 @@ BAD_INPUTS = {
     "max-terms-negative": ({"quad": {"max_terms": -3}},
                            "max_terms must be at least 1"),
     "max-terms-inf": ({"quad": {"max_terms": float("inf")}},
-                      "cannot convert float infinity"),
+                      "quad max_terms must be an integer, got inf"),
+    # int() ran 2.5 as 2 terms and true as 1, each exit 0 with truncated
+    # rows; a seed of 2.7 certified with seed 2
+    "max-terms-fraction": ({"quad": {"max_terms": 2.5}},
+                           "quad max_terms must be an integer, got 2.5"),
+    "max-terms-bool": ({"quad": {"max_terms": True}},
+                       "quad max_terms must be an integer, got True"),
+    "seed-fraction": ({"seed": 2.7},
+                      "seed must be a non-negative integer, got 2.7"),
     "rel-tol-zero": ({"quad": {"rel_tol": 0.0}},
                      "rel_tol must lie in (0, 1)"),
     "rel-tol-negative": ({"quad": {"rel_tol": -1.0}},
@@ -341,6 +349,11 @@ BAD_CERTIFY_INPUTS = {
         {**_KAPPA, "slicing": {"mode": "diagonal-level", "c": 0.5,
                                "p": 0.1, "eta_target": 0.5}}, None,
         "the slice bound overflows a float at slice 1245"),
+    # kappa in d = 2 certified as d = 1: four VALID certificates, exit 0
+    "diagonal-kappa-d2": (
+        {"kernel": {"name": "kappa", "d": 2}, "target": {"t": 1.0, "y": 1.0},
+         "slicing": {"mode": "diagonal-level", "c": 0.05, "p": 0.1}}, None,
+        "certify cannot take kernel 'kappa' in d = 2"),
     "diagonal-target-on-axis": (
         {**_KAPPA, "target": {"t": 1.0, "y": 0.0},
          "slicing": {"mode": "diagonal-level", "c": 0.05, "p": 0.1}}, None,
@@ -580,8 +593,8 @@ def test_certify_atom_violation_exit_4(tmp_path):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_certify_kappa_sampled_eta_below_analytic(seed):
     # the diagonal-level branch certifies with the closed-form eta, so
-    # a sampled sup over each strip (12 Halton points and one refinement
-    # round, seeded like certify) must stay below it
+    # a sampled sup over each strip (12 Halton points and two refinement
+    # rounds, seeded like certify) must stay below it
     from kpert import bounds as bnd
     from kpert import perturbation as pt
     cfg = cli.load_config(FIXTURES / "certify_kappa.json", seed)
@@ -590,7 +603,7 @@ def test_certify_kappa_sampled_eta_below_analytic(seed):
         eta_target=cfg.slicing["eta_target"], quad_tol=cfg.quad_tol,
         seed=cfg.seed, max_terms=cfg.max_terms)
     const = bnd.estimate_constants(prob, np.random.default_rng(cfg.seed),
-                                   n_samples=12, refine_rounds=1)
+                                   n_samples=12)
     assert len(const.per_slice_eta) == prob.k == 4
     assert all(0.0 < eta <= prob.analytic_eta for eta in const.per_slice_eta)
 

@@ -121,8 +121,8 @@ def test_pn_first_term_builds_no_grid(monkeypatch):
     p = float(G(0.1, 0.3, 1.0, 0.0))
     p1 = _term(mu, 1, 0.1, 0.3, max_terms=1)
     assert built == []
-    assert p1 == pytest.approx(pt.p1_ratio(G, mu, 1.0, 0.0, 0.1, 0.3) * p,
-                               rel=1e-14)
+    assert p1 == pytest.approx(
+        _frozen_p1_ratio(G, mu, 1.0, 0.0, 0.1, 0.3) * p, rel=1e-14)
 
 
 def test_ratios_build_only_the_levels_their_rows_read(monkeypatch):
@@ -548,6 +548,65 @@ def test_slice_problem_reuses_engine_pair_bit_for_bit():
         assert engines[0] is engines[1]
 
 
+def _frozen_p1_ratio(kernel, mu, t, y, s, x, quad_tol=1e-5):
+    """The first-term ratio p_1 / p at one point as a slice problem read it
+    before it kept one engine per slice measure: a fresh engine for the
+    point, on the window from s and between x and y."""
+    f0 = float(kernel(s, x, t, y))
+    if f0 <= 0 or mu.is_zero:
+        return 0.0
+    eng = pt.SeriesEngine(kernel, mu, t, y, s_min=min(s, t - 1e-9),
+                          x_range=(min(x, y), max(x, y)), quad_tol=quad_tol,
+                          resolution=1.6)
+    return float(eng._row_values(float(s), np.array([float(x)]),
+                                 np.array([f0]), None)[0])
+
+
+# the README's run config and a Cauchy run off the axis: kernel, measure,
+# target point y, slice width (4 slices each)
+P1_CASES = {
+    "gaussian-density-atom": (G, PerturbingMeasure(
+        ConstDensity(0.25), (Atom(0.5, 0.5),),
+        time_support=Interval(0.0, 1.0)), 0.0, 0.25),
+    "cauchy-4-slices": (st.cauchy_kernel(1), PerturbingMeasure(
+        ConstDensity(0.6), (Atom(0.7, 0.3),)), 0.2, 0.25),
+}
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(P1_CASES))
+def test_slice_apply_matches_frozen_p1_ratio(case, seed):
+    # one engine per slice measure gives the bits of one engine per point,
+    # on each slice's own points and on the top points
+    kernel, mu, y, h = P1_CASES[case]
+    prob = pt.TimeSliceProblem(kernel, mu, 0.0, 1.0, y,
+                               time_uniform_slices(0.0, 1.0, h), seed=seed)
+    assert prob.k == 4
+    for j, mu_j in enumerate(prob._restricted, start=1):
+        for pts in (prob.slice_points(j, None, 16), prob.top_points(None, 16)):
+            want = np.array([_frozen_p1_ratio(kernel, mu_j, 1.0, y, s, x,
+                                              prob.quad_tol)
+                             for s, x in pts]) * prob.control(pts)
+            assert prob.slice_apply(j, pts).tobytes() == want.tobytes()
+
+
+def test_theorem46_builds_k_plus_two_engines(monkeypatch):
+    # p_1 once took a fresh engine per sample point, 130 engines on the
+    # README config; now one per slice and the series pair
+    built = []
+    init = pt.SeriesEngine.__init__
+    monkeypatch.setattr(pt.SeriesEngine, "__init__",
+                        lambda eng, *a, **kw: built.append(1) or
+                        init(eng, *a, **kw))
+    kernel, mu, y, h = P1_CASES["gaussian-density-atom"]
+    certs = pt.theorem46_certify(kernel, mu, 1.0, y,
+                                 time_uniform_slices(0.0, 1.0, h),
+                                 n_samples=4, quad_tol=1e-3)
+    assert len(certs) == 4
+    assert len(built) == len(certs) + 2
+
+
 # -- multi-atom operator ----------------------------------------------------------
 
 def test_multi_atom_iterate_counts():
@@ -647,7 +706,7 @@ def test_alt_atom_perturbed_kernel_satisfies_composition():
 
 def test_theorem46_zero_measure_trivial():
     intervals = time_uniform_slices(0.0, 1.0, 0.5)
-    certs = pt.theorem46_certify(G, PerturbingMeasure(), 0.0, 1.0, 0.0,
+    certs = pt.theorem46_certify(G, PerturbingMeasure(), 1.0, 0.0,
                                  intervals, n_samples=4)
     assert all(c.status == "VALID" for c in certs)
     assert all(c.theorem_bound == 1.0 for c in certs)
@@ -657,7 +716,7 @@ def test_theorem46_atomless_small():
     lam = 0.5
     intervals = time_uniform_slices(0.0, 1.0, 0.25)
     certs = pt.theorem46_certify(G, PerturbingMeasure(ConstDensity(lam)),
-                                 0.0, 1.0, 0.0, intervals, n_samples=8,
+                                 1.0, 0.0, intervals, n_samples=8,
                                  quad_tol=1e-4)
     assert all(c.status == "VALID" for c in certs)
     # measured slice constant is lam * h
@@ -670,7 +729,7 @@ def test_theorem46_hypothesis_fail_on_heavy_atom():
     # > eta), so it gets no certificate either
     mu = PerturbingMeasure(atoms=(Atom(0.5, 1.5),))
     intervals = time_uniform_slices(0.0, 1.0, 0.5)
-    certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, eta=0.5,
+    certs = pt.theorem46_certify(G, mu, 1.0, 0.0, intervals, eta=0.5,
                                  n_samples=6, quad_tol=1e-3)
     assert [c.status for c in certs] == ["HYPOTHESIS_FAIL"] * 2
     # slice 1's own points lie at or after the atom: its series is p alone
@@ -679,14 +738,14 @@ def test_theorem46_hypothesis_fail_on_heavy_atom():
     assert "slice 1" in certs[1].note
     # with eta measured it comes out above one: no certificate exists
     with pytest.raises(SmallnessError) as exc:
-        pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, n_samples=6,
+        pt.theorem46_certify(G, mu, 1.0, 0.0, intervals, n_samples=6,
                              quad_tol=1e-3)
     assert exc.value.eta > 1.0
 
 
 def _cauchy_declared_eta(eta):
     mu = PerturbingMeasure(ConstDensity(0.6), (Atom(0.7, 0.3),))
-    return pt.theorem46_certify(st.cauchy_kernel(1), mu, 0.0, 1.0, 0.0,
+    return pt.theorem46_certify(st.cauchy_kernel(1), mu, 1.0, 0.0,
                                 time_uniform_slices(0.0, 1.0, 0.5),
                                 eta=eta, n_samples=8, quad_tol=1e-3,
                                 max_terms=10)
@@ -738,12 +797,12 @@ def test_theorem46_sups_match_the_sampling_loop():
         return np.ones(len(pts)), TruncationReport()
 
     # measured eta: the largest sup, padded
-    certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals,
+    certs = pt.theorem46_certify(G, mu, 1.0, 0.0, intervals,
                                  n_samples=4, series_fn=unit_series)
     assert certs[0].eta == max(want) * (1.0 + 1e-6)
     # a tiny declared eta fails every slice on its own sup, which the
     # note names (the measured ratio stays the series ratio)
-    certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, eta=1e-3,
+    certs = pt.theorem46_certify(G, mu, 1.0, 0.0, intervals, eta=1e-3,
                                  n_samples=4, series_fn=unit_series)
     assert [c.note for c in certs] == [
         f"measured slice constant {w:.4g} exceeds eta=0.001" for w in want]
@@ -761,7 +820,7 @@ def test_theorem46_sharpness_with_alt_series():
         vals = np.array([op.series_at(eta, s, x).value for s, x in pts])
         return vals, TruncationReport(80, "converged", 0.0, 1e-6)
 
-    certs = pt.theorem46_certify(G, mu, 0.0, 1.0, 0.0, intervals, eta=eta,
+    certs = pt.theorem46_certify(G, mu, 1.0, 0.0, intervals, eta=eta,
                                  n_samples=6, quad_tol=1e-4,
                                  series_fn=alt_series)
     for j, c in enumerate(certs, start=1):

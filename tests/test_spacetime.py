@@ -240,22 +240,10 @@ def test_3g_rejects_unordered():
 
 def test_3p_conventions_and_stability():
     assert float(st.check_3p_cauchy(1.0, 0.0, 0.5, 0.0, 0.5, 0.0)) == 0.0
-    m1, _ = st.scan_3p_constant(1, 20_000, seed=3)
-    m2, _ = st.scan_3p_constant(1, 40_000, seed=3)
+    m1 = st.scan_3p_constant(20_000, seed=3)
+    m2 = st.scan_3p_constant(40_000, seed=3)
     assert m2 <= m1 * 1.25 + 0.5    # stable under doubling
     assert math.isfinite(m2)
-
-
-def test_5p_bounded_by_3p():
-    # product form never exceeds the min form constant
-    rng = np.random.default_rng(12)
-    s = rng.uniform(0, 1, 500)
-    u = s + rng.uniform(0.01, 1, 500)
-    t = u + rng.uniform(0.01, 1, 500)
-    x, z, y = (rng.uniform(-2, 2, 500) for _ in range(3))
-    r5 = st.five_p_ratio(s, x, u, z, t, y)
-    r3 = st.check_3p_cauchy(s, x, u, z, t, y)
-    assert np.all(r5 <= r3 + 1e-12)
 
 
 # -- Weyl derivative ---------------------------------------------------------------
