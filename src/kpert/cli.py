@@ -256,13 +256,20 @@ def cmd_series(args) -> int:
     return 0
 
 
+# Slices and sample points per slice a certify run may take: each slice
+# builds its own engine, and a slice list or sample set past these sizes
+# would not finish or not fit in memory (t = 1e300 with h = 0.5 asked
+# for 2e300 slices).
+_MAX_SLICES = 10_000
+_MAX_SAMPLES = 100_000
+
 # slicing key -> (rule its value must meet, what the rule says)
 _SLICING_RULES = {
     "h": (lambda v: 0.0 < v < math.inf, "must be positive and finite"),
     "r": (math.isfinite, "must be finite"),
     "eta": (lambda v: 0.0 <= v < math.inf, "must be non-negative and finite"),
-    "n_samples": (lambda v: 1.0 <= v < math.inf and v.is_integer(),
-                  "must be a positive integer"),
+    "n_samples": (lambda v: 1.0 <= v <= _MAX_SAMPLES and v.is_integer(),
+                  f"must be a positive integer up to {_MAX_SAMPLES}"),
     "c": (lambda v: 0.0 < v < math.inf, "must be positive and finite"),
     "p": (lambda v: 0.0 < v < 0.5, "must lie in (0, 1/2)"),
     "eta_target": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
@@ -289,6 +296,14 @@ def _slicing_number(cfg, key, default=_REQUIRED):
     return value
 
 
+def _check_slice_count(span, h, what):
+    """A ConfigError unless slices of width h (named by ``what``) cut a
+    range of length span into at most _MAX_SLICES slices."""
+    if not (h > 0.0 and span / h <= _MAX_SLICES):
+        raise ConfigError(f"{what} = {h!r} cuts a range of length {span!r} "
+                          f"into more than {_MAX_SLICES} slices")
+
+
 def _intervals_from_config(cfg) -> list:
     mode = cfg.slicing.get("mode", "time-uniform")
     if mode == "time-uniform":
@@ -297,6 +312,7 @@ def _intervals_from_config(cfg) -> list:
         if not r < cfg.target_t:
             raise ConfigError(f"slicing.r = {r!r} must lie below the target "
                               f"time t = {cfg.target_t!r}")
+        _check_slice_count(cfg.target_t - r, h, "slicing.h")
         return bnd.time_uniform_slices(r, cfg.target_t, h)
     if mode == "intervals":
         pairs = cfg.slicing.get("intervals")
@@ -352,10 +368,15 @@ def _certificates(cfg):
                                               and cfg.target_y > 0.0):
             raise ConfigError("diagonal-level slicing takes kernel kappa "
                               "and a target with t > 0 and y > 0")
+        c, p = _slicing_number(cfg, "c"), _slicing_number(cfg, "p")
+        h = _slicing_number(cfg, "h", None)
+        eta_target = _slicing_number(cfg, "eta_target", 0.5)
+        width, what = (h, "slicing.h") if h is not None else (
+            st.solve_h(c, p, eta_target),
+            "the strip width from slicing.c, p and eta_target")
+        _check_slice_count(cfg.target_t + cfg.target_y, width, what)
         prob = pt.KappaSliceProblem(
-            _slicing_number(cfg, "c"), _slicing_number(cfg, "p"),
-            cfg.target_t, cfg.target_y, h=_slicing_number(cfg, "h", None),
-            eta_target=_slicing_number(cfg, "eta_target", 0.5),
+            c, p, cfg.target_t, cfg.target_y, h=h, eta_target=eta_target,
             quad_tol=cfg.quad_tol, seed=cfg.seed, max_terms=cfg.max_terms)
         eta = float(prob.analytic_eta)
         return bnd.certify(prob, eta, eta, n_samples=6)

@@ -16,16 +16,20 @@ ratios jump; a panel ending at an atom holds the left limit there, the
 atom still ahead); each level is one pass of nested fixed rules, with the
 spatial rule recentered and rescaled on the narrower kernel factor (tan
 substitution, exact for a Cauchy peak) so end-of-interval bridges stay
-resolved; an atom term, one spatial integral, gets a finer rule.  A
-level is evaluated one grid row (one source time) per numpy broadcast:
-the time rule is shared along the row, and each node still reduces on
-its own, so the values match node-by-node evaluation bit for bit.  At
-the time nodes (and atoms) whose spatial rule sits on the target, the
-nodes, weights and every factor but p(u0, z0, v, z') do not depend on
-the source node z0, so they are evaluated once per row and broadcast
-over it.  Every bridge factor is evaluated only along the axes it varies
-on: the kernels and q take the time nodes as a column v[:, None] and
-broadcast it against the spatial nodes, so dt, the kernels' time powers
+resolved; an atom term, one spatial integral, gets a finer rule.  One
+evaluator applies a level to a batch of rows, each a source time u0
+with its source nodes z0: a grid level passes a panel's rows, which
+share the z-grid, and the readout passes every point as a one-node row.
+The (row, time node) columns of a segment, or the (row, atom) columns,
+are evaluated together, in blocks of at most _BATCH_ENTRIES entries,
+and each node still reduces on its own, so the values match
+node-by-node evaluation bit for bit.  At the columns whose spatial rule
+sits on the target, the nodes, weights and every factor but
+p(u0, z0, v, z') do not depend on z0, so they are evaluated once per
+column and broadcast over a row's nodes.  Every bridge factor is
+evaluated only along the axes it varies on: the kernels and q take the
+time nodes as a column v[:, None] and broadcast it against the spatial
+nodes, so dt, the kernels' time powers
 and the support gate are computed once per time column, and the
 integrand product is formed in place on the first kernel factor, in the
 order (((p1 p2) q) r) w; a level-1 bridge skips the factor r_0 = 1.  All
@@ -161,14 +165,25 @@ class RectBivariateSpline:
         return out
 
 
+# Entries (source node, column, spatial node) the series engine holds in
+# one broadcast: half of one resolution-1.6 grid row (24 nodes, 22 time
+# nodes, 44 spatial nodes).  Batches of rows are cut into blocks of
+# columns of at most this size, so their temporaries stay those of the
+# row-at-a-time engine; a whole row per block raised the peak RSS of a
+# series run by about 1 %, half a row left it lower.
+_BATCH_ENTRIES = 24 * 11 * 44
+
+
 class SeriesEngine:
     """Grid-backed evaluator of the term ratios r_n = p_n / p for a fixed
     target (t, y).
 
     Built once per slice problem; levels are built lazily, so call order
     does not change values.  ``ratios`` evaluates the whole term sequence
-    at arbitrary source points with s >= s_min.  Engines run in pairs at
-    two resolutions, whose difference is the quadrature error estimate.
+    at arbitrary source points with s >= s_min, all points of a level in
+    one batch, and gives each point the bits it has alone.  Engines run
+    in pairs at two resolutions, whose difference is the quadrature error
+    estimate.
     """
 
     def __init__(self, kernel, mu: PerturbingMeasure, t, y, s_min, x_range,
@@ -234,52 +249,20 @@ class SeriesEngine:
 
     # -- rules ------------------------------------------------------------
 
-    def _bridge(self, u0, z0, v, atom=False):
-        """Spatial nodes/weights for the z' integral at intermediate times v,
-        as (cols, zp, wp) groups over the columns cols of v: zp has shape
-        (len(z0), ncols, n), or (1, ncols, n) where it does not depend on
-        the source node z0, and wp broadcasts to it.  The rule is centered
-        on the narrower of the two kernel factors, with the finer unit rule
-        at an atom; time nodes whose rule sits on the target (t, y) form the
-        z0-free group.  Cone rules need z0 < y, which holds wherever
-        p(u0, z0, t, y) > 0."""
-        if self.kind == "cone":
-            xi, w = self._gl_half
-            zm = 0.5 * (z0 + self.y)
-            half = (zm - z0)[:, None]
-            left = z0[:, None] + half * xi ** 2
-            wl = w * 2.0 * half * xi
-            right = self.y - half * xi[::-1] ** 2
-            wr = (w * 2.0 * half * xi)[:, ::-1]
-            zp = np.concatenate([left, right], axis=1)
-            wp = np.concatenate([wl, wr], axis=1)
-            shape = (len(z0), len(v), zp.shape[1])
-            return [(slice(None), np.broadcast_to(zp[:, None, :], shape),
-                     wp[:, None, :])]
-        s1 = np.asarray(self.kernel.peak_scale(v - u0), dtype=float)
-        s2 = np.asarray(self.kernel.peak_scale(self.t - v), dtype=float)
-        use1 = s1 <= s2
-        scale = np.maximum(np.where(use1, s1, s2), 1e-300)
-        tan, tan_w = self._atom_rule if atom else self._rule
-        groups = []
-        for cols, center in ((use1, z0[:, None, None]),
-                             (~use1, np.full((1, 1, 1), self.y))):
-            if np.any(cols):
-                groups.append((cols, center + scale[cols][:, None] * tan,
-                               scale[cols][:, None] * tan_w))
-        return groups
-
     def _time_nodes(self, lo, hi, u0):
-        """Rule for the v integral on (lo, hi); cone kernels get quadratic
-        clustering at v = u0 where the cross-section mass blows like
-        (v - u0)^{-1/2}."""
+        """Rules for the v integral on (lo[i], hi) from the source time
+        u0[i], one row each; cone kernels get quadratic clustering at
+        v = u0 where the cross-section mass blows like (v - u0)^{-1/2}."""
         xi, w = self._gl_t
-        if self.kind == "cone" and lo <= u0 + 1e-300:
-            v = u0 + (hi - u0) * xi ** 2
-            dv = w * 2.0 * (hi - u0) * xi
-        else:
-            v = lo + (hi - lo) * xi
-            dv = w * (hi - lo)
+        width = (hi - lo)[:, None]
+        v = lo[:, None] + width * xi
+        dv = w * width
+        if self.kind == "cone":
+            near = lo <= u0 + 1e-300
+            if near.any():
+                width = (hi - u0[near])[:, None]
+                v[near] = u0[near, None] + width * xi ** 2
+                dv[near] = w * 2.0 * width * xi
         return v, dv
 
     # -- level evaluation ---------------------------------------------------
@@ -299,56 +282,126 @@ class SeriesEngine:
                 out[..., m, :] = spl(v[m], zp[..., m, :])
         return out
 
-    def _bridge_sums(self, u0, z0, v, splines, atom=False):
-        """Inner sums over z' of p(u0, z0, v, z') p(v, z', t, y) q(v, z')
-        r_{n-1}(v, z') w, shape (len(z0), len(v)); an atom term has no q,
-        and level 1 (splines None) no r_0 = 1.  On a z0-free group of the
-        bridge rule, every factor but the first is evaluated once for the
-        whole row and broadcast over z0.  The time operand is the column
-        v[cols, None], so time-only factors are evaluated once per column,
-        and the product is formed in place on p(u0, z0, v, z') in the order
-        (((p1 p2) q) r) w."""
-        inner = np.empty((len(z0), len(v)))
-        zc = z0[:, None, None]
-        for cols, zp, wp in self._bridge(u0, z0, v, atom):
-            vc = v[cols, None]
-            prod = self.kernel(u0, zc, vc, zp)
-            prod *= self.kernel(vc, zp, self.t, self.y)
-            if not atom:
-                prod *= self.mu.q(vc, zp)
-            if splines is not None:
-                prod *= self._lookup(splines, v[cols], zp)
-            prod *= wp
-            inner[:, cols] = np.sum(prod, axis=-1)
-        return inner
-
-    def _row_values(self, u0, z0, f0, splines):
+    def _apply(self, u0, z0, f0, splines):
         """One application of the measure-weighted kernel to r_{n-1} p at
-        the nodes (u0, z0[k]), divided by f0[k] = p(u0, z0[k], t, y).
+        the nodes of a batch of rows, divided by f0 = p(u0, z0, t, y) there;
+        level 1 (splines None) takes r_0 = 1.
 
-        u0 is one time, so the time rules are shared by the row and every
-        node's integrand is one slice of a broadcast.  Each node reduces
-        as a lone node would (sum over z', then dv @ row), so a row gives
-        the same bits as its nodes one at a time."""
-        out = np.zeros(len(z0))
-        live = f0 > 0
-        if u0 >= self.t or not np.any(live):
-            return out
-        z0, f0 = z0[live], f0[live]
-        total = np.zeros(len(z0))
-        for lo, hi in self.segments:
-            if hi <= u0:
-                continue
-            v, dv = self._time_nodes(max(lo, u0), hi, u0)
-            inner = self._bridge_sums(u0, z0, v, splines)
-            total += [float(dv @ row) for row in inner]
-        for atom in self.mu.active_atoms():
-            if u0 < atom.time < self.t:
-                inner = self._bridge_sums(u0, z0, np.array([atom.time]),
-                                          splines, atom=True)
-                total += atom.weight * inner[:, 0]
-        out[live] = total / f0
+        Row i is the source time u0[i] with the nodes z0[i], f0 has shape
+        (rows, nodes), and z0 broadcasts to it: a z0 of one row is shared by
+        every row, as a grid panel's rows share the z-grid.  Dead nodes
+        (f0 <= 0, or u0 >= t) read 0 and are not evaluated; rows whose live
+        nodes coincide are evaluated together."""
+        out = np.zeros(f0.shape)
+        live = (f0 > 0) & (u0 < self.t)[:, None]
+        rows = np.flatnonzero(live.any(axis=1))
+        while len(rows):
+            mask = live[rows[0]]
+            same = (live[rows] == mask).all(axis=1)
+            at = np.ix_(rows[same], np.flatnonzero(mask))
+            zg = z0[:, mask] if len(z0) == 1 else z0[at]
+            out[at] = self._live_rows(u0[rows[same]], zg.T, splines) / f0[at]
+            rows = rows[~same]
         return out
+
+    def _live_rows(self, u0, z0, splines):
+        """The unnormalised values of ``_apply`` at live nodes: z0 of shape
+        (nodes, 1), shared by the rows, or (nodes, rows).
+
+        Columns are (row, time node) pairs, and one pass of
+        ``_bridge_sums`` evaluates every row's columns of a segment (or
+        every row's atoms).  Each node still reduces on its own: the sum
+        over z', then dv @ its row of time nodes, added segment by segment
+        and then atom by atom, so it has the bits of a lone node."""
+        total = np.zeros((len(u0), len(z0)))
+        shared = z0.shape[1] == 1
+        for lo, hi in self.segments:
+            rows = np.flatnonzero(u0 < hi)
+            if not len(rows):
+                continue
+            ur = u0[rows]
+            v, dv = self._time_nodes(np.maximum(lo, ur), hi, ur)
+            nt = v.shape[1]
+            zc = z0 if shared else np.repeat(z0[:, rows], nt, axis=1)
+            inner = self._bridge_sums(np.repeat(ur, nt), v.ravel(), zc,
+                                      splines).reshape(len(z0), len(rows), nt)
+            total[rows] += [[float(d @ node) for node in inner[:, i]]
+                            for i, d in enumerate(dv)]
+        ahead = [(a, np.flatnonzero(u0 < a.time))
+                 for a in self.mu.active_atoms() if a.time < self.t]
+        ahead = [(a, rows) for a, rows in ahead if len(rows)]
+        if ahead:
+            rows = np.concatenate([r for _, r in ahead])
+            v = np.concatenate([np.full(len(r), a.time) for a, r in ahead])
+            inner = self._bridge_sums(u0[rows], v,
+                                      z0 if shared else z0[:, rows],
+                                      splines, atom=True)
+            at = 0
+            for a, r in ahead:
+                total[r] += a.weight * inner[:, at:at + len(r)].T
+                at += len(r)
+        return total
+
+    def _bridge_sums(self, u0, v, z0, splines, atom=False):
+        """Inner sums over z' of p(u0, z0, v, z') p(v, z', t, y) q(v, z')
+        r_{n-1}(v, z') w at the columns c = (u0[c], v[c]), shape (nodes,
+        columns); z0 has shape (nodes, 1), shared by the columns, or
+        (nodes, columns).  An atom term has no q.
+
+        The spatial rule is centered on the narrower of the two kernel
+        factors, with the finer unit rule at an atom; the columns whose
+        rule sits on the target (t, y) form a z0-free group, on which every
+        factor but p(u0, z0, v, z') is evaluated once per column and
+        broadcast over the nodes.  Cone rules need z0 < y, which holds
+        wherever p(u0, z0, t, y) > 0.  The time operands are columns
+        v[cols, None], so time-only factors are evaluated once per column,
+        and the product is formed in place on p(u0, z0, v, z') in the
+        order (((p1 p2) q) r) w.  Columns go in blocks of at most
+        _BATCH_ENTRIES (node, column, spatial node) entries."""
+        nz, shared = len(z0), z0.shape[1] == 1
+        tan, tan_w = self._atom_rule if atom else self._rule
+        xi, w = self._gl_half
+        width = 2 * len(xi) if self.kind == "cone" else len(tan)
+        step = max(1, _BATCH_ENTRIES // (nz * width))
+        inner = np.empty((nz, len(v)))
+        for a in range(0, len(v), step):
+            b = slice(a, a + step)
+            ub, vb, out = u0[b], v[b], inner[:, b]
+            zn = (z0 if shared else z0[:, b])[:, :, None]
+            if self.kind == "cone":
+                half = 0.5 * (zn + self.y) - zn
+                wl = w * 2.0 * half * xi
+                zp = np.concatenate([zn + half * xi ** 2,
+                                     self.y - half * xi[::-1] ** 2], axis=-1)
+                groups = [(slice(None), zn, np.broadcast_to(
+                    zp, (nz, len(vb), width)),
+                    np.concatenate([wl, wl[..., ::-1]], axis=-1))]
+            else:
+                s1 = np.asarray(self.kernel.peak_scale(vb - ub), dtype=float)
+                s2 = np.asarray(self.kernel.peak_scale(self.t - vb),
+                                dtype=float)
+                use1 = s1 <= s2
+                scale = np.maximum(np.where(use1, s1, s2), 1e-300)
+                groups = []
+                for cols, on_source in ((use1, True), (~use1, False)):
+                    if np.any(cols):
+                        zc = zn if shared else zn[:, cols]
+                        sc = scale[cols][:, None]
+                        center = zc if on_source else np.full((1, 1, 1),
+                                                              self.y)
+                        groups.append((cols, zc, center + sc * tan,
+                                       sc * tan_w))
+            for cols, zc, zp, wp in groups:
+                vc = vb[cols, None]
+                prod = self.kernel(ub[cols, None], zc, vc, zp)
+                prod *= self.kernel(vc, zp, self.t, self.y)
+                if not atom:
+                    prod *= self.mu.q(vc, zp)
+                if splines is not None:
+                    prod *= self._lookup(splines, vb[cols], zp)
+                prod *= wp
+                out[:, cols] = np.sum(prod, axis=-1)
+        return inner
 
     def _grid_level(self, splines):
         new_splines = []
@@ -367,9 +420,7 @@ class SeriesEngine:
                     self.kernel(u_rows[:, None], self.z_nodes, self.t,
                                 self.y), dtype=float)))
         for u_nodes, u_rows, f0 in self._panel_rows:
-            vals = np.empty((self.grid_t, self.grid_z))
-            for i, ui in enumerate(u_rows):
-                vals[i] = self._row_values(ui, self.z_nodes, f0[i], splines)
+            vals = self._apply(u_rows, self.z_nodes[None, :], f0, splines)
             sup = max(sup, float(np.max(vals)))
             new_splines.append(RectBivariateSpline(u_nodes, self.z_nodes,
                                                    vals))
@@ -388,13 +439,9 @@ class SeriesEngine:
         if self._splines is None:
             self._splines = [None]
             self._grid_sups = [1.0]
-        live = np.flatnonzero(alive)
         for level in range(1, self.max_terms + 1):
-            prev = self._splines[level - 1]
-            row = np.zeros(len(s_pts))
-            for i in live:
-                row[i] = self._row_values(s_pts[i], x_pts[i:i + 1],
-                                          f0[i:i + 1], prev)[0]
+            row = self._apply(s_pts, x_pts[:, None], f0[:, None],
+                              self._splines[level - 1])[:, 0]
             rows.append(row)
             if level == self.max_terms:
                 break
@@ -437,12 +484,16 @@ def series_batch(kernel, mu: PerturbingMeasure, s_pts, x_pts, t, y,
                  quad_tol: float = 1e-4, max_terms: int = 14):
     """Series at many source points sharing one engine (and its refined
     rerun, which supplies the per-point quadrature error estimate), on
-    the window the points span."""
+    the window the live points (s < t) span, or all points if none is
+    live: a point at s >= t has p = 0 and must not widen the window."""
     s_pts = np.atleast_1d(np.asarray(s_pts, dtype=float))
     x_pts = np.atleast_1d(np.asarray(x_pts, dtype=float))
     f0 = np.asarray(kernel(s_pts, x_pts, t, y), dtype=float)
-    x_range = (float(np.min(x_pts)), float(np.max(x_pts)))
-    engines = _engine_pair(kernel, mu, t, y, float(np.min(s_pts)), x_range,
+    live = s_pts < t
+    s_win, x_win = (s_pts[live], x_pts[live]) if live.any() else \
+        (s_pts, x_pts)
+    x_range = (float(np.min(x_win)), float(np.max(x_win)))
+    engines = _engine_pair(kernel, mu, t, y, float(np.min(s_win)), x_range,
                            quad_tol, max_terms)
     return _sum_rows(engines, s_pts, x_pts, f0, quad_tol, max_terms)
 
@@ -450,7 +501,9 @@ def series_batch(kernel, mu: PerturbingMeasure, s_pts, x_pts, t, y,
 def _engine_pair(kernel, mu, t, y, s_min, x_range, quad_tol, max_terms):
     """Engines at resolutions 1.0 and 1.6; the refined one supplies the
     terms and the difference the quadrature error estimate."""
-    return tuple(SeriesEngine(kernel, mu, t, y, s_min=min(s_min, t - 1e-9),
+    # t - 1e-9 rounds to t for |t| past about 1e7
+    s_min = min(s_min, t - 1e-9, np.nextafter(t, -np.inf))
+    return tuple(SeriesEngine(kernel, mu, t, y, s_min=s_min,
                               x_range=x_range, quad_tol=quad_tol,
                               max_terms=max_terms, resolution=r)
                  for r in (1.0, 1.6))
@@ -685,15 +738,13 @@ class TimeSliceProblem(_SliceProblem):
         return self._sample(self.r, self.t - 1e-6 * max(1.0, abs(self.t)), n, 977)
 
     def slice_apply(self, j, pts):
-        """p_1^{I_j} at the points: the ratio from slice j's engine, one
-        point at a time against the scalar p there, times p."""
-        eng = self._p1_engines[j - 1]
-        out = np.empty(len(pts))
-        for i, (s, x) in enumerate(pts):
-            f0 = float(self.kernel(s, x, self.t, self.y))
-            out[i] = eng._row_values(float(s), np.array([float(x)]),
-                                     np.array([f0]), None)[0]
-        return out * self.control(pts)
+        """p_1^{I_j} at the points: the ratio from slice j's engine, all
+        points in one batch, each against the scalar p there, times p."""
+        f0 = np.array([float(self.kernel(s, x, self.t, self.y))
+                       for s, x in pts])
+        ratio = self._p1_engines[j - 1]._apply(pts[:, 0], pts[:, 1:2],
+                                               f0[:, None], None)
+        return ratio[:, 0] * self.control(pts)
 
 
 class KappaSliceProblem(_SliceProblem):

@@ -162,6 +162,19 @@ def test_series_causality():
     assert r.value == 0.0 and r.status == "converged"
 
 
+def test_series_window_ignores_dead_points():
+    # a point at s >= t (p = 0) widened the engine's window to x = 100:
+    # the live point's error grew from 9.5e-6 to 1.0e-4, still converged
+    mu = PerturbingMeasure(ConstDensity(0.3))
+    kw = dict(quad_tol=1e-3, max_terms=10)
+    alone, = pt.series_batch(G, mu, [0.1], [0.0], 1.0, 0.0, **kw)
+    live, dead = pt.series_batch(G, mu, [0.1, 1.5], [0.0, 100.0], 1.0, 0.0,
+                                 **kw)
+    assert live == alone
+    assert abs(live.ratio - math.exp(0.27)) / math.exp(0.27) < 2e-5
+    assert dead.value == 0.0 and dead.status == "converged"
+
+
 def test_series_atomless_oracle():
     mu = PerturbingMeasure(ConstDensity(1.0))
     r = _at(mu, 0.0, 0.5, quad_tol=1e-4)
@@ -311,6 +324,20 @@ def test_spline_matches_fitpack_interpolant(nx, ny):
 
 # -- grid rows ----------------------------------------------------------------
 
+def _scalar_time_nodes(eng, lo, hi, u0):
+    """Time rule on (lo, hi) from one source time, as the engine once
+    built it."""
+    xi, w = eng._gl_t
+    if eng.kind == "cone" and lo <= u0 + 1e-300:
+        return u0 + (hi - u0) * xi ** 2, w * 2.0 * (hi - u0) * xi
+    return lo + (hi - lo) * xi, w * (hi - lo)
+
+
+def _on_source(eng, u0, v):
+    """Whether the bridge rule at the time nodes v sits on the source."""
+    return eng.kernel.peak_scale(v - u0) <= eng.kernel.peak_scale(eng.t - v)
+
+
 def _scalar_bridge(eng, u0, z0, v, n_half):
     """Bridge rule for one source node, as the engine once built it, with
     n_half tan nodes per half-axis."""
@@ -351,7 +378,7 @@ def _scalar_point_value(eng, u0, z0, f0, splines):
     for lo, hi in eng.segments:
         if hi <= u0:
             continue
-        v, dv = eng._time_nodes(max(lo, u0), hi, u0)
+        v, dv = _scalar_time_nodes(eng, max(lo, u0), hi, u0)
         zp, wp = _scalar_bridge(eng, u0, z0, v, eng.nodes_z // 2)
         vv = np.broadcast_to(v[:, None], zp.shape)
         p1 = eng.kernel(u0, z0, vv, zp)
@@ -393,45 +420,116 @@ ROW_CASES = {       # kernel, measure, target point y, x_range
 }
 
 
+class _EntryCounter:
+    """A kernel that records the size of each value it returns."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def __call__(self, *args):
+        out = self.kernel(*args)
+        self.sizes.append(np.size(out))
+        return out
+
+
+def _row_times(eng):
+    """Source times of a batch: rows of every panel, the left limit a panel
+    ending at an atom holds, just before and after each atom and support
+    edge, and the dead times t and past t."""
+    times = [u for u_nodes, u_rows, _ in eng._panel_rows
+             for u in (*u_nodes[[0, 3, -2]], u_rows[-1])]
+    edges = [a.time for a in eng.mu.atoms] + [eng.mu.time_support.lo]
+    times += [e + d for e in edges if 0.0 < e < eng.t for d in (-1e-3, 1e-3)]
+    return np.array(times + [eng.t, eng.t + 0.5])
+
+
+@pytest.mark.bits
 @pytest.mark.parametrize("case", sorted(ROW_CASES))
-def test_row_values_match_scalar_nodes(case):
+def test_row_values_match_scalar_nodes(case, monkeypatch):
+    # a batch of rows gives every node the bits of that node evaluated
+    # alone: rows sharing the z-grid, rows of one node each, mixed source
+    # times across panels, atoms and support edges, dead nodes, and blocks
+    # of columns that split rows (the small cap)
     kernel, mu, y, x_range = ROW_CASES[case]
+    for cap in (pt._BATCH_ENTRIES, 17 * 28 * 5):
+        monkeypatch.setattr(pt, "_BATCH_ENTRIES", cap)
+        _check_batches_against_scalar_nodes(kernel, mu, y, x_range)
+
+
+def _check_batches_against_scalar_nodes(kernel, mu, y, x_range):
     eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0, x_range=x_range,
                           resolution=1.0)
     # nodes past the target point are dead for the cone kernel
     z0 = np.concatenate([eng.z_nodes, [y + 0.25, y + 1.0]])
+    assert len(z0) == 17
     level1, _ = eng._grid_level(None)
-    rows = [u for u_nodes, _, _ in eng._panel_rows for u in u_nodes[[0, 3, -2]]]
-    # which rule groups the rows below evaluate: (atom term, per-group
-    # leading sizes), where a size of 1 is the z0-free group
-    seen = set()
-    bridge = eng._bridge
-
-    def spy(u0, z0, v, atom=False):
-        groups = bridge(u0, z0, v, atom)
-        seen.add((atom, tuple(zp.shape[0] for _, zp, _ in groups)))
-        return groups
-
-    eng._bridge = spy
+    u0 = _row_times(eng)
+    # readout points: every source time against several nodes, live ones
+    # first; batch sizes 1, one block's worth of points - 1 and + 1
+    per_block = pt._BATCH_ENTRIES // len(eng._rule[0]) // eng.nodes_t
+    s_pts, x_pts = (a.ravel() for a in np.meshgrid(
+        np.union1d(u0, np.linspace(0.0, 1.4, 15)), z0))
+    f_pts = np.asarray(kernel(s_pts, x_pts, eng.t, eng.y), dtype=float)
+    order = np.argsort(~((f_pts > 0) & (s_pts < eng.t)), kind="stable")
+    assert np.count_nonzero(f_pts > 0) > per_block + 1
+    counter = _EntryCounter(kernel)
+    eng.kernel = counter
     for splines in (None, level1):
-        for u0 in rows:
-            f0 = np.asarray(kernel(u0, z0, eng.t, eng.y), dtype=float)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                row = eng._row_values(u0, z0, f0, splines)
-            ref = np.array([_scalar_point_value(eng, u0, z, f, splines)
-                            for z, f in zip(z0, f0)])
+        f0 = np.asarray(kernel(u0[:, None], z0, eng.t, eng.y), dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = eng._apply(u0, z0[None, :], f0, splines)
+        for u, row, f in zip(u0, rows, f0):
+            ref = np.array([_scalar_point_value(eng, u, z, fz, splines)
+                            for z, fz in zip(z0, f)])
             assert np.array_equal(row, ref)
-            assert np.all(np.isfinite(row))
-            if kernel is st.KAPPA:
-                assert np.all(row[z0 >= eng.y] == 0.0)
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[f0 <= 0] == 0.0) and np.any(f0 <= 0)
+        for n in (1, per_block - 1, per_block + 1, len(s_pts)):
+            i = order[:n]
+            got = eng._apply(s_pts[i], x_pts[i, None], f_pts[i, None],
+                             splines)[:, 0]
+            ref = [_scalar_point_value(eng, s, x, f, splines)
+                   for s, x, f in zip(s_pts[i], x_pts[i], f_pts[i])]
+            assert got.tobytes() == np.array(ref).tobytes()
+    assert 0 < max(counter.sizes) <= pt._BATCH_ENTRIES
     if kernel.kind == "peak":
-        # time rules that mix both groups, and atoms on either side
-        assert (False, (len(z0), 1)) in seen
+        # time rules that mix both sides, and atoms on either side
+        sides = set()
+        for u in u0[u0 < eng.t]:
+            for lo, hi in eng.segments:
+                if hi > u:
+                    v, _ = _scalar_time_nodes(eng, max(lo, u), hi, u)
+                    sides.add((False, frozenset(_on_source(eng, u, v))))
+            for a in mu.atoms:
+                if u < a.time:
+                    sides.add((True, bool(_on_source(eng, u, a.time))))
+        assert (False, frozenset({True, False})) in sides
         if mu.atoms:
-            assert (True, (len(z0),)) in seen
-        if case.endswith("late-atom"):
-            assert (True, (1,)) in seen
+            assert (True, True) in sides
+        if any(a.time == 0.8 for a in mu.atoms):     # the late atoms
+            assert (True, False) in sides
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_ratios_in_one_batch_match_one_point_at_a_time(case):
+    kernel, mu, y, x_range = ROW_CASES[case]
+    eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0, x_range=x_range,
+                          resolution=1.0, quad_tol=1e-5)
+    s = np.array([0.0, 0.1, 0.3, 0.45, 0.5, 0.79, 0.81, 0.95, 1.0, 1.5])
+    x = x_range[0] + (x_range[1] - x_range[0]) * \
+        np.array([0.5, 0.1, 0.9, 0.3, 0.6, 0.75, 0.2, 0.5, 0.5, 0.4])
+    x[-3] = y + 0.5 if kernel is st.KAPPA else x[-3]   # past the cone tip
+    batch = eng.ratios(s, x)
+    assert batch.shape[0] >= 3
+    for i in range(len(s)):
+        alone = eng.ratios(s[i:i + 1], x[i:i + 1])[:, 0]
+        assert alone.tobytes() == batch[:len(alone), i].tobytes()
 
 
 def _frozen_spline_eval(spl, x, y):
@@ -452,13 +550,44 @@ def _frozen_spline_eval(spl, x, y):
     return ((c3.take(k) * d + c2.take(k)) * d + c1.take(k)) * d + c0.take(k)
 
 
+def _frozen_bridge(eng, u0, z0, v, atom=False):
+    """The engine's bridge rule for one source time as first written, as
+    (cols, zp, wp) groups over the columns of v; the group on the target
+    has zp of leading size 1."""
+    if eng.kind == "cone":
+        xi, w = eng._gl_half
+        zm = 0.5 * (z0 + eng.y)
+        half = (zm - z0)[:, None]
+        left = z0[:, None] + half * xi ** 2
+        wl = w * 2.0 * half * xi
+        right = eng.y - half * xi[::-1] ** 2
+        wr = (w * 2.0 * half * xi)[:, ::-1]
+        zp = np.concatenate([left, right], axis=1)
+        wp = np.concatenate([wl, wr], axis=1)
+        shape = (len(z0), len(v), zp.shape[1])
+        return [(slice(None), np.broadcast_to(zp[:, None, :], shape),
+                 wp[:, None, :])]
+    s1 = np.asarray(eng.kernel.peak_scale(v - u0), dtype=float)
+    s2 = np.asarray(eng.kernel.peak_scale(eng.t - v), dtype=float)
+    use1 = s1 <= s2
+    scale = np.maximum(np.where(use1, s1, s2), 1e-300)
+    tan, tan_w = eng._atom_rule if atom else eng._rule
+    groups = []
+    for cols, center in ((use1, z0[:, None, None]),
+                         (~use1, np.full((1, 1, 1), eng.y))):
+        if np.any(cols):
+            groups.append((cols, center + scale[cols][:, None] * tan,
+                           scale[cols][:, None] * tan_w))
+    return groups
+
+
 def _frozen_bridge_sums(eng, u0, z0, v, splines, atom=False):
     """SeriesEngine._bridge_sums as first written: every operand
     materialised at the rule's full shape, r_0 = 1 as an array of ones and
     the product out of place."""
     inner = np.empty((len(z0), len(v)))
     zc = z0[:, None, None]
-    for cols, zp, wp in eng._bridge(u0, z0, v, atom):
+    for cols, zp, wp in _frozen_bridge(eng, u0, z0, v, atom):
         vv = np.broadcast_to(v[cols, None], zp.shape)
         p1 = eng.kernel(u0, zc, vv, zp)
         p2 = eng.kernel(vv, zp, eng.t, eng.y)
@@ -480,6 +609,37 @@ def _frozen_bridge_sums(eng, u0, z0, v, splines, atom=False):
             qv = eng.mu.q(vv, zp)
             inner[:, cols] = np.sum(p1 * p2 * qv * rv * wp, axis=-1)
     return inner
+
+
+def _frozen_row_values(eng, u0, z0, f0, splines):
+    """The engine's evaluator when it took one source time per call (the
+    nodes z0, base density f0 there)."""
+    out = np.zeros(len(z0))
+    live = f0 > 0
+    if u0 >= eng.t or not np.any(live):
+        return out
+    z0, f0 = z0[live], f0[live]
+    total = np.zeros(len(z0))
+    for lo, hi in eng.segments:
+        if hi <= u0:
+            continue
+        v, dv = _scalar_time_nodes(eng, max(lo, u0), hi, u0)
+        inner = _frozen_bridge_sums(eng, u0, z0, v, splines)
+        total += [float(dv @ row) for row in inner]
+    for atom in eng.mu.active_atoms():
+        if u0 < atom.time < eng.t:
+            inner = _frozen_bridge_sums(eng, u0, z0, np.array([atom.time]),
+                                        splines, atom=True)
+            total += atom.weight * inner[:, 0]
+    out[live] = total / f0
+    return out
+
+
+def _frozen_apply(eng, u0, z0, f0, splines):
+    """SeriesEngine._apply one row at a time through the frozen path."""
+    return np.array([_frozen_row_values(eng, u, z0[0] if len(z0) == 1
+                                        else z0[i], f0[i], splines)
+                     for i, u in enumerate(u0)]).reshape(f0.shape)
 
 
 FROZEN_CASES = {    # kernel, measure, target point y, x_range
@@ -510,12 +670,17 @@ def test_ratios_match_frozen_bridge_sums(case):
     s = np.array([0.0, 0.15, 0.35, 0.5, 0.7, 0.9])
     x = x_range[0] + (x_range[1] - x_range[0]) * \
         np.array([0.1, 0.9, 0.5, 0.3, 0.75, 0.6])
-    frozen = engine()
-    frozen._bridge_sums = functools.partial(_frozen_bridge_sums, frozen)
-    got, want = engine().ratios(s, x), frozen.ratios(s, x)
+    frozen, batched = engine(), engine()
+    frozen._apply = functools.partial(_frozen_apply, frozen)
+    frozen.kernel, batched.kernel = (_EntryCounter(kernel),
+                                     _EntryCounter(kernel))
+    got, want = batched.ratios(s, x), frozen.ratios(s, x)
     assert got.shape == want.shape
     assert got.shape[0] >= 3 or mu.density is None
     assert np.array_equal(got, want)
+    # the same kernel entries, dead nodes skipped alike, in fewer calls
+    assert sum(batched.kernel.sizes) == sum(frozen.kernel.sizes)
+    assert len(batched.kernel.sizes) < len(frozen.kernel.sizes)
 
 
 def test_slice_problem_reuses_engine_pair_bit_for_bit():
@@ -558,8 +723,8 @@ def _frozen_p1_ratio(kernel, mu, t, y, s, x, quad_tol=1e-5):
     eng = pt.SeriesEngine(kernel, mu, t, y, s_min=min(s, t - 1e-9),
                           x_range=(min(x, y), max(x, y)), quad_tol=quad_tol,
                           resolution=1.6)
-    return float(eng._row_values(float(s), np.array([float(x)]),
-                                 np.array([f0]), None)[0])
+    return float(_frozen_row_values(eng, float(s), np.array([float(x)]),
+                                    np.array([f0]), None)[0])
 
 
 # the README's run config and a Cauchy run off the axis: kernel, measure,
