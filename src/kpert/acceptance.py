@@ -181,8 +181,8 @@ SHARPNESS_TIMES = (1 / 6, 1 / 2, 5 / 6)
 
 def sharpness_series_fn(op_lo, op_hi, eta):
     def fn(pts):
-        lo = np.array([op_lo.series_at(eta, s, x).value for s, x in pts])
-        hi = np.array([op_hi.series_at(eta, s, x).value for s, x in pts])
+        lo = np.array([op_lo.series_at(eta, s, x).ratio for s, x in pts])
+        hi = np.array([op_hi.series_at(eta, s, x).ratio for s, x in pts])
         err = float(np.max(np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300)))
         return hi, bnd.TruncationReport(80, "converged", 0.0, max(err, 1e-7))
     return fn

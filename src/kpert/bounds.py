@@ -13,9 +13,9 @@ written once in ``gronwall_bound``; ``theorem_bound`` takes alpha =
 per-slice summability.  The module also estimates the constants from
 samples (refined around each slice's argmax only for a problem with
 local points) or exact enumeration and writes certificates comparing the
-bound against an independently summed series.  A slice problem holds no
-state that this module reads back: ``certify`` keeps its own running
-quadrature error.
+bound against an independently summed series.  A slice problem reports
+ratios to f, so this module divides by nothing, and holds no state that
+it reads back: ``certify`` keeps its own running quadrature error.
 
 Certificates never silently trust the theorem: a certificate is VALID
 only when the measured series ratio stays below the bound within a
@@ -151,13 +151,16 @@ class BoundCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Slice problems: anything exposing k slices, a control function, the sliced
-# operator K_j applied to the control, and an independently computed series.
-# Continuous problems sample; the matrix problem enumerates states exactly.
+# Slice problems: anything exposing k, exact, slice and top points, the
+# slice ratio K_j f / f and an independently computed series ratio with its
+# TruncationReport (local_points where a sampled sup is refined).  Continuous
+# problems sample; the matrix problem enumerates states exactly.
 # ---------------------------------------------------------------------------
 
 class MatrixSliceProblem:
-    """Finite-state problem: exact enumeration, exact summation."""
+    """Finite-state problem: exact enumeration, exact summation.  f may be
+    0 or +inf at a state, so its ratios take the rules of ``_ratios``: a
+    state with f = 0 < K_j f reads eta = inf (unverifiable there)."""
 
     exact = True
 
@@ -174,8 +177,9 @@ class MatrixSliceProblem:
         self._slices = chain.slices
         # K 1_S f as K (1_S f): the same products, with the zeros in the
         # same places, and no restricted copy of K
-        self._Kjf = [mk.apply(K, np.where(S.mask, self.f, 0.0))
-                     for S in self._slices]
+        self._slice_ratios = [
+            _ratios(mk.apply(K, np.where(S.mask, self.f, 0.0)), self.f)
+            for S in self._slices]
 
     @property
     def k(self):
@@ -187,17 +191,14 @@ class MatrixSliceProblem:
     def top_points(self, rng=None, n=None):
         return self.chain.sets[-1].indices()
 
-    def control(self, pts):
-        return self.f[pts]
-
-    def slice_apply(self, j, pts):
-        return self._Kjf[j - 1][pts]
+    def slice_ratio(self, j, pts):
+        return self._slice_ratios[j - 1][pts]
 
     def series(self, pts):
-        """The series at pts; K's memo sums it once for all slices."""
+        """The series ratio at pts; K's memo sums it once for all slices."""
         res = mk.neumann_series(self.K, self.f)
         rep = TruncationReport(res.n_terms, res.status, res.tail_estimate, 0.0)
-        return res.value[pts], rep
+        return _ratios(res.value[pts], self.f[pts]), rep
 
 
 def _ratios(num, den):
@@ -211,10 +212,9 @@ def _ratios(num, den):
     return out
 
 
-def _sup_ratio(num, den):
-    """sup num/den with the conventions of _ratios; 0 for no points."""
-    out = _ratios(num, den)
-    return float(np.max(out)) if out.size else 0.0
+def _sup(ratios) -> float:
+    """The largest ratio; 0 for no points."""
+    return float(np.max(ratios)) if len(ratios) else 0.0
 
 
 def estimate_constants(problem, rng=None,
@@ -226,16 +226,15 @@ def estimate_constants(problem, rng=None,
     the sample count so the provenance is visible.  A problem with
     local_points (the diagonal-level one) is refined in two rounds that
     jitter around each slice's argmax with rng; the others (matrix and
-    time slices) are not.  Points where f = 0 but K_j f > 0 force
-    eta = inf (hypothesis unverifiable there).
+    time slices) are not.
     """
     etas, betas, counts = [], [], []
     refine = hasattr(problem, "local_points")
     top = problem.top_points(rng, n_samples)
     for j in range(1, problem.k + 1):
         pts = problem.slice_points(j, rng, n_samples)
-        vals = _ratios(problem.slice_apply(j, pts), problem.control(pts))
-        best = float(np.max(vals)) if len(vals) else 0.0
+        vals = problem.slice_ratio(j, pts)
+        best = _sup(vals)
         count = len(pts)
         if refine and len(vals):
             # local refinement: jitter around the running argmax with a
@@ -245,16 +244,14 @@ def estimate_constants(problem, rng=None,
             for _ in range(2):
                 pts2 = problem.local_points(j, center, radius,
                                             max(n_samples // 2, 4), rng)
-                vals2 = _ratios(problem.slice_apply(j, pts2),
-                                problem.control(pts2))
+                vals2 = problem.slice_ratio(j, pts2)
                 count += len(pts2)
-                if len(vals2) and float(np.max(vals2)) > best:
-                    best = float(np.max(vals2))
+                if _sup(vals2) > best:
+                    best = _sup(vals2)
                     center = pts2[int(np.argmax(vals2))]
                 radius *= 0.4
         etas.append(best)
-        betas.append(_sup_ratio(problem.slice_apply(j, top),
-                                problem.control(top)))
+        betas.append(_sup(problem.slice_ratio(j, top)))
         counts.append(count)
     return SliceConstants(tuple(etas), tuple(betas), tuple(counts))
 
@@ -278,11 +275,11 @@ def certify(problem, eta: float, beta: float, n_samples: int = 64):
     """One certificate per slice: measured series ratio vs the bound for
     the slice constants eta and beta (measured or declared).
 
-    The series is computed by the problem's own engine (exact summation
-    for matrices, quadrature-backed series otherwise) at the slice's
-    points; INCONCLUSIVE when that series did not converge, never INVALID
-    in that case, and for a sampled slice that no sample point falls in,
-    where no series is computed.  An eta of one or more raises
+    The series ratio sum_m K^m f / f is computed by the problem's own
+    engine (exact summation for matrices, quadrature-backed series
+    otherwise) at the slice's points; INCONCLUSIVE when that series did
+    not converge, never INVALID in that case, and for a sampled slice
+    that no sample point falls in, where no series is computed.  An eta of one or more raises
     SmallnessError, and a bound past the largest float DomainError, both
     before any series is summed.  Each slice's tolerance reads the
     largest quadrature error of the series summed so far, its own
@@ -302,9 +299,8 @@ def certify(problem, eta: float, beta: float, n_samples: int = 64):
                 measured_ratio=0.0, status="INCONCLUSIVE", sample_count=0,
                 note="no sample point in the slice"))
             continue
-        f = problem.control(pts)
         series, rep = problem.series(pts)
-        ratio = _sup_ratio(series, f)
+        ratio = _sup(series)
         quad_error = max(quad_error, rep.quad_error)
         tol = quad_rel_tol(quad_error)
         certs.append(BoundCertificate(

@@ -464,9 +464,12 @@ class SeriesEngine:
 # Public term / series interface
 # ---------------------------------------------------------------------------
 
-def _verdict(terms, quad_tol, max_terms):
+def _verdict(terms, value, quad_tol, max_terms):
     """converged or truncated, never diverging: terms like lambda^n / n!
-    grow for lambda steps, and the engine cannot tell them apart."""
+    grow for lambda steps, and the engine cannot tell them apart.  A
+    non-finite value (p times the sum) is truncated, with no tail bound."""
+    if not math.isfinite(value):
+        return "truncated", math.inf
     n = len(terms) - 1
     partial = float(np.sum(terms))
     last = float(terms[-1]) if n >= 1 else 0.0
@@ -523,11 +526,12 @@ def _sum_rows(engines, s_pts, x_pts, f0, quad_tol, max_terms):
     out = []
     for i in range(len(s_pts)):
         terms_ratio = rows_hi[:, i]
-        status, tail = _verdict(terms_ratio, quad_tol, max_terms)
         terms = tuple(float(r) * float(f0[i]) for r in terms_ratio)
-        out.append(SeriesResult(float(np.sum(terms)), terms,
-                                len(terms) - 1, float(tail * f0[i]),
-                                float(err[i]), status, float(f0[i])))
+        value = float(np.sum(terms))
+        status, tail = _verdict(terms_ratio, value, quad_tol, max_terms)
+        out.append(SeriesResult(value, terms, len(terms) - 1,
+                                float(tail * f0[i]), float(err[i]), status,
+                                float(f0[i])))
     return out
 
 
@@ -656,21 +660,18 @@ class MultiAtomOperator:
 # ---------------------------------------------------------------------------
 
 class _SliceProblem:
-    """What the space-time slice problems share: the control
-    p(., ., t, y) and the series adapter.  Subclasses set kernel, mu, t,
-    y, quad_tol, max_terms and engine_window = (s_min, x_range)."""
+    """What the space-time slice problems share: the series adapter,
+    which reports the ratios sum_n p_n / p that ``bounds`` certifies.
+    Subclasses set kernel, mu, t, y, quad_tol, max_terms and
+    engine_window = (s_min, x_range)."""
 
     exact = False
     series_fn = None
     _engines = None
 
-    def control(self, pts):
-        return np.asarray(self.kernel(pts[:, 0], pts[:, 1], self.t, self.y),
-                          dtype=float)
-
     def series(self, pts):
-        """Series at the points from the caller's series_fn, else from the
-        problem's one engine pair, built on first use."""
+        """Series ratios at the points from the caller's series_fn, else
+        from the problem's one engine pair, built on first use."""
         if self.series_fn is not None:
             return self.series_fn(pts)
         if self._engines is None:
@@ -678,27 +679,30 @@ class _SliceProblem:
             self._engines = _engine_pair(self.kernel, self.mu, self.t, self.y,
                                          s_min, x_range, self.quad_tol,
                                          self.max_terms)
-        res = _sum_rows(self._engines, pts[:, 0], pts[:, 1],
-                        self.control(pts), self.quad_tol, self.max_terms)
-        vals = np.array([r.value for r in res])
+        f0 = np.asarray(self.kernel(pts[:, 0], pts[:, 1], self.t, self.y),
+                        dtype=float)
+        res = _sum_rows(self._engines, pts[:, 0], pts[:, 1], f0,
+                        self.quad_tol, self.max_terms)
+        ratios = np.array([r.ratio for r in res])
         status = "truncated" if any(r.status == "truncated" for r in res) \
             else "converged"
         rep = bnd.TruncationReport(max(r.truncation_index for r in res),
                                    status,
                                    max(r.tail_estimate for r in res),
                                    max(r.quad_error_estimate for r in res))
-        return vals, rep
+        return ratios, rep
 
 
 class TimeSliceProblem(_SliceProblem):
     """Slice problem over intervals I_1 (nearest the target time) through
     I_k partitioning [r, t): slice j is I_j x space, the sliced operator
-    applies the measure restricted to I_j, and the series comes from the
-    quadrature engine (or a caller-supplied engine).
+    applies the measure restricted to I_j, and the series ratios come
+    from the quadrature engine (or a caller-supplied series_fn with the
+    contract of ``series``).
 
-    The sliced operator is read from one resolution-1.6 engine per
-    restricted measure: level 1 needs no grid (r_0 = 1), so the engine
-    evaluates p_1^{I_j} / p at any source point with s >= r."""
+    The slice ratio p_1^{I_j} / p is read from one resolution-1.6 engine
+    per restricted measure: level 1 needs no grid (r_0 = 1), so the
+    engine evaluates it at any source point with s >= r."""
 
     def __init__(self, kernel, mu, r, t, y, intervals,
                  quad_tol: float = 1e-4, seed: int = 0, series_fn=None,
@@ -737,14 +741,13 @@ class TimeSliceProblem(_SliceProblem):
     def top_points(self, rng=None, n=32):
         return self._sample(self.r, self.t - 1e-6 * max(1.0, abs(self.t)), n, 977)
 
-    def slice_apply(self, j, pts):
-        """p_1^{I_j} at the points: the ratio from slice j's engine, all
-        points in one batch, each against the scalar p there, times p."""
+    def slice_ratio(self, j, pts):
+        """p_1^{I_j} / p at the points from slice j's engine, all points
+        in one batch, each against the scalar p there."""
         f0 = np.array([float(self.kernel(s, x, self.t, self.y))
                        for s, x in pts])
-        ratio = self._p1_engines[j - 1]._apply(pts[:, 0], pts[:, 1:2],
-                                               f0[:, None], None)
-        return ratio[:, 0] * self.control(pts)
+        return self._p1_engines[j - 1]._apply(pts[:, 0], pts[:, 1:2],
+                                              f0[:, None], None)[:, 0]
 
 
 class KappaSliceProblem(_SliceProblem):
@@ -752,7 +755,7 @@ class KappaSliceProblem(_SliceProblem):
     c (u + z)**(-p): slices are level strips a_j <= u + z < a_{j-1} of
     width h below the target level t + y.
 
-    The sliced operator collapses exactly to a one-dimensional level-line
+    The slice ratio collapses exactly to a one-dimensional level-line
     integral; the series uses the quadrature engine with the cone rules.
     Sample points live in [0, t) x [0, y) intersected with each strip.
     """
@@ -808,12 +811,11 @@ class KappaSliceProblem(_SliceProblem):
         keep = (s + x >= a_lo) & (s + x < a_hi)
         return np.stack([s[keep], x[keep]], axis=1)
 
-    def slice_apply(self, j, pts):
+    def slice_ratio(self, j, pts):
         a_lo, a_hi = self._strip(j)
-        ratios = np.array([st.kappa_slice_ratio(s, x, self.t, self.y,
-                                                a_lo, a_hi, self.c, self.p_exp)
-                           for s, x in pts])
-        return ratios * self.control(pts)
+        return np.array([st.kappa_slice_ratio(s, x, self.t, self.y,
+                                              a_lo, a_hi, self.c, self.p_exp)
+                         for s, x in pts])
 
 
 def theorem46_certify(kernel, mu, t, y, intervals, eta=None,
@@ -832,7 +834,8 @@ def theorem46_certify(kernel, mu, t, y, intervals, eta=None,
     truncation report, and its note names the slice constant that
     failed.  With eta omitted, the measured sup (slightly
     padded) is used.  An eta of one or more raises SmallnessError (from
-    ``bounds.certify``), which carries it.
+    ``bounds.certify``), which carries it.  A series_fn maps the (n, 2)
+    points to their series ratios sum_n p_n / p and a TruncationReport.
     """
     problem = TimeSliceProblem(kernel, mu, min(I.lo for I in intervals), t,
                                y, intervals, quad_tol=quad_tol, seed=seed,
@@ -878,8 +881,8 @@ def corollary47_bound(kernel, mu, r, t, y, intervals, c, beta,
                                quad_tol=quad_tol, seed=seed)
     tol = bnd.quad_rel_tol(quad_tol)
     top = problem.top_points(None, n_samples)
-    p1 = sum(problem.slice_apply(j, top) for j in range(1, problem.k + 1))
-    ratio1 = bnd._sup_ratio(p1, problem.control(top))
+    ratio1 = float(np.max(sum(problem.slice_ratio(j, top)
+                              for j in range(1, problem.k + 1))))
     if ratio1 > beta * (1.0 + tol):
         raise PreconditionError(
             f"first-term bound fails: measured {ratio1:.4g} > beta={beta}")
@@ -895,8 +898,8 @@ def corollary47_bound(kernel, mu, r, t, y, intervals, c, beta,
     if c <= 1.0:
         return 1.0
     C = bnd.corollary_bound(c, bnd.smallest_admissible_N(c), beta, problem.k)
-    vals, rep = problem.series(top)
-    full = bnd._sup_ratio(vals, problem.control(top))
+    ratios, rep = problem.series(top)
+    full = float(np.max(ratios))
     if rep.status == "converged" and full > C * (1.0 + tol):
         raise CertificationError(
             f"series ratio {full:.4g} exceeds the bound C={C:.4g}")

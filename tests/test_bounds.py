@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as hst
 
 from kpert import matrix_kernels as mk
 from kpert.bounds import (BoundCertificate, Interval, MatrixSliceProblem,
-                          TruncationReport, certify, corollary_bound,
-                          diagonal_levels, estimate_constants, gronwall_bound,
+                          TruncationReport, _ratios, certify,
+                          corollary_bound, diagonal_levels,
+                          estimate_constants, gronwall_bound,
                           smallest_admissible_N, theorem_bound,
                           time_uniform_slices)
 from kpert.errors import DomainError, PreconditionError, SmallnessError
@@ -155,16 +156,13 @@ def test_matrix_certify_sums_the_series_once(k, monkeypatch):
 
 class _SampledProblem:
     """Two sampled slices; slice 1 draws no point, and summing a series
-    there fails the test."""
+    there fails the test.  It has no control f: certify reads ratios."""
 
     exact = False
     k = 2
 
     def slice_points(self, j, rng, n):
         return np.ones((0 if j == 1 else n, 2))
-
-    def control(self, pts):
-        return np.ones(len(pts))
 
     def series(self, pts):
         assert len(pts) > 0
@@ -195,9 +193,6 @@ def test_certify_tolerance_keeps_the_largest_error_so_far(error, status):
         def slice_points(self, j, rng, n):
             return np.full((n, 2), float(j))
 
-        def control(self, pts):
-            return np.ones(len(pts))
-
         def series(self, pts):
             if pts[0, 0] == 1.0:
                 return np.ones(len(pts)), TruncationReport(quad_error=error)
@@ -227,18 +222,23 @@ def test_certify_checks_the_largest_bound_before_any_series():
 
 
 def test_matrix_slice_apply_matches_restriction():
-    # K (1_S f) in place of (K 1_S) f: the same bits, +inf entries included
+    # K (1_S f) in place of (K 1_S) f, over f: the same bits, with f = +inf
+    # and f = 0 (a ratio of +inf) at some states
     rng = np.random.default_rng(17)
+    infinite = 0
     for trial in range(100):
         K, chain = mk.random_absorbing_instance(rng, contractive=True)
         f = rng.random(K.n)
-        if trial % 4 == 0:
-            f[rng.integers(K.n)] = np.inf
-        prob = MatrixSliceProblem(K, f, chain)
-        pts = np.arange(K.n)
-        for j, S in enumerate(chain.slices, start=1):
-            want = mk.apply(mk.restrict(K, S, "right"), f)
-            assert prob.slice_apply(j, pts).tobytes() == want.tobytes()
+        if trial % 4 < 2:
+            f[rng.integers(K.n)] = np.inf if trial % 4 == 0 else 0.0
+        with np.errstate(invalid="ignore"):     # inf / inf: NaN on both sides
+            prob = MatrixSliceProblem(K, f, chain)
+            pts = np.arange(K.n)
+            for j, S in enumerate(chain.slices, start=1):
+                want = _ratios(mk.apply(mk.restrict(K, S, "right"), f), f)
+                assert prob.slice_ratio(j, pts).tobytes() == want.tobytes()
+                infinite += int(np.isinf(want).sum())
+    assert infinite > 0
 
 
 @pytest.mark.parametrize("f", [[1.0, np.nan], [1.0, -1.0], [1.0],

@@ -103,20 +103,19 @@ GOLDEN_AVX2 = {
 }
 
 
-def _golden_digest(fixture):
-    """The pinned hash for the CPU target numpy runs float64 exp on:
-    X86_V3 is its AVX2 path, X86_V4 the AVX-512 one."""
-    from numpy.lib.introspect import opt_func_info
-    target = opt_func_info(func_name="^exp$",
-                           signature="float64")["exp"]["dd"]["current"]
-    digest = GOLDEN[fixture][3]
-    return GOLDEN_AVX2.get(fixture, digest) if target == "X86_V3" else digest
+# The artifacts.txt of `kpert reproduce --seed 7`, that is
+# acceptance.reproduce_artifacts(7), on each dispatch
+REPRODUCE_ARTIFACTS = ("0dbbccf01ea0dad9b30e731b3e8ee225"
+                       "908f0c8908d5af5ba1f0872d82ed2c2e")
+REPRODUCE_ARTIFACTS_AVX2 = ("31cb9edc26cc1038874636009b9efeeb"
+                            "8dc39c79eba55281466b2461b87d752e")
 
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN))
-def test_fixture_outputs_golden(fixture, tmp_path):
-    command, code, name, _ = GOLDEN[fixture]
-    digest = _golden_digest(fixture)
+def test_fixture_outputs_golden(fixture, tmp_path, numpy_avx2):
+    command, code, name, digest = GOLDEN[fixture]
+    if numpy_avx2:
+        digest = GOLDEN_AVX2.get(fixture, digest)
     assert run_cli(command, "--config", str(FIXTURES / f"{fixture}.json"),
                    "--out", str(tmp_path)) == code
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
@@ -675,6 +674,30 @@ def test_fixture_mutations_exit_cleanly(tmp_path_factory, doc, command):
         code = run_cli(command, "--config", str(cfg), "--out",
                        str(tmp / "out"))
     assert code in (0, 2, 3, 4)
+    # a sum no error bar covers is never labelled converged
+    if command == "series" and code == 0:
+        for row in (tmp / "out" / "series.csv").read_text().splitlines()[1:]:
+            fields = row.split(",")
+            assert math.isfinite(float(fields[3])) or \
+                fields[-1] != "converged", row
+
+
+def test_series_overflowing_density_is_truncated(tmp_path):
+    # lambda = 1e300 overflows the second term: p_mu = inf had read
+    # converged, and a certificate on such a series would be VALID
+    doc = json.loads((FIXTURES / "kato_gauss_atom.json").read_text())
+    doc["measure"]["density"]["lambda"] = 1e300
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli("series", "--config", str(cfg), "--out",
+                       str(tmp_path)) == 0
+    rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+    assert rows
+    for row in rows:
+        fields = row.split(",")
+        assert fields[3:5] == ["inf", "inf"] and fields[-1] == "truncated"
 
 
 def test_kato_rejects_stable_potential(tmp_path, capsys):
@@ -868,13 +891,15 @@ def test_reproduce_unknown_filter():
     assert run_cli("reproduce", "--only", "nonexistent") == 2
 
 
-def test_reproduce_outputs_deterministic(tmp_path):
+def test_reproduce_outputs_deterministic(tmp_path, numpy_avx2):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert run_cli("reproduce", "--only", "determinism", "--seed", "7",
                        "--out", str(out)) == 0
-    assert (a / "artifacts.txt").read_bytes() == \
-        (b / "artifacts.txt").read_bytes()
+    artifacts = (a / "artifacts.txt").read_bytes()
+    assert artifacts == (b / "artifacts.txt").read_bytes()
+    assert hashlib.sha256(artifacts).hexdigest() == (
+        REPRODUCE_ARTIFACTS_AVX2 if numpy_avx2 else REPRODUCE_ARTIFACTS)
     assert (a / "reproduce_summary.csv").read_text().splitlines()[1].split(",")[:3] == \
         (b / "reproduce_summary.csv").read_text().splitlines()[1].split(",")[:3]
 

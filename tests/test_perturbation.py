@@ -225,6 +225,15 @@ def test_series_growing_terms_are_truncated_not_diverging():
     assert all(b > a for a, b in zip(r.terms, r.terms[1:]))
 
 
+@pytest.mark.parametrize("terms, value", [
+    ((1.0, math.inf), math.inf), ((1.0, math.nan, 0.0), math.nan),
+    ((1.0, 1e300), math.inf)])       # finite ratios times p = 1e10
+def test_non_finite_series_is_truncated(terms, value):
+    # inf <= tol * inf had read converged
+    assert pt._verdict(np.array(terms), value, 1e-4, 14) == \
+        ("truncated", math.inf)
+
+
 def test_series_kappa_single_atom_matches_quad():
     # the cone kernel lives on z > x; the atom's bridge rule must keep to it
     u, eta, t, y = 0.5, 0.4, 1.0, 1.0
@@ -421,10 +430,12 @@ ROW_CASES = {       # kernel, measure, target point y, x_range
 
 
 class _EntryCounter:
-    """A kernel that records the size of each value it returns."""
+    """A kernel that records the arguments of each call and the size of
+    each value it returns."""
 
     def __init__(self, kernel):
         self.kernel = kernel
+        self.args = []
         self.sizes = []
 
     def __getattr__(self, name):
@@ -432,6 +443,7 @@ class _EntryCounter:
 
     def __call__(self, *args):
         out = self.kernel(*args)
+        self.args.append(args)
         self.sizes.append(np.size(out))
         return out
 
@@ -693,9 +705,9 @@ def test_slice_problem_reuses_engine_pair_bit_for_bit():
     for key, p in pts.items():
         engines = pt._engine_pair(G, probe.mu, 1.0, 0.0, probe.r, probe.x_box,
                                   1e-3, 14)
-        res = pt._sum_rows(engines, p[:, 0], p[:, 1], probe.control(p), 1e-3,
-                           14)
-        fresh[key] = (np.array([r.value for r in res]),
+        res = pt._sum_rows(engines, p[:, 0], p[:, 1], G(p[:, 0], p[:, 1],
+                                                         1.0, 0.0), 1e-3, 14)
+        fresh[key] = (np.array([r.ratio for r in res]),
                       (max(r.truncation_index for r in res),
                        max(r.tail_estimate for r in res),
                        max(r.quad_error_estimate for r in res)))
@@ -704,10 +716,10 @@ def test_slice_problem_reuses_engine_pair_bit_for_bit():
                                    quad_tol=1e-3)
         engines = []
         for key in order:
-            vals, rep = prob.series(pts[key])
+            ratios, rep = prob.series(pts[key])
             engines.append(prob._engines)
-            want_vals, want_rep = fresh[key]
-            assert np.array_equal(vals, want_vals)
+            want_ratios, want_rep = fresh[key]
+            assert np.array_equal(ratios, want_ratios)
             assert (rep.max_index, rep.tail_estimate, rep.quad_error) == \
                 want_rep
         assert engines[0] is engines[1]
@@ -743,7 +755,8 @@ P1_CASES = {
 @pytest.mark.parametrize("case", sorted(P1_CASES))
 def test_slice_apply_matches_frozen_p1_ratio(case, seed):
     # one engine per slice measure gives the bits of one engine per point,
-    # on each slice's own points and on the top points
+    # on each slice's own points and on the top points, with no p multiplied
+    # in and divided out again
     kernel, mu, y, h = P1_CASES[case]
     prob = pt.TimeSliceProblem(kernel, mu, 0.0, 1.0, y,
                                time_uniform_slices(0.0, 1.0, h), seed=seed)
@@ -752,8 +765,31 @@ def test_slice_apply_matches_frozen_p1_ratio(case, seed):
         for pts in (prob.slice_points(j, None, 16), prob.top_points(None, 16)):
             want = np.array([_frozen_p1_ratio(kernel, mu_j, 1.0, y, s, x,
                                               prob.quad_tol)
-                             for s, x in pts]) * prob.control(pts)
-            assert prob.slice_apply(j, pts).tobytes() == want.tobytes()
+                             for s, x in pts])
+            assert prob.slice_ratio(j, pts).tobytes() == want.tobytes()
+
+
+def test_slice_ratio_evaluates_p_once_per_point():
+    # the p a slice ratio divides by is one scalar call per point; nothing
+    # evaluates p at the points again to multiply it back in
+    kernel, mu, y, h = P1_CASES["cauchy-4-slices"]
+    counter = _EntryCounter(kernel)
+    prob = pt.TimeSliceProblem(counter, mu, 0.0, 1.0, y,
+                               time_uniform_slices(0.0, 1.0, h))
+    for j, n in ((1, 1), (2, 7), (4, 16)):
+        pts = prob.slice_points(j, None, n)
+        points = {(float(s), float(x)) for s, x in pts}
+        counter.args.clear()
+        prob.slice_ratio(j, pts)
+        at_points, scalar = 0, True
+        for args in counter.args:
+            s, x, t, yy = np.broadcast_arrays(*args)
+            hits = sum((float(a), float(b)) in points for a, b, c, d
+                       in zip(s.flat, x.flat, t.flat, yy.flat)
+                       if c == 1.0 and d == y)
+            at_points += hits
+            scalar = scalar and (hits == 0 or s.ndim == 0)
+        assert (at_points, scalar) == (n, True)
 
 
 def test_theorem46_builds_k_plus_two_engines(monkeypatch):
@@ -947,8 +983,7 @@ def _slice_sups_by_loop(problem, n_samples):
     for j in range(1, problem.k + 1):
         pts = np.concatenate([problem.top_points(None, n_samples),
                               problem.slice_points(j, None, n_samples)])
-        vals = problem.slice_apply(j, pts) / problem.control(pts)
-        sups.append(float(np.max(vals)))
+        sups.append(float(np.max(problem.slice_ratio(j, pts))))
     return sups
 
 
@@ -982,8 +1017,8 @@ def test_theorem46_sharpness_with_alt_series():
     op = pt.MultiAtomOperator(G, times, 1.0, 0.0)
 
     def alt_series(pts):
-        vals = np.array([op.series_at(eta, s, x).value for s, x in pts])
-        return vals, TruncationReport(80, "converged", 0.0, 1e-6)
+        ratios = np.array([op.series_at(eta, s, x).ratio for s, x in pts])
+        return ratios, TruncationReport(80, "converged", 0.0, 1e-6)
 
     certs = pt.theorem46_certify(G, mu, 1.0, 0.0, intervals, eta=eta,
                                  n_samples=6, quad_tol=1e-4,
@@ -1032,9 +1067,7 @@ def test_kappa_slice_problem_constants():
     assert prob.analytic_eta == pytest.approx(0.5, rel=1e-12)
     pts = prob.slice_points(1, n=6)
     assert np.all(pts[:, 0] + pts[:, 1] >= prob.levels[1])
-    vals = prob.slice_apply(1, pts)
-    ctrl = prob.control(pts)
-    assert np.all(vals <= prob.analytic_eta * ctrl)
+    assert np.all(prob.slice_ratio(1, pts) <= prob.analytic_eta)
 
 
 # -- sharpness of the attained bound (series equals closed form) -------------------
