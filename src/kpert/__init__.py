@@ -6,8 +6,8 @@ constants, and certifies the resulting exponential bounds against
 independently computed series and closed-form oracles.
 """
 
-from kpert.errors import CertificationError, DomainError, PreconditionError
+from kpert.errors import DomainError, PreconditionError
 
-__all__ = ["CertificationError", "DomainError", "PreconditionError"]
+__all__ = ["DomainError", "PreconditionError"]
 
 __version__ = "0.1.0"

@@ -165,7 +165,7 @@ def criterion_atom_oracles(seed: int = 7):
         op = pt.MultiAtomOperator(g, times, 1.0, 0.0)
         worst = 0.0
         for s, L in ((0.05, 3), (0.4, 2), (0.7, 1), (0.95, 0)):
-            r = op.series_at(0.5, s, 0.3, tol=1e-9)
+            r = op.series_at(0.5, s, 0.3)
             target = pt.multi_atom_series_factor(0.5, L)
             worst = max(worst, abs(r.ratio - target) / target)
         ok = worst <= 1e-3
@@ -201,7 +201,7 @@ def criterion_sharpness(seed: int = 7):
             # sample left of the slice's atom, where the count equals j
             s = I.lo + 0.1 * I.length
             for x in (-0.4, 0.2):
-                r = op_hi.series_at(eta, s, x, tol=1e-9)
+                r = op_hi.series_at(eta, s, x)
                 target = 2.0 ** j
                 worst = max(worst, abs(r.ratio - target) / target)
         if worst > 1e-3:
@@ -315,13 +315,12 @@ def criterion_kato(seed: int = 7):
         vals = [prof[h] for h in (1.0, 0.5, 0.25, 0.125)]
         if not all(a > b for a, b in zip(vals, vals[1:])):
             return False, f"profile not decreasing: {vals}"
-        c3p = st.scan_3p_constant(20_000, seed=seed)
+        c3p = st.scan_3p_constant(seed)
         h = 0.1
         eta = c3p * k[h]
         pts = np.stack([np.linspace(0.3, 0.9, 10),
                         np.linspace(-0.5, 0.5, 10)], axis=1)
-        certs = pt.kato_certify(cauchy, mu, h, eta, 1.0, 0.0, pts,
-                                quad_tol=1e-3, max_terms=10)
+        certs = pt.kato_certify(cauchy, mu, h, eta, 1.0, 0.0, pts)
         bad = [c for c in certs if c.status != "VALID"]
         if bad:
             return False, f"window certificate {bad[0].status}"

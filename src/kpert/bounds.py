@@ -9,11 +9,10 @@ global boundedness (K_j f <= beta f on the top set) force
 on S_j.  That bound is the closed form alpha (1 + delta)**(j - 1) of the
 discrete Gronwall recursion gamma_j <= alpha + delta sum_{i<j} gamma_i,
 written once in ``gronwall_bound``; ``theorem_bound`` takes alpha =
-1/(1-eta), delta = beta/(1-eta), and ``corollary_bound`` scales it for
-per-slice summability.  The module also estimates the constants from
-samples (refined around each slice's argmax only for a problem with
-local points) or exact enumeration and writes certificates comparing the
-bound against an independently summed series.  A slice problem reports
+1/(1-eta), delta = beta/(1-eta).  The module also estimates the
+constants from samples (refined around each slice's argmax only for a
+problem with local points) or exact enumeration and writes certificates
+comparing the bound against an independently summed series.  A slice problem reports
 ratios to f, so this module divides by nothing, and holds no state that
 it reads back: ``certify`` keeps its own running quadrature error.
 
@@ -62,48 +61,22 @@ def theorem_bound(eta: float, beta: float, j: int) -> float:
     return gronwall_bound(1.0 / (1.0 - eta), beta / (1.0 - eta), j)
 
 
-def corollary_bound(c: float, N: int, beta: float, j: int) -> float:
-    """Series bound from per-slice summability sum_m K_j^m f <= c f.
-
-    Uses eta = c (1 - 1/c)**N, which must fall below one (else: pick a
-    larger N), and returns (sum_{n<N} beta**n) * theorem_bound(eta, beta, j).
-    """
-    if c <= 1.0:
-        raise ValueError("c must exceed 1")
-    if N < 1 or int(N) != N:
-        raise ValueError("N must be a positive integer")
-    eta = c * (1.0 - 1.0 / c) ** N
-    if eta >= 1.0:
-        raise DomainError(f"eta={eta:.6g} >= 1: choose larger N")
-    geom = sum(beta ** n for n in range(int(N)))
-    return geom * theorem_bound(eta, beta, j)
-
-
-def smallest_admissible_N(c: float) -> int:
-    """Least N with c (1 - 1/c)**N < 1 (c >= 1; N=1 works at c = 1)."""
-    if c < 1.0:
-        raise ValueError("c must be at least 1")
-    if c == 1.0:
-        return 1
-    N = 1
-    while c * (1.0 - 1.0 / c) ** N >= 1.0:
-        N += 1
-    return N
-
-
 @dataclass(frozen=True)
 class SliceConstants:
+    """Per-slice eta and beta; eta and beta are their maxima, a NaN
+    included wherever it sits (Python's max drops one that is not first)."""
+
     per_slice_eta: tuple
     per_slice_beta: tuple
-    sample_counts: tuple = ()
+    sample_counts: tuple = ()     # read by benchmarks/tracer.py only
 
     @property
     def eta(self) -> float:
-        return max(self.per_slice_eta)
+        return float(np.max(self.per_slice_eta))
 
     @property
     def beta(self) -> float:
-        return max(self.per_slice_beta)
+        return float(np.max(self.per_slice_beta))
 
 
 @dataclass
@@ -160,7 +133,8 @@ class BoundCertificate:
 class MatrixSliceProblem:
     """Finite-state problem: exact enumeration, exact summation.  f may be
     0 or +inf at a state, so its ratios take the rules of ``_ratios``: a
-    state with f = 0 < K_j f reads eta = inf (unverifiable there)."""
+    state with f = 0 < K_j f, or f = K_j f = +inf, reads eta = inf
+    (unverifiable there)."""
 
     exact = True
 
@@ -202,11 +176,12 @@ class MatrixSliceProblem:
 
 
 def _ratios(num, den):
-    """num/den with the 0/0 = 0 and x/0 = inf conventions."""
+    """num/den with the 0/0 = 0, x/0 = inf and inf/inf = inf conventions:
+    a ratio that no finite eta is known to bound reads inf."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     out = np.zeros_like(num)
-    pos = den > 0
+    pos = (den > 0) & (np.isfinite(num) | np.isfinite(den))
     out[pos] = num[pos] / den[pos]
     out[~pos & (num > 0)] = np.inf
     return out

@@ -215,8 +215,23 @@ def series_csv(s_pts, x_pts, results) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(obj) -> str:
+    """obj as JSON text; a non-finite float, which JSON cannot hold, is
+    written as the string the CSV files use: "inf", "-inf" or "nan"."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [plain(x) for x in v]
+        if isinstance(v, float) and not math.isfinite(v):
+            return _fmt(v)
+        return v
+    return json.dumps(plain(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
 def certificates_json(certs) -> str:
-    return json.dumps([c.to_dict() for c in certs], indent=2, sort_keys=True) + "\n"
+    return _json([c.to_dict() for c in certs])
 
 
 def certificates_csv(certs) -> str:
@@ -333,9 +348,8 @@ def _intervals_from_config(cfg) -> list:
 def _smallness_fails(out_dir, eta) -> int:
     """Exit 4 for a slice constant eta >= 1, where no certificate exists:
     the error and eta go to certificates.json and eta to stderr."""
-    _write(out_dir, "certificates.json", json.dumps(
-        {"error": "local smallness fails", "eta": eta},
-        indent=2, sort_keys=True) + "\n")
+    _write(out_dir, "certificates.json",
+           _json({"error": "local smallness fails", "eta": eta}))
     print(f"local smallness fails: eta = {eta!r} >= 1", file=sys.stderr)
     return 4
 

@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """A parameter left the mathematical domain of a formula (e.g. eta >= 1)."""
 
 
-class CertificationError(RuntimeError):
-    """A soundness check that should hold by theorem failed numerically."""
-
-
 class SmallnessError(PreconditionError):
     """Local smallness fails: a slice constant eta is not below one, so no
     slice bound exists.  Carries eta."""

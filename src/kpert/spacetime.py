@@ -255,14 +255,14 @@ def check_3p_cauchy(s, x, u, z, t, y):
     return out
 
 
-def scan_3p_constant(n: int = 100_000, seed: int = 0) -> float:
-    """Empirical sup of the 3P ratio over random tuples in d = 1.
+def scan_3p_constant(seed: int = 0) -> float:
+    """Empirical sup of the 3P ratio over 20 000 random tuples in d = 1.
 
     The true constant has no closed form here; the scan reports the
     largest finite ratio under a seeded Halton stream, with times in
     [-1, 2) and space in [-3, 3).
     """
-    pts = Halton(6, seed).random(n)
+    pts = Halton(6, seed).random(20_000)
     s, u, t = (-1.0 + 3.0 * pts[:, :3]).T
     x, z, y = (3.0 * (2.0 * pts[:, 3:] - 1.0)).T
     r3 = check_3p_cauchy(s, x, u, z, t, y)

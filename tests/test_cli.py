@@ -12,12 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from kpert import acceptance, cli
+from kpert import matrix_kernels as mk
 
 FIXTURES = Path(cli.fixture_path(""))
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not
+    JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def test_series_zero_measure_ratio_one(tmp_path):
@@ -674,6 +683,8 @@ def test_fixture_mutations_exit_cleanly(tmp_path_factory, doc, command):
         code = run_cli(command, "--config", str(cfg), "--out",
                        str(tmp / "out"))
     assert code in (0, 2, 3, 4)
+    if (tmp / "out" / "certificates.json").exists():
+        _strict_json((tmp / "out" / "certificates.json").read_text())
     # a sum no error bar covers is never labelled converged
     if command == "series" and code == 0:
         for row in (tmp / "out" / "series.csv").read_text().splitlines()[1:]:
@@ -698,6 +709,47 @@ def test_series_overflowing_density_is_truncated(tmp_path):
     for row in rows:
         fields = row.split(",")
         assert fields[3:5] == ["inf", "inf"] and fields[-1] == "truncated"
+
+
+def test_certificates_json_writes_non_finite_numbers_as_strings(tmp_path):
+    # lambda = 1e300 overflows the series: certificates.json held NaN,
+    # Infinity and -Infinity; it now holds the strings the CSV writes
+    doc = json.loads((FIXTURES / "certify_time_uniform.json").read_text())
+    doc["measure"]["density"]["lambda"] = 1e300
+    doc["slicing"]["eta"] = 0.5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli("certify", "--config", str(cfg), "--out",
+                       str(tmp_path)) == 4
+    certs = _strict_json((tmp_path / "certificates.json").read_text())
+    written = {c[k] for c in certs for k in ("measured_ratio", "margin")} | \
+        {c["truncation"][k] for c in certs
+         for k in ("quad_error", "tail_estimate")}
+    assert {"nan", "inf", "-inf"} <= written
+    rows = (tmp_path / "certificates.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4:6] for row in rows] == \
+        [[c["measured_ratio"], c["margin"]] for c in certs]
+
+
+def test_certify_inf_over_inf_state_fails_smallness(tmp_path, capsys):
+    # f = +inf at a state where K_j f = +inf: eta had read 0.25, dropping
+    # the NaN slice ratio, and certified against it; it reads inf and
+    # exits 4, with eta written as a string JSON can hold
+    K = mk.MatrixKernel([[0.25, 0.0], [0.25, 0.25]])
+    sets = {"A": mk.StateSet.from_indices(2, [0]),
+            "B": mk.StateSet.from_indices(2, [0, 1])}
+    mk.save_discrete_problem(tmp_path / "problem.json", K, sets,
+                             [1.0, np.inf])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"discrete": {"path": "problem.json",
+                                            "chain": ["A", "B"]}}))
+    assert run_cli("certify", "--config", str(cfg), "--out",
+                   str(tmp_path / "out")) == 4
+    assert _strict_json((tmp_path / "out" / "certificates.json").read_text()) \
+        == {"error": "local smallness fails", "eta": "inf"}
+    assert "eta = inf >= 1" in capsys.readouterr().err
 
 
 def test_kato_rejects_stable_potential(tmp_path, capsys):

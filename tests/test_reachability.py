@@ -2,12 +2,13 @@
 kpert is named somewhere in the package or the benchmarks outside its
 own definition, and so is every public method; every
 defaulted parameter, and every defaulted field of a public frozen
-dataclass, is passed by some call there.  Code that only its own tests
-reach is deleted, not kept, and a parameter or field that no caller sets
-is a constant."""
+dataclass, is passed by some call there, and no defaulted parameter
+gets the same literal from every call.  Code that only its own tests
+reach is deleted, not kept, and a parameter or field that no caller sets,
+or that every caller sets to one value, is a constant."""
 import ast
 import fnmatch
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,29 +16,23 @@ PACKAGE = ROOT / "src" / "kpert"
 
 # name -> why it stays although nothing outside the tests names it
 ALLOWED = {
-    "corollary47_bound": "the Corollary 4.7 constant; ROADMAP item 11 gives "
-                         "it a certify front door",
     "restrict": "the reference that tests compare MatrixSliceProblem with",
     "save_discrete_problem": "the writer of the discrete problem format, "
                              "which tests round-trip",
 }
 
 # Class.method -> why it stays although only tests name it
-ALLOWED_METHODS = {
-    "MultiAtomOperator.iterate_ratio_at": "one iterate of the atom "
-                                          "operator, which tests sum "
-                                          "against series_at",
-}
+ALLOWED_METHODS = {}
 
 # function(parameter) pattern (Class(...) for __init__, Class.method(...)
-# for a method) -> why it keeps its default although no call passes it
+# for a method) -> why it keeps its default although no call passes it, or
+# every call passes the same literal
 ALLOWED_PARAMETERS = {
     "criterion_*(seed)": "run_all passes it to every criterion as fn(seed)",
     "save_discrete_problem(f)": "the optional control vector of the "
                                 "discrete problem format",
-    "corollary47_bound(n_samples)": "see corollary47_bound in ALLOWED",
-    "corollary47_bound(seed)": "see corollary47_bound in ALLOWED",
-    "corollary47_bound(quad_tol)": "see corollary47_bound in ALLOWED",
+    "check_geometric_decay(n_max)": "benchmarks/child.py passes it by "
+                                    "keyword, as criterion 2 does",
     "weyl_half_derivative(form)": "the difference form, the reference "
                                   "that tests compare the derivative "
                                   "form with",
@@ -102,10 +97,29 @@ def _functions(tree):
             yield node, f"{cls}.{node.name}", node.name, 1
 
 
-def _passed(trees):
-    """callee name -> (most positional arguments any call passes, the
-    keywords any call passes); *args counts as every position."""
-    out = {}
+def _defaulted(fn, first):
+    """(name, position a call passes it at, default) for every defaulted
+    parameter of fn but closure bindings (a leading underscore);
+    keyword-only parameters sit at position inf."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    skip = len(pos) - len(a.defaults)
+    params = [(arg, i - first, d) for i, (arg, d)
+              in enumerate(zip(pos[skip:], a.defaults), start=skip)]
+    params += [(arg, float("inf"), d)
+               for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return [(arg.arg, at, d) for arg, at, d in params
+            if not arg.arg.startswith("_")]
+
+
+def _allowed(name):
+    return any(fnmatch.fnmatchcase(name, pattern)
+               for pattern in ALLOWED_PARAMETERS)
+
+
+def _calls(trees):
+    """callee name -> every call that names it, as f(...) or x.f(...)."""
+    out = defaultdict(list)
     for tree in trees:
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
@@ -113,14 +127,44 @@ def _passed(trees):
             f = call.func
             name = f.id if isinstance(f, ast.Name) else \
                 f.attr if isinstance(f, ast.Attribute) else None
-            if name is None:
-                continue
-            npos = float("inf") if any(isinstance(a, ast.Starred)
-                                       for a in call.args) else len(call.args)
-            most, kws = out.setdefault(name, (0, set()))
-            kws.update(k.arg for k in call.keywords if k.arg)
-            out[name] = (max(most, npos), kws)
+            if name is not None:
+                out[name].append(call)
     return out
+
+
+def _passed(trees):
+    """callee name -> (most positional arguments any call passes, the
+    keywords any call passes); *args counts as every position."""
+    out = {}
+    for name, calls in _calls(trees).items():
+        most = max(float("inf") if any(isinstance(a, ast.Starred)
+                                       for a in call.args)
+                   else len(call.args) for call in calls)
+        out[name] = (most, {k.arg for call in calls
+                            for k in call.keywords if k.arg})
+    return out
+
+
+def _argument(call, name, at, default):
+    """The expression a call binds to the parameter (its default when the
+    call omits it); None where *args or **kwargs hide it."""
+    kws = {k.arg: k.value for k in call.keywords}
+    if name in kws:
+        return kws[name]
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    if at < len(call.args):
+        return call.args[at]
+    return None if None in kws else default
+
+
+def _literal(node):
+    """repr of the literal an expression spells; None for any other
+    expression."""
+    try:
+        return repr(ast.literal_eval(node)) if node is not None else None
+    except (ValueError, TypeError, SyntaxError):
+        return None
 
 
 def test_every_public_name_is_reached():
@@ -163,27 +207,35 @@ def test_every_defaulted_parameter_is_passed():
         if path.parent != PACKAGE:
             continue
         for fn, key, callee, first in _functions(tree):
-            a = fn.args
-            pos = a.posonlyargs + a.args
             most, kws = passed.get(callee, (0, set()))
-            params = [(arg, i - first) for i, arg in enumerate(pos)
-                      if i >= len(pos) - len(a.defaults)]
-            params += [(arg, float("inf")) for arg, d   # keyword-only
-                       in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            for arg, at in params:
-                if arg.arg.startswith("_"):     # closure bindings
-                    continue
-                name = f"{key}({arg.arg})"
+            for arg, at, _ in _defaulted(fn, first):
+                name = f"{key}({arg})"
                 defaulted.append(name)
-                if arg.arg in kws or most > at:
-                    continue
-                if not any(fnmatch.fnmatchcase(name, pattern)
-                           for pattern in ALLOWED_PARAMETERS):
+                if arg not in kws and not most > at and not _allowed(name):
                     unpassed.append(f"{path.name}:{name}")
     assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
     stale = [pattern for pattern in ALLOWED_PARAMETERS
              if not fnmatch.filter(defaulted, pattern)]
     assert not stale, f"allowed parameters that no longer exist: {stale}"
+
+
+def test_no_defaulted_parameter_takes_one_value():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in _files()}
+    calls = _calls(trees.values())
+    one_valued = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for fn, key, callee, first in _functions(tree):
+            for arg, at, default in _defaulted(fn, first):
+                name = f"{key}({arg})"
+                values = {_literal(_argument(call, arg, at, default))
+                          for call in calls.get(callee, ())}
+                if len(values) == 1 and None not in values \
+                        and not _allowed(name):
+                    one_valued.append(f"{path.name}:{name} = {values.pop()}")
+    assert not one_valued, \
+        f"defaulted parameters every call sets to one literal: {one_valued}"
 
 
 def _frozen_dataclasses(tree):
