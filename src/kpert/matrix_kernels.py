@@ -259,8 +259,10 @@ def neumann_series(K: MatrixKernel, f, max_terms: int = 10_000,
     """Partial sums of sum_m K^m f with a convergence verdict.
 
     converged: the last term's sup norm fell below tail_tol relative to
-    the running sum.  diverging: the exact test, a spectral radius of at
-    least one on the states that reach the support of f, holds.  The test
+    the running sum.  Where f has a +inf entry, the +inf partial sums are
+    exact, and the sup runs over the states whose partial sum is finite
+    (0 if there are none).  diverging: the exact test, a spectral radius
+    of at least one on the states that reach the support of f, holds.  The test
     runs once term norms have grown over 10 consecutive terms (a
     convergent series may grow for a while), or at max_terms if it has
     not run by then: terms that never grow, at a radius of exactly one,
@@ -287,12 +289,14 @@ def _sum_series(K: MatrixKernel, f: np.ndarray, max_terms: int,
     checked f, summed: the memo holds this value, and no caller sees it."""
     total = f.copy()
     tn = float(np.max(f))
+    inf_f = tn == np.inf            # f is nonnegative and has no NaN
     growing = 0                     # consecutive terms above the last
     radius_checked = False
     m = 0
     for block in _term_blocks(K, f, max_terms):
         sums = np.concatenate((total[None], block)).cumsum(axis=0)[1:]
-        tops = block.max(axis=1).tolist()
+        tops = (block.max(axis=1, initial=0.0, where=np.isfinite(sums))
+                if inf_f else block.max(axis=1)).tolist()
         # the scale is the largest finite partial sum, and at least one
         scales = sums.max(axis=1, initial=1.0,
                           where=np.isfinite(sums)).tolist()

@@ -101,7 +101,10 @@ class ConstDensity:
 
 @dataclass(frozen=True)
 class PowerLawSpaceDensity:
-    """q(u, z) = |z|**(-1+eps); Kato-class for small time windows."""
+    """q(u, z) = |z|**(-1+eps); Kato-class for small time windows.
+
+    At z = 0, q is |0|**(eps-1): 0 for eps > 1 and 1 for eps = 1.  For
+    eps < 1 the singular point is dropped and q reads 0 there."""
 
     eps: float
     dim: int = 1
@@ -116,14 +119,21 @@ class PowerLawSpaceDensity:
 
     def __call__(self, u, z):
         z = np.asarray(z, dtype=float)
-        if self.dim > 1:
+        if self.dim == 2:
+            # per coordinate plane, with the bits np.sum gives two squares
+            r = z[..., 0] * z[..., 0]
+            r += z[..., 1] * z[..., 1]
+            r = np.sqrt(r)
+        elif self.dim > 2:
             r = np.sqrt(np.sum(z * z, axis=-1))
         else:
             r = np.abs(z)
-        r = np.where(r > 0, r, np.inf)
+        if self.eps < 1.0:
+            r = np.where(r > 0, r, np.inf)
         out = r ** (self.eps - 1.0)
-        shape = np.broadcast(np.asarray(u, dtype=float), out).shape
-        return np.broadcast_to(out, shape).copy()
+        shape = np.broadcast_shapes(np.shape(u), np.shape(out))
+        return out if np.shape(out) == shape else \
+            np.broadcast_to(out, shape).copy()
 
 
 @dataclass(frozen=True)

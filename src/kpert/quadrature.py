@@ -266,18 +266,22 @@ def peak_rule_2d(center, scale):
 
     ``scale`` is floored at 1e-300 and is an array with one rule per
     entry: 48 theta by 16 phi nodes, so nodes have shape
-    scale.shape + (768, 2), weights the same without the last axis."""
+    scale.shape + (768, 2), weights the same without the last axis.
+    ``center`` is one point, or one per entry (shape scale.shape + (2,)).
+    Each coordinate plane of the nodes is written in place."""
     tan, wt, cos2 = (arr[48:, None] for arr in _peak_base(48))
     ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
     scale = np.maximum(scale, 1e-300)[..., None, None]
     R = scale * tan
     DR = wt * scale / cos2
+    center = np.asarray(center, dtype=float)[..., None, None, :]
+    pts = np.empty(R.shape[:-1] + (16, 2))
+    for k, trig in enumerate((np.cos(ph), np.sin(ph))):
+        plane = pts[..., k]
+        np.multiply(R, trig, out=plane)
+        plane += center[..., k]
     flat = scale.shape[:-2] + (48 * 16,)
-    center = np.asarray(center, dtype=float)
-    pts = np.stack([center[0] + (R * np.cos(ph)).reshape(flat),
-                    center[1] + (R * np.sin(ph)).reshape(flat)], axis=-1)
-    wts = (R * DR * wp).reshape(flat)
-    return pts, wts
+    return pts.reshape(flat + (2,)), (R * DR * wp).reshape(flat)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

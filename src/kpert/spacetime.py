@@ -32,13 +32,20 @@ _INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
 
 
 def _sqdist(x, y, dim):
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if dim != 2:
+        d = x - y
+        d **= 2
+        return d if dim == 1 else np.sum(d, axis=-1)
+    # d = 2 goes per coordinate plane, with no (..., 2) temporary; two
+    # squares added directly have the bits np.sum gives them
+    d = x[..., 0] - y[..., 0]
     d **= 2
-    if dim == 1:
-        return d
-    # two squares added directly have the bits np.sum gives them, and
-    # skip a reduction over a length-2 axis per point
-    return d[..., 0] + d[..., 1] if dim == 2 else np.sum(d, axis=-1)
+    e = x[..., 1] - y[..., 1]
+    e **= 2
+    d += e
+    return d
 
 
 class GaussianKernel:
@@ -469,22 +476,41 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q):
 # Kato modulus
 # ---------------------------------------------------------------------------
 
-def _peak_factor(kernel, s, x, t, y, u, first: bool):
-    """The p-factor of the kato integrand at each intermediate time in
-    ``u`` (1-d), on a peak rule per time: p(s, x, u_i, z) around x (first)
-    or p(u_i, z, t, y) around y, scaled on that factor's peak.
+# (time node, spatial node) entries one block of a kato sweep holds:
+# eight d = 2 time nodes of 768 points, 48 KB per factor.  Temporaries of
+# this size are reused from the heap; a sample's 32 d = 2 nodes at once
+# were returned to the system and faulted in again on every call.
+_KATO_ENTRIES = 8 * 768
 
-    Returns (uu, z, vals, w); row i of each holds time u_i (uu is the
-    column u[:, None], which the kernel and q broadcast against z)."""
-    center = x if first else y
-    scale = kernel.peak_scale((u - s) if first else (t - u))
-    if getattr(kernel, "dim", 1) == 1:
-        z, w = peak_rule(center, scale, 32)
-    else:
-        z, w = peak_rule_2d(center, scale)
-    uu = u[:, None]
-    vals = kernel(s, x, uu, z) if first else kernel(uu, z, t, y)
-    return uu, z, vals, w
+
+def _node_sums(kernel, q, u, end_t, end_x, first: bool):
+    """At each time node u_i, the sum over its peak rule in space of
+    p(end_t_i, end_x_i, u_i, z) (first) or p(u_i, z, end_t_i, end_x_i),
+    times q(u_i, z) unless q is None.
+
+    Node i's rule sits on end_x_i (a point per row in d = 2), scaled on
+    the factor's peak.  Nodes go in blocks of at most _KATO_ENTRIES
+    (node, spatial node) entries, and each node's sum has the bits of
+    its own rule alone."""
+    scale = kernel.peak_scale((u - end_t) if first else (end_t - u))
+    dim = getattr(kernel, "dim", 1)
+    step = max(1, _KATO_ENTRIES // (64 if dim == 1 else 768))
+    out = np.empty(len(u))
+    for a in range(0, len(u), step):
+        b = slice(a, a + step)
+        uu, tt = u[b, None], end_t[b, None]
+        if dim == 1:
+            xx = end_x[b, None]
+            z, w = peak_rule(xx, scale[b], 32)
+        else:
+            xx = end_x[b, None, :]
+            z, w = peak_rule_2d(end_x[b], scale[b])
+        vals = kernel(tt, xx, uu, z) if first else kernel(uu, z, tt, xx)
+        if q is not None:
+            vals *= q(uu, z)
+        vals *= w
+        out[b] = np.sum(vals, axis=-1)
+    return out
 
 
 def kato_inner_integral(kernel, mu, s, x, t, y):
@@ -493,30 +519,45 @@ def kato_inner_integral(kernel, mu, s, x, t, y):
     Per-time-node peak rules in space; 32 time nodes cluster (quadratically)
     at the endpoint where the respective p-factor concentrates, which
     also absorbs the u**(-1/2)-type endpoint growth that singular
-    densities produce there.  Each piece evaluates all its time nodes in
-    one broadcast and reduces each node's rule on its own.
+    densities produce there.
+
+    Scalar s and t give one sample and a float.  1-d arrays s and t give
+    one sample per entry, with x and y one point per entry (per row in
+    d = 2), and an array of the integrals: the two density pieces
+    evaluate every sample's time nodes together, then the atoms every
+    sample's atom times.  Each node's rule is reduced on its own, and
+    each sample's nodes with its time weights in a 1-d dot, so a sample
+    has the same bits alone and in a sweep.
     """
+    one = np.ndim(s) == 0
+    s, t, x, y = (np.asarray(a, dtype=float) for a in (s, t, x, y))
+    if one:
+        s, t, x, y = s[None], t[None], x[None], y[None]
     xi, wt = gauss_legendre_rule(0.0, 1.0, 32)
-
-    def piece(first: bool):
-        if first:
-            u = s + (t - s) * xi ** 2
-        else:
-            u = t - (t - s) * xi ** 2
-        du = wt * 2.0 * xi * (t - s)
-        uu, z, vals, w = _peak_factor(kernel, s, x, t, y, u, first)
-        return float(np.sum(vals * mu.q(uu, z) * w, axis=-1) @ du)
-
-    total = 0.0
+    n = len(s)
+    total = np.zeros(n)
     if mu.density is not None:
-        total = piece(True) + piece(False)
-    for atom in mu.active_atoms():
-        if s < atom.time < t:
-            for first in (True, False):
-                _, _, v, w = _peak_factor(kernel, s, x, t, y,
-                                          np.array([atom.time]), first)
-                total += atom.weight * float(np.sum(v * w))
-    return total
+        span = (t - s)[:, None]
+        du = wt * 2.0 * xi * span
+        owner = np.repeat(np.arange(n), len(xi))
+        near = _node_sums(kernel, mu.q, (s[:, None] + span * xi ** 2).ravel(),
+                          s[owner], x[owner], True).reshape(du.shape)
+        far = _node_sums(kernel, mu.q, (t[:, None] - span * xi ** 2).ravel(),
+                         t[owner], y[owner], False).reshape(du.shape)
+        total = np.array([float(near[i] @ du[i]) + float(far[i] @ du[i])
+                          for i in range(n)])
+    atoms = mu.active_atoms()
+    hits = [(i, atom) for i in range(n) for atom in atoms
+            if s[i] < atom.time < t[i]]
+    if hits:
+        owner = np.array([i for i, _ in hits])
+        u = np.array([atom.time for _, atom in hits])
+        near = _node_sums(kernel, None, u, s[owner], x[owner], True)
+        far = _node_sums(kernel, None, u, t[owner], y[owner], False)
+        for k, (i, atom) in enumerate(hits):
+            total[i] += atom.weight * float(near[k])
+            total[i] += atom.weight * float(far[k])
+    return float(total[0]) if one else total
 
 
 def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
@@ -528,7 +569,9 @@ def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
     densities concentrated at the origin.
     Samples are drawn once for the largest window; each smaller window
     takes the sup over the samples it still admits (t <= h), the natural
-    nested estimator of a monotone quantity.
+    nested estimator of a monotone quantity.  Every sample's inner
+    integral comes from one call of kato_inner_integral, a sweep over
+    all samples in blocks of time nodes.
     """
     h_values = sorted(h_values, reverse=True)
     if not h_values or not all(0.0 < h < math.inf for h in h_values):
@@ -548,11 +591,13 @@ def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
         else:
             samples.append((t, 2.0 * (2 * row[1:1 + d] - 1),
                             2.0 * (2 * row[1 + d:] - 1)))
-    values = [(t, kato_inner_integral(kernel, mu, 0.0, x, t, y))
-              for t, x, y in samples]
+    ts, xs, ys = (np.array(col, dtype=float) for col in zip(*samples))
+    values = kato_inner_integral(kernel, mu, np.zeros(len(ts)), xs, ts,
+                                 ys).tolist()
     out = {}
     for h in h_values:
-        out[h] = max(v for t, v in values if t <= h * (1 + 1e-12))
+        out[h] = max(v for t, v in zip(ts.tolist(), values)
+                     if t <= h * (1 + 1e-12))
     return out
 
 

@@ -72,6 +72,16 @@ def test_neumann_series_scale_ignores_infinite_entries():
     assert res.value[1] == np.inf
 
 
+def test_neumann_series_stops_on_the_finite_states_of_an_infinite_f():
+    # the +inf state saturates every term; the finite one converges
+    res = neumann_series(MatrixKernel([[0.25, 0.0], [0.0, 0.25]]),
+                         [1.0, np.inf])
+    assert res.status == "converged"
+    assert res.n_terms < 36
+    assert res.value[0] == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert res.value[1] == np.inf
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         apply(MatrixKernel(np.eye(2)), [1, 2, 3])
@@ -261,7 +271,10 @@ def _reference_neumann(K, f, max_terms=10_000, tail_tol=1e-14):
     for m in range(1, max_terms + 1):
         term = apply(K, term)
         total = total + term
-        tn = float(term.max()) if term.size else 0.0
+        if np.isinf(f).any():
+            tn = float(np.max(term[np.isfinite(total)], initial=0.0))
+        else:
+            tn = float(term.max()) if term.size else 0.0
         norms.append(tn)
         scale = float(total.max(initial=1.0))
         if not math.isfinite(scale):
@@ -295,8 +308,9 @@ def test_neumann_matches_reference_on_random_instances():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("entries, f, max_terms, status", [
-    # +inf in f, seen by a positive weight and by a zero one
-    ([[0.5, 0.25], [0.0, 0.5]], [1.0, np.inf], 40, "truncated"),
+    # +inf in f, seen by a positive weight and by a zero one; the first
+    # puts +inf in every partial sum, which is then exact
+    ([[0.5, 0.25], [0.0, 0.5]], [1.0, np.inf], 40, "converged"),
     ([[0.5, 0.0], [0.0, 0.0]], [1.0, np.inf], 10_000, "converged"),
     # the first term overflows; 0 * inf = 0 then ends the series
     ([[0.0, 1e300], [0.0, 0.0]], [0.0, 1e300], 10_000, "converged"),

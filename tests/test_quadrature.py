@@ -298,6 +298,12 @@ def test_peak_rule_2d_matches_the_rule_it_replaced_bitwise(center):
     peak_rule(0.0, 1.0, 48)             # a warm base gives the same bits
     _same_bits(peak_rule_2d(center, np.array([0.37, 5.5])),
                _old_peak_rule_2d(center, np.array([0.37, 5.5])))
+    # one center per entry: each entry's rule is the rule at its center
+    scale = np.array([0.37, 5.5, 0.0])
+    centers = np.array([center, (1.0, 2.0), (-0.5, 0.0)], dtype=float)
+    pts, wts = peak_rule_2d(centers, scale)
+    for i in range(len(scale)):
+        _same_bits((pts[i], wts[i]), _old_peak_rule_2d(centers[i], scale[i]))
 
 
 def test_peak_rule_integrates_a_cauchy_peak_exactly():

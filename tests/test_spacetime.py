@@ -420,6 +420,94 @@ def test_kato_inner_broadcast_matches_per_node_loop(name, d, density):
             assert got.hex() == want.hex()
 
 
+def _kato_profile_per_node(kernel, mu, h_values, n_samples, seed):
+    """kato_profile's samples, each integrated on its own by
+    _kato_inner_per_node: the values in order and the profile."""
+    d = kernel.dim
+    hs = sorted(h_values, reverse=True)
+    pts = Halton(1 + 2 * d, seed).random(max(n_samples - len(hs), 1))
+    zero = 0.0 if d == 1 else np.zeros(d)
+    samples = [(h, zero, zero) for h in hs]
+    for row in pts:
+        x, y = 2.0 * (2 * row[1:1 + d] - 1), 2.0 * (2 * row[1 + d:] - 1)
+        samples.append((hs[0] * (0.02 + 0.98 * row[0]),
+                        x[0] if d == 1 else x, y[0] if d == 1 else y))
+    values = [(t, _kato_inner_per_node(kernel, mu, 0.0, x, t, y))
+              for t, x, y in samples]
+    return samples, [v for _, v in values], {
+        h: max(v for t, v in values if t <= h * (1 + 1e-12)) for h in hs}
+
+
+class _CountingKernel:
+    """A kernel that records the size of every result it returns."""
+
+    def __init__(self, kernel):
+        self.kernel, self.dim, self.sizes = kernel, kernel.dim, []
+
+    def peak_scale(self, dt):
+        return self.kernel.peak_scale(dt)
+
+    def __call__(self, *args):
+        vals = self.kernel(*args)
+        self.sizes.append(np.size(vals))
+        return vals
+
+
+@pytest.mark.parametrize("name", ["gaussian", "cauchy"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("density", ["const", "power"])
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.bits
+def test_kato_profile_sweep_matches_per_node_loop(name, d, density, split,
+                                                  monkeypatch):
+    # at the real cap, d = 1 blocks hold three samples' pieces and d = 2
+    # blocks a quarter of one; three nodes per block splits samples
+    # across blocks in both
+    cap = 3 * (64 if d == 1 else 768) if split else st._KATO_ENTRIES
+    monkeypatch.setattr(st, "_KATO_ENTRIES", cap)
+    kernel = st.resolve_kernel(name, d)
+    q = ConstDensity(0.7, d) if density == "const" else \
+        PowerLawSpaceDensity(0.4, d)
+    hs = [0.9, 0.4, 0.15]
+    for mu in (PerturbingMeasure(q), PerturbingMeasure(q, (Atom(0.3, 0.5),))):
+        counted = _CountingKernel(kernel)
+        got = st.kato_profile(counted, mu, hs, n_samples=9, seed=d)
+        samples, values, want = _kato_profile_per_node(kernel, mu, hs, 9, d)
+        assert [got[h].hex() for h in hs] == [want[h].hex() for h in hs]
+        assert max(counted.sizes) <= cap
+        ts, xs, ys = (np.array(c, dtype=float) for c in zip(*samples))
+        sweep = st.kato_inner_integral(kernel, mu, np.zeros(len(ts)), xs,
+                                       ts, ys)
+        assert [v.hex() for v in sweep.tolist()] == [v.hex() for v in values]
+
+
+@pytest.mark.bits
+def test_plane_distance_and_power_density_match_the_sum_forms():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(5, 1, 2))
+    z = rng.normal(size=(5, 40, 2))
+    z[0, :3] = x[0, 0]                  # zero distance
+    z[1, :3] = 0.0                      # the density's singular point
+    want = np.sum((x - z) ** 2, axis=-1)
+    assert st._sqdist(x, z, 2).tobytes() == want.tobytes()
+    assert st._sqdist(x[0, 0], z[0, 0], 2) == 0.0
+    r = np.sqrt(np.sum(z * z, axis=-1))
+    u = np.zeros((5, 1))
+    for eps in (-0.5, 0.4, 1.0, 1.5):
+        base = np.where(r > 0, r, np.inf) if eps < 1 else r
+        got = PowerLawSpaceDensity(eps, 2)(u, z)
+        assert got.tobytes() == (base ** (eps - 1.0)).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_power_density_at_the_origin(d):
+    # q(0) = |0|**(eps - 1) for eps >= 1; eps < 1 drops the singular point
+    zero = 0.0 if d == 1 else np.zeros(d)
+    at_zero = {eps: float(PowerLawSpaceDensity(eps, d)(0.0, zero))
+               for eps in (0.5, 1.0, 1.5, 3.0)}
+    assert at_zero == {0.5: 0.0, 1.0: 1.0, 1.5: 0.0, 3.0: 0.0}
+
+
 def test_kato_profile_monotone():
     mu = PerturbingMeasure(PowerLawSpaceDensity(0.5, dim=2))
     prof = st.kato_profile(st.cauchy_kernel(2), mu, [1.0, 0.5],
