@@ -13,20 +13,26 @@ Numerics: everything runs in ratio form r_n = p_n / p, which strips the
 moving singularity of p out of interpolation.  Ratios live on a
 per-panel grid (panels split at atom times and support endpoints, where
 ratios jump; a panel ending at an atom holds the left limit there, the
-atom still ahead); each level is one pass of nested fixed rules, with the
-spatial rule recentered and rescaled on the narrower kernel factor (tan
-substitution, exact for a Cauchy peak) so end-of-interval bridges stay
-resolved; an atom term, one spatial integral, gets a finer rule.  One
+atom still ahead); each level is one pass of nested fixed rules, whose
+spatial rule follows the bridge, and an atom term, one spatial integral,
+gets a finer one.  For the Gaussian, p(u0, z0, v, z') p(v, z', t, y) /
+p(u0, z0, t, y) is the Brownian-bridge density in z', a normal density
+whose mean and scale the kernel gives (``GaussianKernel.bridge``): the
+tan rule sits on that mean at that scale with the standard normal
+density in its weights, so a bridge sum is already a ratio to p and
+evaluates no kernel.  The other kernels recenter and rescale the rule on
+the narrower kernel factor (tan substitution, exact for a Cauchy peak)
+so end-of-interval bridges stay resolved, and divide by p.  One
 evaluator applies a level to a batch of rows, each a source time u0
 with its source nodes z0: a grid level passes a panel's rows, which
 share the z-grid, and the readout passes every point as a one-node row.
 The (row, time node) columns of a segment, or the (row, atom) columns,
 are evaluated together, in blocks of at most _BATCH_ENTRIES entries,
 and each node still reduces on its own, so the values match
-node-by-node evaluation bit for bit.  At the columns whose spatial rule
-sits on the target, the nodes, weights and every factor but
-p(u0, z0, v, z') do not depend on z0, so they are evaluated once per
-column and broadcast over a row's nodes.  Every bridge factor is
+node-by-node evaluation bit for bit.  Off the Gaussian, at the columns
+whose spatial rule sits on the target, the nodes, weights and every
+factor but p(u0, z0, v, z') do not depend on z0, so they are evaluated
+once per column and broadcast over a row's nodes.  Every bridge factor is
 evaluated only along the axes it varies on: the kernels and q take the
 time nodes as a column v[:, None] and broadcast it against the spatial
 nodes, so dt, the kernels' time powers
@@ -174,16 +180,29 @@ class RectBivariateSpline:
 _BATCH_ENTRIES = 24 * 11 * 44
 
 
+def _normal_weighted(tan, w):
+    """The unit peak rule (tan, w) for integrals against the standard
+    normal density: weights w e^{-tan^2 / 2} / sqrt(2 pi), without the
+    nodes whose weight underflows to 0, where a product 0 * inf would
+    read NaN."""
+    w = w * np.exp(-0.5 * tan ** 2)
+    w /= math.sqrt(2.0 * math.pi)
+    keep = w > 0
+    return tan[keep], w[keep]
+
+
 class SeriesEngine:
     """Grid-backed evaluator of the term ratios r_n = p_n / p for a fixed
     target (t, y).
 
     Built once per slice problem; levels are built lazily, so call order
-    does not change values.  ``ratios`` evaluates the whole term sequence
-    at arbitrary source points with s >= s_min, all points of a level in
-    one batch, and gives each point the bits it has alone.  Engines run
-    in pairs at two resolutions, whose difference is the quadrature error
-    estimate.
+    does not change values.  A kernel with a ``bridge`` method (the
+    Gaussian) has its bridge sums in closed form: its unit rules carry
+    the standard normal density in their weights, fixed per engine.
+    ``ratios`` evaluates the whole term sequence at arbitrary source
+    points with s >= s_min, all points of a level in one batch, and gives
+    each point the bits it has alone.  Engines run in pairs at two
+    resolutions, whose difference is the quadrature error estimate.
     """
 
     def __init__(self, kernel, mu: PerturbingMeasure, t, y, s_min, x_range,
@@ -210,6 +229,12 @@ class SeriesEngine:
         # is one spatial integral and affords more nodes
         self._rule = peak_rule(0.0, 1.0, self.nodes_z // 2)
         self._atom_rule = peak_rule(0.0, 1.0, self.nodes_atom // 2)
+        # a kernel with a closed-form bridge (the Gaussian) integrates
+        # against the standard normal density on the same rules
+        self._closed = hasattr(kernel, "bridge")
+        if self._closed:
+            self._rule = _normal_weighted(*self._rule)
+            self._atom_rule = _normal_weighted(*self._atom_rule)
         self._gl_t = gauss_legendre_rule(0.0, 1.0, self.nodes_t)
         self._gl_half = gauss_legendre_rule(0.0, 1.0, max(self.nodes_z // 2, 6))
 
@@ -285,7 +310,8 @@ class SeriesEngine:
     def _apply(self, u0, z0, f0, splines):
         """One application of the measure-weighted kernel to r_{n-1} p at
         the nodes of a batch of rows, divided by f0 = p(u0, z0, t, y) there;
-        level 1 (splines None) takes r_0 = 1.
+        level 1 (splines None) takes r_0 = 1.  A closed-form bridge sum is
+        already a ratio and is not divided.
 
         Row i is the source time u0[i] with the nodes z0[i], f0 has shape
         (rows, nodes), and z0 broadcasts to it: a z0 of one row is shared by
@@ -300,7 +326,8 @@ class SeriesEngine:
             same = (live[rows] == mask).all(axis=1)
             at = np.ix_(rows[same], np.flatnonzero(mask))
             zg = z0[:, mask] if len(z0) == 1 else z0[at]
-            out[at] = self._live_rows(u0[rows[same]], zg.T, splines) / f0[at]
+            vals = self._live_rows(u0[rows[same]], zg.T, splines)
+            out[at] = vals if self._closed else vals / f0[at]
             rows = rows[~same]
         return out
 
@@ -346,12 +373,17 @@ class SeriesEngine:
         """Inner sums over z' of p(u0, z0, v, z') p(v, z', t, y) q(v, z')
         r_{n-1}(v, z') w at the columns c = (u0[c], v[c]), shape (nodes,
         columns); z0 has shape (nodes, 1), shared by the columns, or
-        (nodes, columns).  An atom term has no q.
+        (nodes, columns).  An atom term has no q, and the finer unit rule.
 
-        The spatial rule is centered on the narrower of the two kernel
-        factors, with the finer unit rule at an atom; the columns whose
-        rule sits on the target (t, y) form a z0-free group, on which every
-        factor but p(u0, z0, v, z') is evaluated once per column and
+        For the Gaussian the sums are of the ratio to p(u0, z0, t, y): the
+        product of the two kernels over p is the Brownian-bridge density
+        in z', normal with the mean and scale ``kernel.bridge`` gives, so
+        the rule's nodes sit at mean + scale tan(theta) and its weights
+        carry the standard normal density; no kernel is evaluated, and the
+        product is (q r) w.  For the other kernels the spatial rule is
+        centered on the narrower of the two kernel factors; the columns
+        whose rule sits on the target (t, y) form a z0-free group, on which
+        every factor but p(u0, z0, v, z') is evaluated once per column and
         broadcast over the nodes.  Cone rules need z0 < y, which holds
         wherever p(u0, z0, t, y) > 0.  The time operands are columns
         v[cols, None], so time-only factors are evaluated once per column,
@@ -368,7 +400,11 @@ class SeriesEngine:
             b = slice(a, a + step)
             ub, vb, out = u0[b], v[b], inner[:, b]
             zn = (z0 if shared else z0[:, b])[:, :, None]
-            if self.kind == "cone":
+            if self._closed:
+                mean, scale = self.kernel.bridge(ub[:, None], zn, vb[:, None],
+                                                 self.t, self.y)
+                groups = [(slice(None), zn, mean + scale * tan, tan_w)]
+            elif self.kind == "cone":
                 half = 0.5 * (zn + self.y) - zn
                 wl = w * 2.0 * half * xi
                 zp = np.concatenate([zn + half * xi ** 2,
@@ -393,10 +429,13 @@ class SeriesEngine:
                                        sc * tan_w))
             for cols, zc, zp, wp in groups:
                 vc = vb[cols, None]
-                prod = self.kernel(ub[cols, None], zc, vc, zp)
-                prod *= self.kernel(vc, zp, self.t, self.y)
-                if not atom:
-                    prod *= self.mu.q(vc, zp)
+                if self._closed:
+                    prod = np.ones(zp.shape) if atom else self.mu.q(vc, zp)
+                else:
+                    prod = self.kernel(ub[cols, None], zc, vc, zp)
+                    prod *= self.kernel(vc, zp, self.t, self.y)
+                    if not atom:
+                        prod *= self.mu.q(vc, zp)
                 if splines is not None:
                     prod *= self._lookup(splines, vb[cols], zp)
                 prod *= wp
@@ -487,12 +526,13 @@ def series_batch(kernel, mu: PerturbingMeasure, s_pts, x_pts, t, y,
                  quad_tol: float = 1e-4, max_terms: int = 14):
     """Series at many source points sharing one engine (and its refined
     rerun, which supplies the per-point quadrature error estimate), on
-    the window the live points (s < t) span, or all points if none is
-    live: a point at s >= t has p = 0 and must not widen the window."""
+    the window the live points (p > 0) span, or all points if none is
+    live: a dead point, at s >= t or where p underflows to 0, reads 0 on
+    any grid and must not widen the window."""
     s_pts = np.atleast_1d(np.asarray(s_pts, dtype=float))
     x_pts = np.atleast_1d(np.asarray(x_pts, dtype=float))
     f0 = np.asarray(kernel(s_pts, x_pts, t, y), dtype=float)
-    live = s_pts < t
+    live = f0 > 0
     s_win, x_win = (s_pts[live], x_pts[live]) if live.any() else \
         (s_pts, x_pts)
     x_range = (float(np.min(x_win)), float(np.max(x_win)))

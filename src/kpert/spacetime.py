@@ -72,6 +72,16 @@ class GaussianKernel:
         # transition variance is 2*dt
         return np.sqrt(2.0 * np.maximum(dt, 0.0))
 
+    def bridge(self, s, x, v, t, y):
+        """Mean and standard deviation of the Brownian bridge from (s, x)
+        to (t, y) at the time v, s < v < t: p(s, x, v, z) p(v, z, t, y) /
+        p(s, x, t, y) is the normal density in z with mean
+        x + (v - s) / (t - s) (y - x) and variance 2 (v - s)(t - v) / (t - s)
+        per coordinate (Karatzas and Shreve, Brownian Motion and
+        Stochastic Calculus, sec. 5.6.B).  Operands broadcast."""
+        frac = (v - s) / (t - s)
+        return x + frac * (y - x), np.sqrt(2.0 * frac * (t - v))
+
 
 class CauchyKernel:
     """Cauchy semigroup density c_d (t-s) [(t-s)^2 + |y-x|^2]**(-(d+1)/2).

@@ -16,8 +16,8 @@ DETAILS = {
     1: "26692 exact identities on 1000 kernels",
     2: "2282 decay checks, zero violations",
     3: "2420 certificates VALID; bound identity <= 1e-12",
-    4: "max relative error 9.99e-06 (tol 1e-3)",
-    5: "factors: single-atom err 1.0e-09, p2 = 0.0e+00, multi-atom err "
+    4: "max relative error 8.17e-06 (tol 1e-3)",
+    5: "factors: single-atom err 4.9e-10, p2 = 0.0e+00, multi-atom err "
        "1.0e-08",
     6: "ratio = 2^j attained (err 1.0e-08); all certificates VALID",
     7: "3G on 100000 tuples; exponents 0.1:0.402, 0.25:0.252; eta 0.037 "
@@ -26,12 +26,12 @@ DETAILS = {
        "left-inverse 4.0e-11, perturbed 5.2e-04",
     9: "modulus = 2h +- 6.7e-16; profile 3.39->2.40->1.69->1.20; 10 window "
        "certificates VALID (eta=0.399)",
-    10: "1745 artifact bytes identical across two runs",
+    10: "1742 artifact bytes identical across two runs",
 }
 DETAILS_AVX2 = {
     8: "composition 9.0e-16/1.7e-16, half-derivative 2.2e-16, "
        "left-inverse 4.0e-11, perturbed 5.2e-04",
-    10: "1746 artifact bytes identical across two runs",
+    10: "1743 artifact bytes identical across two runs",
 }
 
 

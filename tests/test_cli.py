@@ -57,9 +57,13 @@ def test_series_atomless_ratio(tmp_path):
 # (or another CPU's vectorized math) can move last bits.  kpert itself
 # no longer uses scipy, so its version does not enter these hashes.
 GOLDEN = {
+    # series_atomless, series_atoms, certify_atom_violation and
+    # certify_time_uniform were re-recorded when the engine summed
+    # Gaussian bridges in closed form; CHANGES.md tables each moved value
+    # with its stated error
     "series_atomless": ("series", 0, "series.csv",
-                        "9aadbb7ee32b8f7da12ba4dd5feb434f"
-                        "9074545b853fbc9bc36cefda880db924"),
+                        "590dbfe324afc81747099e306915dbed"
+                        "5b8b798c2d708ff629b507572aaf4da9"),
     # re-recorded when the engine's splines moved from scipy's fitpack to
     # kpert's own not-a-knot spline: three tail estimates moved by <= 1e-15
     # relative
@@ -69,8 +73,8 @@ GOLDEN = {
     # re-recorded when eta >= 1 on time slices wrote the error and eta
     # in place of certificates
     "certify_atom_violation": ("certify", 4, "certificates.json",
-                               "0b8527c3a8edd2188368be2243d511c0"
-                               "79f8d45dbe1aae1c85f0649a9a26c7fa"),
+                               "4a56986d3908f35d060d4cf0d2d556e5"
+                               "b0e7963b9063e30e2f3703a33471e7f5"),
     # recorded before kato_inner_integral evaluated its time nodes in one
     # broadcast and Gauss-Legendre base rules were cached
     "kato_gauss_atom": ("kato", 0, "kato.csv",
@@ -81,8 +85,8 @@ GOLDEN = {
                        "30fe569118eec065e115a66cbfe9eae8"),
     # re-recorded when pure-atom measures moved onto the series engine
     "series_atoms": ("series", 0, "series.csv",
-                     "7366b562372f386f47916e0725527395"
-                     "a0ced9ef8c24e6d4161312f29adbdd99"),
+                     "9894e19383f3d6f7cd92a19a7b0fe698"
+                     "749689b74d28fd02c257b5f62d8753df"),
     # recorded before neumann_series stopped sending each term through
     # apply and a slice problem summed its series once
     "certify_discrete": ("certify", 0, "certificates.json",
@@ -91,8 +95,8 @@ GOLDEN = {
     # the README's run config: time slices, density and atom; recorded
     # before the slice problem read p_1 from one engine per slice measure
     "certify_time_uniform": ("certify", 0, "certificates.json",
-                             "869f0f5e3a920aed5194c069453fefdb"
-                             "0d42f39afd4d77d89a4974854eb59a56"),
+                             "cfc4cdb18a6240a98a1c899627750cab"
+                             "ad279f5891710870162f5ec6167751c0"),
 }
 
 
@@ -101,23 +105,23 @@ GOLDEN = {
 # versions above under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
 # AVX512_SPR".  Every other fixture has one hash on both dispatches.
 GOLDEN_AVX2 = {
-    "certify_time_uniform": "ea5015a8496332aa9d1f9c09bbe10e51"
-                            "b96628e18192aba08598e63a9b4d4eff",
+    "certify_time_uniform": "368da6c5da3e9daba14783ec9537a134"
+                            "b1302d269fbcfa9c004647a46d6175fc",
     "kato_cauchy_d2": "84da41ae255c49017bdc8ea3d3448e8c"
                       "68ac35801a908cb228230fe301f97464",
     "kato_gauss_atom": "ea2975b50bbf3e18b11114d2e9b1be13"
                        "77c241d49b9965620d324bb84d4bf23a",
-    "series_atoms": "ca4ce7cf9a7ff8c91e2101cd7e731012"
-                    "507fd24b1988f0d7443b7bb3efd4fa86",
+    "series_atoms": "8f7194d6e5c25c5f7bc7b47db7346388"
+                    "6df85f8988bf1de8cb0343144c8bde32",
 }
 
 
 # The artifacts.txt of `kpert reproduce --seed 7`, that is
 # acceptance.reproduce_artifacts(7), on each dispatch
-REPRODUCE_ARTIFACTS = ("0dbbccf01ea0dad9b30e731b3e8ee225"
-                       "908f0c8908d5af5ba1f0872d82ed2c2e")
-REPRODUCE_ARTIFACTS_AVX2 = ("31cb9edc26cc1038874636009b9efeeb"
-                            "8dc39c79eba55281466b2461b87d752e")
+REPRODUCE_ARTIFACTS = ("e99a474ee84012ba7c3273948636f2fe"
+                       "8b4f618609a824654cab08a0cc16db38")
+REPRODUCE_ARTIFACTS_AVX2 = ("37371d3c8179d51728c53152da2c7469"
+                            "8f40c1f11857d76fa8d92ed11018144c")
 
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN))
@@ -883,10 +887,12 @@ def test_oracle_check(tmp_path):
         assert float(row.split(",")[-1]) < 1e-3
     # pins the single-atom series and MultiAtomOperator (three atoms);
     # re-recorded when MultiAtomOperator became one matrix summed by
-    # matrix_kernels (multi-atom-L3 7.999999915000639 -> 7.999999917838267)
+    # matrix_kernels (multi-atom-L3 7.999999915000639 -> 7.999999917838267),
+    # and when the engine summed Gaussian bridges in closed form (the three
+    # series rows, each by less than its stated error)
     assert hashlib.sha256((tmp_path / "oracles.csv").read_bytes()).hexdigest() \
-        == ("34eb9998eb8aaf05c86786dcdce10542"
-            "618f570607f2f4348c91866c60614fa3")
+        == ("9dceaf784e99fb895056be9f6d6d9c0f"
+            "3b96a3b59d585bb7054f2dc9547c36ae")
 
 
 def test_kato_command(tmp_path):

@@ -176,6 +176,59 @@ def test_series_window_ignores_dead_points():
     assert dead.value == 0.0 and dead.status == "converged"
 
 
+@pytest.mark.parametrize("far", [1000.0, 1e300])
+def test_series_window_ignores_points_whose_p_underflows(far):
+    # a point whose p underflows to 0 still widened the window: with x =
+    # 1000 the live points read 5.3e-3-6.5e-3 off (converged), with
+    # x = 1e300 they read NaN (truncated)
+    mu = PerturbingMeasure(ConstDensity(0.25))
+    s, x = [0.0] * 3, [-1.0, 0.0, 1.0]
+    alone = pt.series_batch(G, mu, s, x, 1.0, 0.0)
+    with np.errstate(over="ignore"):      # |x - y|^2 overflows at 1e300
+        *live, dead = pt.series_batch(G, mu, s + [0.0], x + [far], 1.0, 0.0)
+    assert live == alone
+    assert dead.value == 0.0 and dead.status == "converged"
+
+
+GAUSSIAN_SWEEP = {   # measure, closed-form ratio at (s, x), target (1, 0)
+    "const": (PerturbingMeasure(ConstDensity(0.25)),
+              lambda s: math.exp(0.25 * (1.0 - s))),
+    "readme": (measure_from_config(
+        {"density": {"kind": "const", "lambda": 0.25},
+         "atoms": [{"u": 0.5, "eta": 0.5}], "support": [0.0, 1.0]}, 1),
+        lambda s: math.exp(0.25 * (1.0 - s)) * (1.5 if s < 0.5 else 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAUSSIAN_SWEEP))
+def test_gaussian_far_field_within_stated_error(case):
+    # the bridge rule sat on the narrower kernel factor, and the bridge's
+    # peak moved off it as |x - y| grew: at x = 40 the const case was off
+    # by 9.8e-2 against a stated 1.4e-2, and the README config at x = 20
+    # by 2.1e-1 against 7.6e-2, both converged
+    mu, truth = GAUSSIAN_SWEEP[case]
+    xs = [0.5, 5.0, 20.0, 40.0]
+    batch = pt.series_batch(G, mu, [0.0] * 4, xs, 1.0, 0.0)
+    for x, r in zip(xs, batch + [_at(mu, 0.0, x) for x in xs]):
+        assert r.status == "converged"
+        assert abs(r.ratio - truth(0.0)) / truth(0.0) <= \
+            r.quad_error_estimate, x
+
+
+def test_density_plus_two_atoms_within_stated_error():
+    # (0.5, 0.1) read 2.1e-7 off against a stated 1.8e-7, converged: the
+    # two resolutions agreed closer than either was to the truth
+    atoms = ((0.35, 0.4), (0.7, 0.3))
+    mu = PerturbingMeasure(ConstDensity(0.3), tuple(Atom(u, e)
+                                                    for u, e in atoms))
+    s, x = [0.0, 0.1, 0.2, 0.5], [0.3, -0.6, 0.5, 0.1]
+    for si, r in zip(s, pt.series_batch(G, mu, s, x, 1.0, 0.0)):
+        want = math.exp(0.3 * (1.0 - si)) * math.prod(
+            1.0 + e for u, e in atoms if u > si)
+        assert r.status == "converged"
+        assert abs(r.ratio - want) / want <= r.quad_error_estimate, si
+
+
 def test_series_atomless_oracle():
     mu = PerturbingMeasure(ConstDensity(1.0))
     r = _at(mu, 0.0, 0.5, quad_tol=1e-4)
@@ -379,33 +432,61 @@ def _scalar_bridge(eng, u0, z0, v, n_half):
     return zp, wp
 
 
+def _closed_form(eng):
+    """Whether the engine sums the Gaussian bridge in closed form."""
+    return getattr(eng.kernel, "name", None) == "gaussian"
+
+
+def _scalar_normal_bridge(eng, u0, z0, v, n_half):
+    """Closed-form Gaussian bridge rule for one source node: nodes at the
+    bridge mean z0 + (v - u0) / (t - u0) (y - z0) plus its standard
+    deviation sqrt(2 (v - u0)(t - v) / (t - u0)) times tan(theta), weights
+    the tan rule's times the standard normal density, without the nodes
+    whose weight is 0."""
+    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n_half)
+    theta = np.concatenate([-th[::-1], th])
+    tan = np.tan(theta)
+    wn = np.concatenate([w[::-1], w]) / np.cos(theta) ** 2
+    wn = wn * np.exp(-0.5 * tan ** 2) / math.sqrt(2.0 * math.pi)
+    keep = wn > 0
+    frac = (v - u0) / (eng.t - u0)
+    mean = z0 + frac * (eng.y - z0)
+    sd = np.sqrt(2.0 * frac * (eng.t - v))
+    return mean[:, None] + sd[:, None] * tan[keep], wn[keep]
+
+
 def _scalar_point_value(eng, u0, z0, f0, splines):
     """Reference: one grid node per call, the engine's former scalar path,
-    with the base density f0 there."""
+    with the base density f0 there.  The Gaussian integrates against the
+    bridge density, already a ratio to f0, with no kernel factor."""
     if not f0 > 0 or u0 >= eng.t:
         return 0.0
+    closed = _closed_form(eng)
+    bridge = _scalar_normal_bridge if closed else _scalar_bridge
+
+    def kernels(vv, zp):
+        if closed:
+            return 1.0
+        return eng.kernel(u0, z0, vv, zp) * eng.kernel(vv, zp, eng.t, eng.y)
+
     total = 0.0
     for lo, hi in eng.segments:
         if hi <= u0:
             continue
         v, dv = _scalar_time_nodes(eng, max(lo, u0), hi, u0)
-        zp, wp = _scalar_bridge(eng, u0, z0, v, eng.nodes_z // 2)
+        zp, wp = bridge(eng, u0, z0, v, eng.nodes_z // 2)
         vv = np.broadcast_to(v[:, None], zp.shape)
-        p1 = eng.kernel(u0, z0, vv, zp)
-        p2 = eng.kernel(vv, zp, eng.t, eng.y)
         qv = eng.mu.q(vv, zp)
         rv = 1.0 if splines is None else eng._lookup(splines, v, zp)
-        total += float(dv @ np.sum(p1 * p2 * qv * rv * wp, axis=1))
+        total += float(dv @ np.sum(kernels(vv, zp) * qv * rv * wp, axis=1))
     for atom in eng.mu.active_atoms():
         if u0 < atom.time < eng.t:
             v = np.array([atom.time])
-            zp, wp = _scalar_bridge(eng, u0, z0, v, eng.nodes_atom // 2)
+            zp, wp = bridge(eng, u0, z0, v, eng.nodes_atom // 2)
             vv = np.broadcast_to(v[:, None], zp.shape)
-            p1 = eng.kernel(u0, z0, vv, zp)
-            p2 = eng.kernel(vv, zp, eng.t, eng.y)
             rv = 1.0 if splines is None else eng._lookup(splines, v, zp)
-            total += atom.weight * float(np.sum(p1 * p2 * rv * wp))
-    return total / f0
+            total += atom.weight * float(np.sum(kernels(vv, zp) * rv * wp))
+    return total if closed else total / f0
 
 
 ROW_CASES = {       # kernel, measure, target point y, x_range
@@ -509,6 +590,10 @@ def _check_batches_against_scalar_nodes(kernel, mu, y, x_range):
             ref = [_scalar_point_value(eng, s, x, f, splines)
                    for s, x, f in zip(s_pts[i], x_pts[i], f_pts[i])]
             assert got.tobytes() == np.array(ref).tobytes()
+    if _closed_form(eng):
+        # the Gaussian bridge sums evaluate no kernel
+        assert counter.sizes == []
+        return
     assert 0 < max(counter.sizes) <= pt._BATCH_ENTRIES
     if kernel.kind == "peak":
         # time rules that mix both sides, and atoms on either side
@@ -626,7 +711,11 @@ def _frozen_bridge_sums(eng, u0, z0, v, splines, atom=False):
 
 def _frozen_row_values(eng, u0, z0, f0, splines):
     """The engine's evaluator when it took one source time per call (the
-    nodes z0, base density f0 there)."""
+    nodes z0, base density f0 there); the Gaussian's closed-form bridge
+    has the scalar reference."""
+    if _closed_form(eng):
+        return np.array([_scalar_point_value(eng, u0, z, f, splines)
+                         for z, f in zip(z0, f0)])
     out = np.zeros(len(z0))
     live = f0 > 0
     if u0 >= eng.t or not np.any(live):
@@ -691,9 +780,13 @@ def test_ratios_match_frozen_bridge_sums(case):
     assert got.shape == want.shape
     assert got.shape[0] >= 3 or mu.density is None
     assert np.array_equal(got, want)
-    # the same kernel entries, dead nodes skipped alike, in fewer calls
+    # the same kernel entries, dead nodes skipped alike, in fewer calls;
+    # the Gaussian evaluates p only at the points and grid rows
     assert sum(batched.kernel.sizes) == sum(frozen.kernel.sizes)
-    assert len(batched.kernel.sizes) < len(frozen.kernel.sizes)
+    if kernel is G:
+        assert all(args[2:] == (1.0, y) for args in batched.kernel.args)
+    else:
+        assert len(batched.kernel.sizes) < len(frozen.kernel.sizes)
 
 
 def test_slice_problem_reuses_engine_pair_bit_for_bit():

@@ -39,6 +39,20 @@ def test_gaussian_normalization_by_quadrature():
         assert abs(r.value - 1.0) < 1e-8
 
 
+def test_gaussian_bridge_is_the_normal_density_of_the_kernel_product():
+    # p(s, x, v, z) p(v, z, t, y) / p(s, x, t, y) is the Brownian-bridge
+    # density in z: normal with the mean and scale bridge() gives
+    g = st.gaussian_kernel(1)
+    s, x, t, y = 0.1, -0.4, 1.3, 2.0
+    v = np.array([0.2, 0.7, 1.25])
+    z = np.linspace(-3.0, 5.0, 17)[:, None]
+    mean, sd = g.bridge(s, x, v, t, y)
+    want = g(s, x, v, z) * g(v, z, t, y) / g(s, x, t, y)
+    got = np.exp(-0.5 * ((z - mean) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+    assert np.all(want > 0)
+
+
 def test_cauchy_normalizer_d1():
     assert st.cauchy_kernel(1).c_d == pytest.approx(1.0 / math.pi, rel=1e-10)
 
