@@ -27,29 +27,33 @@ evaluator applies a level to a batch of rows, each a source time u0
 with its source nodes z0: a grid level passes a panel's rows, which
 share the z-grid, and the readout passes every point as a one-node row.
 The (row, time node) columns of a segment, or the (row, atom) columns,
-are evaluated together, in blocks of at most _BATCH_ENTRIES entries,
-and each node still reduces on its own, so the values match
+are evaluated together, in blocks of at most _BATCH_ENTRIES entries, and
+each node still reduces on its own (one vecdot call per segment runs the
+same BLAS dot on each node's row of time nodes), so the values match
 node-by-node evaluation bit for bit.  Off the Gaussian, at the columns
 whose spatial rule sits on the target, the nodes, weights and every
 factor but p(u0, z0, v, z') do not depend on z0, so they are evaluated
-once per column and broadcast over a row's nodes.  Every bridge factor is
-evaluated only along the axes it varies on: the kernels and q take the
-time nodes as a column v[:, None] and broadcast it against the spatial
-nodes, so dt, the kernels' time powers
-and the support gate are computed once per time column, and the
-integrand product is formed in place on the first kernel factor, in the
-order (((p1 p2) q) r) w; a level-1 bridge skips the factor r_0 = 1.  All
-of it has the bits of operands materialised at the full shape.
+once per column and broadcast over a row's nodes.  Every bridge factor
+is evaluated only along the axes it varies on: the kernels and q take
+the time nodes as a column v[:, None] and broadcast it against the
+spatial nodes, so dt, the kernels' time powers and the support gate are
+computed once per time column, and the integrand product is formed in
+place on the first kernel factor, in the order (((p1 p2) q) r) w; a
+level-1 bridge skips the factor r_0 = 1.  All of it has the bits of
+operands materialised at the full shape.
 
 Row n + 1 is the only reader of grid level n, which is built only once
 that row is due; it reads the level through one interpolating cubic
 spline per panel (not-a-knot on both axes, in numpy), whose time weights
-are evaluated once per time column of the bridge rule.  Every measure,
-atoms included, takes this one path (an atom level reads the previous
-one only at later atoms, so a single atom kills every term past the
-first), and the error estimate is the relative difference of the sums
-at two resolutions.  The slice problems build that engine pair once and
-reuse it for every batch of sample points.
+are evaluated once per time column of the bridge rule.  The space basis
+is built once per engine and each panel's time basis once per panel, so
+building a level's splines only applies them to its values, and a lookup
+gathers each point's four cubic coefficients in one take.  Every
+measure, atoms included, takes this one path (an atom level reads the
+previous one only at later atoms, so a single atom kills every term past
+the first), and the error estimate is the relative difference of the
+sums at two resolutions.  The slice problems build that engine pair once
+and reuse it for every batch of sample points.
 """
 from __future__ import annotations
 
@@ -120,6 +124,25 @@ def _not_a_knot_pieces(x):
     return c
 
 
+def _time_pieces(x):
+    """The time basis of a panel's spline, in the layout of
+    ``_not_a_knot_pieces``.  A panel narrower than its time grid repeats
+    nodes (``linspace`` steps below one ulp), so not-a-knot would divide
+    by a zero step; every time such a panel is read at is then one of its
+    nodes, and the piecewise-linear basis, which reads each node's row
+    there, stands in."""
+    h = np.diff(x)
+    if np.all(h > 0):
+        return _not_a_knot_pieces(x)
+    n = len(x)
+    eye = np.eye(n)
+    c = np.zeros((n - 1, 4, n))
+    c[:, 0] = eye[:-1]
+    wide = h > 0
+    c[wide, 1] = (eye[1:] - eye[:-1])[wide] / h[wide, None]
+    return c
+
+
 class RectBivariateSpline:
     """Interpolating cubic tensor spline on a grid x (times) by y (uniform
     space nodes), not-a-knot on each axis: the interpolant fitpack builds
@@ -128,16 +151,24 @@ class RectBivariateSpline:
     The space operator is applied to the grid values once, at build:
     each row of values becomes a table of cubic pieces in y.  A lookup
     weights those tables by the time splines at each column's time,
-    then evaluates each point on its piece by Horner's rule.
+    gathers each point's four coefficients as one (points, 4) table and
+    evaluates the point on its piece by Horner's rule.  The bases,
+    ``_not_a_knot_pieces`` of x and of y, may be passed in
+    (``x_pieces``, ``y_pieces``) by a caller that builds many splines on
+    the same nodes, as the series engine does.
     """
 
-    def __init__(self, x, y, z):
+    def __init__(self, x, y, z, x_pieces=None, y_pieces=None):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        self._x_pieces = _not_a_knot_pieces(self.x)
+        if x_pieces is None:
+            x_pieces = _not_a_knot_pieces(self.x)
+        if y_pieces is None:
+            y_pieces = _not_a_knot_pieces(self.y)
+        self._x_pieces = x_pieces
         ny = len(self.y)
-        y_pieces = _not_a_knot_pieces(self.y).reshape(4 * (ny - 1), ny)
-        self._rows = np.asarray(z, dtype=float) @ y_pieces.T
+        self._rows = np.asarray(z, dtype=float) @ \
+            y_pieces.reshape(4 * (ny - 1), ny).T
         self._inv_dy = (ny - 1) / (self.y[-1] - self.y[0])
 
     def __call__(self, x, y):
@@ -152,7 +183,7 @@ class RectBivariateSpline:
         w = ((c[:, 3] * dx + c[:, 2]) * dx + c[:, 1]) * dx + c[:, 0]
         # one column's pieces per matmul, so a column's values do not
         # depend on which other columns share the call
-        pieces = (w[:, None, :] @ self._rows).reshape(-1, 4).T.copy()
+        pieces = (w[:, None, :] @ self._rows).reshape(-1, 4)
         d = np.clip(y, ys[0], ys[-1])
         k = d - ys[0]
         k *= self._inv_dy
@@ -160,14 +191,13 @@ class RectBivariateSpline:
         np.minimum(k, len(ys) - 2, out=k)
         d -= ys.take(k)
         k += (np.arange(len(x)) * (len(ys) - 1))[:, None]
-        c0, c1, c2, c3 = pieces
-        out = c3.take(k)
+        c = pieces.take(k, axis=0)      # each point's c0..c3 in one gather
+        out = c[..., 3] * d
+        out += c[..., 2]
         out *= d
-        out += c2.take(k)
+        out += c[..., 1]
         out *= d
-        out += c1.take(k)
-        out *= d
-        out += c0.take(k)
+        out += c[..., 0]
         return out
 
 
@@ -189,6 +219,13 @@ def _normal_weighted(tan, w):
     w /= math.sqrt(2.0 * math.pi)
     keep = w > 0
     return tan[keep], w[keep]
+
+
+def _node_sums(inner, dv):
+    """dv[i] @ inner[j, i] for every node j of row i, shape (rows, nodes),
+    in one vecdot call: the same BLAS dot on each contiguous node row as
+    a lone node's float(dv @ row), so each sum keeps its bits."""
+    return np.vecdot(inner.transpose(1, 0, 2), dv[:, None, :])
 
 
 class SeriesEngine:
@@ -268,7 +305,8 @@ class SeriesEngine:
         if not z_hi > z_lo:
             z_hi = z_lo + 1.0
         self.z_nodes = np.linspace(z_lo, z_hi, self.grid_z)
-        self._panel_rows = None    # per panel: time nodes, row times, p there
+        self._panel_rows = None    # per panel: nodes, row times, p, basis
+        self._z_pieces = None      # the space basis of every grid spline
         self._splines = None       # per level: list over panels
         self._grid_sups = None
 
@@ -338,8 +376,9 @@ class SeriesEngine:
         Columns are (row, time node) pairs, and one pass of
         ``_bridge_sums`` evaluates every row's columns of a segment (or
         every row's atoms).  Each node still reduces on its own: the sum
-        over z', then dv @ its row of time nodes, added segment by segment
-        and then atom by atom, so it has the bits of a lone node."""
+        over z', then dv @ its row of time nodes (``_node_sums``, one
+        vecdot call for the segment), added segment by segment and then
+        atom by atom, so it has the bits of a lone node."""
         total = np.zeros((len(u0), len(z0)))
         shared = z0.shape[1] == 1
         for lo, hi in self.segments:
@@ -352,8 +391,7 @@ class SeriesEngine:
             zc = z0 if shared else np.repeat(z0[:, rows], nt, axis=1)
             inner = self._bridge_sums(np.repeat(ur, nt), v.ravel(), zc,
                                       splines).reshape(len(z0), len(rows), nt)
-            total[rows] += [[float(d @ node) for node in inner[:, i]]
-                            for i, d in enumerate(dv)]
+            total[rows] += _node_sums(inner, dv)
         ahead = [(a, np.flatnonzero(u0 < a.time))
                  for a in self.mu.active_atoms() if a.time < self.t]
         ahead = [(a, rows) for a, rows in ahead if len(rows)]
@@ -445,8 +483,9 @@ class SeriesEngine:
     def _grid_level(self, splines):
         new_splines = []
         sup = 0.0
-        if self._panel_rows is None:     # p at the nodes: the same each level
-            self._panel_rows = []
+        if self._panel_rows is None:     # the same each level: p at the
+            self._panel_rows = []        # nodes and the spline bases
+            self._z_pieces = _not_a_knot_pieces(self.z_nodes)
             atom_times = {a.time for a in self.mu.active_atoms()}
             for lo, hi in self.panels:
                 u_nodes = np.linspace(lo, hi, self.grid_t)
@@ -457,12 +496,14 @@ class SeriesEngine:
                     u_rows[-1] = np.nextafter(hi, -np.inf)
                 self._panel_rows.append((u_nodes, u_rows, np.asarray(
                     self.kernel(u_rows[:, None], self.z_nodes, self.t,
-                                self.y), dtype=float)))
-        for u_nodes, u_rows, f0 in self._panel_rows:
+                                self.y), dtype=float),
+                    _time_pieces(u_nodes)))
+        for u_nodes, u_rows, f0, u_pieces in self._panel_rows:
             vals = self._apply(u_rows, self.z_nodes[None, :], f0, splines)
             sup = max(sup, float(np.max(vals)))
-            new_splines.append(RectBivariateSpline(u_nodes, self.z_nodes,
-                                                   vals))
+            new_splines.append(RectBivariateSpline(
+                u_nodes, self.z_nodes, vals, x_pieces=u_pieces,
+                y_pieces=self._z_pieces))
         return new_splines, sup
 
     def ratios(self, s_pts, x_pts):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as hst
 
 from kpert import acceptance, cli
 from kpert import matrix_kernels as mk
+from kpert import perturbation as pt
 
 FIXTURES = Path(cli.fixture_path(""))
 
@@ -632,6 +633,56 @@ def test_series_with_every_point_past_a_far_target(tmp_path):
                    str(tmp_path)) == 0
     row = (tmp_path / "series.csv").read_text().splitlines()[1].split(",")
     assert row[2:4] == ["0.0", "0.0"] and row[-1] == "converged"
+
+
+NARROW_PANELS = {   # kernel, measure, closed-form ratio at s (t = 1, y = 0)
+    "gaussian-atoms-one-ulp-apart": (
+        "gaussian", {"atoms": [{"u": 0.35, "eta": 0.4},
+                               {"u": 0.35000000000000003, "eta": 0.3}]},
+        lambda s: 1.82),
+    "gaussian-support-one-ulp-past-an-atom": (
+        "gaussian", {"density": {"kind": "const", "lambda": 0.3},
+                     "support": [0.0, 0.5000000000000001],
+                     "atoms": [{"u": 0.5, "eta": 0.4}]},
+        lambda s: math.exp(0.3 * (0.5 - s)) * 1.4),
+    # its accuracy is that of the Cauchy bridge rule near the target
+    "cauchy-atom-one-ulp-before-the-target": (
+        "cauchy", {"density": {"kind": "const", "lambda": 0.3},
+                   "atoms": [{"u": 0.9999999999999999, "eta": 0.4}]},
+        None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NARROW_PANELS))
+def test_series_on_a_panel_narrower_than_its_time_grid(case, tmp_path,
+                                                        monkeypatch):
+    # the panel's evenly spaced time nodes repeat, and its spline's
+    # not-a-knot solve ended in "LinAlgError: Singular matrix" (exit 1)
+    kernel, measure, truth = NARROW_PANELS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"name": kernel, "d": 1}, "measure": measure,
+        "target": {"t": 1.0, "y": 0.0},
+        "samples": {"s": [0.0, 0.1], "x": [0.3, -0.6]}}))
+    results = []
+    batch = pt.series_batch
+
+    def capture(*args, **kwargs):         # the error bars the CSV drops
+        out = batch(*args, **kwargs)
+        results.extend(out)
+        return out
+    monkeypatch.setattr(pt, "series_batch", capture)
+    assert run_cli("series", "--config", str(cfg), "--out",
+                   str(tmp_path)) == 0
+    rows = [row.split(",") for row in
+            (tmp_path / "series.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(results) == 2
+    for row, r in zip(rows, results):
+        assert math.isfinite(float(row[4])) and row[-1] == "converged"
+        if truth is not None:
+            want = truth(float(row[0]))
+            assert abs(float(row[4]) - want) / want <= \
+                r.quad_error_estimate, row
 
 
 # one key of a bundled fixture at a time: set to a value of another JSON

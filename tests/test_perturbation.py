@@ -534,7 +534,7 @@ def _row_times(eng):
     """Source times of a batch: rows of every panel, the left limit a panel
     ending at an atom holds, just before and after each atom and support
     edge, and the dead times t and past t."""
-    times = [u for u_nodes, u_rows, _ in eng._panel_rows
+    times = [u for u_nodes, u_rows, *_ in eng._panel_rows
              for u in (*u_nodes[[0, 3, -2]], u_rows[-1])]
     edges = [a.time for a in eng.mu.atoms] + [eng.mu.time_support.lo]
     times += [e + d for e in edges if 0.0 < e < eng.t for d in (-1e-3, 1e-3)]
@@ -787,6 +787,92 @@ def test_ratios_match_frozen_bridge_sums(case):
         assert all(args[2:] == (1.0, y) for args in batched.kernel.args)
     else:
         assert len(batched.kernel.sizes) < len(frozen.kernel.sizes)
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("nx,ny", itertools.product((7, 11, 18), (9, 15, 24)))
+def test_spline_lookup_matches_frozen_eval(nx, ny):
+    # one gather of each point's four coefficients has the bits of the
+    # four takes it replaced: columns at and beyond both time ends, points
+    # at the knots and clamped on both sides, one column and many, and a
+    # leading axis of source nodes
+    rng = np.random.default_rng(nx * 100 + ny)
+    x = np.linspace(0.13, 0.71, nx)
+    y = np.linspace(-3.2, 2.9, ny)
+    vals = 1.0 + np.exp(-(x[:, None] - 0.4) ** 2) * np.cos(y) ** 2 + \
+        0.5 * rng.random((nx, ny))
+    spl = pt.RectBivariateSpline(x, y, vals)
+    v = np.concatenate([x, [x[0] - 0.2, x[-1] + 0.3],
+                        rng.uniform(x[0], x[-1], 12)])
+    z = np.concatenate([y, [y[0] - 0.7, y[-1] + 2.0],
+                        rng.uniform(y[0], y[-1], 25)])
+    zz = np.stack([rng.permutation(z) for _ in v])
+    for cols in (slice(0, 1), slice(nx, nx + 1), slice(None)):
+        for pts in (zz[cols], np.stack([zz[cols], zz[cols, ::-1],
+                                        zz[cols] + 0.1])):
+            got = spl(v[cols], pts)
+            assert got.shape == pts.shape
+            assert got.tobytes() == \
+                _frozen_spline_eval(spl, v[cols], pts).tobytes()
+
+
+@pytest.mark.bits
+def test_node_sums_match_per_node_dots():
+    # one vecdot per segment has the bits of one dot per node, at the
+    # engine's layout: inner is (nodes, rows x time nodes), reshaped
+    rng = np.random.default_rng(29)
+    for nt in range(8, 23):
+        for nrows in range(1, 19):
+            dv = rng.random((nrows, nt))
+            for nz in range(1, 25):
+                inner = (rng.standard_normal((nz, nrows * nt))
+                         * 10.0 ** rng.uniform(-3, 3, (nz, nrows * nt))
+                         ).reshape(nz, nrows, nt)
+                want = [[float(d @ node) for node in inner[:, i]]
+                        for i, d in enumerate(dv)]
+                assert pt._node_sums(inner, dv).tobytes() == \
+                    np.array(want).tobytes()
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_grid_splines_from_cached_bases_match_fresh_splines(case):
+    # the engine builds the space basis once and each panel's time basis
+    # once; a grid level's splines equal splines built from scratch
+    kernel, mu, y, x_range = FROZEN_CASES[case]
+    for res in (1.0, 1.6):
+        eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0,
+                              x_range=x_range, resolution=res)
+        splines = None
+        for _ in range(2):
+            built, _ = eng._grid_level(splines)
+            assert len(built) == len(eng.panels)
+            for (u_nodes, u_rows, f0, _), spl in zip(eng._panel_rows, built):
+                vals = eng._apply(u_rows, eng.z_nodes[None, :], f0, splines)
+                fresh = pt.RectBivariateSpline(u_nodes, eng.z_nodes, vals)
+                for name in ("x", "y", "_x_pieces", "_rows", "_inv_dy"):
+                    assert np.asarray(getattr(spl, name)).tobytes() == \
+                        np.asarray(getattr(fresh, name)).tobytes(), name
+            splines = built
+
+
+def test_narrow_panel_spline_reads_its_rows_at_node_times():
+    # a panel one ulp wide repeats its time nodes, and not-a-knot divided
+    # by a zero step; it is read only at its node times, where its spline
+    # reads the row of that time
+    lo = 0.35
+    x = np.linspace(lo, np.nextafter(lo, 1.0), 11)
+    assert len(set(x)) == 2
+    rng = np.random.default_rng(5)
+    y = np.linspace(-2.0, 2.0, 9)
+    vals = rng.random((len(x), len(y)))
+    vals[x == lo] = vals[0]              # rows at one time hold one value
+    vals[x > lo] = vals[-1]
+    spl = pt.RectBivariateSpline(x, y, vals, x_pieces=pt._time_pieces(x))
+    ref = pt.RectBivariateSpline(np.arange(len(x), dtype=float), y, vals)
+    z = np.stack([rng.uniform(-2.5, 2.5, 13)] * 2)
+    got = spl(np.array([lo, x[-1]]), z)
+    assert np.array_equal(got, ref(np.array([0.0, 9.0]), z))
 
 
 def test_slice_problem_reuses_engine_pair_bit_for_bit():
