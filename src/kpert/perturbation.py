@@ -153,16 +153,16 @@ class RectBivariateSpline:
     weights those tables by the time splines at each column's time,
     gathers each point's four coefficients as one (points, 4) table and
     evaluates the point on its piece by Horner's rule.  The bases,
-    ``_not_a_knot_pieces`` of x and of y, may be passed in
-    (``x_pieces``, ``y_pieces``) by a caller that builds many splines on
-    the same nodes, as the series engine does.
+    ``_time_pieces`` of x and ``_not_a_knot_pieces`` of y, may be passed
+    in (``x_pieces``, ``y_pieces``) by a caller that builds many splines
+    on the same nodes, as the series engine does.
     """
 
     def __init__(self, x, y, z, x_pieces=None, y_pieces=None):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         if x_pieces is None:
-            x_pieces = _not_a_knot_pieces(self.x)
+            x_pieces = _time_pieces(self.x)
         if y_pieces is None:
             y_pieces = _not_a_knot_pieces(self.y)
         self._x_pieces = x_pieces

@@ -868,7 +868,7 @@ def test_narrow_panel_spline_reads_its_rows_at_node_times():
     vals = rng.random((len(x), len(y)))
     vals[x == lo] = vals[0]              # rows at one time hold one value
     vals[x > lo] = vals[-1]
-    spl = pt.RectBivariateSpline(x, y, vals, x_pieces=pt._time_pieces(x))
+    spl = pt.RectBivariateSpline(x, y, vals)
     ref = pt.RectBivariateSpline(np.arange(len(x), dtype=float), y, vals)
     z = np.stack([rng.uniform(-2.5, 2.5, 13)] * 2)
     got = spl(np.array([lo, x[-1]]), z)
