@@ -179,13 +179,18 @@ def criterion_atom_oracles(seed: int = 7):
 SHARPNESS_TIMES = (1 / 6, 1 / 2, 5 / 6)
 
 
-def sharpness_series_fn(op_lo, op_hi, eta):
-    def fn(pts):
-        lo = np.array([op_lo.series_at(eta, s, x).ratio for s, x in pts])
-        hi = np.array([op_hi.series_at(eta, s, x).ratio for s, x in pts])
-        err = float(np.max(np.abs(hi - lo) / np.maximum(np.abs(hi), 1e-300)))
-        return hi, bnd.TruncationReport(80, "converged", 0.0, max(err, 1e-7))
-    return fn
+def sharpness_problem(op, eta):
+    """eta K of the atom operator op as a finite-state problem, f = 1:
+    slice j is the grid block of the j-th atom from the target, and A_j,
+    the last j blocks, is absorbing (K maps a block only to itself and
+    to later atoms)."""
+    n = op.K.n
+    block = n // len(op.times)
+    chain = mk.AbsorbingChain(tuple(
+        mk.StateSet(np.arange(n) >= n - j * block)
+        for j in range(1, len(op.times) + 1)))
+    return bnd.MatrixSliceProblem(mk.MatrixKernel(eta * op.K.entries),
+                                  np.ones(n), chain)
 
 
 def criterion_sharpness(seed: int = 7):
@@ -193,23 +198,22 @@ def criterion_sharpness(seed: int = 7):
         g = st.gaussian_kernel(1)
         eta = 0.5
         intervals = bnd.time_uniform_slices(0.0, 1.0, 1 / 3)
-        mu = PerturbingMeasure(atoms=tuple(Atom(u, eta) for u in SHARPNESS_TIMES))
-        op_lo = pt.MultiAtomOperator(g, SHARPNESS_TIMES, 1.0, 0.0, n_nodes=48)
-        op_hi = pt.MultiAtomOperator(g, SHARPNESS_TIMES, 1.0, 0.0, n_nodes=64)
+        op = pt.MultiAtomOperator(g, SHARPNESS_TIMES, 1.0, 0.0)
         worst = 0.0
         for j, I in enumerate(intervals, start=1):
             # sample left of the slice's atom, where the count equals j
             s = I.lo + 0.1 * I.length
             for x in (-0.4, 0.2):
-                r = op_hi.series_at(eta, s, x)
+                r = op.series_at(eta, s, x)
                 target = 2.0 ** j
                 worst = max(worst, abs(r.ratio - target) / target)
         if worst > 1e-3:
             return False, f"attainment error {worst:.2e} (tol 1e-3)"
-        certs = pt.theorem46_certify(
-            g, mu, 1.0, 0.0, intervals, eta=eta, n_samples=8,
-            quad_tol=1e-4, series_fn=sharpness_series_fn(op_lo, op_hi, eta))
-        bad = [c for c in certs if c.status != "VALID"]
+        # exact sums: each ratio must meet its bound with no tolerance
+        prob = sharpness_problem(op, eta)
+        const = bnd.estimate_constants(prob)
+        bad = [c for c in bnd.certify(prob, const.eta, const.beta)
+               if c.status != "VALID" or c.measured_ratio > c.theorem_bound]
         if bad:
             return False, f"certificate {bad[0].status} on slice {bad[0].slice_index}"
         return True, f"ratio = 2^j attained (err {worst:.1e}); all certificates VALID"

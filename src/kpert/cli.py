@@ -81,6 +81,8 @@ def _whole_number(value) -> bool:
         or isinstance(value, float) and value.is_integer())
 
 
+_MAX_SAMPLES = 100_000      # per config and per certify slice
+
 # config sections, by dotted path, that must be JSON objects when present
 _OBJECTS = ("kernel", "measure", "measure.density", "target", "samples",
             "samples.grid", "slicing", "quad", "discrete")
@@ -138,16 +140,21 @@ def load_config(path, seed=None) -> RunConfig:
             cfg.sample_x = np.asarray(sdoc["x"], dtype=float)
         elif "grid" in sdoc:
             gs = sdoc["grid"]
-            s = np.linspace(*gs["s"][:2], int(gs["s"][2]))
-            x = np.linspace(*gs["x"][:2], int(gs["x"][2]))
+            ns, nx = int(gs["s"][2]), int(gs["x"][2])
+            if max(ns, nx, ns * nx) > _MAX_SAMPLES:
+                raise ConfigError(f"samples.grid asks for {ns} x {nx} "
+                                  f"points, more than {_MAX_SAMPLES}")
+            s = np.linspace(*gs["s"][:2], ns)
+            x = np.linspace(*gs["x"][:2], nx)
             S, X = np.meshgrid(s, x, indexing="ij")
             cfg.sample_s, cfg.sample_x = S.ravel(), X.ravel()
         if cfg.sample_s.ndim != 1 or cfg.sample_x.ndim != 1:
             raise ConfigError("samples s and x must be lists of numbers")
         if len(cfg.sample_s) != len(cfg.sample_x):
             raise ConfigError("sample arrays s and x differ in length")
-        if len(cfg.sample_s) == 0:
-            raise ConfigError("samples need at least one point")
+        if not 0 < len(cfg.sample_s) <= _MAX_SAMPLES:
+            raise ConfigError(f"samples need at least one point and at "
+                              f"most {_MAX_SAMPLES}")
         if not (math.isfinite(cfg.target_t) and math.isfinite(cfg.target_y)):
             raise ConfigError("target t and y must be finite")
         if not (np.all(np.isfinite(cfg.sample_s))
@@ -271,12 +278,10 @@ def cmd_series(args) -> int:
     return 0
 
 
-# Slices and sample points per slice a certify run may take: each slice
-# builds its own engine, and a slice list or sample set past these sizes
-# would not finish or not fit in memory (t = 1e300 with h = 0.5 asked
-# for 2e300 slices).
+# Slices a certify run may take: each slice builds its own engine, and a
+# slice list past this size would not finish or not fit in memory
+# (t = 1e300 with h = 0.5 asked for 2e300 slices).
 _MAX_SLICES = 10_000
-_MAX_SAMPLES = 100_000
 
 # slicing key -> (rule its value must meet, what the rule says)
 _SLICING_RULES = {
@@ -508,9 +513,11 @@ def _seed(text) -> int:
 
 
 def _count(text) -> int:
+    """3g --samples: 1 to a million tuples (about 150 MB at the top)."""
     count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    if not 1 <= count <= 1_000_000:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1 and at most 1000000, got {text}")
     return count
 
 

@@ -656,14 +656,13 @@ class MultiAtomOperator:
     iterates and the series are summed by ``matrix_kernels``.
     """
 
-    def __init__(self, kernel, atom_times, t, y, n_nodes: int = 64):
+    def __init__(self, kernel, atom_times, t, y):
         self.kernel = kernel
         self.times = sorted(float(u) for u in atom_times)
         if any(u >= t for u in self.times):
             raise ValueError("atoms must sit strictly before the target time")
         self.t = float(t)
         self.y = float(y)
-        self.n_nodes = n_nodes
         pad = 2.0 * float(kernel.peak_scale(t - min(self.times))) + 0.5
         self.z_grid = np.linspace(min(-4.0, y) - pad, max(4.0, y) + pad, 17)
         G = len(self.z_grid)
@@ -683,14 +682,14 @@ class MultiAtomOperator:
 
     def _transfer(self, u, z_arr, j):
         """Rows taking atom j's grid ratios to the bridge integral from
-        (u, z) through atom j, in ratio space; the tan rule is centered on
-        the narrower kernel factor."""
+        (u, z) through atom j, in ratio space; the tan rule, 32 nodes on
+        each half-axis, is centered on the narrower kernel factor."""
         v = self.times[j]
         s1 = float(self.kernel.peak_scale(v - u))
         s2 = float(self.kernel.peak_scale(self.t - v))
         z = np.asarray(z_arr, dtype=float)[:, None]
         center, scale = (z, s1) if s1 <= s2 else (self.y, s2)
-        zp, wp = peak_rule(center, scale, self.n_nodes // 2)
+        zp, wp = peak_rule(center, scale, 32)
         zp = np.broadcast_to(zp, (len(z), zp.shape[-1]))
         f0 = np.asarray(self.kernel(u, z, self.t, self.y), dtype=float)
         c = self.kernel(u, z, v, zp) * self.kernel(v, zp, self.t, self.y) * wp
@@ -733,20 +732,17 @@ class MultiAtomOperator:
 # ---------------------------------------------------------------------------
 
 class _SliceProblem:
-    """What the space-time slice problems share: the series adapter,
+    """What the space-time slice problems share: the series adapter, an
+    engine pair built on first use and the problem's one series source,
     which reports the ratios sum_n p_n / p that ``bounds`` certifies.
     Subclasses set kernel, mu, t, y, quad_tol, max_terms and
     engine_window = (s_min, x_range)."""
 
     exact = False
-    series_fn = None
     _engines = None
 
     def series(self, pts):
-        """Series ratios at the points from the caller's series_fn, else
-        from the problem's one engine pair, built on first use."""
-        if self.series_fn is not None:
-            return self.series_fn(pts)
+        """Series ratios at the points from the one engine pair."""
         if self._engines is None:
             s_min, x_range = self.engine_window
             self._engines = _engine_pair(self.kernel, self.mu, self.t, self.y,
@@ -768,18 +764,15 @@ class _SliceProblem:
 
 class TimeSliceProblem(_SliceProblem):
     """Slice problem over intervals I_1 (nearest the target time) through
-    I_k partitioning [r, t): slice j is I_j x space, the sliced operator
-    applies the measure restricted to I_j, and the series ratios come
-    from the quadrature engine (or a caller-supplied series_fn with the
-    contract of ``series``).
+    I_k partitioning [r, t): slice j is I_j x space, and the sliced
+    operator applies the measure restricted to I_j.
 
     The slice ratio p_1^{I_j} / p is read from one resolution-1.6 engine
     per restricted measure: level 1 needs no grid (r_0 = 1), so the
     engine evaluates it at any source point with s >= r."""
 
     def __init__(self, kernel, mu, r, t, y, intervals,
-                 quad_tol: float = 1e-4, seed: int = 0, series_fn=None,
-                 max_terms: int = 14):
+                 quad_tol: float = 1e-4, seed: int = 0, max_terms: int = 14):
         self.kernel = kernel
         self.mu = restrict_measure(mu, Interval(r, t))
         self.r = float(r)
@@ -789,7 +782,6 @@ class TimeSliceProblem(_SliceProblem):
         self.k = len(self.intervals)
         self.quad_tol = quad_tol
         self.seed = seed
-        self.series_fn = series_fn
         self.max_terms = max_terms
         scale = float(kernel.peak_scale(self.t - self.r))
         self.x_box = (self.y - 2.0 * scale - 1.0, self.y + 2.0 * scale + 1.0)
@@ -830,7 +822,8 @@ class KappaSliceProblem(_SliceProblem):
 
     The slice ratio collapses exactly to a one-dimensional level-line
     integral; the series uses the quadrature engine with the cone rules.
-    Sample points live in [0, t) x [0, y) intersected with each strip.
+    Sample points live in [0, t) x [0, y) intersected with each strip,
+    as many in a thin strip as in a wide one.
     """
 
     def __init__(self, c, p_exp, t, y, h=None, eta_target: float = 0.5,
@@ -853,21 +846,18 @@ class KappaSliceProblem(_SliceProblem):
         return self.levels[j], self.levels[j - 1]   # (a_j, a_{j-1})
 
     def _sample_strip(self, a_lo, a_hi, n, salt):
-        """Points of [0, t) x [0, y) with s + x in [a_lo, a_hi)."""
-        eng = Halton(2, self.seed + salt)
-        out = []
-        guard = 0
-        while len(out) < n and guard < 80:
-            guard += 1
-            for p0, p1 in eng.random(4 * n):
-                s = p0 * self.t
-                x = p1 * self.y
-                if a_lo <= s + x < min(a_hi, self.t + self.y) and \
-                        s < self.t and x < self.y:
-                    out.append((s, x))
-                    if len(out) == n:
-                        break
-        return np.asarray(out) if out else np.empty((0, 2))
+        """Points of [0, t) x [0, y) with s + x in [a_lo, a_hi), one per
+        Halton pair: a level in [a_lo, min(a_hi, t + y)), then a place on
+        that level's segment inside the box (none that rounding moves out)."""
+        top = max(a_lo, min(a_hi, self.t + self.y))
+        u = Halton(2, self.seed + salt).random(n)
+        level = a_lo + (top - a_lo) * u[:, 0]
+        lo = np.maximum(level - self.y, 0.0)
+        s = lo + (np.minimum(level, self.t) - lo) * u[:, 1]
+        x = level - s
+        keep = (a_lo <= s + x) & (s + x < top) & (s < self.t) & (x >= 0.0) \
+            & (x < self.y)
+        return np.stack([s[keep], x[keep]], axis=1)
 
     def slice_points(self, j, rng=None, n=24):
         a_lo, a_hi = self._strip(j)
@@ -893,8 +883,7 @@ class KappaSliceProblem(_SliceProblem):
 
 def theorem46_certify(kernel, mu, t, y, intervals, eta=None,
                       n_samples: int = 24, seed: int = 0,
-                      quad_tol: float = 1e-4, series_fn=None,
-                      max_terms: int = 14):
+                      quad_tol: float = 1e-4, max_terms: int = 14):
     """Interval-sliced certification with beta = eta.
 
     First verifies the slice hypothesis sup_{r <= s < t} p_1^{I_j} / p
@@ -907,12 +896,11 @@ def theorem46_certify(kernel, mu, t, y, intervals, eta=None,
     truncation report, and its note names the slice constant that
     failed.  With eta omitted, the measured sup (slightly
     padded) is used.  An eta of one or more raises SmallnessError (from
-    ``bounds.certify``), which carries it.  A series_fn maps the (n, 2)
-    points to their series ratios sum_n p_n / p and a TruncationReport.
+    ``bounds.certify``), which carries it.
     """
     problem = TimeSliceProblem(kernel, mu, min(I.lo for I in intervals), t,
                                y, intervals, quad_tol=quad_tol, seed=seed,
-                               series_fn=series_fn, max_terms=max_terms)
+                               max_terms=max_terms)
     # the sup over the slice's own points (eta_j) and over the top set
     # (beta_j) together: the sup of p_1^{I_j} / p over s in [r, t)
     const = bnd.estimate_constants(problem, n_samples=n_samples)

@@ -6,6 +6,10 @@ doubles as the acceptance report; `kpert reproduce` prints the same table.
 import pytest
 
 from kpert import acceptance
+from kpert import bounds as bnd
+from kpert import matrix_kernels as mk
+from kpert import perturbation as pt
+from kpert import spacetime as st
 
 SEED = 7
 
@@ -20,7 +24,7 @@ DETAILS = {
     5: "factors: single-atom err 4.9e-10, p2 = 0.0e+00, multi-atom err "
        "1.0e-08",
     6: "ratio = 2^j attained (err 1.0e-08); all certificates VALID",
-    7: "3G on 100000 tuples; exponents 0.1:0.402, 0.25:0.252; eta 0.037 "
+    7: "3G on 100000 tuples; exponents 0.1:0.402, 0.25:0.252; eta 0.036 "
        "<= 0.500",
     8: "composition 9.2e-16/1.7e-16, half-derivative 2.2e-16, "
        "left-inverse 4.0e-11, perturbed 5.2e-04",
@@ -74,8 +78,34 @@ def test_criterion_5_atom_oracles(numpy_avx2):
 
 
 def test_criterion_6_sharpness(numpy_avx2):
-    # ratio 2^j attained with the atom operator summed as one matrix, < 2 s
+    # ratio 2^j attained with the atom operator summed as one matrix, and
+    # that matrix certified exactly as a finite-state slice problem, < 2 s
     _check(acceptance.criterion_sharpness(SEED), numpy_avx2, max_seconds=2)
+
+
+def test_sharpness_problem_certifies_the_atom_operator_exactly():
+    # slice j is the grid block of the j-th atom from the target; each
+    # A_j (the last j blocks) is absorbing, and the exact certificates
+    # meet their bounds with no tolerance: slice 1 at 2 = 1 / (1 - eta),
+    # slice 2 within 1e-12 (its ratio and its beta both read the same
+    # transfer rows)
+    op = pt.MultiAtomOperator(st.gaussian_kernel(1),
+                              acceptance.SHARPNESS_TIMES, 1.0, 0.0)
+    prob = acceptance.sharpness_problem(op, 0.5)
+    assert prob.k == 3
+    block = op.K.n // 3
+    for j, A in enumerate(prob.chain.sets, start=1):
+        assert mk.is_absorbing(prob.K, A)
+        assert A.indices().tolist() == list(range(op.K.n - j * block,
+                                                  op.K.n))
+    const = bnd.estimate_constants(prob)
+    assert const.per_slice_eta == (0.5, 0.5, 0.5)
+    certs = bnd.certify(prob, const.eta, const.beta)
+    assert [c.status for c in certs] == ["VALID"] * 3
+    assert all(c.measured_ratio <= c.theorem_bound for c in certs)
+    assert certs[0].measured_ratio == certs[0].theorem_bound == 2.0
+    assert certs[1].measured_ratio == pytest.approx(certs[1].theorem_bound,
+                                                    rel=1e-12)
 
 
 def test_criterion_7_cone_kernel(numpy_avx2):

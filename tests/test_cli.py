@@ -65,12 +65,12 @@ GOLDEN = {
     "series_atomless": ("series", 0, "series.csv",
                         "590dbfe324afc81747099e306915dbed"
                         "5b8b798c2d708ff629b507572aaf4da9"),
-    # re-recorded when the engine's splines moved from scipy's fitpack to
-    # kpert's own not-a-knot spline: three tail estimates moved by <= 1e-15
-    # relative
+    # re-recorded when each level strip mapped its own Halton pairs onto
+    # its levels instead of keeping the draws over the square that fell in
+    # it: every sample point moved, and CHANGES.md tables the moved values
     "certify_kappa": ("certify", 0, "certificates.json",
-                      "830fffb97487dca20168d5e62dde55bd"
-                      "9de16603cfa2fb4b333a27e5d7a0abdc"),
+                      "a40c65dea2c054995cc9ce7abf3f621f"
+                      "9d9fb57bef0d5392aefbc14005be7c8f"),
     # re-recorded when eta >= 1 on time slices wrote the error and eta
     # in place of certificates
     "certify_atom_violation": ("certify", 4, "certificates.json",
@@ -106,6 +106,8 @@ GOLDEN = {
 # versions above under NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
 # AVX512_SPR".  Every other fixture has one hash on both dispatches.
 GOLDEN_AVX2 = {
+    "certify_kappa": "f6e6fdf95dd81df75e5b023ab462c778"
+                     "9916b3a7a390821378ba48110b2c364b",
     "certify_time_uniform": "368da6c5da3e9daba14783ec9537a134"
                             "b1302d269fbcfa9c004647a46d6175fc",
     "kato_cauchy_d2": "84da41ae255c49017bdc8ea3d3448e8c"
@@ -324,6 +326,20 @@ BAD_INPUTS = {
     "grid-count-fraction": ({"samples": {"grid": {"s": [0.0, 0.5, 2.5],
                                                   "x": [0.0, 1.0, 3]}}},
                             "samples.grid.s must be [lo, hi, n]"),
+    # an oversized grid ended in a numpy _ArrayMemoryError traceback (a
+    # 1e5 x 1e5 grid asked for 74.5 GiB); the count is checked before
+    # any array is built
+    "grid-axis-past-limit": ({"samples": {"grid": {"s": [0.0, 0.5, 1e12],
+                                                   "x": [0.0, 1.0, 3]}}},
+                             "samples.grid asks for 1000000000000 x 3 "
+                             "points, more than 100000"),
+    "grid-past-limit": ({"samples": {"grid": {"s": [0.0, 0.5, 100000],
+                                              "x": [0.0, 1.0, 100000]}}},
+                        "samples.grid asks for 100000 x 100000 points"),
+    "samples-list-past-limit": ({"samples": {"s": [0.0] * 100001,
+                                             "x": [0.3] * 100001}},
+                                "samples need at least one point and at "
+                                "most 100000"),
 }
 
 
@@ -552,6 +568,10 @@ BAD_ARGS = {
                          "non-negative integer"),
     "3g-zero-samples": (["3g", "--samples", "0"], "at least 1"),
     "3g-negative-samples": (["3g", "--samples", "-5"], "at least 1"),
+    # 1e12 samples ended in a numpy _ArrayMemoryError traceback
+    "3g-samples-past-limit": (["3g", "--samples", "1000000000000"],
+                              "argument --samples: must be at least 1 and "
+                              "at most 1000000"),
     "kato-negative-window": (["kato", "--windows", "0.5,-0.25"],
                              "finite and positive"),
     "kato-nan-window": (["kato", "--windows", "nan"], "finite and positive"),
@@ -868,22 +888,37 @@ def test_certify_kappa_fixture_exit_0(tmp_path):
     assert len(certs) == 4
 
 
-def test_certify_kappa_strip_without_sample_is_inconclusive(tmp_path):
-    # at c = 0.2 strips 3, 4 and 124-126 of 126 draw no Halton point;
-    # the run ended in "max() arg is an empty sequence"
+def test_certify_kappa_samples_every_thin_strip(tmp_path):
+    # at c = 0.2 strips 3, 4 and 124-126 of 126 are thin where they meet
+    # the box [0, t) x [0, y); drawn over the whole square and kept where
+    # they fell in the strip, no Halton point landed there, and those five
+    # read INCONCLUSIVE with 0 samples (exit 4).  Each strip now maps its
+    # own Halton pairs onto its levels.
     doc = json.loads((FIXTURES / "certify_kappa.json").read_text())
     doc["slicing"]["c"] = 0.2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert run_cli("certify", "--config", str(cfg),
-                   "--out", str(tmp_path / "out")) == 4
+                   "--out", str(tmp_path / "out")) == 0
     certs = json.loads((tmp_path / "out" / "certificates.json").read_text())
     assert len(certs) == 126
-    empty = [c for c in certs if c["status"] != "VALID"]
-    assert [c["slice"] for c in empty] == [3, 4, 124, 125, 126]
-    for c in empty:
-        assert c["status"] == "INCONCLUSIVE" and c["samples"] == 0
-        assert c["note"] == "no sample point in the slice"
+    assert all(c["status"] == "VALID" and c["samples"] == 6 for c in certs)
+    assert all(c["measured_ratio"] <= c["bound"] for c in certs)
+
+
+def test_kappa_strip_points_lie_in_their_strip():
+    from kpert import perturbation as pt
+    prob = pt.KappaSliceProblem(0.2, 0.1, 1.0, 1.0)
+    assert prob.k == 126
+    for j in (1, 3, 4, 63, 124, 125, 126):
+        a_lo, a_hi = prob.levels[j], prob.levels[j - 1]
+        pts = prob.slice_points(j, n=6)
+        s, x = pts[:, 0], pts[:, 1]
+        assert len(pts) == 6
+        assert np.all((a_lo <= s + x) & (s + x < a_hi))
+        assert np.all((0.0 <= s) & (s < 1.0) & (0.0 <= x) & (x < 1.0))
+    # a strip that meets the box in no level draws nothing
+    assert prob._sample_strip(2.0, 2.5, 6, 1).shape == (0, 2)
 
 
 # eta >= 1 on every branch; the diagonal-level branch once exited 4 with
