@@ -340,12 +340,17 @@ def _intervals_from_config(cfg) -> list:
             out = [bnd.Interval(float(a), float(b)) for a, b in pairs]
         except (TypeError, ValueError):
             out = []
-        if not out or not all(-math.inf < I.lo < I.hi <= cfg.target_t
-                              for I in out):
+        # Theorem 4.6's slices tile [r, t) downward from the target: I_1
+        # ends at t and each I_{j+1} ends where I_j starts
+        tops = [cfg.target_t] + [I.lo for I in out[:-1]]
+        if not out or not all(-math.inf < I.lo < I.hi == top
+                              for I, top in zip(out, tops)):
             raise ConfigError(f"slicing.intervals must be a non-empty "
-                              f"list of finite [lo, hi] with lo < hi <= "
-                              f"the target time t = {cfg.target_t!r}, got "
-                              f"{pairs!r}")
+                              f"list of finite [lo, hi] with lo < hi that "
+                              f"tile [r, t) downward from the target time "
+                              f"t = {cfg.target_t!r}: the first ends at t "
+                              f"and each next one where the one before "
+                              f"starts, got {pairs!r}")
         return out
     raise ConfigError(f"slicing mode {mode!r} needs the diagonal or discrete path")
 

@@ -157,6 +157,20 @@ class CornerPowerDensity:
         return np.where(ok, self.c * s ** (-self.p), 0.0)
 
 
+def _numbers(doc, name, *keys):
+    """The values of the keys in doc, the JSON object at the config path
+    ``name``, as floats; a missing key or a value that is no number is a
+    ValueError naming the part."""
+    want = " and ".join(keys)
+    if not (isinstance(doc, dict) and all(k in doc for k in keys)):
+        raise ValueError(f"{name} needs {want}, got {doc!r}")
+    try:
+        return [float(doc[k]) for k in keys]
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: {want} must be numbers, got "
+                         f"{doc!r}") from None
+
+
 def measure_from_config(doc: dict, dim: int) -> PerturbingMeasure:
     """Build a measure from the config JSON fragment, for a kernel in
     dimension ``dim``.
@@ -164,7 +178,7 @@ def measure_from_config(doc: dict, dim: int) -> PerturbingMeasure:
     {"density": {"kind": "const", "lambda": ..} | {"kind": "q0", "c": ..,
     "p": ..} | {"kind": "power", "eps": ..}, "atoms": [{"u": .., "eta": ..}],
     "support": [a, b]}; a density's "dim" defaults to ``dim`` and must
-    equal it.
+    equal it.  A missing or malformed part is a ValueError naming it.
     """
     density = None
     dd = doc.get("density")
@@ -175,23 +189,34 @@ def measure_from_config(doc: dict, dim: int) -> PerturbingMeasure:
             raise ValueError(f"density dim must equal the kernel's d = "
                              f"{dim}, got {ddim!r}")
         if kind == "const":
-            density = ConstDensity(float(dd["lambda"]), dim)
+            density = ConstDensity(*_numbers(dd, "measure.density",
+                                             "lambda"), dim)
         elif kind == "q0":
             if dim != 1:
                 raise ValueError(f"density kind 'q0' takes d = 1, the "
                                  f"kernel has d = {dim}")
-            density = CornerPowerDensity(float(dd["c"]), float(dd["p"]))
+            density = CornerPowerDensity(*_numbers(dd, "measure.density",
+                                                   "c", "p"))
         elif kind == "power":
-            density = PowerLawSpaceDensity(float(dd["eps"]), dim)
+            density = PowerLawSpaceDensity(*_numbers(dd, "measure.density",
+                                                     "eps"), dim)
         else:
             raise ValueError(f"unknown density kind {kind!r}")
-    atoms = tuple(Atom(float(a["u"]), float(a["eta"]))
-                  for a in doc.get("atoms", []))
+    atoms = doc.get("atoms", [])
+    if not isinstance(atoms, list):
+        raise ValueError(f"measure.atoms must be a list, got {atoms!r}")
+    atoms = tuple(Atom(*_numbers(a, f"measure.atoms[{i}]", "u", "eta"))
+                  for i, a in enumerate(atoms))
     support = FULL_LINE
     if "support" in doc:
-        lo, hi = (float(v) for v in doc["support"])
+        ends = doc["support"]
+        try:        # anything but a list of two numbers fails to unpack
+            lo, hi = map(float, ends if isinstance(ends, list) else ())
+        except (TypeError, ValueError):
+            raise ValueError(f"measure.support must be [lo, hi], got "
+                             f"{ends!r}") from None
         if not lo < hi:
             raise ValueError(f"support [lo, hi] needs lo < hi, got "
-                             f"{doc['support']!r}")
+                             f"{ends!r}")
         support = Interval(lo, hi)
     return PerturbingMeasure(density, atoms, support)

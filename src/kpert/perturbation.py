@@ -14,18 +14,14 @@ moving singularity of p out of interpolation.  Ratios live on a
 per-panel grid (panels split at atom times and support endpoints, where
 ratios jump; a panel ending at an atom holds the left limit there, the
 atom still ahead); each level is one pass of nested fixed rules, whose
-spatial rule follows the bridge, and an atom term, one spatial integral,
-gets a finer one.  For the Gaussian, p(u0, z0, v, z') p(v, z', t, y) /
-p(u0, z0, t, y) is the Brownian-bridge density in z', a normal density
-whose mean and scale the kernel gives (``GaussianKernel.bridge``): the
-tan rule sits on that mean at that scale with the standard normal
-density in its weights, so a bridge sum is already a ratio to p and
-evaluates no kernel.  The other kernels recenter and rescale the rule on
-the narrower kernel factor (tan substitution, exact for a Cauchy peak)
-so end-of-interval bridges stay resolved, and divide by p.  One
-evaluator applies a level to a batch of rows, each a source time u0
-with its source nodes z0: a grid level passes a panel's rows, which
-share the z-grid, and the readout passes every point as a one-node row.
+spatial rule follows the bridge (``_bridge_rule``, the one rule for
+every bridge here, the atom operator's included), and an atom term, one
+spatial integral, gets a finer one.  A Gaussian bridge sum, against the
+Brownian-bridge density, is already a ratio to p and evaluates no
+kernel; the other kernels divide by p.  One evaluator applies a level
+to a batch of rows, each a source time u0 with its source nodes z0: a
+grid level passes a panel's rows, which share the z-grid, and the
+readout passes every point as a one-node row.
 The (row, time node) columns of a segment, or the (row, atom) columns,
 are evaluated together, in blocks of at most _BATCH_ENTRIES entries, and
 each node still reduces on its own (one vecdot call per segment runs the
@@ -210,15 +206,86 @@ class RectBivariateSpline:
 _BATCH_ENTRIES = 24 * 11 * 44
 
 
-def _normal_weighted(tan, w):
-    """The unit peak rule (tan, w) for integrals against the standard
-    normal density: weights w e^{-tan^2 / 2} / sqrt(2 pi), without the
-    nodes whose weight underflows to 0, where a product 0 * inf would
-    read NaN."""
+def _closed_form(kernel):
+    """Whether the kernel's bridge has a closed form (``kernel.bridge``,
+    the Gaussian's): ``_bridge_rule`` then integrates against the normal
+    density, and a sum on its rule is already a ratio to p."""
+    return hasattr(kernel, "bridge")
+
+
+def _node_counts(r):
+    """The series engine's spatial node counts at resolution r: a grid
+    level's bridge rule, an atom term's (one spatial integral, which
+    affords more nodes) and the cone rule's Gauss-Legendre half rule."""
+    nodes_z = max(12, int(round(28 * r)))
+    return nodes_z, int(round(40 * r)), max(nodes_z // 2, 6)
+
+
+def _unit_rule(kernel, n):
+    """The unit peak rule that ``_bridge_rule`` moves and scales, n nodes
+    per half-axis: tan(theta) and w / cos(theta)**2.  For a kernel with a
+    closed-form bridge the weights also carry the standard normal density
+    e^{-tan^2 / 2} / sqrt(2 pi), and the nodes whose weight underflows to
+    0 are dropped, where a product 0 * inf would read NaN."""
+    tan, w = peak_rule(0.0, 1.0, n)
+    if not _closed_form(kernel):
+        return tan, w
     w = w * np.exp(-0.5 * tan ** 2)
     w /= math.sqrt(2.0 * math.pi)
     keep = w > 0
     return tan[keep], w[keep]
+
+
+def _bridge_rule(kernel, rule, half, u0, z0, v, t, y):
+    """The spatial rule of the bridges from (u0[c], z0) through the time
+    v[c] to (t, y), the one rule for every bridge the series engine and
+    the atom operator integrate: groups (cols, zc, zp, wp) of the columns
+    cols, their source nodes zc and the nodes zp and weights wp in z'.
+    z0 has shape (nodes, 1, 1), shared by the columns, or (nodes,
+    columns, 1); ``rule`` is a unit rule of ``_unit_rule`` and ``half`` a
+    Gauss-Legendre rule on (0, 1), which only the cone kernel reads.
+
+    - A kernel with a ``bridge`` method (the Gaussian): p(u0, z0, v, z')
+      p(v, z', t, y) / p(u0, z0, t, y) is the Brownian-bridge density in
+      z', normal with the mean and scale ``kernel.bridge`` gives (I.
+      Karatzas and S. Shreve, Brownian Motion and Stochastic Calculus,
+      5.6.B).  The nodes sit at mean + scale tan(theta) and the weights
+      are the rule's, which carry the standard normal density, so a sum
+      against them is already a ratio to p and needs no kernel.
+    - The cone kernel: quadratic clustering at both ends of [z0, y],
+      where the cross-section mass blows up; it needs z0 < y, which holds
+      wherever p(u0, z0, t, y) > 0.
+    - The other kernels: the tan rule centred on the narrower of the two
+      kernel factors at its peak scale (exact for a Cauchy peak), so
+      end-of-interval bridges stay resolved.  The columns whose rule sits
+      on the target form a group whose nodes do not depend on z0 (zp of
+      leading size 1)."""
+    tan, tan_w = rule
+    if _closed_form(kernel):
+        mean, scale = kernel.bridge(u0[:, None], z0, v[:, None], t, y)
+        return [(slice(None), z0, mean + scale * tan, tan_w)]
+    if getattr(kernel, "kind", "peak") == "cone":
+        xi, w = half
+        width = 0.5 * (z0 + y) - z0
+        wl = w * 2.0 * width * xi
+        zp = np.concatenate([z0 + width * xi ** 2, y - width * xi[::-1] ** 2],
+                            axis=-1)
+        return [(slice(None), z0,
+                 np.broadcast_to(zp, (len(z0), len(v), 2 * len(xi))),
+                 np.concatenate([wl, wl[..., ::-1]], axis=-1))]
+    s1 = np.asarray(kernel.peak_scale(v - u0), dtype=float)
+    s2 = np.asarray(kernel.peak_scale(t - v), dtype=float)
+    use1 = s1 <= s2
+    scale = np.maximum(np.where(use1, s1, s2), 1e-300)
+    shared = z0.shape[1] == 1
+    groups = []
+    for cols, on_source in ((use1, True), (~use1, False)):
+        if np.any(cols):
+            zc = z0 if shared else z0[:, cols]
+            sc = scale[cols][:, None]
+            center = zc if on_source else np.full((1, 1, 1), y)
+            groups.append((cols, zc, center + sc * tan, sc * tan_w))
+    return groups
 
 
 def _node_sums(inner, dv):
@@ -260,20 +327,13 @@ class SeriesEngine:
         self.grid_t = max(7, int(round(11 * r)))
         self.grid_z = max(9, int(round(15 * r)))
         self.nodes_t = max(8, int(round(14 * r)))
-        self.nodes_z = max(12, int(round(28 * r)))
-        self.nodes_atom = int(round(40 * r))
-        # unit peak rules, tan(theta) and w / cos(theta)**2; an atom term
-        # is one spatial integral and affords more nodes
-        self._rule = peak_rule(0.0, 1.0, self.nodes_z // 2)
-        self._atom_rule = peak_rule(0.0, 1.0, self.nodes_atom // 2)
-        # a kernel with a closed-form bridge (the Gaussian) integrates
-        # against the standard normal density on the same rules
-        self._closed = hasattr(kernel, "bridge")
-        if self._closed:
-            self._rule = _normal_weighted(*self._rule)
-            self._atom_rule = _normal_weighted(*self._atom_rule)
+        self.nodes_z, self.nodes_atom, nodes_half = _node_counts(r)
+        # the rules of _bridge_rule
+        self._rule = _unit_rule(kernel, self.nodes_z // 2)
+        self._atom_rule = _unit_rule(kernel, self.nodes_atom // 2)
+        self._closed = _closed_form(kernel)
         self._gl_t = gauss_legendre_rule(0.0, 1.0, self.nodes_t)
-        self._gl_half = gauss_legendre_rule(0.0, 1.0, max(self.nodes_z // 2, 6))
+        self._gl_half = gauss_legendre_rule(0.0, 1.0, nodes_half)
 
         # panels: ratio jumps live at atom times and support endpoints
         cuts = {self.s_min, self.t}
@@ -409,63 +469,31 @@ class SeriesEngine:
 
     def _bridge_sums(self, u0, v, z0, splines, atom=False):
         """Inner sums over z' of p(u0, z0, v, z') p(v, z', t, y) q(v, z')
-        r_{n-1}(v, z') w at the columns c = (u0[c], v[c]), shape (nodes,
-        columns); z0 has shape (nodes, 1), shared by the columns, or
-        (nodes, columns).  An atom term has no q, and the finer unit rule.
+        r_{n-1}(v, z') w at the columns c = (u0[c], v[c]) on the nodes of
+        ``_bridge_rule``, shape (nodes, columns); z0 has shape (nodes, 1),
+        shared by the columns, or (nodes, columns).  An atom term has no
+        q, and the finer unit rule.
 
-        For the Gaussian the sums are of the ratio to p(u0, z0, t, y): the
-        product of the two kernels over p is the Brownian-bridge density
-        in z', normal with the mean and scale ``kernel.bridge`` gives, so
-        the rule's nodes sit at mean + scale tan(theta) and its weights
-        carry the standard normal density; no kernel is evaluated, and the
-        product is (q r) w.  For the other kernels the spatial rule is
-        centered on the narrower of the two kernel factors; the columns
-        whose rule sits on the target (t, y) form a z0-free group, on which
-        every factor but p(u0, z0, v, z') is evaluated once per column and
-        broadcast over the nodes.  Cone rules need z0 < y, which holds
-        wherever p(u0, z0, t, y) > 0.  The time operands are columns
-        v[cols, None], so time-only factors are evaluated once per column,
-        and the product is formed in place on p(u0, z0, v, z') in the
-        order (((p1 p2) q) r) w.  Columns go in blocks of at most
-        _BATCH_ENTRIES (node, column, spatial node) entries."""
+        A closed-form bridge sum is of the ratio to p(u0, z0, t, y) and
+        evaluates no kernel: the product is (q r) w.  Otherwise the time
+        operands are columns v[cols, None], so time-only factors are
+        evaluated once per column, and the product is formed in place on
+        p(u0, z0, v, z') in the order (((p1 p2) q) r) w.  Columns go in
+        blocks of at most _BATCH_ENTRIES (node, column, spatial node)
+        entries."""
         nz, shared = len(z0), z0.shape[1] == 1
-        tan, tan_w = self._atom_rule if atom else self._rule
-        xi, w = self._gl_half
-        width = 2 * len(xi) if self.kind == "cone" else len(tan)
+        rule = self._atom_rule if atom else self._rule
+        width = 2 * len(self._gl_half[0]) if self.kind == "cone" \
+            else len(rule[0])
         step = max(1, _BATCH_ENTRIES // (nz * width))
         inner = np.empty((nz, len(v)))
         for a in range(0, len(v), step):
             b = slice(a, a + step)
             ub, vb, out = u0[b], v[b], inner[:, b]
             zn = (z0 if shared else z0[:, b])[:, :, None]
-            if self._closed:
-                mean, scale = self.kernel.bridge(ub[:, None], zn, vb[:, None],
-                                                 self.t, self.y)
-                groups = [(slice(None), zn, mean + scale * tan, tan_w)]
-            elif self.kind == "cone":
-                half = 0.5 * (zn + self.y) - zn
-                wl = w * 2.0 * half * xi
-                zp = np.concatenate([zn + half * xi ** 2,
-                                     self.y - half * xi[::-1] ** 2], axis=-1)
-                groups = [(slice(None), zn, np.broadcast_to(
-                    zp, (nz, len(vb), width)),
-                    np.concatenate([wl, wl[..., ::-1]], axis=-1))]
-            else:
-                s1 = np.asarray(self.kernel.peak_scale(vb - ub), dtype=float)
-                s2 = np.asarray(self.kernel.peak_scale(self.t - vb),
-                                dtype=float)
-                use1 = s1 <= s2
-                scale = np.maximum(np.where(use1, s1, s2), 1e-300)
-                groups = []
-                for cols, on_source in ((use1, True), (~use1, False)):
-                    if np.any(cols):
-                        zc = zn if shared else zn[:, cols]
-                        sc = scale[cols][:, None]
-                        center = zc if on_source else np.full((1, 1, 1),
-                                                              self.y)
-                        groups.append((cols, zc, center + sc * tan,
-                                       sc * tan_w))
-            for cols, zc, zp, wp in groups:
+            for cols, zc, zp, wp in _bridge_rule(self.kernel, rule,
+                                                 self._gl_half, ub, zn, vb,
+                                                 self.t, self.y):
                 vc = vb[cols, None]
                 if self._closed:
                     prod = np.ones(zp.shape) if atom else self.mu.q(vc, zp)
@@ -649,9 +677,12 @@ class MultiAtomOperator:
     are flat in space (the exact recursion only counts
     nondecreasing atom chains), so linear interpolation between grid
     nodes is essentially exact and all quadrature error sits in the
-    tan-substituted bridge rules.  On the stacked grids K is one matrix,
-    assembled once: identity blocks on the diagonal (the rho({s}) term)
-    and, above it, bridge transfers from each atom to every later one.
+    bridge rules: the series engine's, from ``_bridge_rule`` with its
+    resolution-1.6 atom rule (closed-form for the Gaussian, whose rows
+    then sum to their Chapman-Kolmogorov counts within 1e-9).  On the
+    stacked grids K is one matrix, assembled once: identity blocks on
+    the diagonal (the rho({s}) term) and, above it, bridge transfers from
+    each atom to every later one.
     A readout row takes grid values of g / f to (K g)(s, x) / f(s, x);
     iterates and the series are summed by ``matrix_kernels``.
     """
@@ -663,6 +694,11 @@ class MultiAtomOperator:
             raise ValueError("atoms must sit strictly before the target time")
         self.t = float(t)
         self.y = float(y)
+        # the series engine's atom rules at resolution 1.6
+        _, nodes_atom, nodes_half = _node_counts(1.6)
+        self._closed = _closed_form(kernel)
+        self._rule = _unit_rule(kernel, nodes_atom // 2)
+        self._half = gauss_legendre_rule(0.0, 1.0, nodes_half)
         pad = 2.0 * float(kernel.peak_scale(t - min(self.times))) + 0.5
         self.z_grid = np.linspace(min(-4.0, y) - pad, max(4.0, y) + pad, 17)
         G = len(self.z_grid)
@@ -682,18 +718,23 @@ class MultiAtomOperator:
 
     def _transfer(self, u, z_arr, j):
         """Rows taking atom j's grid ratios to the bridge integral from
-        (u, z) through atom j, in ratio space; the tan rule, 32 nodes on
-        each half-axis, is centered on the narrower kernel factor."""
+        (u, z) through atom j, in ratio space, on ``_bridge_rule`` with
+        the series engine's atom rules at resolution 1.6."""
         v = self.times[j]
-        s1 = float(self.kernel.peak_scale(v - u))
-        s2 = float(self.kernel.peak_scale(self.t - v))
         z = np.asarray(z_arr, dtype=float)[:, None]
-        center, scale = (z, s1) if s1 <= s2 else (self.y, s2)
-        zp, wp = peak_rule(center, scale, 32)
-        zp = np.broadcast_to(zp, (len(z), zp.shape[-1]))
+        [(_, _, zp, wp)] = _bridge_rule(self.kernel, self._rule, self._half,
+                                        np.array([u]), z[:, :, None],
+                                        np.array([v]), self.t, self.y)
+        # drop the one column's axis; every source node gets its own row
+        wp = np.broadcast_to(wp, zp.shape)[:, 0]
+        zp = np.broadcast_to(zp[:, 0], (len(z), zp.shape[-1]))
         f0 = np.asarray(self.kernel(u, z, self.t, self.y), dtype=float)
-        c = self.kernel(u, z, v, zp) * self.kernel(v, zp, self.t, self.y) * wp
-        c = np.divide(c, f0, out=np.zeros_like(c), where=f0 > 0)
+        if self._closed:                        # already a ratio to f0
+            c = np.where(f0 > 0, wp, 0.0)
+        else:
+            c = self.kernel(u, z, v, zp) * self.kernel(v, zp, self.t,
+                                                       self.y) * wp
+            c = np.divide(c, f0, out=np.zeros_like(c), where=f0 > 0)
         return np.einsum("ak,akg->ag", c, self._hat(zp))
 
     def _readout(self, s, x):

@@ -493,7 +493,7 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q):
 _KATO_ENTRIES = 8 * 768
 
 
-def _node_sums(kernel, q, u, end_t, end_x, first: bool):
+def _kato_node_sums(kernel, q, u, end_t, end_x, first: bool):
     """At each time node u_i, the sum over its peak rule in space of
     p(end_t_i, end_x_i, u_i, z) (first) or p(u_i, z, end_t_i, end_x_i),
     times q(u_i, z) unless q is None.
@@ -550,10 +550,12 @@ def kato_inner_integral(kernel, mu, s, x, t, y):
         span = (t - s)[:, None]
         du = wt * 2.0 * xi * span
         owner = np.repeat(np.arange(n), len(xi))
-        near = _node_sums(kernel, mu.q, (s[:, None] + span * xi ** 2).ravel(),
-                          s[owner], x[owner], True).reshape(du.shape)
-        far = _node_sums(kernel, mu.q, (t[:, None] - span * xi ** 2).ravel(),
-                         t[owner], y[owner], False).reshape(du.shape)
+        near = _kato_node_sums(kernel, mu.q,
+                               (s[:, None] + span * xi ** 2).ravel(),
+                               s[owner], x[owner], True).reshape(du.shape)
+        far = _kato_node_sums(kernel, mu.q,
+                              (t[:, None] - span * xi ** 2).ravel(),
+                              t[owner], y[owner], False).reshape(du.shape)
         total = np.array([float(near[i] @ du[i]) + float(far[i] @ du[i])
                           for i in range(n)])
     atoms = mu.active_atoms()
@@ -562,8 +564,8 @@ def kato_inner_integral(kernel, mu, s, x, t, y):
     if hits:
         owner = np.array([i for i, _ in hits])
         u = np.array([atom.time for _, atom in hits])
-        near = _node_sums(kernel, None, u, s[owner], x[owner], True)
-        far = _node_sums(kernel, None, u, t[owner], y[owner], False)
+        near = _kato_node_sums(kernel, None, u, s[owner], x[owner], True)
+        far = _kato_node_sums(kernel, None, u, t[owner], y[owner], False)
         for k, (i, atom) in enumerate(hits):
             total[i] += atom.weight * float(near[k])
             total[i] += atom.weight * float(far[k])

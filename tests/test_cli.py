@@ -242,6 +242,22 @@ BAD_INPUTS = {
     "nan-support": ({"measure": {"density": {"kind": "const", "lambda": 0.5},
                                  "support": [float("nan"), 2.0]}},
                     "support [lo, hi] needs lo < hi"),
+    # a measure part missing a key or of the wrong JSON type exited 2 with
+    # a Python internal as its message: 'u', 'lambda', "'int' object is
+    # not subscriptable", "string indices must be integers" or "not
+    # enough values to unpack"
+    "atom-without-u": ({"measure": {"atoms": [{"eta": 0.5}]}},
+                       "measure.atoms[0] needs u and eta"),
+    "atom-number": ({"measure": {"atoms": [1]}},
+                    "measure.atoms[0] needs u and eta"),
+    "atoms-object": ({"measure": {"atoms": {"u": 0.5, "eta": 0.5}}},
+                     "measure.atoms must be a list"),
+    "const-without-lambda": ({"measure": {"density": {"kind": "const"}}},
+                             "measure.density needs lambda"),
+    "support-one-end": ({"measure": {"density": {"kind": "const",
+                                                 "lambda": 0.5},
+                                     "support": [0.2]}},
+                        "measure.support must be [lo, hi]"),
     "power-eps-not-integrable": ({"measure": {"density": {"kind": "power",
                                                           "eps": -3.0}}},
                                  "density eps must exceed 1 - d = 0"),
@@ -363,6 +379,7 @@ _KAPPA = {"kernel": {"name": "kappa"}, "target": {"t": 1.0, "y": 1.0}}
 _PROBLEM = {"n": 2, "entries": [[0.5, 0.0], [0.25, 0.5]],
             "sets": {"A1": [0], "A2": [0, 1]}, "f": [1.0, 1.0]}
 _DISCRETE = {"discrete": {"path": "problem.json", "chain": ["A1", "A2"]}}
+_LAMBDA_1_2 = {"measure": {"density": {"kind": "const", "lambda": 1.2}}}
 BAD_CERTIFY_INPUTS = {
     "time-uniform-h-negative": (
         {"slicing": {"mode": "time-uniform", "h": -0.5}}, None,
@@ -430,11 +447,32 @@ BAD_CERTIFY_INPUTS = {
     # VALID certificate with ratio 0, exit 0
     "intervals-above-target": (
         {"slicing": {"mode": "intervals", "intervals": [[1.5, 2.0]]}}, None,
-        "with lo < hi <= the target time t = 1.0"),
+        "downward from the target time t = 1.0"),
     "intervals-past-target": (
         {"slicing": {"mode": "intervals",
                      "intervals": [[0.0, 0.5], [0.5, 1.25]]}}, None,
-        "with lo < hi <= the target time t = 1.0"),
+        "downward from the target time t = 1.0"),
+    # intervals that do not tile [r, t) downward from the target were
+    # certified as if they did: on lambda = 1.2 with 8 samples, ascending
+    # order read slice 1 INVALID (3.26 against a bound of 2.50) and
+    # overlapping intervals slice 1 INVALID (2.58 against 2.39), exit 3;
+    # a gap or a top below t read VALID
+    "intervals-ascending": (
+        {**_LAMBDA_1_2, "slicing": {"mode": "intervals", "n_samples": 8,
+                                    "intervals": [[0.0, 0.5], [0.5, 1.0]]}},
+        None, "that tile [r, t) downward"),
+    "intervals-overlapping": (
+        {**_LAMBDA_1_2, "slicing": {"mode": "intervals", "n_samples": 8,
+                                    "intervals": [[0.2, 0.6], [0.0, 0.5]]}},
+        None, "that tile [r, t) downward"),
+    "intervals-gap": (
+        {**_LAMBDA_1_2, "slicing": {"mode": "intervals", "n_samples": 8,
+                                    "intervals": [[0.5, 1.0], [0.0, 0.4]]}},
+        None, "that tile [r, t) downward"),
+    "intervals-top-below-target": (
+        {**_LAMBDA_1_2, "slicing": {"mode": "intervals", "n_samples": 8,
+                                    "intervals": [[0.5, 0.9], [0.0, 0.5]]}},
+        None, "that tile [r, t) downward"),
     # found by test_fixture_mutations_exit_cleanly: n_samples = 1e300
     # ended in a numpy traceback, c = 1e300 solved to a strip width of 0
     # (a traceback), and t = 1e300 or r = -1e300 asked for about 1e300
@@ -974,11 +1012,13 @@ def test_oracle_check(tmp_path):
     # pins the single-atom series and MultiAtomOperator (three atoms);
     # re-recorded when MultiAtomOperator became one matrix summed by
     # matrix_kernels (multi-atom-L3 7.999999915000639 -> 7.999999917838267),
-    # and when the engine summed Gaussian bridges in closed form (the three
-    # series rows, each by less than its stated error)
+    # when the engine summed Gaussian bridges in closed form (the three
+    # series rows, each by less than its stated error), and when the atom
+    # operator's transfer took the engine's bridge rule, closed-form for
+    # the Gaussian (multi-atom-L3 7.999999917838267 -> 7.999999991042986)
     assert hashlib.sha256((tmp_path / "oracles.csv").read_bytes()).hexdigest() \
-        == ("9dceaf784e99fb895056be9f6d6d9c0f"
-            "3b96a3b59d585bb7054f2dc9547c36ae")
+        == ("fef45e73194d9f622531131e18f916a5"
+            "83b4fd2a41931a127827b264de39426d")
 
 
 def test_kato_command(tmp_path):

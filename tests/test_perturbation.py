@@ -1068,18 +1068,48 @@ def test_multi_atom_transfer_rows_sum_to_later_atom_count():
     # Chapman-Kolmogorov: p(u, z, v, z') p(v, z', t, y) / p(u, z, t, y)
     # integrates to 1 over z', and the grid's hat functions sum to 1, so a
     # row of K without its identity block sums to the number of later
-    # atoms.  The Gaussian rows with |z| <= 2 meet it within 2.1e-7; the
-    # outer rows miss by up to 1.0e-3 (z = 6.20), and Cauchy rows by 5.6e-3
-    # for |z| <= 2 and 0.91 at z = -6.17 (the narrower-factor tan rule
-    # misses the bridge's peak there)
+    # atoms.  The Gaussian rows, on the closed-form bridge rule, meet it
+    # within 9.7e-10 at every z (the 32-node normal weights sum to 1 within
+    # 4.9e-10).  The Cauchy rows miss by 5.6e-3 for |z| <= 2 and by 0.91 at
+    # z = -6.17, where the narrower-factor tan rule misses the bridge's
+    # peak (ROADMAP item 2): pinned here as a known defect
     times = (1 / 6, 1 / 2, 5 / 6)
-    op = pt.MultiAtomOperator(G, times, 1.0, 0.0)
-    block = len(op.z_grid)
-    later = np.repeat(np.arange(len(times))[::-1], block)
-    rows = np.sum(op.K.entries - np.eye(op.K.n), axis=1)
-    near = np.tile(np.abs(op.z_grid) <= 2.0, len(times))
-    assert np.max(np.abs(rows - later)[near]) <= 1e-6
-    assert np.max(np.abs(rows - later)) < 2e-3
+
+    def misses(kernel):
+        op = pt.MultiAtomOperator(kernel, times, 1.0, 0.0)
+        later = np.repeat(np.arange(len(times))[::-1], len(op.z_grid))
+        rows = np.sum(op.K.entries - np.eye(op.K.n), axis=1)
+        return (np.abs(rows - later),
+                np.tile(np.abs(op.z_grid) <= 2.0, len(times)))
+
+    gauss, _ = misses(G)
+    assert np.max(gauss) <= 1e-8
+    cauchy, near = misses(st.cauchy_kernel(1))
+    assert np.max(cauchy[near]) <= 6e-3
+    assert np.max(cauchy) < 1.0
+
+
+def test_multi_atom_cone_transfer_rows_match_adaptive_quadrature():
+    # the cone kernel's bridges are integrated on the series engine's cone
+    # rule, clustered at both ends of [z, y]: a transfer row from atom 0
+    # to atom 1 sums to int kappa(u, z, v, z') kappa(v, z', t, y) dz' over
+    # kappa(u, z, t, y), which vanishes where z >= y
+    times = (1 / 6, 1 / 2, 5 / 6)
+    op = pt.MultiAtomOperator(st.KAPPA, times, 1.0, 0.0)
+    g = len(op.z_grid)
+    rows = np.sum(op.K.entries[:g, g:2 * g], axis=1)
+    u, v = times[:2]
+    for z, row in zip(op.z_grid, rows):
+        if z >= 0.0:
+            assert row == 0.0
+            continue
+        ref = quad(lambda zp: st.KAPPA(u, z, v, zp) * st.KAPPA(v, zp, 1.0,
+                                                               0.0),
+                   z, 0.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        assert row == pytest.approx(ref / st.KAPPA(u, z, 1.0, 0.0),
+                                    rel=1e-12)
+    res = op.series_at(0.5, 0.0, -1.0)
+    assert res.status == "converged" and math.isfinite(res.value)
 
 
 # -- closed-form perturbed kernels ------------------------------------------------
