@@ -191,19 +191,21 @@ def load_config(path, seed=None) -> RunConfig:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
-def _command_kernel(cfg, command: str, peak_dims=(1,)):
+def _command_kernel(cfg, command: str, peak_dims=(1,), cone=True):
     """The configured kernel, if ``command`` can evaluate it.
 
     The series engine (``series``, ``certify`` on time slices and on
     level strips) has one-dimensional rules; ``kato`` also has a polar
-    rule for d = 2.  The cone kernel is one-dimensional.
+    rule for d = 2, but its endpoint peak rule is symmetric and the cone
+    kernel one-sided.  The cone kernel is one-dimensional.
     """
-    dims = {"peak": peak_dims, "cone": (1,)}[cfg.kernel.kind]
+    dims = {"peak": peak_dims, "cone": (1,) if cone else ()}[cfg.kernel.kind]
     if cfg.dim not in dims:
+        kappa = " and kappa in d = 1" if cone else ""
         raise ConfigError(
             f"{command} cannot take kernel {cfg.kernel_name!r} in "
             f"d = {cfg.dim}; it takes gaussian and cauchy in d = "
-            f"{' or '.join(map(str, peak_dims))} and kappa in d = 1")
+            f"{' or '.join(map(str, peak_dims))}{kappa}")
     return cfg.kernel
 
 
@@ -278,7 +280,7 @@ def cmd_series(args) -> int:
     return 0
 
 
-# Slices a certify run may take: each slice builds its own engine, and a
+# Slices a certify run may take: each slice samples its own points, and a
 # slice list past this size would not finish or not fit in memory
 # (t = 1e300 with h = 0.5 asked for 2e300 slices).
 _MAX_SLICES = 10_000
@@ -454,7 +456,7 @@ def cmd_kato(args) -> int:
     mu = cfg.measure if not cfg.measure.is_zero else \
         PerturbingMeasure(ConstDensity(1.0, cfg.dim))
     hs = args.windows or [1.0, 0.5, 0.25, 0.125]
-    kernel = _command_kernel(cfg, "kato", peak_dims=(1, 2))
+    kernel = _command_kernel(cfg, "kato", peak_dims=(1, 2), cone=False)
     prof = st.kato_profile(kernel, mu, hs, n_samples=16, seed=cfg.seed)
     rows = ["h,k_h"] + [f"{_fmt(h)},{_fmt(prof[h])}" for h in sorted(prof, reverse=True)]
     _write(args.out, "kato.csv", "\n".join(rows) + "\n")

@@ -49,10 +49,12 @@ measure, atoms included, takes this one path (an atom level reads the
 previous one only at later atoms, so a single atom kills every term past
 the first), and the error estimate is the relative difference of the
 sums at two resolutions.  The slice problems build that engine pair once
-and reuse it for every batch of sample points.
+and reuse it for every batch of sample points; a time slice's p_1 / p is
+the fine engine's level 1 with the measure cut to the slice window.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -62,8 +64,8 @@ from kpert import bounds as bnd
 from kpert import matrix_kernels as mk
 from kpert import spacetime as st
 from kpert.errors import DomainError
-from kpert.measures import (CornerPowerDensity, Interval, PerturbingMeasure,
-                            restrict_measure)
+from kpert.measures import (FULL_LINE, CornerPowerDensity, Interval,
+                            PerturbingMeasure, restrict_measure)
 from kpert.quadrature import Halton, gauss_legendre_rule, peak_rule
 
 
@@ -288,6 +290,12 @@ def _bridge_rule(kernel, rule, half, u0, z0, v, t, y):
     return groups
 
 
+def _clip(pieces, window):
+    """The non-empty parts of the time pieces (lo, hi) inside the window."""
+    cut = [(max(lo, window.lo), min(hi, window.hi)) for lo, hi in pieces]
+    return [(lo, hi) for lo, hi in cut if hi > lo]
+
+
 def _node_sums(inner, dv):
     """dv[i] @ inner[j, i] for every node j of row i, shape (rows, nodes),
     in one vecdot call: the same BLAS dot on each contiguous node row as
@@ -310,8 +318,7 @@ class SeriesEngine:
     """
 
     def __init__(self, kernel, mu: PerturbingMeasure, t, y, s_min, x_range,
-                 resolution: float, quad_tol: float = 1e-4,
-                 max_terms: int = 14):
+                 resolution: float, quad_tol: float, max_terms: int):
         if s_min >= t:
             raise ValueError("need s_min < t")
         self.kernel = kernel
@@ -347,12 +354,7 @@ class SeriesEngine:
         edges = sorted(cuts)
         self.panels = list(zip(edges[:-1], edges[1:]))
         self._panel_los = np.array(edges[:-1])
-        self.segments = []
-        if mu.density is not None:
-            for lo, hi in self.panels:
-                lo2, hi2 = max(lo, supp.lo), min(hi, supp.hi)
-                if hi2 > lo2:
-                    self.segments.append((lo2, hi2))
+        self.segments = [] if mu.density is None else _clip(self.panels, supp)
 
         # spatial window for the ratio grid
         if self.kind == "cone":
@@ -405,11 +407,12 @@ class SeriesEngine:
                 out[..., m, :] = spl(v[m], zp[..., m, :])
         return out
 
-    def _apply(self, u0, z0, f0, splines):
+    def _apply(self, u0, z0, f0, splines, window=FULL_LINE):
         """One application of the measure-weighted kernel to r_{n-1} p at
         the nodes of a batch of rows, divided by f0 = p(u0, z0, t, y) there;
         level 1 (splines None) takes r_0 = 1.  A closed-form bridge sum is
-        already a ratio and is not divided.
+        already a ratio and is not divided.  The measure is cut to the time
+        window: the segments inside it and the atoms it contains.
 
         Row i is the source time u0[i] with the nodes z0[i], f0 has shape
         (rows, nodes), and z0 broadcasts to it: a z0 of one row is shared by
@@ -424,14 +427,15 @@ class SeriesEngine:
             same = (live[rows] == mask).all(axis=1)
             at = np.ix_(rows[same], np.flatnonzero(mask))
             zg = z0[:, mask] if len(z0) == 1 else z0[at]
-            vals = self._live_rows(u0[rows[same]], zg.T, splines)
+            vals = self._live_rows(u0[rows[same]], zg.T, splines, window)
             out[at] = vals if self._closed else vals / f0[at]
             rows = rows[~same]
         return out
 
-    def _live_rows(self, u0, z0, splines):
-        """The unnormalised values of ``_apply`` at live nodes: z0 of shape
-        (nodes, 1), shared by the rows, or (nodes, rows).
+    def _live_rows(self, u0, z0, splines, window):
+        """The unnormalised values of ``_apply`` at live nodes, the measure
+        cut to the window: z0 of shape (nodes, 1), shared by the rows, or
+        (nodes, rows).
 
         Columns are (row, time node) pairs, and one pass of
         ``_bridge_sums`` evaluates every row's columns of a segment (or
@@ -441,7 +445,7 @@ class SeriesEngine:
         atom by atom, so it has the bits of a lone node."""
         total = np.zeros((len(u0), len(z0)))
         shared = z0.shape[1] == 1
-        for lo, hi in self.segments:
+        for lo, hi in _clip(self.segments, window):
             rows = np.flatnonzero(u0 < hi)
             if not len(rows):
                 continue
@@ -453,7 +457,8 @@ class SeriesEngine:
                                       splines).reshape(len(z0), len(rows), nt)
             total[rows] += _node_sums(inner, dv)
         ahead = [(a, np.flatnonzero(u0 < a.time))
-                 for a in self.mu.active_atoms() if a.time < self.t]
+                 for a in self.mu.active_atoms()
+                 if a.time < self.t and window.contains(a.time)]
         ahead = [(a, rows) for a, rows in ahead if len(rows)]
         if ahead:
             rows = np.concatenate([r for _, r in ahead])
@@ -774,21 +779,21 @@ class MultiAtomOperator:
 
 class _SliceProblem:
     """What the space-time slice problems share: the series adapter, an
-    engine pair built on first use and the problem's one series source,
-    which reports the ratios sum_n p_n / p that ``bounds`` certifies.
-    Subclasses set kernel, mu, t, y, quad_tol, max_terms and
-    engine_window = (s_min, x_range)."""
+    engine pair built on first use, which the problem's one series source
+    (the ratios sum_n p_n / p that ``bounds`` certifies) and a time slice's
+    ratio p_1 / p both read.  Subclasses set kernel, mu, t, y, quad_tol,
+    max_terms and engine_window = (s_min, x_range)."""
 
     exact = False
-    _engines = None
+
+    @functools.cached_property
+    def _engines(self):
+        s_min, x_range = self.engine_window
+        return _engine_pair(self.kernel, self.mu, self.t, self.y, s_min,
+                            x_range, self.quad_tol, self.max_terms)
 
     def series(self, pts):
         """Series ratios at the points from the one engine pair."""
-        if self._engines is None:
-            s_min, x_range = self.engine_window
-            self._engines = _engine_pair(self.kernel, self.mu, self.t, self.y,
-                                         s_min, x_range, self.quad_tol,
-                                         self.max_terms)
         f0 = np.asarray(self.kernel(pts[:, 0], pts[:, 1], self.t, self.y),
                         dtype=float)
         res = _sum_rows(self._engines, pts[:, 0], pts[:, 1], f0,
@@ -808,9 +813,10 @@ class TimeSliceProblem(_SliceProblem):
     I_k partitioning [r, t): slice j is I_j x space, and the sliced
     operator applies the measure restricted to I_j.
 
-    The slice ratio p_1^{I_j} / p is read from one resolution-1.6 engine
-    per restricted measure: level 1 needs no grid (r_0 = 1), so the
-    engine evaluates it at any source point with s >= r."""
+    The slice ratio p_1^{I_j} / p is level 1 of the pair's fine engine
+    with the measure cut to I_j, whose segments, time nodes and atoms are
+    those of mu restricted to I_j; level 1 needs no grid (r_0 = 1), so it
+    is read at any source point with s >= r."""
 
     def __init__(self, kernel, mu, r, t, y, intervals,
                  quad_tol: float = 1e-4, seed: int = 0, max_terms: int = 14):
@@ -827,11 +833,6 @@ class TimeSliceProblem(_SliceProblem):
         scale = float(kernel.peak_scale(self.t - self.r))
         self.x_box = (self.y - 2.0 * scale - 1.0, self.y + 2.0 * scale + 1.0)
         self.engine_window = (self.r, self.x_box)
-        self._restricted = [restrict_measure(self.mu, I) for I in self.intervals]
-        self._p1_engines = [SeriesEngine(kernel, mu_j, self.t, self.y,
-                                         s_min=self.r, x_range=self.x_box,
-                                         resolution=1.6)
-                            for mu_j in self._restricted]
 
     def _sample(self, lo, hi, n, salt):
         eng = Halton(2, self.seed + salt)
@@ -848,12 +849,12 @@ class TimeSliceProblem(_SliceProblem):
         return self._sample(self.r, self.t - 1e-6 * max(1.0, abs(self.t)), n, 977)
 
     def slice_ratio(self, j, pts):
-        """p_1^{I_j} / p at the points from slice j's engine, all points
-        in one batch, each against the scalar p there."""
+        """p_1^{I_j} / p at the points from the fine engine cut to I_j, all
+        points in one batch, each against the scalar p there."""
         f0 = np.array([float(self.kernel(s, x, self.t, self.y))
                        for s, x in pts])
-        return self._p1_engines[j - 1]._apply(pts[:, 0], pts[:, 1:2],
-                                              f0[:, None], None)[:, 0]
+        return self._engines[1]._apply(pts[:, 0], pts[:, 1:2], f0[:, None],
+                                       None, self.intervals[j - 1])[:, 0]
 
 
 class KappaSliceProblem(_SliceProblem):

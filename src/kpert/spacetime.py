@@ -531,18 +531,15 @@ def kato_inner_integral(kernel, mu, s, x, t, y):
     also absorbs the u**(-1/2)-type endpoint growth that singular
     densities produce there.
 
-    Scalar s and t give one sample and a float.  1-d arrays s and t give
-    one sample per entry, with x and y one point per entry (per row in
-    d = 2), and an array of the integrals: the two density pieces
-    evaluate every sample's time nodes together, then the atoms every
-    sample's atom times.  Each node's rule is reduced on its own, and
-    each sample's nodes with its time weights in a 1-d dot, so a sample
-    has the same bits alone and in a sweep.
+    1-d arrays s and t give one sample per entry, with x and y one point
+    per entry (per row in d = 2), and an array of the integrals: the two
+    density pieces evaluate every sample's time nodes together, then the
+    atoms every sample's atom times.  Each node's rule is reduced on its
+    own, and each sample's nodes with its time weights in one vecdot
+    call (the same BLAS dot on each sample's row), so a sample has the
+    same bits alone and in a sweep.
     """
-    one = np.ndim(s) == 0
     s, t, x, y = (np.asarray(a, dtype=float) for a in (s, t, x, y))
-    if one:
-        s, t, x, y = s[None], t[None], x[None], y[None]
     xi, wt = gauss_legendre_rule(0.0, 1.0, 32)
     n = len(s)
     total = np.zeros(n)
@@ -556,8 +553,7 @@ def kato_inner_integral(kernel, mu, s, x, t, y):
         far = _kato_node_sums(kernel, mu.q,
                               (t[:, None] - span * xi ** 2).ravel(),
                               t[owner], y[owner], False).reshape(du.shape)
-        total = np.array([float(near[i] @ du[i]) + float(far[i] @ du[i])
-                          for i in range(n)])
+        total = np.vecdot(near, du) + np.vecdot(far, du)
     atoms = mu.active_atoms()
     hits = [(i, atom) for i in range(n) for atom in atoms
             if s[i] < atom.time < t[i]]
@@ -569,7 +565,7 @@ def kato_inner_integral(kernel, mu, s, x, t, y):
         for k, (i, atom) in enumerate(hits):
             total[i] += atom.weight * float(near[k])
             total[i] += atom.weight * float(far[k])
-    return float(total[0]) if one else total
+    return total
 
 
 def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):

@@ -872,6 +872,18 @@ def test_kato_rejects_stable_potential(tmp_path, capsys):
     assert "'stable-potential:1.0'" in capsys.readouterr().err
 
 
+def test_kato_rejects_cone_kernel(tmp_path, capsys):
+    # the symmetric peak rule read k(h) = 4 sqrt(h / pi) 1.7 % low here,
+    # the cone kernel living on one side of the endpoint
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": {"name": "kappa"}, "measure": {
+        "density": {"kind": "const", "lambda": 1.0}}}))
+    assert run_cli("kato", "--config", str(cfg), "--out",
+                   str(tmp_path)) == 2
+    assert "kato cannot take kernel 'kappa'" in capsys.readouterr().err
+    assert not (tmp_path / "kato.csv").exists()
+
+
 def test_certify_discrete_fixture_exit_0(tmp_path):
     code = run_cli("certify", "--config",
                    str(FIXTURES / "certify_discrete.json"),

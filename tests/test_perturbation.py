@@ -138,7 +138,7 @@ def test_ratios_build_only_the_levels_their_rows_read(monkeypatch):
     def engine():
         return pt.SeriesEngine(G, mu, 1.0, 0.0, s_min=0.0,
                                x_range=(-1.0, 1.0), resolution=1.0,
-                               quad_tol=1e-3)
+                               quad_tol=1e-3, max_terms=14)
 
     eng = engine()
     first = eng.ratios([0.6], [0.1])
@@ -556,7 +556,7 @@ def test_row_values_match_scalar_nodes(case, monkeypatch):
 
 def _check_batches_against_scalar_nodes(kernel, mu, y, x_range):
     eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0, x_range=x_range,
-                          resolution=1.0)
+                          resolution=1.0, quad_tol=1e-4, max_terms=14)
     # nodes past the target point are dead for the cone kernel
     z0 = np.concatenate([eng.z_nodes, [y + 0.25, y + 1.0]])
     assert len(z0) == 17
@@ -618,7 +618,7 @@ def _check_batches_against_scalar_nodes(kernel, mu, y, x_range):
 def test_ratios_in_one_batch_match_one_point_at_a_time(case):
     kernel, mu, y, x_range = ROW_CASES[case]
     eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0, x_range=x_range,
-                          resolution=1.0, quad_tol=1e-5)
+                          resolution=1.0, quad_tol=1e-5, max_terms=14)
     s = np.array([0.0, 0.1, 0.3, 0.45, 0.5, 0.79, 0.81, 0.95, 1.0, 1.5])
     x = x_range[0] + (x_range[1] - x_range[0]) * \
         np.array([0.5, 0.1, 0.9, 0.3, 0.6, 0.75, 0.2, 0.5, 0.5, 0.4])
@@ -767,7 +767,7 @@ def test_ratios_match_frozen_bridge_sums(case):
     def engine():
         return pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0,
                                x_range=x_range, resolution=1.0,
-                               quad_tol=1e-6)
+                               quad_tol=1e-6, max_terms=14)
 
     s = np.array([0.0, 0.15, 0.35, 0.5, 0.7, 0.9])
     x = x_range[0] + (x_range[1] - x_range[0]) * \
@@ -842,7 +842,8 @@ def test_grid_splines_from_cached_bases_match_fresh_splines(case):
     kernel, mu, y, x_range = FROZEN_CASES[case]
     for res in (1.0, 1.6):
         eng = pt.SeriesEngine(kernel, mu, 1.0, y, s_min=0.0,
-                              x_range=x_range, resolution=res)
+                              x_range=x_range, resolution=res,
+                              quad_tol=1e-4, max_terms=14)
         splines = None
         for _ in range(2):
             built, _ = eng._grid_level(splines)
@@ -914,7 +915,7 @@ def _frozen_p1_ratio(kernel, mu, t, y, s, x, quad_tol=1e-5):
         return 0.0
     eng = pt.SeriesEngine(kernel, mu, t, y, s_min=min(s, t - 1e-9),
                           x_range=(min(x, y), max(x, y)), quad_tol=quad_tol,
-                          resolution=1.6)
+                          max_terms=14, resolution=1.6)
     return float(_frozen_row_values(eng, float(s), np.array([float(x)]),
                                     np.array([f0]), None)[0])
 
@@ -934,14 +935,15 @@ P1_CASES = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("case", sorted(P1_CASES))
 def test_slice_apply_matches_frozen_p1_ratio(case, seed):
-    # one engine per slice measure gives the bits of one engine per point,
-    # on each slice's own points and on the top points, with no p multiplied
-    # in and divided out again
+    # the fine engine cut to each slice gives the bits of one engine per
+    # point on the restricted measure mu|I_j, on each slice's own points and
+    # on the top points, with no p multiplied in and divided out again
     kernel, mu, y, h = P1_CASES[case]
     prob = pt.TimeSliceProblem(kernel, mu, 0.0, 1.0, y,
                                time_uniform_slices(0.0, 1.0, h), seed=seed)
     assert prob.k == 4
-    for j, mu_j in enumerate(prob._restricted, start=1):
+    for j, I in enumerate(prob.intervals, start=1):
+        mu_j = restrict_measure(prob.mu, I)
         for pts in (prob.slice_points(j, None, 16), prob.top_points(None, 16)):
             want = np.array([_frozen_p1_ratio(kernel, mu_j, 1.0, y, s, x,
                                               prob.quad_tol)
@@ -972,9 +974,10 @@ def test_slice_ratio_evaluates_p_once_per_point():
         assert (at_points, scalar) == (n, True)
 
 
-def test_theorem46_builds_k_plus_two_engines(monkeypatch):
+def test_theorem46_builds_one_engine_pair(monkeypatch):
     # p_1 once took a fresh engine per sample point, 130 engines on the
-    # README config; now one per slice and the series pair
+    # README config, then one per slice besides the series pair (6); now
+    # each slice reads it from the pair's fine engine
     built = []
     init = pt.SeriesEngine.__init__
     monkeypatch.setattr(pt.SeriesEngine, "__init__",
@@ -985,7 +988,7 @@ def test_theorem46_builds_k_plus_two_engines(monkeypatch):
                                  time_uniform_slices(0.0, 1.0, h),
                                  n_samples=4, quad_tol=1e-3)
     assert len(certs) == 4
-    assert len(built) == len(certs) + 2
+    assert len(built) == 2
 
 
 # -- multi-atom operator ----------------------------------------------------------
