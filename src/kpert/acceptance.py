@@ -319,6 +319,13 @@ def criterion_kato(seed: int = 7):
         vals = [prof[h] for h in (1.0, 0.5, 0.25, 0.125)]
         if not all(a > b for a, b in zip(vals, vals[1:])):
             return False, f"profile not decreasing: {vals}"
+        # sup at x = y = 0, t = h: C sqrt(h), C = 2 c_2 2**(a/2) Gamma((1+a)/2)
+        # / (sqrt(pi) (1-a)), c_2 = 2**(-a/2) Gamma((2-a)/2) and a = 1/2
+        corner = 4.0 * math.gamma(0.75) ** 2 / math.sqrt(math.pi)
+        miss = max(abs(v / (corner * math.sqrt(h)) - 1.0)
+                   for h, v in zip((1.0, 0.5, 0.25, 0.125), vals))
+        if miss > 1e-5:
+            return False, f"profile misses C sqrt(h) by {miss:.2e}"
         c3p = st.scan_3p_constant(seed)
         h = 0.1
         eta = c3p * k[h]

@@ -34,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from kpert import acceptance
 from kpert import bounds as bnd
 from kpert import matrix_kernels as mk
 from kpert import perturbation as pt
@@ -430,6 +429,7 @@ def cmd_certify(args) -> int:
 def cmd_oracle_check(args) -> int:
     g = st.gaussian_kernel(1)
     rows = ["case,measured,expected,rel_error"]
+    from kpert.acceptance import SHARPNESS_TIMES
     from kpert.measures import Atom, ConstDensity
     for lam in (0.25, 1.0):
         mu = PerturbingMeasure(ConstDensity(lam))
@@ -441,7 +441,7 @@ def cmd_oracle_check(args) -> int:
     r = pt.series_batch(g, mu, [0.0], [0.2], 1.0, 0.0)[0]
     rows.append(f"single-atom,{_fmt(r.ratio)},{_fmt(1.7)},"
                 f"{_fmt(abs(r.ratio - 1.7) / 1.7)}")
-    op = pt.MultiAtomOperator(g, list(acceptance.SHARPNESS_TIMES), 1.0, 0.0)
+    op = pt.MultiAtomOperator(g, list(SHARPNESS_TIMES), 1.0, 0.0)
     r = op.series_at(0.5, 0.05, 0.3)
     rows.append(f"multi-atom-L3,{_fmt(r.ratio)},{_fmt(8.0)},"
                 f"{_fmt(abs(r.ratio - 8.0) / 8.0)}")
@@ -488,6 +488,7 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from kpert import acceptance
     if args.only and not any(args.only in name
                              for name, _ in acceptance.ALL_CRITERIA):
         print(f"no criterion matches --only {args.only!r}", file=sys.stderr)
@@ -529,11 +530,10 @@ def _count(text) -> int:
 
 
 def _windows(text) -> list:
-    """--windows: comma-separated finite positive h values."""
+    """--windows: comma-separated h values in spacetime.KATO_WINDOWS."""
     hs = [float(h) for h in text.split(",")]
-    if not all(0.0 < h < math.inf for h in hs):
-        raise argparse.ArgumentTypeError(
-            f"windows must be finite and positive, got {text}")
+    if not all(st.KATO_WINDOWS[0] <= h <= st.KATO_WINDOWS[1] for h in hs):
+        raise argparse.ArgumentTypeError(f"{st.WINDOWS_RULE}, got {text}")
     return hs
 
 

@@ -17,6 +17,7 @@ tolerances in units of that estimate.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -258,6 +259,18 @@ def peak_rule(center, scale, n):
     return center + scale * tan, scale * w / cos2
 
 
+@functools.cache
+def _polar_base():
+    """``peak_rule_2d``'s read-only unit pieces: the 48 positive (tan, w,
+    cos**2) of the peak base, then cos phi, sin phi and the weights of
+    the 16-node phi rule, tiled to the 768 (r, phi) nodes, phi fastest."""
+    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
+    tiled = tuple(np.tile(a, 48) for a in (np.cos(ph), np.sin(ph), wp))
+    for arr in tiled:
+        arr.flags.writeable = False
+    return tuple(arr[48:] for arr in _peak_base(48)) + tiled
+
+
 def peak_rule_2d(center, scale):
     """Polar rule around the point ``center`` of the plane, the d = 2
     counterpart of ``peak_rule``: r = scale * tan(theta) on the 48
@@ -268,20 +281,21 @@ def peak_rule_2d(center, scale):
     entry: 48 theta by 16 phi nodes, so nodes have shape
     scale.shape + (768, 2), weights the same without the last axis.
     ``center`` is one point, or one per entry (shape scale.shape + (2,)).
-    Each coordinate plane of the nodes is written in place."""
-    tan, wt, cos2 = (arr[48:, None] for arr in _peak_base(48))
-    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
-    scale = np.maximum(scale, 1e-300)[..., None, None]
+    With r and r dr repeated over phi, each coordinate plane is one
+    contiguous r * trig(phi) + center on the cached ``_polar_base``; the
+    nodes are the (..., 768, 2) view of a (2, ..., 768) buffer."""
+    tan, wt, cos2, cos_t, sin_t, wp_t = _polar_base()
+    scale = np.maximum(scale, 1e-300)[..., None]
     R = scale * tan
-    DR = wt * scale / cos2
-    center = np.asarray(center, dtype=float)[..., None, None, :]
-    pts = np.empty(R.shape[:-1] + (16, 2))
-    for k, trig in enumerate((np.cos(ph), np.sin(ph))):
-        plane = pts[..., k]
-        np.multiply(R, trig, out=plane)
-        plane += center[..., k]
-    flat = scale.shape[:-2] + (48 * 16,)
-    return pts.reshape(flat + (2,)), (R * DR * wp).reshape(flat)
+    RDR = np.repeat(R * (wt * scale / cos2), 16, axis=-1)
+    R = np.repeat(R, 16, axis=-1)
+    center = np.asarray(center, dtype=float)[..., None, :]
+    planes = np.empty((2,) + R.shape)
+    for k, trig in enumerate((cos_t, sin_t)):
+        np.multiply(R, trig, out=planes[k])
+        planes[k] += center[..., k]
+    RDR *= wp_t
+    return np.moveaxis(planes, 0, -1), RDR
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

@@ -487,10 +487,11 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q):
 # ---------------------------------------------------------------------------
 
 # (time node, spatial node) entries one block of a kato sweep holds:
-# eight d = 2 time nodes of 768 points, 48 KB per factor.  Temporaries of
-# this size are reused from the heap; a sample's 32 d = 2 nodes at once
-# were returned to the system and faulted in again on every call.
-_KATO_ENTRIES = 8 * 768
+# 16 d = 2 time nodes of 768 points (192 d = 1 nodes), 96 KB per factor.
+# The heap mostly reuses temporaries of this size: a window-modulus pass
+# took 40 minor faults at 8 nodes and 42 at 16; 32 nodes took 1,620,
+# given back to the system and faulted in again, and were no faster.
+_KATO_ENTRIES = 16 * 768
 
 
 def _kato_node_sums(kernel, q, u, end_t, end_x, first: bool):
@@ -568,6 +569,13 @@ def kato_inner_integral(kernel, mu, s, x, t, y):
     return total
 
 
+# windows kato_profile resolves: past them the sums overflow (k(1e300)
+# read 2), underflow (1e-300 gave k(1) = inf) or miss the peak (1e-14)
+KATO_WINDOWS = (1e-12, 1e12)
+WINDOWS_RULE = ("windows must be finite and positive, in "
+                f"[{KATO_WINDOWS[0]:.0e}, {KATO_WINDOWS[1]:.0e}]")
+
+
 def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
     """k(h) along a decreasing ladder of windows with a shared sample set.
 
@@ -582,8 +590,9 @@ def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
     all samples in blocks of time nodes.
     """
     h_values = sorted(h_values, reverse=True)
-    if not h_values or not all(0.0 < h < math.inf for h in h_values):
-        raise ValueError("windows must be finite and positive")
+    if not h_values or not all(KATO_WINDOWS[0] <= h <= KATO_WINDOWS[1]
+                               for h in h_values):
+        raise ValueError(WINDOWS_RULE)
     h_max = h_values[0]
     d = getattr(kernel, "dim", 1)
     eng = Halton(1 + 2 * d, seed)

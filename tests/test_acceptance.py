@@ -122,6 +122,23 @@ def test_criterion_9_kato(numpy_avx2):
     _check(acceptance.criterion_kato(SEED), numpy_avx2)
 
 
+def test_criterion_9_checks_the_cauchy_profile_against_the_corner(
+        monkeypatch):
+    # the d = 2 profile reads C sqrt(h) (1 + 4.2e-6); one 2e-5 higher is
+    # still decreasing, and must fail
+    real = st.kato_profile
+
+    def high(kernel, mu, h_values, **kw):
+        prof = real(kernel, mu, h_values, **kw)
+        scale = 1.0 + 2e-5 if kernel.dim == 2 else 1.0
+        return {h: v * scale for h, v in prof.items()}
+
+    monkeypatch.setattr(st, "kato_profile", high)
+    res = acceptance.criterion_kato(SEED)
+    assert not res.passed
+    assert res.details == "profile misses C sqrt(h) by 2.42e-05"
+
+
 def test_criterion_10_determinism(numpy_avx2):
     _check(acceptance.criterion_determinism(SEED), numpy_avx2)
 

@@ -614,6 +614,15 @@ BAD_ARGS = {
                              "finite and positive"),
     "kato-nan-window": (["kato", "--windows", "nan"], "finite and positive"),
     "kato-zero-window": (["kato", "--windows", "0"], "finite and positive"),
+    # windows kato_profile cannot resolve: k(1e300) read 2 (overflow, NaN
+    # samples skipped), k(1) read inf beside 1e-300, and 1e-14 read 2 %
+    # high (Cauchy d = 1), each with exit 0
+    "kato-huge-window": (["kato", "--windows", "1e300,1"],
+                         "finite and positive, in [1e-12, 1e+12]"),
+    "kato-tiny-window": (["kato", "--windows", "1e-300,1"],
+                         "finite and positive, in [1e-12, 1e+12]"),
+    "kato-unresolved-window": (["kato", "--windows", "1e-14"],
+                               "finite and positive, in [1e-12, 1e+12]"),
     # series, oracle-check and weyl draw no random numbers
     "series-seed": (["series", "--config",
                      str(FIXTURES / "series_atomless.json"), "--seed", "3"],
@@ -1110,6 +1119,16 @@ def test_reproduce_prints_wall_time(monkeypatch, capsys):
     assert run_cli("reproduce") == 0
     total = re.search(r"2/2 passed in ([0-9.]+)s", capsys.readouterr().out)
     assert float(total.group(1)) < 1.0
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    # a fresh interpreter: only reproduce and oracle-check read the
+    # acceptance table, so no other command pays for importing it
+    code = "import sys, kpert.cli; print('kpert.acceptance' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -522,9 +522,9 @@ class _CountingKernel:
 @pytest.mark.bits
 def test_kato_profile_sweep_matches_per_node_loop(name, d, density, split,
                                                   monkeypatch):
-    # at the real cap, d = 1 blocks hold three samples' pieces and d = 2
-    # blocks a quarter of one; three nodes per block splits samples
-    # across blocks in both
+    # at the real cap, d = 1 blocks hold six samples' pieces and d = 2
+    # blocks half of one; three nodes per block splits samples across
+    # blocks in both
     cap = 3 * (64 if d == 1 else 768) if split else st._KATO_ENTRIES
     monkeypatch.setattr(st, "_KATO_ENTRIES", cap)
     kernel = st.resolve_kernel(name, d)
@@ -537,6 +537,8 @@ def test_kato_profile_sweep_matches_per_node_loop(name, d, density, split,
         samples, values, want = _kato_profile_per_node(kernel, mu, hs, 9, d)
         assert [got[h].hex() for h in hs] == [want[h].hex() for h in hs]
         assert max(counted.sizes) <= cap
+        if d == 2 and not split:
+            assert 16 * 768 in counted.sizes     # 16 time nodes per block
         ts, xs, ys = (np.array(c, dtype=float) for c in zip(*samples))
         sweep = st.kato_inner_integral(kernel, mu, np.zeros(len(ts)), xs,
                                        ts, ys)
@@ -578,9 +580,11 @@ def test_kato_profile_monotone():
 
 
 @pytest.mark.parametrize("windows", [[], [0.5, -0.25], [0.0], [math.nan],
-                                     [math.inf]])
+                                     [math.inf], [1e300, 1.0], [1e-300, 1.0],
+                                     [1e-14]])
 def test_kato_profile_rejects_bad_windows(windows):
-    # [] ended in an IndexError and [0.0] returned k(0) = 0.0
+    # [] ended in an IndexError and [0.0] returned k(0) = 0.0; past
+    # KATO_WINDOWS the sums overflow, underflow or miss the peak
     mu = PerturbingMeasure(PowerLawSpaceDensity(0.5, dim=1))
     with pytest.raises(ValueError, match="finite and positive"):
         st.kato_profile(st.cauchy_kernel(1), mu, windows, n_samples=4)
