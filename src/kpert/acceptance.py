@@ -148,8 +148,8 @@ def criterion_atom_oracles(seed: int = 7):
     def run():
         g = st.gaussian_kernel(1)
         mu = PerturbingMeasure(atoms=(Atom(0.5, 0.7),))
-        p0, p1, p2 = pt.series_batch(g, mu, [0.0], [0.2], 1.0,
-                                     0.0)[0].terms[:3]
+        terms = pt.series_batch(g, mu, [0.0], [0.2], 1.0, 0.0)[0].terms
+        p0, p1, p2 = (terms + (0.0,))[:3]
         e1 = abs(p1 / p0 - 0.7) / 0.7
         if e1 > 1e-6:
             return False, f"single-atom factor off by {e1:.2e}"
@@ -163,6 +163,13 @@ def criterion_atom_oracles(seed: int = 7):
                     return False, f"chain count off at L={L}, n={n}"
         times = [1 / 6, 1 / 2, 5 / 6]
         op = pt.MultiAtomOperator(g, times, 1.0, 0.0)
+        # Chapman-Kolmogorov: a row of K less its identity block sums to
+        # the number of later atoms, on the operator's own quadrature
+        later = np.repeat(np.arange(len(times))[::-1], len(op.z_grid))
+        rows = np.sum(op.K.entries - np.eye(op.K.n), axis=1)
+        ck = float(np.max(np.abs(rows - later)))
+        if ck > 1e-8:
+            return False, f"transfer rows miss their atom counts by {ck:.2e}"
         worst = 0.0
         for s, L in ((0.05, 3), (0.4, 2), (0.7, 1), (0.95, 0)):
             r = op.series_at(0.5, s, 0.3)
@@ -170,7 +177,7 @@ def criterion_atom_oracles(seed: int = 7):
             worst = max(worst, abs(r.ratio - target) / target)
         ok = worst <= 1e-3
         return ok, (f"factors: single-atom err {e1:.1e}, p2 = {p2:.1e}, "
-                    f"multi-atom err {worst:.1e}")
+                    f"transfer rows {ck:.1e}, multi-atom err {worst:.1e}")
     return _timed(5, "atom-oracles", run)
 
 

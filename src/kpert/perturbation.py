@@ -11,17 +11,17 @@ density.
 
 Numerics: everything runs in ratio form r_n = p_n / p, which strips the
 moving singularity of p out of interpolation.  Ratios live on a
-per-panel grid (panels split at atom times and support endpoints, where
-ratios jump; a panel ending at an atom holds the left limit there, the
-atom still ahead); each level is one pass of nested fixed rules, whose
-spatial rule follows the bridge (``_bridge_rule``, the one rule for
-every bridge here, the atom operator's included), and an atom term, one
-spatial integral, gets a finer one.  A Gaussian bridge sum, against the
-Brownian-bridge density, is already a ratio to p and evaluates no
-kernel; the other kernels divide by p.  One evaluator applies a level
-to a batch of rows, each a source time u0 with its source nodes z0: a
-grid level passes a panel's rows, which share the z-grid, and the
-readout passes every point as a one-node row.
+per-panel grid (panels split at support endpoints and at the engine's
+atom times, where ratios jump; a panel ending at an atom holds the left
+limit there, the atom still ahead); each level is one pass of nested
+fixed rules, whose spatial rule follows the bridge (``_bridge_rule``,
+the one rule for every bridge here, the atom operator's included), and
+an atom term, one spatial integral, gets a finer one.  A Gaussian bridge
+sum, against the Brownian-bridge density, is already a ratio to p and
+evaluates no kernel; the other kernels divide by p.  One evaluator
+applies a level to a batch of rows, each a source time u0 with its
+source nodes z0: a grid level passes a panel's rows, which share the
+z-grid, and the readout passes every point as a one-node row.
 The (row, time node) columns of a segment, or the (row, atom) columns,
 are evaluated together, in blocks of at most _BATCH_ENTRIES entries, and
 each node still reduces on its own (one vecdot call per segment runs the
@@ -44,13 +44,22 @@ spline per panel (not-a-knot on both axes, in numpy), whose time weights
 are evaluated once per time column of the bridge rule.  The space basis
 is built once per engine and each panel's time basis once per panel, so
 building a level's splines only applies them to its values, and a lookup
-gathers each point's four cubic coefficients in one take.  Every
-measure, atoms included, takes this one path (an atom level reads the
+gathers each point's four cubic coefficients in one take.  The error
+estimate is the relative difference of the sums at two resolutions.
+
+Only the cone kernel's atoms take this path (an atom level reads the
 previous one only at later atoms, so a single atom kills every term past
-the first), and the error estimate is the relative difference of the
-sums at two resolutions.  The slice problems build that engine pair once
-and reuse it for every batch of sample points; a time slice's p_1 / p is
-the fine engine's level 1 with the measure cut to the slice window.
+the first).  The Gaussian and Cauchy kernels satisfy Chapman-Kolmogorov,
+so an atom's spatial integral is exact: their engines sum the density
+alone, and the atoms eta_i with s < u_i < t are multiplied back in
+(Bogdan, Hansen and Jakubowski, Studia Math. 189, 2008).  Term n is
+sum_k e_k(eta) d_{n-k}, d the density-only terms and e_k the elementary
+symmetric polynomials, so the value is prod(1 + eta_i) times the
+density's, and the error estimate is the density's.  The slice problems
+build that engine pair once and reuse it for every batch of sample
+points; a time slice's p_1 / p is the fine engine's level 1 with the
+measure cut to the slice window, plus the weights of the slice's atoms
+the engines left out.
 """
 from __future__ import annotations
 
@@ -616,20 +625,26 @@ def series_batch(kernel, mu: PerturbingMeasure, s_pts, x_pts, t, y,
 
 
 def _engine_pair(kernel, mu, t, y, s_min, x_range, quad_tol, max_terms):
-    """Engines at resolutions 1.0 and 1.6; the refined one supplies the
-    terms and the difference the quadrature error estimate."""
+    """Engines at resolutions 1.0 and 1.6, and the atoms they leave out,
+    all of them off the cone kernel; the refined one supplies the terms
+    and the difference the quadrature error estimate."""
     # t - 1e-9 rounds to t for |t| past about 1e7
     s_min = min(s_min, t - 1e-9, np.nextafter(t, -np.inf))
-    return tuple(SeriesEngine(kernel, mu, t, y, s_min=s_min,
-                              x_range=x_range, quad_tol=quad_tol,
-                              max_terms=max_terms, resolution=r)
-                 for r in (1.0, 1.6))
+    cone = getattr(kernel, "kind", "peak") == "cone"
+    atoms = () if cone else mu.active_atoms()
+    mu = mu if cone else replace(mu, atoms=())
+    return (*(SeriesEngine(kernel, mu, t, y, s_min=s_min, x_range=x_range,
+                           quad_tol=quad_tol, max_terms=max_terms,
+                           resolution=r) for r in (1.0, 1.6)), atoms)
 
 
 def _sum_rows(engines, s_pts, x_pts, f0, quad_tol, max_terms):
     """Series results at the points (base density f0 there) from an engine
-    pair, fresh or reused: grid levels do not depend on the points."""
-    lo, hi = engines
+    pair, fresh or reused: grid levels do not depend on the points.  The
+    atoms the pair left out enter as the module docstring says; the
+    verdict reads the density-only terms, its tail scaled by
+    prod(1 + eta_i), so an atom never truncates a converged series."""
+    lo, hi, atoms = engines
     rows_lo = lo.ratios(s_pts, x_pts)
     rows_hi = hi.ratios(s_pts, x_pts)
     n_lo, n_hi = rows_lo.shape[0], rows_hi.shape[0]
@@ -639,13 +654,16 @@ def _sum_rows(engines, s_pts, x_pts, f0, quad_tol, max_terms):
     err = np.abs(sum_hi - sum_lo) / np.maximum(np.abs(sum_hi), 1e-300)
     out = []
     for i in range(len(s_pts)):
-        terms_ratio = rows_hi[:, i]
-        terms = tuple(float(r) * float(f0[i]) for r in terms_ratio)
-        value = float(np.sum(terms))
-        status, tail = _verdict(terms_ratio, value, quad_tol, max_terms)
+        ahead = [a.weight for a in atoms if s_pts[i] < a.time < hi.t]
+        e = functools.reduce(np.convolve, ([1.0, w] for w in ahead), [1.0])
+        factor = math.prod(1.0 + w for w in ahead)
+        density, f = rows_hi[:, i], float(f0[i])
+        terms = tuple(float(r) * f for r in np.convolve(density, e))
+        value = float(np.sum([float(r) * f for r in density])) * factor
+        status, tail = _verdict(density, value, quad_tol, max_terms)
         out.append(SeriesResult(value, terms, len(terms) - 1,
-                                float(tail * f0[i]), float(err[i]), status,
-                                float(f0[i])))
+                                float(tail * f) * factor, float(err[i]),
+                                status, f))
     return out
 
 
@@ -779,9 +797,10 @@ class MultiAtomOperator:
 
 class _SliceProblem:
     """What the space-time slice problems share: the series adapter, an
-    engine pair built on first use, which the problem's one series source
-    (the ratios sum_n p_n / p that ``bounds`` certifies) and a time slice's
-    ratio p_1 / p both read.  Subclasses set kernel, mu, t, y, quad_tol,
+    engine pair (``_engine_pair``'s, with the atoms it leaves out) built on
+    first use, which the problem's one series source (the ratios
+    sum_n p_n / p that ``bounds`` certifies) and a time slice's ratio
+    p_1 / p both read.  Subclasses set kernel, mu, t, y, quad_tol,
     max_terms and engine_window = (s_min, x_range)."""
 
     exact = False
@@ -850,11 +869,20 @@ class TimeSliceProblem(_SliceProblem):
 
     def slice_ratio(self, j, pts):
         """p_1^{I_j} / p at the points from the fine engine cut to I_j, all
-        points in one batch, each against the scalar p there."""
+        points in one batch, each against the scalar p there, plus the
+        weight of each atom the pair left out that lies in I_j with
+        s < u < t (an atom's p_1 / p is its weight)."""
+        I = self.intervals[j - 1]
         f0 = np.array([float(self.kernel(s, x, self.t, self.y))
                        for s, x in pts])
-        return self._engines[1]._apply(pts[:, 0], pts[:, 1:2], f0[:, None],
-                                       None, self.intervals[j - 1])[:, 0]
+        _, fine, atoms = self._engines
+        ratio = fine._apply(pts[:, 0], pts[:, 1:2], f0[:, None], None,
+                            I)[:, 0]
+        for a in atoms:
+            if I.contains(a.time):
+                ratio += np.where((pts[:, 0] < a.time) & (f0 > 0), a.weight,
+                                  0.0)
+        return ratio
 
 
 class KappaSliceProblem(_SliceProblem):

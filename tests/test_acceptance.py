@@ -3,6 +3,7 @@
 Each test prints its pass/fail line so `pytest -s tests/test_acceptance.py`
 doubles as the acceptance report; `kpert reproduce` prints the same table.
 """
+import numpy as np
 import pytest
 
 from kpert import acceptance
@@ -21,8 +22,8 @@ DETAILS = {
     2: "2282 decay checks, zero violations",
     3: "2420 certificates VALID; bound identity <= 1e-12",
     4: "max relative error 8.17e-06 (tol 1e-3)",
-    5: "factors: single-atom err 4.9e-10, p2 = 0.0e+00, multi-atom err "
-       "1.1e-09",
+    5: "factors: single-atom err 0.0e+00, p2 = 0.0e+00, transfer rows "
+       "9.7e-10, multi-atom err 1.1e-09",
     6: "ratio = 2^j attained (err 1.1e-09); all certificates VALID",
     7: "3G on 100000 tuples; exponents 0.1:0.402, 0.25:0.252; eta 0.036 "
        "<= 0.500",
@@ -75,6 +76,25 @@ def test_criterion_4_atomless_oracle(numpy_avx2):
 
 def test_criterion_5_atom_oracles(numpy_avx2):
     _check(acceptance.criterion_atom_oracles(SEED), numpy_avx2)
+
+
+def test_criterion_5_checks_the_transfer_row_counts(monkeypatch):
+    # the series multiplies a Gaussian atom in exactly, so the quadrature
+    # criterion 5 still tests is the atom operator's: its transfer rows
+    # meet their atom counts within 9.7e-10; rows 2e-8 heavier per atom
+    # ahead must fail
+    real = pt.MultiAtomOperator
+
+    class Heavy(real):
+        def __init__(self, *args):
+            super().__init__(*args)
+            eye = np.eye(self.K.n)
+            self.K = mk.MatrixKernel(eye + (self.K.entries - eye) * (1 + 2e-8))
+
+    monkeypatch.setattr(pt, "MultiAtomOperator", Heavy)
+    res = acceptance.criterion_atom_oracles(SEED)
+    assert not res.passed
+    assert res.details == "transfer rows miss their atom counts by 3.90e-08"
 
 
 def test_criterion_6_sharpness(numpy_avx2):
