@@ -4,7 +4,7 @@ Subcommands
     series        p and the perturbed series on a sample grid -> CSV
     certify       slice certificates (discrete or space-time) -> JSON + CSV
     oracle-check  closed-form oracle comparisons -> CSV
-    kato          window modulus k(h) ladder -> CSV
+    kato          window modulus k(h) ladder in closed form -> CSV
     3g            cone-kernel comparison sampler -> CSV
     weyl          half-derivative spot checks -> CSV
     reproduce     the full acceptance table
@@ -194,9 +194,9 @@ def _command_kernel(cfg, command: str, peak_dims=(1,), cone=True):
     """The configured kernel, if ``command`` can evaluate it.
 
     The series engine (``series``, ``certify`` on time slices and on
-    level strips) has one-dimensional rules; ``kato`` also has a polar
-    rule for d = 2, but its endpoint peak rule is symmetric and the cone
-    kernel one-sided.  The cone kernel is one-dimensional.
+    level strips) has one-dimensional rules; ``kato``'s closed forms
+    cover the peak kernels in d = 1 and 2, and not the cone kernel.  The
+    cone kernel is one-dimensional.
     """
     dims = {"peak": peak_dims, "cone": (1,) if cone else ()}[cfg.kernel.kind]
     if cfg.dim not in dims:
@@ -455,10 +455,13 @@ def cmd_kato(args) -> int:
     from kpert.measures import ConstDensity
     mu = cfg.measure if not cfg.measure.is_zero else \
         PerturbingMeasure(ConstDensity(1.0, cfg.dim))
-    hs = args.windows or [1.0, 0.5, 0.25, 0.125]
+    hs = sorted(set(args.windows or [1.0, 0.5, 0.25, 0.125]), reverse=True)
     kernel = _command_kernel(cfg, "kato", peak_dims=(1, 2), cone=False)
-    prof = st.kato_profile(kernel, mu, hs, n_samples=16, seed=cfg.seed)
-    rows = ["h,k_h"] + [f"{_fmt(h)},{_fmt(prof[h])}" for h in sorted(prof, reverse=True)]
+    try:
+        ks = [st.kato_modulus(kernel, mu, h) for h in hs]
+    except ValueError as exc:       # a density with no closed form
+        raise ConfigError(str(exc)) from None
+    rows = ["h,k_h"] + [f"{_fmt(h)},{_fmt(k)}" for h, k in zip(hs, ks)]
     _write(args.out, "kato.csv", "\n".join(rows) + "\n")
     return 0
 
@@ -560,7 +563,8 @@ def build_parser():
     p = sub.add_parser("kato", help="window modulus ladder")
     common(p, config_required=False)
     p.add_argument("--seed", type=_seed, default=None,
-                   help="overrides the config's seed (default 0)")
+                   help="accepted; k(h) is in closed form and draws "
+                        "nothing")
     p.add_argument("--windows", type=_windows, default=None,
                    help="comma-separated h values")
     p.set_defaults(fn=cmd_kato)

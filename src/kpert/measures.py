@@ -84,6 +84,7 @@ def restrict_measure(mu: PerturbingMeasure, interval: Interval) -> PerturbingMea
 class ConstDensity:
     """q(u, z) = lam everywhere (Lebesgue-in-time x Lebesgue-in-space)."""
 
+    kind = "const"      # the config's density kind; not a field
     lam: float
     dim: int = 1
 
@@ -106,6 +107,7 @@ class PowerLawSpaceDensity:
     At z = 0, q is |0|**(eps-1): 0 for eps > 1 and 1 for eps = 1.  For
     eps < 1 the singular point is dropped and q reads 0 there."""
 
+    kind = "power"
     eps: float
     dim: int = 1
 
@@ -140,6 +142,7 @@ class PowerLawSpaceDensity:
 class CornerPowerDensity:
     """q(u, z) = c (u + z)**(-p) on the positive quadrant, else 0."""
 
+    kind = "q0"
     c: float
     p: float
 

@@ -577,12 +577,15 @@ WINDOWS_RULE = ("windows must be finite and positive, in "
 
 
 def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
-    """k(h) along a decreasing ladder of windows with a shared sample set.
+    """A quadrature estimate of k(h) along a decreasing ladder of
+    windows with a shared sample set: the cross-check of kato_modulus's
+    closed form, which ``kpert kato`` prints.
 
-    k(h) is the sampled sup of the inner double integral over x, y in
-    [-2, 2]^d and 0 = s < t <= h (time-invariant measures), from a Halton
-    stream plus each window's corner x = y = 0, t = h, the sup for
-    densities concentrated at the origin.
+    The estimate is the sampled sup of the inner double integral over
+    x, y in [-2, 2]^d and 0 = s < t <= h, from a Halton stream plus each
+    window's corner x = y = 0, t = h, where kato_modulus's densities take
+    their sup.  No window starts elsewhere, so it misses the sup of a
+    measure that is not time-invariant (a time support, atoms).
     Samples are drawn once for the largest window; each smaller window
     takes the sup over the samples it still admits (t <= h), the natural
     nested estimator of a monotone quantity.  Every sample's inner
@@ -616,6 +619,72 @@ def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
         out[h] = max(v for t, v in zip(ts.tolist(), values)
                      if t <= h * (1 + 1e-12))
     return out
+
+
+def kato_modulus(kernel, mu, h: float) -> float:
+    """k(h), the sup of the inner double integral over windows (s, s + h)
+    and x, y, in closed form for the Gaussian and Cauchy kernels: exact,
+    a proven upper bound, or inf.  No sampling and no quadrature.
+
+    Both kernels conserve mass, so an atom adds exactly 2 eta to any
+    window that holds it.  Both are symmetric and decreasing in z - x,
+    so a density symmetric and decreasing about 0 has its largest term
+    at x = y = 0 (Anderson's inequality, per time node).  With
+    m = min(h, L), L the length of the time support, const lambda gives
+    2 lambda m, exact, and power the corner value at m (_power_corner),
+    exact when L >= h and, by rearrangement, an upper bound otherwise.
+    The atoms add 2 x the largest total weight of active atoms in one
+    open window of length h, the strict s < u < t of kato_inner_integral.
+    The sum of the two parts is an upper bound, exact when one window
+    attains both.  Any other density, and the cone kernel, is a
+    ValueError naming it.
+    """
+    if kernel.name not in ("gaussian", "cauchy"):
+        raise ValueError(f"k(h) has no closed form for kernel "
+                         f"{kernel.name!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"window h must be finite and positive, got {h!r}")
+    density = 0.0
+    if mu.density is not None:
+        kind = getattr(mu.density, "kind", type(mu.density).__name__)
+        m = min(h, mu.time_support.length)
+        if kind == "const":
+            density = 2.0 * mu.density.lam * m
+        elif kind == "power":
+            density = _power_corner(kernel, mu.density.eps, m) if m else 0.0
+        else:
+            raise ValueError(f"k(h) has no closed form for density kind "
+                             f"{kind!r}; the closed forms take 'const' and "
+                             f"'power'")
+    atoms = mu.active_atoms()
+    heaviest, first = 0.0, 0
+    for last, atom in enumerate(atoms):
+        while atom.time - atoms[first].time >= h:
+            first += 1
+        heaviest = max(heaviest, math.fsum(a.weight
+                                           for a in atoms[first:last + 1]))
+    return density + 2.0 * heaviest
+
+
+def _power_corner(kernel, eps, m):
+    """int_0^m int [p(0,0,u,z) + p(u,z,m,0)] |z|^(eps-1) dz du, the power
+    density's k(m) on the full line.  With a = 1 - eps and c_d =
+    E|N_d|^(-a) = 2^(-a/2) Gamma((d-a)/2) / Gamma(d/2): the Gaussian
+    (variance 2u per coordinate) gives 2 c_d 2^(-a/2) m^(1-a/2) / (1-a/2),
+    the Cauchy kernel (the Gaussian over its subordinator) 2 c_d 2^(a/2)
+    Gamma((1+a)/2) / sqrt(pi) m^(1-a) / (1-a), inf for a >= 1, where the
+    time integral diverges.  For eps > 1, q grows in |z| and the sup
+    over x is inf."""
+    if eps > 1.0:
+        return math.inf
+    d, a = kernel.dim, 1.0 - eps
+    c = 2.0 ** (-a / 2) * math.gamma((d - a) / 2) / math.gamma(d / 2)
+    if kernel.name == "gaussian":
+        return 2 * c * 2.0 ** (-a / 2) * m ** (1 - a / 2) / (1 - a / 2)
+    if a >= 1.0:
+        return math.inf
+    return 2 * c * 2.0 ** (a / 2) * math.gamma((1 + a) / 2) \
+        / math.sqrt(math.pi) * m ** (1 - a) / (1 - a)
 
 
 # ---------------------------------------------------------------------------

@@ -77,14 +77,16 @@ GOLDEN = {
     "certify_atom_violation": ("certify", 4, "certificates.json",
                                "298734ce1aa2df3ec65e3338fed20b51"
                                "a8452ed970ca21787807bc4468098de4"),
-    # recorded before kato_inner_integral evaluated its time nodes in one
-    # broadcast and Gauss-Legendre base rules were cached
+    # re-recorded when kato printed k(h) in closed form
+    # (spacetime.kato_modulus) in place of a sampled quadrature sup; the
+    # closed form is plain float arithmetic, with one hash on both
+    # dispatches, and CHANGES.md lists each moved value
     "kato_gauss_atom": ("kato", 0, "kato.csv",
-                        "d2cce6e4f4fd6b974bdaf78493561d7a"
-                        "2b9650b0b0a1cae4ec9f4832e6c31178"),
+                        "01c867c70041afe78d89cfabe0d4b62c"
+                        "7127ddd39c4187636d6075df8a2498e3"),
     "kato_cauchy_d2": ("kato", 0, "kato.csv",
-                       "ed8271dfbb8d784727822e09d0727dc9"
-                       "30fe569118eec065e115a66cbfe9eae8"),
+                       "160e7632553a3e7c28380ce7ec732877"
+                       "5edfc9396fff29a430394d1389c4b710"),
     # re-recorded when pure-atom measures moved onto the series engine
     "series_atoms": ("series", 0, "series.csv",
                      "a9b74dcf2c0a9155e7cc4b438be83160"
@@ -109,10 +111,6 @@ GOLDEN = {
 GOLDEN_AVX2 = {
     "certify_kappa": "f6e6fdf95dd81df75e5b023ab462c778"
                      "9916b3a7a390821378ba48110b2c364b",
-    "kato_cauchy_d2": "84da41ae255c49017bdc8ea3d3448e8c"
-                      "68ac35801a908cb228230fe301f97464",
-    "kato_gauss_atom": "ea2975b50bbf3e18b11114d2e9b1be13"
-                       "77c241d49b9965620d324bb84d4bf23a",
     "series_atoms": "0ee197d199a203b866b98c03a6d0a218"
                     "084ddfe906e5214f7a2bfaaa17b61ae9",
 }
@@ -1052,6 +1050,57 @@ def test_kato_command(tmp_path):
     assert rows[0] == "h,k_h"
     vals = [float(r.split(",")[1]) for r in rows[1:]]
     assert vals[0] > vals[1]
+
+
+# The rows of the window modulus that kato printed wrong with exit 0
+# while it took a sampled sup over windows starting at s = 0: 0.25 and
+# 0.125 for the atom fixture, 0 on a time support, and finite values
+# where q grows (eps = 2: 0.326 at h = 0.125) or the time integral of
+# r^-a diverges (Cauchy d = 2, a = 1.5: 43,764.65 at every h)
+KATO_TRUTHS = {
+    "gauss-atom": (json.loads((FIXTURES / "kato_gauss_atom.json")
+                              .read_text()), {0.25: 1.05, 0.125: 0.925}),
+    "time-support": ({"kernel": {"name": "gaussian"},
+                      "measure": {"density": {"kind": "const",
+                                              "lambda": 1.0},
+                                  "support": [0.5, 1.0]}},
+                     {0.5: 1.0, 0.25: 0.5, 0.125: 0.25}),
+    "gaussian-power-eps-2": ({"kernel": {"name": "gaussian"},
+                              "measure": {"density": {"kind": "power",
+                                                      "eps": 2.0}}},
+                             {0.125: math.inf}),
+    "cauchy-d2-power-eps-minus-half": (
+        {"kernel": {"name": "cauchy", "d": 2},
+         "measure": {"density": {"kind": "power", "eps": -0.5}}},
+        {1.0: math.inf, 0.5: math.inf, 0.125: math.inf}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KATO_TRUTHS))
+def test_kato_prints_the_true_window_modulus(case, tmp_path):
+    doc, truth = KATO_TRUTHS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("kato", "--config", str(cfg), "--windows",
+                   ",".join(map(repr, truth)), "--out", str(tmp_path)) == 0
+    rows = (tmp_path / "kato.csv").read_text().splitlines()
+    assert rows[0] == "h,k_h"
+    got = {float(h): float(k) for h, k in (r.split(",") for r in rows[1:])}
+    assert list(got) == sorted(truth, reverse=True)
+    for h, k in truth.items():
+        assert got[h] == pytest.approx(k, rel=0, abs=1e-12), h
+
+
+def test_kato_rejects_a_density_with_no_closed_form(tmp_path, capsys):
+    # the corner density q0 on the Gaussian kernel was accepted, though it
+    # is not time-invariant and nothing showed that s = 0 held the sup
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": {"name": "gaussian"}, "measure": {
+        "density": {"kind": "q0", "c": 0.1, "p": 0.25}}}))
+    assert run_cli("kato", "--config", str(cfg), "--out",
+                   str(tmp_path)) == 2
+    assert "no closed form for density kind 'q0'" in capsys.readouterr().err
+    assert not (tmp_path / "kato.csv").exists()
 
 
 def test_kato_density_takes_the_kernel_dimension(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from kpert import spacetime as st
+from kpert.bounds import Interval
 from kpert.errors import PreconditionError
 from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
                             PerturbingMeasure, PowerLawSpaceDensity)
@@ -480,6 +481,129 @@ def test_kato_corner_within_known_defect_of_closed_form(d, name):
         # number for every window
         assert errs[0] == pytest.approx(errs[1], rel=1e-6, abs=1e-12)
         assert abs(errs[0]) <= bound, (eps, errs[0])
+
+
+# power eps with a finite k(h): every eps <= 1 above 1 - d, but Cauchy in
+# d = 2 needs a = 1 - eps < 1
+KATO_POWER_EPS = {(1, "gaussian"): (1.0, 0.8, 0.5, 0.2, 0.01),
+                  (1, "cauchy"): (1.0, 0.8, 0.5, 0.2, 0.01),
+                  (2, "gaussian"): (1.0, 0.5, 0.2, -0.5, -0.9),
+                  (2, "cauchy"): (1.0, 0.8, 0.5, 0.2, 0.01)}
+
+
+@pytest.mark.parametrize("d,name", sorted(KATO_POWER_EPS))
+def test_kato_modulus_is_the_corner_closed_form(d, name):
+    kernel = st.resolve_kernel(name, d)
+    for h in (1.0, 0.25, 0.1, 1e-12, 1e12):
+        mu = PerturbingMeasure(ConstDensity(0.7, d))
+        assert st.kato_modulus(kernel, mu, h) == \
+            pytest.approx(1.4 * h, rel=1e-12)
+        for eps in KATO_POWER_EPS[d, name]:
+            mu = PerturbingMeasure(PowerLawSpaceDensity(eps, d))
+            assert st.kato_modulus(kernel, mu, h) == \
+                pytest.approx(_kato_corner(name, d, eps, h), rel=1e-12)
+
+
+@pytest.mark.parametrize("d,name", sorted(KATO_CORNER_BOUNDS))
+def test_kato_modulus_matches_the_quadrature_cross_check(d, name):
+    # the corner x = y = 0, s = 0, t = h attains the closed form; the
+    # quadrature reads it within its known defect, and const exactly
+    kernel = st.resolve_kernel(name, d)
+    zero = np.zeros((1, d)) if d > 1 else np.zeros(1)
+    for h in (1.0, 0.25):
+        def corner(mu):
+            return st.kato_inner_integral(kernel, mu, np.zeros(1), zero,
+                                          np.array([h]), zero)[0]
+        mu = PerturbingMeasure(ConstDensity(0.7, d))
+        assert corner(mu) == pytest.approx(st.kato_modulus(kernel, mu, h),
+                                           rel=1e-9)
+        for eps, bound in zip((0.8, 0.5, 0.2), KATO_CORNER_BOUNDS[d, name]):
+            mu = PerturbingMeasure(PowerLawSpaceDensity(eps, d))
+            assert abs(corner(mu) / st.kato_modulus(kernel, mu, h) - 1.0) \
+                <= bound, (h, eps)
+
+
+@pytest.mark.parametrize("h,eps", [(1.0, 0.5), (0.25, 0.2), (0.1, 0.8)])
+def test_kato_modulus_matches_scipy_for_the_gaussian(h, eps):
+    # 2 int_0^h E q(X_u) du, X_u ~ N(0, 2u), with the expectation
+    # 2 int_0^inf z^-a phi(z) dz taken by quad: an algebraic weight on
+    # [0, sd] and a plain rule on [sd, inf)
+    from scipy.integrate import quad
+    a = 1.0 - eps
+
+    def expect(u):
+        sd = math.sqrt(2.0 * u)
+
+        def phi(z):
+            return math.exp(-z * z / (4.0 * u)) / math.sqrt(4.0 * math.pi * u)
+        near = quad(phi, 0.0, sd, weight="alg", wvar=(-a, 0.0),
+                    epsabs=0.0, epsrel=1e-13)[0]
+        far = quad(lambda z: z ** -a * phi(z), sd, math.inf,
+                   epsabs=0.0, epsrel=1e-13)[0]
+        return 2.0 * (near + far)
+
+    want = 2.0 * quad(expect, 0.0, h, epsabs=0.0, epsrel=1e-12,
+                      limit=200)[0]
+    mu = PerturbingMeasure(PowerLawSpaceDensity(eps, 1))
+    got = st.kato_modulus(st.gaussian_kernel(1), mu, h)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_kato_modulus_time_support_and_growing_densities():
+    g = st.gaussian_kernel(1)
+    lam = PerturbingMeasure(ConstDensity(1.0), time_support=Interval(0.5, 1.0))
+    assert [st.kato_modulus(g, lam, h) for h in (1.0, 0.5, 0.25)] == \
+        [1.0, 1.0, 0.5]
+    # the quadrature attains it on the window (0.5, 1.0)
+    assert st.kato_inner_integral(g, lam, np.array([0.5]), np.zeros(1),
+                                  np.array([1.0]), np.zeros(1))[0] == \
+        pytest.approx(1.0, rel=1e-9)
+    # a support shorter than h: the corner value at L bounds k(h)
+    power = PerturbingMeasure(PowerLawSpaceDensity(0.5),
+                              time_support=Interval(0.0, 0.25))
+    assert st.kato_modulus(g, power, 1.0) == \
+        pytest.approx(_kato_corner("gaussian", 1, 0.5, 0.25), rel=1e-12)
+    # q grows when eps > 1, and the Cauchy time integral of r^-a diverges
+    # for a >= 1
+    for kernel, eps in ((g, 2.0), (st.gaussian_kernel(2), 1.5),
+                        (st.cauchy_kernel(2), 0.0),
+                        (st.cauchy_kernel(2), -0.5)):
+        mu = PerturbingMeasure(PowerLawSpaceDensity(eps, kernel.dim))
+        assert st.kato_modulus(kernel, mu, 0.125) == math.inf, (kernel, eps)
+
+
+def test_kato_modulus_atoms_in_one_open_window():
+    g = st.gaussian_kernel(1)
+    mu = PerturbingMeasure(ConstDensity(0.5), (Atom(0.3, 0.4),))
+    assert st.kato_modulus(g, mu, 0.25) == pytest.approx(1.05, abs=1e-12)
+    # the window (0.2, 0.45) holds the atom, and the quadrature reads it
+    assert st.kato_inner_integral(g, mu, np.array([0.2]), np.zeros(1),
+                                  np.array([0.45]), np.zeros(1))[0] == \
+        pytest.approx(1.05, rel=1e-9)
+    # atoms exactly h apart share no open window (s < u < t); a hair
+    # wider, they do
+    two = PerturbingMeasure(atoms=(Atom(0.25, 0.3), Atom(0.5, 0.2)))
+    assert st.kato_modulus(g, two, 0.25) == 0.6
+    assert st.kato_modulus(g, two, math.nextafter(0.25, 1.0)) == 1.0
+    # an atom at the support's upper end is outside it, one at its lower
+    # end inside (half-open [lo, hi))
+    three = PerturbingMeasure(atoms=(Atom(0.0, 0.1), Atom(0.1, 0.2),
+                                     Atom(1.0, 0.9)),
+                              time_support=Interval(0.0, 1.0))
+    assert st.kato_modulus(g, three, 2.0) == pytest.approx(0.6, abs=1e-15)
+    assert st.kato_modulus(g, three, 0.1) == pytest.approx(0.4, abs=1e-15)
+
+
+def test_kato_modulus_rejects_what_it_has_no_closed_form_for():
+    mu = PerturbingMeasure(CornerPowerDensity(0.1, 0.25))
+    with pytest.raises(ValueError, match="density kind 'q0'"):
+        st.kato_modulus(st.gaussian_kernel(1), mu, 0.5)
+    with pytest.raises(ValueError, match="kernel 'kappa'"):
+        st.kato_modulus(st.KAPPA, PerturbingMeasure(ConstDensity(1.0)), 0.5)
+    for h in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            st.kato_modulus(st.cauchy_kernel(1),
+                            PerturbingMeasure(ConstDensity(1.0)), h)
 
 
 def _kato_profile_per_node(kernel, mu, h_values, n_samples, seed):
