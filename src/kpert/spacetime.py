@@ -24,8 +24,8 @@ import numpy as np
 
 from kpert import matrix_kernels as mk
 from kpert.errors import PreconditionError
-from kpert.quadrature import (Halton, QuadratureSpec, gauss_legendre_rule,
-                              integrate_1d, peak_rule, peak_rule_2d)
+from kpert.quadrature import (QuadratureSpec, gauss_legendre_rule,
+                              integrate_1d)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
@@ -256,34 +256,18 @@ def sample_3g(rng, n: int) -> ThreeGCheck:
                     times[:, 2], space[:, 2])
 
 
-def check_3p_cauchy(s, x, u, z, t, y):
-    """Ratio (p(s,x,u,z) ^ p(u,z,t,y)) / p(s,x,t,y) for the Cauchy density
-    in d = 1.
-
-    Zero denominator with zero numerator counts as 0; a positive numerator
-    over a zero denominator is reported as inf (an unbounded sample, which
-    causality rules out for s < t).  Vectorized.
-    """
-    ker = cauchy_kernel(1)
-    p0 = np.asarray(ker(s, x, t, y), dtype=float)
-    m = np.minimum(ker(s, x, u, z), ker(u, z, t, y))
-    out = np.where(p0 > 0, m / np.where(p0 > 0, p0, 1.0),
-                   np.where(m > 0, np.inf, 0.0))
-    return out
-
-
-def scan_3p_constant(seed: int = 0) -> float:
-    """Empirical sup of the 3P ratio over 20 000 random tuples in d = 1.
-
-    The true constant has no closed form here; the scan reports the
-    largest finite ratio under a seeded Halton stream, with times in
-    [-1, 2) and space in [-3, 3).
-    """
-    pts = Halton(6, seed).random(20_000)
-    s, u, t = (-1.0 + 3.0 * pts[:, :3]).T
-    x, z, y = (3.0 * (2.0 * pts[:, 3:] - 1.0)).T
-    r3 = check_3p_cauchy(s, x, u, z, t, y)
-    return float(np.max(r3[np.isfinite(r3)]))
+# The 3P constant of the Cauchy kernel in d = 1: for s < u < t and all
+# x, z, y, min(p1, p2) <= CAUCHY_3P p with p1 = p(s,x,u,z), p2 = p(u,z,t,y)
+# and p = p(s,x,t,y), and no smaller constant holds.
+# Proof.  p(s,x,t,y) = (t-s) / (pi ((t-s)^2 + (y-x)^2)); write a = u - s,
+# b = t - u, X1 = z - x and X2 = y - z.  Cauchy-Schwarz gives
+# (X1 + X2)^2 <= (a + b) (X1^2 / a + X2^2 / b), so
+#   (a + b)^2 + (X1 + X2)^2 <= (a + b) [(a^2 + X1^2) / a + (b^2 + X2^2) / b],
+# that is 1 / p <= 1 / p1 + 1 / p2, or p1 p2 / (p1 + p2) <= p.  The
+# harmonic mean is at least the minimum: min(p1, p2) <= 2 p1 p2 / (p1 + p2)
+# <= 2 p.  Both steps are equalities when a = b and X1 = X2, so the
+# midpoint u = (s + t) / 2, z = (x + y) / 2 attains 2.
+CAUCHY_3P = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -486,139 +470,11 @@ def _kappa_series_correction(s, x, u_hi, z_hi, q):
 # Kato modulus
 # ---------------------------------------------------------------------------
 
-# (time node, spatial node) entries one block of a kato sweep holds:
-# 16 d = 2 time nodes of 768 points (192 d = 1 nodes), 96 KB per factor.
-# The heap mostly reuses temporaries of this size: a window-modulus pass
-# took 40 minor faults at 8 nodes and 42 at 16; 32 nodes took 1,620,
-# given back to the system and faulted in again, and were no faster.
-_KATO_ENTRIES = 16 * 768
-
-
-def _kato_node_sums(kernel, q, u, end_t, end_x, first: bool):
-    """At each time node u_i, the sum over its peak rule in space of
-    p(end_t_i, end_x_i, u_i, z) (first) or p(u_i, z, end_t_i, end_x_i),
-    times q(u_i, z) unless q is None.
-
-    Node i's rule sits on end_x_i (a point per row in d = 2), scaled on
-    the factor's peak.  Nodes go in blocks of at most _KATO_ENTRIES
-    (node, spatial node) entries, and each node's sum has the bits of
-    its own rule alone."""
-    scale = kernel.peak_scale((u - end_t) if first else (end_t - u))
-    dim = getattr(kernel, "dim", 1)
-    step = max(1, _KATO_ENTRIES // (64 if dim == 1 else 768))
-    out = np.empty(len(u))
-    for a in range(0, len(u), step):
-        b = slice(a, a + step)
-        uu, tt = u[b, None], end_t[b, None]
-        if dim == 1:
-            xx = end_x[b, None]
-            z, w = peak_rule(xx, scale[b], 32)
-        else:
-            xx = end_x[b, None, :]
-            z, w = peak_rule_2d(end_x[b], scale[b])
-        vals = kernel(tt, xx, uu, z) if first else kernel(uu, z, tt, xx)
-        if q is not None:
-            vals *= q(uu, z)
-        vals *= w
-        out[b] = np.sum(vals, axis=-1)
-    return out
-
-
-def kato_inner_integral(kernel, mu, s, x, t, y):
-    """int_s^t int [p(s,x,u,z) + p(u,z,t,y)] dmu(u,z).
-
-    Per-time-node peak rules in space; 32 time nodes cluster (quadratically)
-    at the endpoint where the respective p-factor concentrates, which
-    also absorbs the u**(-1/2)-type endpoint growth that singular
-    densities produce there.
-
-    1-d arrays s and t give one sample per entry, with x and y one point
-    per entry (per row in d = 2), and an array of the integrals: the two
-    density pieces evaluate every sample's time nodes together, then the
-    atoms every sample's atom times.  Each node's rule is reduced on its
-    own, and each sample's nodes with its time weights in one vecdot
-    call (the same BLAS dot on each sample's row), so a sample has the
-    same bits alone and in a sweep.
-    """
-    s, t, x, y = (np.asarray(a, dtype=float) for a in (s, t, x, y))
-    xi, wt = gauss_legendre_rule(0.0, 1.0, 32)
-    n = len(s)
-    total = np.zeros(n)
-    if mu.density is not None:
-        span = (t - s)[:, None]
-        du = wt * 2.0 * xi * span
-        owner = np.repeat(np.arange(n), len(xi))
-        near = _kato_node_sums(kernel, mu.q,
-                               (s[:, None] + span * xi ** 2).ravel(),
-                               s[owner], x[owner], True).reshape(du.shape)
-        far = _kato_node_sums(kernel, mu.q,
-                              (t[:, None] - span * xi ** 2).ravel(),
-                              t[owner], y[owner], False).reshape(du.shape)
-        total = np.vecdot(near, du) + np.vecdot(far, du)
-    atoms = mu.active_atoms()
-    hits = [(i, atom) for i in range(n) for atom in atoms
-            if s[i] < atom.time < t[i]]
-    if hits:
-        owner = np.array([i for i, _ in hits])
-        u = np.array([atom.time for _, atom in hits])
-        near = _kato_node_sums(kernel, None, u, s[owner], x[owner], True)
-        far = _kato_node_sums(kernel, None, u, t[owner], y[owner], False)
-        for k, (i, atom) in enumerate(hits):
-            total[i] += atom.weight * float(near[k])
-            total[i] += atom.weight * float(far[k])
-    return total
-
-
-# windows kato_profile resolves: past them the sums overflow (k(1e300)
-# read 2), underflow (1e-300 gave k(1) = inf) or miss the peak (1e-14)
+# windows ``kpert kato`` accepts (cli._windows): the CLI's input rule;
+# kato_modulus itself takes any finite h > 0
 KATO_WINDOWS = (1e-12, 1e12)
 WINDOWS_RULE = ("windows must be finite and positive, in "
                 f"[{KATO_WINDOWS[0]:.0e}, {KATO_WINDOWS[1]:.0e}]")
-
-
-def kato_profile(kernel, mu, h_values, n_samples: int = 24, seed: int = 0):
-    """A quadrature estimate of k(h) along a decreasing ladder of
-    windows with a shared sample set: the cross-check of kato_modulus's
-    closed form, which ``kpert kato`` prints.
-
-    The estimate is the sampled sup of the inner double integral over
-    x, y in [-2, 2]^d and 0 = s < t <= h, from a Halton stream plus each
-    window's corner x = y = 0, t = h, where kato_modulus's densities take
-    their sup.  No window starts elsewhere, so it misses the sup of a
-    measure that is not time-invariant (a time support, atoms).
-    Samples are drawn once for the largest window; each smaller window
-    takes the sup over the samples it still admits (t <= h), the natural
-    nested estimator of a monotone quantity.  Every sample's inner
-    integral comes from one call of kato_inner_integral, a sweep over
-    all samples in blocks of time nodes.
-    """
-    h_values = sorted(h_values, reverse=True)
-    if not h_values or not all(KATO_WINDOWS[0] <= h <= KATO_WINDOWS[1]
-                               for h in h_values):
-        raise ValueError(WINDOWS_RULE)
-    h_max = h_values[0]
-    d = getattr(kernel, "dim", 1)
-    eng = Halton(1 + 2 * d, seed)
-    pts = eng.random(max(n_samples - len(h_values), 1))
-    samples = []
-    for h in h_values:
-        zero = 0.0 if d == 1 else np.zeros(d)
-        samples.append((h, zero, zero))
-    for row in pts:
-        t = h_max * (0.02 + 0.98 * row[0])
-        if d == 1:
-            samples.append((t, 2.0 * (2 * row[1] - 1), 2.0 * (2 * row[2] - 1)))
-        else:
-            samples.append((t, 2.0 * (2 * row[1:1 + d] - 1),
-                            2.0 * (2 * row[1 + d:] - 1)))
-    ts, xs, ys = (np.array(col, dtype=float) for col in zip(*samples))
-    values = kato_inner_integral(kernel, mu, np.zeros(len(ts)), xs, ts,
-                                 ys).tolist()
-    out = {}
-    for h in h_values:
-        out[h] = max(v for t, v in zip(ts.tolist(), values)
-                     if t <= h * (1 + 1e-12))
-    return out
 
 
 def kato_modulus(kernel, mu, h: float) -> float:
@@ -634,7 +490,7 @@ def kato_modulus(kernel, mu, h: float) -> float:
     2 lambda m, exact, and power the corner value at m (_power_corner),
     exact when L >= h and, by rearrangement, an upper bound otherwise.
     The atoms add 2 x the largest total weight of active atoms in one
-    open window of length h, the strict s < u < t of kato_inner_integral.
+    open window (s, s + h), the times the definition integrates over.
     The sum of the two parts is an upper bound, exact when one window
     attains both.  Any other density, and the cone kernel, is a
     ValueError naming it.

@@ -29,8 +29,8 @@ DETAILS = {
        "<= 0.500",
     8: "composition 9.2e-16/1.7e-16, half-derivative 2.2e-16, "
        "left-inverse 4.0e-11, perturbed 5.2e-04",
-    9: "modulus = 2h +- 6.7e-16; profile 3.39->2.40->1.69->1.20; 10 window "
-       "certificates VALID (eta=0.399)",
+    9: "eta = C k(h), C = 2 proven, k(0.1) = 0.200 closed form; 10 window "
+       "certificates VALID, bound/ratio >= 2.52 (eta=0.400)",
     10: "1742 artifact bytes identical across two runs",
 }
 DETAILS_AVX2 = {
@@ -142,21 +142,12 @@ def test_criterion_9_kato(numpy_avx2):
     _check(acceptance.criterion_kato(SEED), numpy_avx2)
 
 
-def test_criterion_9_checks_the_cauchy_profile_against_the_corner(
-        monkeypatch):
-    # the d = 2 profile reads C sqrt(h) (1 + 4.2e-6); one 2e-5 higher is
-    # still decreasing, and must fail
-    real = st.kato_profile
-
-    def high(kernel, mu, h_values, **kw):
-        prof = real(kernel, mu, h_values, **kw)
-        scale = 1.0 + 2e-5 if kernel.dim == 2 else 1.0
-        return {h: v * scale for h, v in prof.items()}
-
-    monkeypatch.setattr(st, "kato_profile", high)
+def test_criterion_9_fails_without_the_3p_constant(monkeypatch):
+    # eta = 0 bounds the series ratio by 1, which e^(t - s) exceeds
+    monkeypatch.setattr(st, "CAUCHY_3P", 0.0)
     res = acceptance.criterion_kato(SEED)
     assert not res.passed
-    assert res.details == "profile misses C sqrt(h) by 2.42e-05"
+    assert res.details == "window certificate INVALID"
 
 
 def test_criterion_10_determinism(numpy_avx2):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as hst
 from kpert import acceptance, cli
 from kpert import matrix_kernels as mk
 from kpert import perturbation as pt
+from test_spacetime import _kato_corner
 
 FIXTURES = Path(cli.fixture_path(""))
 
@@ -611,9 +612,8 @@ BAD_ARGS = {
                              "finite and positive"),
     "kato-nan-window": (["kato", "--windows", "nan"], "finite and positive"),
     "kato-zero-window": (["kato", "--windows", "0"], "finite and positive"),
-    # windows kato_profile cannot resolve: k(1e300) read 2 (overflow, NaN
-    # samples skipped), k(1) read inf beside 1e-300, and 1e-14 read 2 %
-    # high (Cauchy d = 1), each with exit 0
+    # windows outside spacetime.KATO_WINDOWS stay rejected as CLI input;
+    # the closed form itself holds at every finite h > 0
     "kato-huge-window": (["kato", "--windows", "1e300,1"],
                          "finite and positive, in [1e-12, 1e+12]"),
     "kato-tiny-window": (["kato", "--windows", "1e-300,1"],
@@ -1073,6 +1073,11 @@ KATO_TRUTHS = {
         {"kernel": {"name": "cauchy", "d": 2},
          "measure": {"density": {"kind": "power", "eps": -0.5}}},
         {1.0: math.inf, 0.5: math.inf, 0.125: math.inf}),
+    # both ends of the --windows range
+    "cauchy-d2-power-window-ends": (
+        {"kernel": {"name": "cauchy", "d": 2},
+         "measure": {"density": {"kind": "power", "eps": 0.5}}},
+        {h: _kato_corner("cauchy", 2, 0.5, h) for h in (1e12, 1e-12)}),
 }
 
 
@@ -1088,7 +1093,7 @@ def test_kato_prints_the_true_window_modulus(case, tmp_path):
     got = {float(h): float(k) for h, k in (r.split(",") for r in rows[1:])}
     assert list(got) == sorted(truth, reverse=True)
     for h, k in truth.items():
-        assert got[h] == pytest.approx(k, rel=0, abs=1e-12), h
+        assert got[h] == pytest.approx(k, rel=1e-12, abs=1e-12), h
 
 
 def test_kato_rejects_a_density_with_no_closed_form(tmp_path, capsys):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as hst
 
 from kpert import quadrature
 from kpert.quadrature import (MAX_SUBDIVISIONS, Halton, QuadratureSpec,
-                              gauss_legendre_rule, integrate_1d, peak_rule,
-                              peak_rule_2d)
+                              gauss_legendre_rule, integrate_1d, peak_rule)
 
 
 def test_constant_is_exact():
@@ -269,43 +268,6 @@ def test_unit_peak_rule_is_tan_and_weight_over_cos_squared(n):
                (np.tan(theta), w_full / np.cos(theta) ** 2))
 
 
-def _old_peak_rule_2d(center, scale):
-    """spacetime._peak_rule_2d before it read peak_rule's cached base."""
-    th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, 48)
-    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, 16)
-    scale = np.maximum(scale, 1e-300)[..., None, None]
-    R = scale * np.tan(th)[:, None]
-    DR = wt[:, None] * scale / np.cos(th)[:, None] ** 2
-    flat = scale.shape[:-2] + (48 * 16,)
-    center = np.asarray(center, dtype=float)
-    pts = np.stack([center[0] + (R * np.cos(ph)).reshape(flat),
-                    center[1] + (R * np.sin(ph)).reshape(flat)], axis=-1)
-    wts = (R * DR * wp).reshape(flat)
-    return pts, wts
-
-
-@pytest.mark.bits
-@pytest.mark.parametrize("center", [(0.0, 0.0), np.array([0.3, -2.5])])
-def test_peak_rule_2d_matches_the_rule_it_replaced_bitwise(center):
-    scales = [0.0, 1e-300, 1e-310, 1e-3, 0.37, 5.5,
-              np.array([0.0, 1e-300, 0.37, 5.5]),
-              np.array([[1e-3, 0.0], [2.0, 1e-300]])]
-    for scale in scales:
-        got = peak_rule_2d(center, scale)
-        want = _old_peak_rule_2d(center, scale)
-        assert got[0].shape == np.shape(scale) + (768, 2)
-        _same_bits(got, want)
-    peak_rule(0.0, 1.0, 48)             # a warm base gives the same bits
-    _same_bits(peak_rule_2d(center, np.array([0.37, 5.5])),
-               _old_peak_rule_2d(center, np.array([0.37, 5.5])))
-    # one center per entry: each entry's rule is the rule at its center
-    scale = np.array([0.37, 5.5, 0.0])
-    centers = np.array([center, (1.0, 2.0), (-0.5, 0.0)], dtype=float)
-    pts, wts = peak_rule_2d(centers, scale)
-    for i in range(len(scale)):
-        _same_bits((pts[i], wts[i]), _old_peak_rule_2d(centers[i], scale[i]))
-
-
 def test_peak_rule_integrates_a_cauchy_peak_exactly():
     for center, scale in ((0.0, 1.0), (1.5, 0.02), (-3.0, 40.0)):
         z, w = peak_rule(center, scale, 16)
@@ -314,7 +276,7 @@ def test_peak_rule_integrates_a_cauchy_peak_exactly():
 
 
 # The sampler must give SciPy's scrambled Halton points bit for bit: every
-# certificate, Kato ladder and golden hash was recorded with them.
+# certificate and golden hash was recorded with them.
 @pytest.mark.parametrize("seed", [0, 1, 977, 2 ** 31 - 1, 2 ** 40])
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 9])
 def test_halton_matches_scipy_bit_for_bit(d, seed):

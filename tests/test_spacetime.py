@@ -9,8 +9,7 @@ from kpert.bounds import Interval
 from kpert.errors import PreconditionError
 from kpert.measures import (Atom, ConstDensity, CornerPowerDensity,
                             PerturbingMeasure, PowerLawSpaceDensity)
-from kpert.quadrature import (Halton, QuadratureSpec, gauss_legendre_rule,
-                              integrate_1d)
+from kpert.quadrature import QuadratureSpec, integrate_1d
 
 INV_SQRT_4PI = (4.0 * math.pi) ** -0.5
 
@@ -254,17 +253,29 @@ def test_3g_rejects_unordered():
         st.check_3g(0.0, 0.0, 1.5, 0.5, 1.0, 1.0)
 
 
-def test_3p_conventions_and_stability():
-    assert float(st.check_3p_cauchy(1.0, 0.0, 0.5, 0.0, 0.5, 0.0)) == 0.0
-    m1 = st.scan_3p_constant(3)
-    # the same scan at twice the points
-    pts = Halton(6, 3).random(40_000)
-    s, u, t = (-1.0 + 3.0 * pts[:, :3]).T
-    x, z, y = (3.0 * (2.0 * pts[:, 3:] - 1.0)).T
-    r3 = st.check_3p_cauchy(s, x, u, z, t, y)
-    m2 = float(np.max(r3[np.isfinite(r3)]))
-    assert m2 <= m1 * 1.25 + 0.5    # stable under doubling
-    assert math.isfinite(m2)
+def _3p_ratio(s, x, u, z, t, y):
+    """min(p(s,x,u,z), p(u,z,t,y)) / p(s,x,t,y), the Cauchy kernel in d = 1."""
+    ker = st.cauchy_kernel(1)
+    return np.minimum(ker(s, x, u, z), ker(u, z, t, y)) / ker(s, x, t, y)
+
+
+def test_3p_constant_of_the_cauchy_kernel_is_two():
+    assert st.CAUCHY_3P == 2.0
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(4):      # 10^6 tuples in four blocks
+        s, u, t = np.sort(rng.uniform(-1.0, 2.0, size=(3, 250_000)), axis=0)
+        x, z, y = rng.uniform(-3.0, 3.0, size=(3, 250_000))
+        keep = (s < u) & (u < t)
+        r = _3p_ratio(s[keep], x[keep], u[keep], z[keep], t[keep], y[keep])
+        worst = max(worst, float(np.max(r)))
+    assert worst <= st.CAUCHY_3P * (1 + 1e-12)
+    assert worst > 1.99
+    # the midpoint family u = (s + t) / 2, z = (x + y) / 2 attains it
+    s, x = rng.uniform(-1.0, 1.0, size=(2, 1000))
+    t, y = s + rng.uniform(1e-3, 3.0, 1000), rng.uniform(-3.0, 3.0, 1000)
+    r = _3p_ratio(s, x, 0.5 * (s + t), 0.5 * (x + y), t, y)
+    assert np.all(np.abs(r - st.CAUCHY_3P) <= 1e-12)
 
 
 # -- Weyl derivative ---------------------------------------------------------------
@@ -334,111 +345,6 @@ def test_left_inverse_perturbed():
 
 # -- window modulus ---------------------------------------------------------------
 
-def test_kato_zero_measure():
-    k = st.kato_profile(st.cauchy_kernel(1), PerturbingMeasure(), [0.5],
-                        n_samples=4)
-    assert k == {0.5: 0.0}
-
-
-def test_kato_lebesgue_exact():
-    # every sample gives 2t, so the corner t = h is the sup of each window
-    mu = PerturbingMeasure(ConstDensity(1.0))
-    zero = np.zeros(1)
-    for seed in (0, 7):
-        k = st.kato_profile(st.cauchy_kernel(1), mu, [1.0, 0.5, 0.1],
-                            n_samples=8, seed=seed)
-        for h in (0.1, 0.5, 1.0):
-            assert abs(k[h] - 2.0 * h) < 1e-4
-            assert k[h] == st.kato_inner_integral(st.cauchy_kernel(1), mu,
-                                                  zero, zero, zero + h,
-                                                  zero)[0]
-
-
-# The per-time-node loop kato_inner_integral ran before it evaluated each
-# piece in one broadcast: one peak rule, one kernel call and one reduction
-# per node.  The broadcast must reproduce it bit for bit.
-
-def _peak_rule_1d_scalar(center, scale, n=64):
-    th, w = gauss_legendre_rule(0.0, 0.5 * math.pi, n // 2)
-    zp = scale * np.tan(th)
-    wp = w * scale / np.cos(th) ** 2
-    z = center + np.concatenate([-zp[::-1], zp])
-    return z, np.concatenate([wp[::-1], wp])
-
-
-def _peak_rule_2d_scalar(center, scale, n_theta=48, n_phi=16):
-    th, wt = gauss_legendre_rule(0.0, 0.5 * math.pi, n_theta)
-    ph, wp = gauss_legendre_rule(0.0, 2.0 * math.pi, n_phi)
-    r = scale * np.tan(th)
-    dr = wt * scale / np.cos(th) ** 2
-    R, PH = np.meshgrid(r, ph, indexing="ij")
-    DR, WP = np.meshgrid(dr, wp, indexing="ij")
-    pts = np.stack([np.asarray(center)[0] + (R * np.cos(PH)).ravel(),
-                    np.asarray(center)[1] + (R * np.sin(PH)).ravel()], axis=1)
-    return pts, (R * DR * WP).ravel()
-
-
-def _factor_at(kernel, s, x, u, t, y, first):
-    end = x if first else y
-    scale = max(float(kernel.peak_scale((u - s) if first else (t - u))),
-                1e-300)
-    if kernel.dim == 1:
-        z, w = _peak_rule_1d_scalar(float(end), scale)
-        ends = np.full(len(w), float(end))
-    else:
-        z, w = _peak_rule_2d_scalar(end, scale)
-        ends = np.tile(np.asarray(end, dtype=float), (len(w), 1))
-    uu = np.full(len(w), u)
-    vals = kernel(s, ends, uu, z) if first else kernel(uu, z, t, ends)
-    return uu, z, vals, w
-
-
-def _kato_inner_per_node(kernel, mu, s, x, t, y, time_nodes=32):
-    xi, wt = gauss_legendre_rule(0.0, 1.0, time_nodes)
-
-    def piece(first):
-        u = s + (t - s) * xi ** 2 if first else t - (t - s) * xi ** 2
-        du = wt * 2.0 * xi * (t - s)
-        vals = []
-        for ui in u:
-            uu, z, v, w = _factor_at(kernel, s, x, ui, t, y, first)
-            vals.append(float(np.sum(v * mu.q(uu, z) * w)))
-        return float(np.array(vals) @ du)
-
-    total = 0.0
-    if mu.density is not None:
-        total = piece(True) + piece(False)
-    for atom in mu.active_atoms():
-        if s < atom.time < t:
-            for first in (True, False):
-                _, _, v, w = _factor_at(kernel, s, x, atom.time, t, y, first)
-                total += atom.weight * float(np.sum(v * w))
-    return total
-
-
-@pytest.mark.parametrize("name", ["gaussian", "cauchy"])
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("density", ["const", "power"])
-@pytest.mark.bits
-def test_kato_inner_broadcast_matches_per_node_loop(name, d, density):
-    kernel = st.resolve_kernel(name, d)
-    q = ConstDensity(0.7, d) if density == "const" else \
-        PowerLawSpaceDensity(0.4, d)
-    rng = np.random.default_rng([d, len(name), len(density)])
-    for _ in range(3):
-        s = rng.uniform(-0.5, 0.5)
-        t = s + rng.uniform(0.05, 1.2)
-        x, y = rng.uniform(-2.0, 2.0, size=(2, d)) if d > 1 else \
-            rng.uniform(-2.0, 2.0, size=2)
-        atom = Atom(rng.uniform(s, t), 0.3)
-        for mu in (PerturbingMeasure(q), PerturbingMeasure(q, (atom,))):
-            got = float(st.kato_inner_integral(
-                kernel, mu, np.array([s]), np.asarray(x)[None], np.array([t]),
-                np.asarray(y)[None])[0])
-            want = _kato_inner_per_node(kernel, mu, s, x, t, y)
-            assert got.hex() == want.hex()
-
-
 def _kato_corner(name, d, eps, t):
     """int_0^t int [p(0,0,u,z) + p(u,z,t,0)] |z|^(eps-1) dz du in closed
     form.  With a = 1 - eps and c_d = E|N_d|^(-a) = 2^(-a/2)
@@ -452,35 +358,6 @@ def _kato_corner(name, d, eps, t):
         return 2 * c * 2.0 ** (-a / 2) * t ** (1 - a / 2) / (1 - a / 2)
     return 2 * c * 2.0 ** (a / 2) * math.gamma((1 + a) / 2) \
         / math.sqrt(math.pi) * t ** (1 - a) / (1 - a)
-
-
-# Known defect: the kato sums' relative error at the corner, the sup of
-# kato_profile for these densities.  The d = 1 endpoint peak rule reads
-# low (-6.9e-4, -1.56e-2, -2.05e-1 Gaussian; -5.9e-4, -1.51e-2, -2.32e-1
-# Cauchy at eps = 0.8, 0.5, 0.2); d = 2 is within 3.6e-5 but for Cauchy
-# at eps = 0.2 (-3.35e-2).  Product-integration rules for singular
-# densities (ROADMAP item 22) are to tighten these bounds.
-KATO_CORNER_BOUNDS = {  # (d, kernel): bound at eps = 0.8, 0.5, 0.2
-    (1, "gaussian"): (1e-3, 2e-2, 2.5e-1),
-    (1, "cauchy"): (1e-3, 2e-2, 2.5e-1),
-    (2, "gaussian"): (1e-6, 1e-5, 5e-5),
-    (2, "cauchy"): (2.5e-5, 1e-5, 4e-2),
-}
-
-
-@pytest.mark.parametrize("d,name", sorted(KATO_CORNER_BOUNDS))
-def test_kato_corner_within_known_defect_of_closed_form(d, name):
-    kernel = st.resolve_kernel(name, d)
-    zero = np.zeros((1, d)) if d > 1 else np.zeros(1)
-    for eps, bound in zip((0.8, 0.5, 0.2), KATO_CORNER_BOUNDS[d, name]):
-        mu = PerturbingMeasure(PowerLawSpaceDensity(eps, d))
-        errs = [st.kato_inner_integral(kernel, mu, np.zeros(1), zero,
-                                       np.array([t]), zero)[0]
-                / _kato_corner(name, d, eps, t) - 1.0 for t in (1.0, 0.25)]
-        # the sums scale as the closed form does, so the error is one
-        # number for every window
-        assert errs[0] == pytest.approx(errs[1], rel=1e-6, abs=1e-12)
-        assert abs(errs[0]) <= bound, (eps, errs[0])
 
 
 # power eps with a finite k(h): every eps <= 1 above 1 - d, but Cauchy in
@@ -502,25 +379,6 @@ def test_kato_modulus_is_the_corner_closed_form(d, name):
             mu = PerturbingMeasure(PowerLawSpaceDensity(eps, d))
             assert st.kato_modulus(kernel, mu, h) == \
                 pytest.approx(_kato_corner(name, d, eps, h), rel=1e-12)
-
-
-@pytest.mark.parametrize("d,name", sorted(KATO_CORNER_BOUNDS))
-def test_kato_modulus_matches_the_quadrature_cross_check(d, name):
-    # the corner x = y = 0, s = 0, t = h attains the closed form; the
-    # quadrature reads it within its known defect, and const exactly
-    kernel = st.resolve_kernel(name, d)
-    zero = np.zeros((1, d)) if d > 1 else np.zeros(1)
-    for h in (1.0, 0.25):
-        def corner(mu):
-            return st.kato_inner_integral(kernel, mu, np.zeros(1), zero,
-                                          np.array([h]), zero)[0]
-        mu = PerturbingMeasure(ConstDensity(0.7, d))
-        assert corner(mu) == pytest.approx(st.kato_modulus(kernel, mu, h),
-                                           rel=1e-9)
-        for eps, bound in zip((0.8, 0.5, 0.2), KATO_CORNER_BOUNDS[d, name]):
-            mu = PerturbingMeasure(PowerLawSpaceDensity(eps, d))
-            assert abs(corner(mu) / st.kato_modulus(kernel, mu, h) - 1.0) \
-                <= bound, (h, eps)
 
 
 @pytest.mark.parametrize("h,eps", [(1.0, 0.5), (0.25, 0.2), (0.1, 0.8)])
@@ -549,15 +407,60 @@ def test_kato_modulus_matches_scipy_for_the_gaussian(h, eps):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _radial_moment(kernel, a):
+    """E|X_1|^-a for X_1 ~ p(0, 0, 1, .), kpert's own kernel, by one scipy
+    quad of its radial density: 2 p(0,0,1,r) in d = 1, 2 pi r
+    p(0,0,1,(r,0)) in d = 2, against the algebraic weight r^-a on [0, 1]
+    and with a plain rule on [1, inf).  a = 0 gives the kernel's mass."""
+    from scipy.integrate import quad
+    if kernel.dim == 1:
+        def radial(r):
+            return 2.0 * float(kernel(0.0, 0.0, 1.0, r))
+    else:
+        def radial(r):
+            return 2.0 * math.pi * r * float(
+                kernel(0.0, np.zeros(2), 1.0, np.array([r, 0.0])))
+    near = quad(radial, 0.0, 1.0, weight="alg", wvar=(-a, 0.0),
+                epsabs=0.0, epsrel=1e-13)[0]
+    far = quad(lambda r: r ** -a * radial(r), 1.0, math.inf,
+               epsabs=0.0, epsrel=1e-13)[0]
+    return near + far
+
+
+@pytest.mark.parametrize("d,name", sorted(KATO_POWER_EPS))
+def test_kato_modulus_matches_scipy_moments(d, name):
+    # at the corner x = y = 0, s = 0, t = h, self-similarity gives
+    # E q(X_u) = u^-b E q(X_1), b = a/2 (Gaussian) or a (Cauchy), so
+    # k(h) = int_0^h [E q(X_u) + E q(X_(h-u))] du = 2 h^(1-b) / (1-b)
+    # E q(X_1); const lambda and an atom eta read the kernel's mass
+    kernel = st.resolve_kernel(name, d)
+    mass = _radial_moment(kernel, 0.0)
+    moments = {eps: _radial_moment(kernel, 1.0 - eps)
+               for eps in (0.8, 0.5, 0.2)}
+    for h in (1.0, 0.25):
+        mu = PerturbingMeasure(ConstDensity(0.7, d))
+        assert st.kato_modulus(kernel, mu, h) == \
+            pytest.approx(2.0 * 0.7 * h * mass, rel=1e-12)
+        mu = PerturbingMeasure(atoms=(Atom(0.1, 0.3),))
+        assert st.kato_modulus(kernel, mu, h) == \
+            pytest.approx(2.0 * 0.3 * mass, rel=1e-12)
+        for eps, moment in moments.items():
+            a = 1.0 - eps
+            b = a / 2 if name == "gaussian" else a
+            mu = PerturbingMeasure(PowerLawSpaceDensity(eps, d))
+            assert st.kato_modulus(kernel, mu, h) == pytest.approx(
+                2.0 * h ** (1 - b) / (1 - b) * moment, rel=1e-12), (h, eps)
+
+
 def test_kato_modulus_time_support_and_growing_densities():
     g = st.gaussian_kernel(1)
     lam = PerturbingMeasure(ConstDensity(1.0), time_support=Interval(0.5, 1.0))
     assert [st.kato_modulus(g, lam, h) for h in (1.0, 0.5, 0.25)] == \
         [1.0, 1.0, 0.5]
-    # the quadrature attains it on the window (0.5, 1.0)
-    assert st.kato_inner_integral(g, lam, np.array([0.5]), np.zeros(1),
-                                  np.array([1.0]), np.zeros(1))[0] == \
-        pytest.approx(1.0, rel=1e-9)
+    # the window (0.5, 1.0) attains it: twice lambda (1 - 0.5) times the
+    # kernel's mass
+    assert st.kato_modulus(g, lam, 0.5) == \
+        pytest.approx(2.0 * 0.5 * _radial_moment(g, 0.0), rel=1e-12)
     # a support shorter than h: the corner value at L bounds k(h)
     power = PerturbingMeasure(PowerLawSpaceDensity(0.5),
                               time_support=Interval(0.0, 0.25))
@@ -576,10 +479,11 @@ def test_kato_modulus_atoms_in_one_open_window():
     g = st.gaussian_kernel(1)
     mu = PerturbingMeasure(ConstDensity(0.5), (Atom(0.3, 0.4),))
     assert st.kato_modulus(g, mu, 0.25) == pytest.approx(1.05, abs=1e-12)
-    # the window (0.2, 0.45) holds the atom, and the quadrature reads it
-    assert st.kato_inner_integral(g, mu, np.array([0.2]), np.zeros(1),
-                                  np.array([0.45]), np.zeros(1))[0] == \
-        pytest.approx(1.05, rel=1e-9)
+    # the window (0.2, 0.45) holds the atom: 2 (0.5 x 0.25 + 0.4) times
+    # the kernel's mass
+    assert st.kato_modulus(g, mu, 0.25) == \
+        pytest.approx(2.0 * (0.5 * 0.25 + 0.4) * _radial_moment(g, 0.0),
+                      rel=1e-12)
     # atoms exactly h apart share no open window (s < u < t); a hair
     # wider, they do
     two = PerturbingMeasure(atoms=(Atom(0.25, 0.3), Atom(0.5, 0.2)))
@@ -604,69 +508,6 @@ def test_kato_modulus_rejects_what_it_has_no_closed_form_for():
         with pytest.raises(ValueError, match="finite and positive"):
             st.kato_modulus(st.cauchy_kernel(1),
                             PerturbingMeasure(ConstDensity(1.0)), h)
-
-
-def _kato_profile_per_node(kernel, mu, h_values, n_samples, seed):
-    """kato_profile's samples, each integrated on its own by
-    _kato_inner_per_node: the values in order and the profile."""
-    d = kernel.dim
-    hs = sorted(h_values, reverse=True)
-    pts = Halton(1 + 2 * d, seed).random(max(n_samples - len(hs), 1))
-    zero = 0.0 if d == 1 else np.zeros(d)
-    samples = [(h, zero, zero) for h in hs]
-    for row in pts:
-        x, y = 2.0 * (2 * row[1:1 + d] - 1), 2.0 * (2 * row[1 + d:] - 1)
-        samples.append((hs[0] * (0.02 + 0.98 * row[0]),
-                        x[0] if d == 1 else x, y[0] if d == 1 else y))
-    values = [(t, _kato_inner_per_node(kernel, mu, 0.0, x, t, y))
-              for t, x, y in samples]
-    return samples, [v for _, v in values], {
-        h: max(v for t, v in values if t <= h * (1 + 1e-12)) for h in hs}
-
-
-class _CountingKernel:
-    """A kernel that records the size of every result it returns."""
-
-    def __init__(self, kernel):
-        self.kernel, self.dim, self.sizes = kernel, kernel.dim, []
-
-    def peak_scale(self, dt):
-        return self.kernel.peak_scale(dt)
-
-    def __call__(self, *args):
-        vals = self.kernel(*args)
-        self.sizes.append(np.size(vals))
-        return vals
-
-
-@pytest.mark.parametrize("name", ["gaussian", "cauchy"])
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("density", ["const", "power"])
-@pytest.mark.parametrize("split", [False, True])
-@pytest.mark.bits
-def test_kato_profile_sweep_matches_per_node_loop(name, d, density, split,
-                                                  monkeypatch):
-    # at the real cap, d = 1 blocks hold six samples' pieces and d = 2
-    # blocks half of one; three nodes per block splits samples across
-    # blocks in both
-    cap = 3 * (64 if d == 1 else 768) if split else st._KATO_ENTRIES
-    monkeypatch.setattr(st, "_KATO_ENTRIES", cap)
-    kernel = st.resolve_kernel(name, d)
-    q = ConstDensity(0.7, d) if density == "const" else \
-        PowerLawSpaceDensity(0.4, d)
-    hs = [0.9, 0.4, 0.15]
-    for mu in (PerturbingMeasure(q), PerturbingMeasure(q, (Atom(0.3, 0.5),))):
-        counted = _CountingKernel(kernel)
-        got = st.kato_profile(counted, mu, hs, n_samples=9, seed=d)
-        samples, values, want = _kato_profile_per_node(kernel, mu, hs, 9, d)
-        assert [got[h].hex() for h in hs] == [want[h].hex() for h in hs]
-        assert max(counted.sizes) <= cap
-        if d == 2 and not split:
-            assert 16 * 768 in counted.sizes     # 16 time nodes per block
-        ts, xs, ys = (np.array(c, dtype=float) for c in zip(*samples))
-        sweep = st.kato_inner_integral(kernel, mu, np.zeros(len(ts)), xs,
-                                       ts, ys)
-        assert [v.hex() for v in sweep.tolist()] == [v.hex() for v in values]
 
 
 @pytest.mark.bits
@@ -694,24 +535,6 @@ def test_power_density_at_the_origin(d):
     at_zero = {eps: float(PowerLawSpaceDensity(eps, d)(0.0, zero))
                for eps in (0.5, 1.0, 1.5, 3.0)}
     assert at_zero == {0.5: 0.0, 1.0: 1.0, 1.5: 0.0, 3.0: 0.0}
-
-
-def test_kato_profile_monotone():
-    mu = PerturbingMeasure(PowerLawSpaceDensity(0.5, dim=2))
-    prof = st.kato_profile(st.cauchy_kernel(2), mu, [1.0, 0.5],
-                           n_samples=8, seed=0)
-    assert prof[1.0] > prof[0.5] > 0.0
-
-
-@pytest.mark.parametrize("windows", [[], [0.5, -0.25], [0.0], [math.nan],
-                                     [math.inf], [1e300, 1.0], [1e-300, 1.0],
-                                     [1e-14]])
-def test_kato_profile_rejects_bad_windows(windows):
-    # [] ended in an IndexError and [0.0] returned k(0) = 0.0; past
-    # KATO_WINDOWS the sums overflow, underflow or miss the peak
-    mu = PerturbingMeasure(PowerLawSpaceDensity(0.5, dim=1))
-    with pytest.raises(ValueError, match="finite and positive"):
-        st.kato_profile(st.cauchy_kernel(1), mu, windows, n_samples=4)
 
 
 # -- two-subordinator slice constants -----------------------------------------------
